@@ -18,7 +18,7 @@ import sys
 from .attack import MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE, channel_occupancy, diff_captures, plan_replay
 from .capture import CaptureLog
 from .errors import ScenarioValidationError, StaveError
-from .runner import OCCUPANCY_SCHEMA, json_text, run_scenario
+from .runner import json_text, occupancy_report, run_scenario
 from .scenario import load_scenario
 
 
@@ -102,15 +102,8 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_occupancy(args) -> int:
-    log = CaptureLog.load(args.capture)
-    counts = channel_occupancy(log)
-    doc = {
-        "schema": OCCUPANCY_SCHEMA,
-        "capture": args.capture,
-        "channels": [{"channel": c, "count": n} for c, n in counts],
-        "total_packets": sum(n for _, n in counts),
-    }
-    _write_or_print(doc, args.report)
+    counts = channel_occupancy(CaptureLog.load(args.capture))
+    _write_or_print(occupancy_report(args.capture, counts), args.report)
     return 0
 
 

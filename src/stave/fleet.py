@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from .bus import CanBus, NodeHandle
 from .errors import ConfigurationError, ScenarioValidationError
 from .j1939 import CanFrame, J1939Address, ScaledSignal, decode_id, encode_id, write_signal
-from .sim import SimClock, us_from_seconds
+from .sim import SimClock
 
 JOYSTICK_CENTER = 125
 JOYSTICK_MAX = 250
@@ -154,14 +154,6 @@ class JoystickScript:
         if errors:
             raise ScenarioValidationError([f"joystick_script {e}" for e in errors])
         self.entries = tuple(entries)
-
-    @classmethod
-    def from_steps(cls, steps) -> "JoystickScript":
-        """Build from (t_seconds, x, y, button) tuples."""
-        return cls(tuple(
-            ScriptEntry(t_us=us_from_seconds(t), x=x, y=y, button=button)
-            for t, x, y, button in steps
-        ))
 
     def value_at(self, t_us: int) -> tuple[int, int, int]:
         current = (JOYSTICK_CENTER, JOYSTICK_CENTER, 0)
@@ -425,23 +417,6 @@ class Fleet:
         self.engine = EngineEcu(self, vehicle_bus, engine_rpm)
         self.power = PowerEcu(self, vehicle_bus, steer_enable, machine_voltage)
         self.steering = SteeringEcu(self, vehicle_bus)
-
-    @property
-    def handles(self) -> tuple[NodeHandle, ...]:
-        return (
-            self.joystick.handle,
-            self.display.handle,
-            self.implement.handle,
-            self.hydraulics.handle,
-            self.engine.handle,
-            self.power.handle,
-            self.steering.handle,
-        )
-
-    def apply_joystick_script(self, script: JoystickScript) -> None:
-        if not isinstance(script, JoystickScript):
-            raise ConfigurationError("apply_joystick_script() wants a JoystickScript")
-        self.script = script
 
     def observables(self) -> VehicleObservables:
         return VehicleObservables(

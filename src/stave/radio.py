@@ -258,14 +258,6 @@ class RadioMedium:
         self._endpoints.append(endpoint)
         return endpoint
 
-    @property
-    def endpoints(self) -> tuple["BridgeEndpoint", ...]:
-        return tuple(self._endpoints)
-
-    @property
-    def taps(self) -> tuple[Tap, ...]:
-        return tuple(self._taps)
-
     def transmit(self, packet: RadioPacket | bytes, sender=None) -> None:
         """Put one packet on the air.
 

@@ -15,9 +15,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .attack import (
     RadioInjector,
+    ReplaySchedule,
     WiredInjector,
     channel_occupancy,
     diff_captures,
@@ -27,10 +29,10 @@ from .attack import (
 )
 from .bus import CanBus
 from .capture import KIND_CAN, CaptureLog, CaptureRecord
-from .errors import SimulationError
 from .fleet import Fleet, VehicleObservables
 from .radio import RadioMedium, Tap
 from .scenario import (
+    SEGMENT_NAMES,
     DiffSpec,
     InjectSpec,
     OccupancySpec,
@@ -73,20 +75,14 @@ class Testbed:
 
     scenario: Scenario
     clock: SimClock
-    operator0: CanBus
-    vehicle0: CanBus
+    buses: dict[str, CanBus]
     medium: RadioMedium
     fleet: Fleet
     captures: dict[str, CaptureLog]
     reports: dict[str, dict] = field(default_factory=dict)
-    injectors: dict[int, object] = field(default_factory=dict)
-
-    def bus(self, name: str) -> CanBus:
-        if name == "operator0":
-            return self.operator0
-        if name == "vehicle0":
-            return self.vehicle0
-        raise SimulationError(f"no bus segment named {name!r}")
+    schedules: dict[str, ReplaySchedule] = field(default_factory=dict)
+    # one per attack, in list order: builds its summary entry after the run
+    attack_summaries: list[Callable[[], dict]] = field(default_factory=list)
 
 
 def loss_rng(seed: int) -> random.Random:
@@ -101,9 +97,8 @@ def loss_rng(seed: int) -> random.Random:
 def build_testbed(scenario: Scenario) -> Testbed:
     """Construct buses, radio, vehicle, and attack timeline for a scenario."""
     clock = SimClock()
-    operator0 = CanBus(clock, "operator0", scenario.bus)
-    vehicle0 = CanBus(clock, "vehicle0", scenario.bus)
-    recorders = (_Recorder(operator0), _Recorder(vehicle0))
+    buses = {name: CanBus(clock, name, scenario.bus) for name in SEGMENT_NAMES}
+    recorders = [_Recorder(bus) for bus in buses.values()]
 
     medium = RadioMedium(clock, scenario.radio, rng=loss_rng(scenario.seed))
     captures: dict[str, CaptureLog] = {r.interface: r.log for r in recorders}
@@ -114,13 +109,13 @@ def build_testbed(scenario: Scenario) -> Testbed:
             inside_faraday=spec.inside_faraday,
         ))
         captures[spec.name] = tap.log
-    medium.create_endpoint(operator0, "bridge_op")
-    medium.create_endpoint(vehicle0, "bridge_veh")
+    medium.create_endpoint(buses["operator0"], "bridge_op")
+    medium.create_endpoint(buses["vehicle0"], "bridge_veh")
 
     fleet = Fleet(
         clock,
-        operator0,
-        vehicle0,
+        buses["operator0"],
+        buses["vehicle0"],
         catalog=scenario.catalog,
         script=scenario.script,
         steer_enable=scenario.steer_enable,
@@ -131,75 +126,116 @@ def build_testbed(scenario: Scenario) -> Testbed:
     bed = Testbed(
         scenario=scenario,
         clock=clock,
-        operator0=operator0,
-        vehicle0=vehicle0,
+        buses=buses,
         medium=medium,
         fleet=fleet,
         captures=captures,
     )
-    _schedule_attacks(bed)
+    # list order breaks same-instant ties between attack events
+    bed.attack_summaries = [_RUN_STEPS[type(spec)](bed, spec, index)
+                            for index, spec in enumerate(scenario.attacks)]
     return bed
 
 
-def _schedule_attacks(bed: Testbed) -> None:
-    """Queue every attack event; list order breaks same-instant ties."""
-    scenario = bed.scenario
-    schedules: dict[str, object] = {}
+def occupancy_report(capture: str, counts: list[tuple[int, int]]) -> dict:
+    """The stave-occupancy/1 document for a capture's per-channel counts."""
+    return {
+        "schema": OCCUPANCY_SCHEMA,
+        "capture": capture,
+        "channels": [{"channel": c, "count": n} for c, n in counts],
+        "total_packets": sum(n for _, n in counts),
+    }
 
-    for index, spec in enumerate(scenario.attacks):
-        if isinstance(spec, SniffSpec):
-            # Both attachment kinds name a live log: a segment recorder
-            # for wired-tap, a radio tap for radio-tap.
-            source = bed.captures[spec.attachment.ref]
 
-            def materialize(spec=spec, source=source):
-                bed.captures[spec.save] = sniff(source, spec.start_us, spec.duration_us)
+# One run step per attack type: queue the attack's events on the clock
+# and return the function that builds its summary entry after the run.
 
-            bed.clock.schedule(spec.start_us + spec.duration_us, materialize)
-        elif isinstance(spec, DiffSpec):
-            def run_diff(spec=spec):
-                report = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
-                bed.reports[spec.save] = report.to_json_dict()
+def _run_sniff(bed: Testbed, spec: SniffSpec, index: int) -> Callable[[], dict]:
+    # Both attachment kinds name a live log: a segment recorder for
+    # wired-tap, a radio tap for radio-tap.
+    source = bed.captures[spec.attachment.ref]
 
-            bed.clock.schedule(spec.start_us, run_diff)
-        elif isinstance(spec, OccupancySpec):
-            def run_occupancy(spec=spec):
-                counts = channel_occupancy(bed.captures[spec.capture])
-                bed.reports[spec.save] = {
-                    "schema": OCCUPANCY_SCHEMA,
-                    "capture": spec.capture,
-                    "channels": [{"channel": c, "count": n} for c, n in counts],
-                    "total_packets": sum(n for _, n in counts),
-                }
+    def materialize():
+        bed.captures[spec.save] = sniff(source, spec.start_us, spec.duration_us)
 
-            bed.clock.schedule(spec.start_us, run_occupancy)
-        elif isinstance(spec, ReplaySpec):
-            def run_plan(spec=spec):
-                schedule = plan_replay(
-                    bed.captures[spec.capture], spec.match, spec.mutation, spec.timing)
-                schedules[spec.save] = schedule
-                bed.reports[spec.save] = schedule.to_json_dict()
+    bed.clock.schedule(spec.start_us + spec.duration_us, materialize)
+    return lambda: {"type": "sniff", "save": spec.save, "records": len(bed.captures[spec.save])}
 
-            bed.clock.schedule(spec.start_us, run_plan)
-        elif isinstance(spec, InjectSpec):
-            # The injector node must exist before the clock starts so the
-            # bus topology never mutates mid-run.
-            if spec.attachment.kind == "wired":
-                injector = WiredInjector(bed.bus(spec.attachment.segment),
-                                         name=f"attacker{index}")
-            else:
-                injector = RadioInjector(bed.medium,
-                                         strategy=spec.attachment.strategy,
-                                         inside_faraday=spec.attachment.inside_faraday)
-            bed.injectors[index] = injector
 
-            def run_inject(spec=spec, injector=injector):
-                schedule_injection(
-                    bed.clock, injector, schedules[spec.schedule], spec.start_us,
-                    repeat=spec.repeat, end_us=scenario.duration_us,
-                )
+def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:
+    def run_diff():
+        report = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
+        bed.reports[spec.save] = report.to_json_dict()
 
-            bed.clock.schedule(spec.start_us, run_inject)
+    def summary():
+        report = bed.reports[spec.save]
+        return {
+            "type": "diff", "save": spec.save,
+            "flagged_ids": len(report["flagged"]),
+            "flagged_bytes": sum(len(entry["bytes"]) for entry in report["flagged"]),
+            "ids_only_in_pre": len(report["ids_only_in_pre"]),
+            "ids_only_in_post": len(report["ids_only_in_post"]),
+            "rate_changes": len(report["rate_changes"]),
+        }
+
+    bed.clock.schedule(spec.start_us, run_diff)
+    return summary
+
+
+def _run_occupancy(bed: Testbed, spec: OccupancySpec, index: int) -> Callable[[], dict]:
+    def run_occupancy():
+        counts = channel_occupancy(bed.captures[spec.capture])
+        bed.reports[spec.save] = occupancy_report(spec.capture, counts)
+
+    def summary():
+        report = bed.reports[spec.save]
+        return {"type": "occupancy", "save": spec.save,
+                "channels_seen": len(report["channels"]),
+                "total_packets": report["total_packets"]}
+
+    bed.clock.schedule(spec.start_us, run_occupancy)
+    return summary
+
+
+def _run_replay(bed: Testbed, spec: ReplaySpec, index: int) -> Callable[[], dict]:
+    def run_plan():
+        schedule = plan_replay(bed.captures[spec.capture], spec.match, spec.mutation, spec.timing)
+        bed.schedules[spec.save] = schedule
+        bed.reports[spec.save] = schedule.to_json_dict()
+
+    bed.clock.schedule(spec.start_us, run_plan)
+    return lambda: {"type": "replay", "save": spec.save,
+                    "entries": len(bed.reports[spec.save]["entries"])}
+
+
+def _run_inject(bed: Testbed, spec: InjectSpec, index: int) -> Callable[[], dict]:
+    # The injector node must exist before the clock starts so the bus
+    # topology never mutates mid-run.
+    if spec.attachment.kind == "wired":
+        injector = WiredInjector(bed.buses[spec.attachment.segment], name=f"attacker{index}")
+    else:
+        injector = RadioInjector(bed.medium,
+                                 strategy=spec.attachment.strategy,
+                                 inside_faraday=spec.attachment.inside_faraday)
+
+    def run_inject():
+        schedule_injection(
+            bed.clock, injector, bed.schedules[spec.schedule], spec.start_us,
+            repeat=spec.repeat, end_us=bed.scenario.duration_us,
+        )
+
+    bed.clock.schedule(spec.start_us, run_inject)
+    return lambda: {"type": "inject", "schedule": spec.schedule,
+                    "sent": injector.stats.sent, "delivered": injector.stats.delivered}
+
+
+_RUN_STEPS = {
+    SniffSpec: _run_sniff,
+    DiffSpec: _run_diff,
+    OccupancySpec: _run_occupancy,
+    ReplaySpec: _run_replay,
+    InjectSpec: _run_inject,
+}
 
 
 @dataclass
@@ -212,43 +248,12 @@ class SimulationResult:
     written: dict[str, Path] = field(default_factory=dict)
 
 
-def _attack_summary(bed: Testbed) -> list[dict]:
-    entries = []
-    for index, spec in enumerate(bed.scenario.attacks):
-        if isinstance(spec, SniffSpec):
-            entries.append({"type": "sniff", "save": spec.save,
-                            "records": len(bed.captures[spec.save])})
-        elif isinstance(spec, DiffSpec):
-            report = bed.reports[spec.save]
-            entries.append({
-                "type": "diff", "save": spec.save,
-                "flagged_ids": len(report["flagged"]),
-                "flagged_bytes": sum(len(entry["bytes"]) for entry in report["flagged"]),
-                "ids_only_in_pre": len(report["ids_only_in_pre"]),
-                "ids_only_in_post": len(report["ids_only_in_post"]),
-                "rate_changes": len(report["rate_changes"]),
-            })
-        elif isinstance(spec, OccupancySpec):
-            report = bed.reports[spec.save]
-            entries.append({"type": "occupancy", "save": spec.save,
-                            "channels_seen": len(report["channels"]),
-                            "total_packets": report["total_packets"]})
-        elif isinstance(spec, ReplaySpec):
-            entries.append({"type": "replay", "save": spec.save,
-                            "entries": len(bed.reports[spec.save]["entries"])})
-        elif isinstance(spec, InjectSpec):
-            stats = bed.injectors[index].stats
-            entries.append({"type": "inject", "schedule": spec.schedule,
-                            "sent": stats.sent, "delivered": stats.delivered})
-    return entries
-
-
 def summarize(bed: Testbed) -> dict:
     """Deterministic end-of-run summary document."""
     obs = bed.fleet.observables()
     radio = bed.medium.stats
     buses = {}
-    for bus in (bed.operator0, bed.vehicle0):
+    for bus in bed.buses.values():
         stats = bus.stats
         buses[bus.name] = {
             "frames_delivered": stats.frames_delivered,
@@ -275,7 +280,7 @@ def summarize(bed: Testbed) -> dict:
             "crc_dropped": radio.crc_dropped,
         },
         "captures": {name: len(log) for name, log in bed.captures.items()},
-        "attacks": _attack_summary(bed),
+        "attacks": [entry() for entry in bed.attack_summaries],
     }
 
 

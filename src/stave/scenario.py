@@ -44,6 +44,7 @@ prefixed with its field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -56,7 +57,15 @@ from .sim import us_from_seconds
 
 SCENARIO_SCHEMA = "stave-scenario/1"
 SEGMENT_NAMES = ("operator0", "vehicle0")
-ATTACK_TYPES = ("sniff", "diff", "replay", "inject", "occupancy")
+# attack type -> the fields its object accepts besides type and start_s
+ATTACK_FIELDS = {
+    "sniff": {"duration_s", "attachment", "save"},
+    "diff": {"pre", "post", "save"},
+    "replay": {"capture", "match", "mutate", "timing", "save"},
+    "inject": {"schedule", "attachment", "repeat"},
+    "occupancy": {"capture", "save"},
+}
+ATTACK_TYPES = tuple(ATTACK_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -169,6 +178,9 @@ class _Check:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.add(path, f"expected a number, got {value!r}")
             return default
+        if isinstance(value, float) and not math.isfinite(value):
+            self.add(path, f"expected a finite number, got {value!r}")
+            return default
         if lo is not None and value < lo:
             self.add(path, f"must be >= {lo}, got {value!r}")
             return default
@@ -272,17 +284,23 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
     return tuple(taps)
 
 
+def _wired_segment(check: _Check, path: str, doc: dict) -> str | None:
+    """The segment a wired attachment names, if it is a known one."""
+    check.expect_keys(path, doc, {"kind", "segment"})
+    segment = check.string(f"{path}.segment", doc.get("segment"))
+    if segment is not None and segment not in SEGMENT_NAMES:
+        check.add(f"{path}.segment", f"unknown segment {segment!r}; expected one of {SEGMENT_NAMES}")
+        return None
+    return segment
+
+
 def _validate_sniff_attachment(check: _Check, path: str, doc, tap_names: set[str]) -> SniffAttachment | None:
     if not isinstance(doc, dict):
         check.add(path, "expected an attachment object")
         return None
     kind = doc.get("kind")
     if kind == "wired-tap":
-        check.expect_keys(path, doc, {"kind", "segment"})
-        segment = check.string(f"{path}.segment", doc.get("segment"))
-        if segment is not None and segment not in SEGMENT_NAMES:
-            check.add(f"{path}.segment", f"unknown segment {segment!r}; expected one of {SEGMENT_NAMES}")
-            return None
+        segment = _wired_segment(check, path, doc)
         return SniffAttachment(kind="wired-tap", ref=segment) if segment else None
     if kind == "radio-tap":
         check.expect_keys(path, doc, {"kind", "tap"})
@@ -301,11 +319,7 @@ def _validate_inject_attachment(check: _Check, path: str, doc) -> InjectAttachme
         return None
     kind = doc.get("kind")
     if kind == "wired":
-        check.expect_keys(path, doc, {"kind", "segment"})
-        segment = check.string(f"{path}.segment", doc.get("segment"))
-        if segment is not None and segment not in SEGMENT_NAMES:
-            check.add(f"{path}.segment", f"unknown segment {segment!r}; expected one of {SEGMENT_NAMES}")
-            return None
+        segment = _wired_segment(check, path, doc)
         return InjectAttachment(kind="wired", segment=segment) if segment else None
     if kind == "radio":
         check.expect_keys(path, doc, {"kind", "strategy", "inside_faraday"})
@@ -349,22 +363,40 @@ def _validate_match(check: _Check, path: str, doc) -> MessageMatch | None:
 
 def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str]):
     attacks: list[AttackSpec] = []
-    # name -> time from which the named capture may be consumed
-    capture_ready: dict[str, int] = {name: 0 for name in SEGMENT_NAMES}
-    capture_ready.update({name: 0 for name in tap_names})
+    # name -> time from which the named capture or schedule may be consumed
+    capture_ready: dict[str, int] = {name: 0 for name in (*SEGMENT_NAMES, *tap_names)}
     schedule_ready: dict[str, int] = {}
-    report_names: set[str] = set(SEGMENT_NAMES) | set(tap_names)
+    report_names: set[str] = set()
     if doc is None:
         return (), capture_ready, report_names
     if not isinstance(doc, list):
         check.add("attacks", f"expected a list, got {type(doc).__name__}")
         return (), capture_ready, report_names
 
-    def fresh_save(path, name):
+    def fresh_save(path: str, item: dict) -> str | None:
+        name = check.string(f"{path}.save", item.get("save"))
+        if name in capture_ready or name in schedule_ready or name in report_names:
+            check.add(f"{path}.save", f"save name {name!r} is already taken")
+            return None
+        return name
+
+    def reference(path: str, item: dict, role: str, start_us: int) -> str | None:
+        """The capture (for role "schedule": the schedule) named by item[role],
+        if it exists and is complete by start_us."""
+        name = check.string(f"{path}.{role}", item.get(role))
         if name is None:
             return None
-        if name in capture_ready or name in schedule_ready or name in report_names:
-            check.add(path, f"save name {name!r} is already taken")
+        if role == "schedule":
+            ready, unknown = schedule_ready, f"unknown replay schedule {name!r}"
+            late = f"schedule {name!r} is planned after this attack starts"
+        else:
+            ready, unknown = capture_ready, f"unknown capture {name!r}"
+            late = f"capture {name!r} is not complete until after this attack starts"
+        if name not in ready:
+            check.add(f"{path}.{role}", unknown)
+            return None
+        if ready[name] > start_us:
+            check.add(f"{path}.{role}", late)
             return None
         return name
 
@@ -374,7 +406,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
             check.add(path, "expected an object")
             continue
         kind = item.get("type")
-        if kind not in ATTACK_TYPES:
+        if kind not in ATTACK_FIELDS:
             check.add(f"{path}.type", f"unknown attack type {kind!r}; expected one of {ATTACK_TYPES}")
             continue
         start_s = check.number(f"{path}.start_s", item.get("start_s"), lo=0.0)
@@ -385,9 +417,9 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
         if start_us >= duration_us:
             check.add(f"{path}.start_s", f"attack starts at {start_s} s, at or past the scenario duration")
             continue
+        check.expect_keys(path, item, {"type", "start_s", *ATTACK_FIELDS[kind]})
 
         if kind == "sniff":
-            check.expect_keys(path, item, {"type", "start_s", "duration_s", "attachment", "save"})
             duration_s = check.number(f"{path}.duration_s", item.get("duration_s"), lo=0.0)
             if duration_s is None:
                 check.add(f"{path}.duration_s", "required")
@@ -397,51 +429,29 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
                 check.add(f"{path}.duration_s", "sniff window runs past the scenario duration")
                 continue
             attachment = _validate_sniff_attachment(check, f"{path}.attachment", item.get("attachment"), tap_names)
-            save = fresh_save(f"{path}.save", check.string(f"{path}.save", item.get("save")))
+            save = fresh_save(path, item)
             if attachment is None or save is None:
                 continue
             capture_ready[save] = start_us + window_us
             attacks.append(SniffSpec(start_us=start_us, duration_us=window_us,
                                      attachment=attachment, save=save))
         elif kind == "diff":
-            check.expect_keys(path, item, {"type", "start_s", "pre", "post", "save"})
-            ok = True
-            for role in ("pre", "post"):
-                name = check.string(f"{path}.{role}", item.get(role))
-                if name is None:
-                    ok = False
-                elif name not in capture_ready:
-                    check.add(f"{path}.{role}", f"unknown capture {name!r}")
-                    ok = False
-                elif capture_ready[name] > start_us:
-                    check.add(f"{path}.{role}", f"capture {name!r} is not complete until after this attack starts")
-                    ok = False
-            save = fresh_save(f"{path}.save", check.string(f"{path}.save", item.get("save")))
-            if not ok or save is None:
+            pre = reference(path, item, "pre", start_us)
+            post = reference(path, item, "post", start_us)
+            save = fresh_save(path, item)
+            if pre is None or post is None or save is None:
                 continue
             report_names.add(save)
-            attacks.append(DiffSpec(start_us=start_us, pre=item["pre"], post=item["post"], save=save))
+            attacks.append(DiffSpec(start_us=start_us, pre=pre, post=post, save=save))
         elif kind == "occupancy":
-            check.expect_keys(path, item, {"type", "start_s", "capture", "save"})
-            name = check.string(f"{path}.capture", item.get("capture"))
-            if name is not None and name not in capture_ready:
-                check.add(f"{path}.capture", f"unknown capture {name!r}")
-                name = None
-            save = fresh_save(f"{path}.save", check.string(f"{path}.save", item.get("save")))
-            if name is None or save is None:
+            capture = reference(path, item, "capture", start_us)
+            save = fresh_save(path, item)
+            if capture is None or save is None:
                 continue
             report_names.add(save)
-            attacks.append(OccupancySpec(start_us=start_us, capture=name, save=save))
+            attacks.append(OccupancySpec(start_us=start_us, capture=capture, save=save))
         elif kind == "replay":
-            check.expect_keys(path, item, {"type", "start_s", "capture", "match", "mutate", "timing", "save"})
-            name = check.string(f"{path}.capture", item.get("capture"))
-            if name is not None:
-                if name not in capture_ready:
-                    check.add(f"{path}.capture", f"unknown capture {name!r}")
-                    name = None
-                elif capture_ready[name] > start_us:
-                    check.add(f"{path}.capture", f"capture {name!r} is not complete until after this attack starts")
-                    name = None
+            capture = reference(path, item, "capture", start_us)
             match = _validate_match(check, f"{path}.match", item.get("match"))
             mutation = None
             if item.get("mutate") is not None:
@@ -455,30 +465,41 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
             if timing not in (TIMING_PRESERVE, TIMING_FAST):
                 check.add(f"{path}.timing", f"expected preserve or fast, got {timing!r}")
                 timing = TIMING_PRESERVE
-            save = fresh_save(f"{path}.save", check.string(f"{path}.save", item.get("save")))
-            if name is None or match is None or save is None:
+            save = fresh_save(path, item)
+            if capture is None or match is None or save is None:
                 continue
             schedule_ready[save] = start_us
             report_names.add(save)
-            attacks.append(ReplaySpec(start_us=start_us, capture=name, match=match,
+            attacks.append(ReplaySpec(start_us=start_us, capture=capture, match=match,
                                       mutation=mutation, timing=timing, save=save))
         else:  # inject
-            check.expect_keys(path, item, {"type", "start_s", "schedule", "attachment", "repeat"})
-            name = check.string(f"{path}.schedule", item.get("schedule"))
-            if name is not None:
-                if name not in schedule_ready:
-                    check.add(f"{path}.schedule", f"unknown replay schedule {name!r}")
-                    name = None
-                elif schedule_ready[name] > start_us:
-                    check.add(f"{path}.schedule", f"schedule {name!r} is planned after this attack starts")
-                    name = None
+            schedule = reference(path, item, "schedule", start_us)
             attachment = _validate_inject_attachment(check, f"{path}.attachment", item.get("attachment"))
             repeat = check.boolean(f"{path}.repeat", item.get("repeat"), default=False)
-            if name is None or attachment is None:
+            if schedule is None or attachment is None:
                 continue
-            attacks.append(InjectSpec(start_us=start_us, schedule=name,
+            attacks.append(InjectSpec(start_us=start_us, schedule=schedule,
                                       attachment=attachment, repeat=repeat))
     return tuple(attacks), capture_ready, report_names
+
+
+def _output_paths(check: _Check, outputs_doc: dict, section: str, known, noun: str) -> dict[str, str]:
+    """outputs.<section>: known name -> relative output path."""
+    doc = outputs_doc.get(section)
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        check.add(f"outputs.{section}", f"expected an object, got {type(doc).__name__}")
+        return {}
+    paths = {}
+    for name, rel in doc.items():
+        if name not in known:
+            check.add(f"outputs.{section}.{name}", f"unknown {noun} {name!r}")
+            continue
+        rel = _relative_path(check, f"outputs.{section}.{name}", rel)
+        if rel is not None:
+            paths[name] = rel
+    return paths
 
 
 def validate_scenario(doc: dict) -> Scenario:
@@ -612,22 +633,8 @@ def validate_scenario(doc: dict) -> Scenario:
             summary = None
             if outputs_doc.get("summary") is not None:
                 summary = _relative_path(check, "outputs.summary", outputs_doc["summary"])
-            captures = {}
-            for name, rel in (outputs_doc.get("captures") or {}).items():
-                if name not in capture_ready:
-                    check.add(f"outputs.captures.{name}", f"unknown capture {name!r}")
-                    continue
-                rel = _relative_path(check, f"outputs.captures.{name}", rel)
-                if rel is not None:
-                    captures[name] = rel
-            reports = {}
-            for name, rel in (outputs_doc.get("reports") or {}).items():
-                if name not in report_names or name in capture_ready:
-                    check.add(f"outputs.reports.{name}", f"unknown report {name!r}")
-                    continue
-                rel = _relative_path(check, f"outputs.reports.{name}", rel)
-                if rel is not None:
-                    reports[name] = rel
+            captures = _output_paths(check, outputs_doc, "captures", capture_ready, "capture")
+            reports = _output_paths(check, outputs_doc, "reports", report_names, "report")
             paths = [p for p in [summary, *captures.values(), *reports.values()] if p]
             if len(paths) != len(set(paths)):
                 check.add("outputs", "two outputs share the same path")

@@ -74,6 +74,17 @@ def test_validate_reports_every_error(tmp_path, capsys) -> None:
     assert "error: duration_s:" in err
 
 
+@pytest.mark.parametrize("token", ["Infinity", "NaN"])
+def test_validate_non_finite_duration_exits_2(tmp_path, capsys, token) -> None:
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": "stave-scenario/1", "seed": 0, "duration_s": %s}' % token,
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration_s: expected a finite number")
+    assert "Traceback" not in err
+
+
 def test_validate_rejects_malformed_json(tmp_path, capsys) -> None:
     path = tmp_path / "broken.json"
     path.write_text("{", encoding="utf-8")

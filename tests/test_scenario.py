@@ -171,6 +171,13 @@ def test_diff_capture_readiness() -> None:
         {"type": "diff", "start_s": 1.1, "pre": "pre", "post": "post", "save": "rep"},
     ])
 
+    # every capture consumer obeys the same rule, occupancy included
+    errors = errors_for(attacks=[
+        sniff(0.0, "cap"),
+        {"type": "occupancy", "start_s": 0.4, "capture": "cap", "save": "occ"},
+    ])
+    assert errors == ["attacks[1].capture: capture 'cap' is not complete until after this attack starts"]
+
 
 def test_diff_unknown_capture() -> None:
     errors = errors_for(attacks=[
@@ -247,6 +254,31 @@ def test_outputs_validation() -> None:
     assert "'../escape.log'" in joined
     # a capture name is not a report
     assert "outputs.reports.vehicle0" in joined
+
+
+def test_outputs_sections_must_be_objects() -> None:
+    errors = errors_for(outputs={"captures": ["vehicle0"], "reports": "occ"})
+    assert errors == ["outputs.captures: expected an object, got list",
+                      "outputs.reports: expected an object, got str"]
+
+
+NUMBER_FIELDS = {
+    "duration_s": lambda v: {"duration_s": v},
+    "radio.latency_s": lambda v: {"radio": {"latency_s": v}},
+    "radio.loss_probability": lambda v: {"radio": {"loss_probability": v}},
+    "fleet.engine_rpm": lambda v: {"fleet": {"engine_rpm": v}},
+    "fleet.machine_voltage": lambda v: {"fleet": {"machine_voltage": v}},
+    "joystick_script[0].t_s": lambda v: {"joystick_script": [{"t_s": v}]},
+    "attacks[0].start_s": lambda v: {"attacks": [{**sniff(0.0, "cap"), "start_s": v}]},
+    "attacks[0].duration_s": lambda v: {"attacks": [sniff(0.0, "cap", duration_s=v)]},
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("path", sorted(NUMBER_FIELDS))
+def test_non_finite_numbers_are_located_errors(path: str, value: float) -> None:
+    errors = errors_for(**NUMBER_FIELDS[path](value))
+    assert f"{path}: expected a finite number, got {value!r}" in errors
 
 
 def test_outputs_reject_shared_paths() -> None:
