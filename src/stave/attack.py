@@ -274,7 +274,6 @@ class ReplaySchedule:
 
     entries: tuple[tuple[int, CanFrame], ...]
     timing_mode: str = TIMING_PRESERVE
-    attachment: str | None = None  # advisory: wired | radio
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -284,7 +283,7 @@ class ReplaySchedule:
         return self.entries[-1][0] - self.entries[0][0] if len(self.entries) > 1 else 0
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "schema": "stave-replay/1",
             "timing": self.timing_mode,
             "entries": [
@@ -296,20 +295,6 @@ class ReplaySchedule:
                 for delay, frame in self.entries
             ],
         }
-        if self.attachment is not None:
-            doc["attachment"] = self.attachment
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ReplaySchedule":
-        if doc.get("schema") != "stave-replay/1":
-            raise ConfigurationError(f"not a replay schedule document: schema {doc.get('schema')!r}")
-        entries = tuple(
-            (round(entry["delay_s"] * 1e6), CanFrame(int(entry["can_id"], 16), bytes.fromhex(entry["data"])))
-            for entry in doc["entries"]
-        )
-        return cls(entries=entries, timing_mode=doc.get("timing", TIMING_PRESERVE),
-                   attachment=doc.get("attachment"))
 
 
 def plan_replay(

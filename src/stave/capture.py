@@ -26,7 +26,9 @@ from .j1939 import MAX_CAN_ID, CanFrame
 KIND_CAN = "can"
 KIND_RADIO = "radio"
 
-_LINE_RE = re.compile(r"^\((\d+)\.(\d{6})\) (\S+) (.+)$")
+# ASCII digits, no leading zero and no trailing newline: anything else
+# would parse but re-serialize differently
+_LINE_RE = re.compile(r"^\((0|[1-9][0-9]*)\.([0-9]{6})\) (\S+) (.+)\Z")
 _CAN_BODY_RE = re.compile(r"^([0-9A-F]{8})#((?:[0-9A-F]{2})*)$")
 _RADIO_BODY_RE = re.compile(r"^R:((?:[0-9A-F]{2})+)$")
 

@@ -47,6 +47,8 @@ VOLTAGE_SIGNAL = ScaledSignal(byte_offset=0, width_bytes=2, scale=0.05)
 WHEEL_ANGLE_SIGNAL = ScaledSignal(byte_offset=0, width_bytes=2, scale=0.01, signed=True)
 PUMP_SIGNAL = ScaledSignal(byte_offset=0, width_bytes=1, scale=0.4)
 ENGINE_SPEED_SIGNAL = ScaledSignal(byte_offset=3, width_bytes=2, scale=0.125)
+# the MessageSpec fields a catalog override may set
+CATALOG_FIELDS = frozenset({"pgn", "source_address", "priority", "cycle_ms"})
 
 
 @dataclass(frozen=True)
@@ -104,12 +106,11 @@ class MessageCatalog:
 
     def with_overrides(self, overrides: dict[str, dict]) -> "MessageCatalog":
         """New catalog with per-message field overrides applied."""
-        allowed = {"pgn", "source_address", "priority", "cycle_ms"}
         specs = dict(self._specs)
         for name, fields in overrides.items():
             if name not in specs:
                 raise ConfigurationError(f"catalog override for unknown message {name!r}")
-            unknown = set(fields) - allowed
+            unknown = set(fields) - CATALOG_FIELDS
             if unknown:
                 raise ConfigurationError(f"{name}: unknown catalog fields {sorted(unknown)}")
             specs[name] = replace(specs[name], **fields)
@@ -147,9 +148,9 @@ class JoystickScript:
                 errors.append(f"{where}: t {entry.t_us} us does not increase (previous {last_t} us)")
             last_t = max(last_t, entry.t_us)
             for axis, value in (("x", entry.x), ("y", entry.y)):
-                if not isinstance(value, int) or not 0 <= value <= JOYSTICK_MAX:
+                if type(value) is not int or not 0 <= value <= JOYSTICK_MAX:
                     errors.append(f"{where}: {axis} {value!r} outside 0..{JOYSTICK_MAX}")
-            if entry.button not in (0, 1):
+            if type(entry.button) is not int or entry.button not in (0, 1):
                 errors.append(f"{where}: button {entry.button!r} must be 0 or 1")
         if errors:
             raise ScenarioValidationError([f"joystick_script {e}" for e in errors])

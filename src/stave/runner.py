@@ -103,11 +103,7 @@ def build_testbed(scenario: Scenario) -> Testbed:
     medium = RadioMedium(clock, scenario.radio, rng=loss_rng(scenario.seed))
     captures: dict[str, CaptureLog] = {r.interface: r.log for r in recorders}
     for spec in scenario.taps:
-        tap = medium.add_tap(Tap(
-            name=spec.name,
-            channels=spec.channels if spec.channels is None else frozenset(spec.channels),
-            inside_faraday=spec.inside_faraday,
-        ))
+        tap = medium.add_tap(Tap(name=spec.name, channels=spec.channels, inside_faraday=spec.inside_faraday))
         captures[spec.name] = tap.log
     medium.create_endpoint(buses["operator0"], "bridge_op")
     medium.create_endpoint(buses["vehicle0"], "bridge_veh")

@@ -51,7 +51,7 @@ from pathlib import Path
 from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE
 from .bus import BusConfig
 from .errors import ConfigurationError, ScenarioValidationError, StaveError
-from .fleet import JoystickScript, MessageCatalog, ScriptEntry
+from .fleet import CATALOG_FIELDS, JoystickScript, MessageCatalog, ScriptEntry
 from .radio import RadioConfig
 from .sim import us_from_seconds
 
@@ -66,6 +66,8 @@ ATTACK_FIELDS = {
     "occupancy": {"capture", "save"},
 }
 ATTACK_TYPES = tuple(ATTACK_FIELDS)
+# one simulated day; the longest run anywhere in the repo or its benchmark is 600 s
+MAX_TIME_S = 86_400.0
 
 
 @dataclass(frozen=True)
@@ -168,9 +170,35 @@ class _Check:
     def add(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
+    def required(self, path: str, value):
+        """The value itself; reported as "required" when absent (None)."""
+        if value is None:
+            self.add(path, "required")
+        return value
+
     def expect_keys(self, path: str, doc: dict, allowed: set[str]) -> None:
         for key in sorted(set(doc) - allowed):
             self.add(f"{path}.{key}" if path else key, "unknown field")
+
+    def section(self, path: str, value, allowed: set[str] | None = None) -> dict:
+        """An optional object: {} when absent or not an object (reported)."""
+        if value is None:
+            return {}
+        if not isinstance(value, dict):
+            self.add(path, f"expected an object, got {type(value).__name__}")
+            return {}
+        if allowed is not None:
+            self.expect_keys(path, value, allowed)
+        return value
+
+    def items(self, path: str, value) -> list:
+        """An optional list: [] when absent or not a list (reported)."""
+        if value is None:
+            return []
+        if not isinstance(value, list):
+            self.add(path, f"expected a list, got {type(value).__name__}")
+            return []
+        return value
 
     def number(self, path: str, value, *, lo=None, hi=None, default=None):
         if value is None:
@@ -213,6 +241,11 @@ class _Check:
             return default
         return value
 
+    def seconds(self, path: str, value, *, lo=0.0, default=None) -> int | None:
+        """A time in seconds, at most MAX_TIME_S, as integer microseconds."""
+        seconds = self.number(path, value, lo=lo, hi=MAX_TIME_S)
+        return default if seconds is None else us_from_seconds(seconds)
+
 
 def _parse_int_field(check: _Check, path: str, value, *, lo: int, hi: int):
     """Accept an int or a 0x-prefixed hex string."""
@@ -244,13 +277,8 @@ def _relative_path(check: _Check, path: str, value) -> str | None:
 
 def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]:
     taps = []
-    if doc is None:
-        return ()
-    if not isinstance(doc, list):
-        check.add("taps", f"expected a list, got {type(doc).__name__}")
-        return ()
     names = set()
-    for i, item in enumerate(doc):
+    for i, item in enumerate(check.items("taps", doc)):
         path = f"taps[{i}]"
         if not isinstance(item, dict):
             check.add(path, "expected an object")
@@ -259,6 +287,10 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
         name = check.string(f"{path}.name", item.get("name"))
         if name in SEGMENT_NAMES:
             check.add(f"{path}.name", f"{name!r} shadows a built-in segment recorder")
+            name = None
+        elif name is not None and any(c.isspace() for c in name):
+            # the name is the interface column of the tap's capture log
+            check.add(f"{path}.name", f"tap name {name!r} must not contain whitespace")
             name = None
         if name is not None:
             if name in names:
@@ -295,9 +327,7 @@ def _wired_segment(check: _Check, path: str, doc: dict) -> str | None:
 
 
 def _validate_sniff_attachment(check: _Check, path: str, doc, tap_names: set[str]) -> SniffAttachment | None:
-    if not isinstance(doc, dict):
-        check.add(path, "expected an attachment object")
-        return None
+    doc = check.section(path, doc)
     kind = doc.get("kind")
     if kind == "wired-tap":
         segment = _wired_segment(check, path, doc)
@@ -314,28 +344,22 @@ def _validate_sniff_attachment(check: _Check, path: str, doc, tap_names: set[str
 
 
 def _validate_inject_attachment(check: _Check, path: str, doc) -> InjectAttachment | None:
-    if not isinstance(doc, dict):
-        check.add(path, "expected an attachment object")
-        return None
+    doc = check.section(path, doc)
     kind = doc.get("kind")
     if kind == "wired":
         segment = _wired_segment(check, path, doc)
         return InjectAttachment(kind="wired", segment=segment) if segment else None
     if kind == "radio":
         check.expect_keys(path, doc, {"kind", "strategy", "inside_faraday"})
-        strategy_doc = doc.get("strategy", {"mode": "fixed", "channel": 0})
+        strategy_doc = check.section(f"{path}.strategy", doc.get("strategy"), {"mode", "channel"})
+        channel = _parse_int_field(check, f"{path}.strategy.channel", strategy_doc.get("channel", 0),
+                                   lo=0, hi=255)
         strategy = None
-        if not isinstance(strategy_doc, dict):
-            check.add(f"{path}.strategy", "expected an object")
-        else:
-            check.expect_keys(f"{path}.strategy", strategy_doc, {"mode", "channel"})
-            mode = strategy_doc.get("mode", "fixed")
-            channel = strategy_doc.get("channel", 0)
-            channel = _parse_int_field(check, f"{path}.strategy.channel", channel, lo=0, hi=255)
-            try:
-                strategy = ChannelStrategy(mode=mode, channel=channel if channel is not None else 0)
-            except ConfigurationError as exc:
-                check.add(f"{path}.strategy", str(exc))
+        try:
+            strategy = ChannelStrategy(mode=strategy_doc.get("mode", "fixed"),
+                                       channel=channel if channel is not None else 0)
+        except ConfigurationError as exc:
+            check.add(f"{path}.strategy", str(exc))
         inside = check.boolean(f"{path}.inside_faraday", doc.get("inside_faraday"), default=True)
         if strategy is None:
             return None
@@ -345,10 +369,7 @@ def _validate_inject_attachment(check: _Check, path: str, doc) -> InjectAttachme
 
 
 def _validate_match(check: _Check, path: str, doc) -> MessageMatch | None:
-    if not isinstance(doc, dict):
-        check.add(path, "expected a match object")
-        return None
-    check.expect_keys(path, doc, {"can_id", "pgn"})
+    doc = check.section(path, doc, {"can_id", "pgn"})
     can_id = doc.get("can_id")
     pgn = doc.get("pgn")
     if (can_id is None) == (pgn is None):
@@ -367,11 +388,6 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
     capture_ready: dict[str, int] = {name: 0 for name in (*SEGMENT_NAMES, *tap_names)}
     schedule_ready: dict[str, int] = {}
     report_names: set[str] = set()
-    if doc is None:
-        return (), capture_ready, report_names
-    if not isinstance(doc, list):
-        check.add("attacks", f"expected a list, got {type(doc).__name__}")
-        return (), capture_ready, report_names
 
     def fresh_save(path: str, item: dict) -> str | None:
         name = check.string(f"{path}.save", item.get("save"))
@@ -400,31 +416,29 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
             return None
         return name
 
-    for i, item in enumerate(doc):
+    for i, item in enumerate(check.items("attacks", doc)):
         path = f"attacks[{i}]"
         if not isinstance(item, dict):
             check.add(path, "expected an object")
             continue
         kind = item.get("type")
-        if kind not in ATTACK_FIELDS:
+        if kind not in ATTACK_TYPES:
             check.add(f"{path}.type", f"unknown attack type {kind!r}; expected one of {ATTACK_TYPES}")
             continue
-        start_s = check.number(f"{path}.start_s", item.get("start_s"), lo=0.0)
-        if start_s is None:
-            check.add(f"{path}.start_s", "required")
+        start_us = check.seconds(f"{path}.start_s", check.required(f"{path}.start_s", item.get("start_s")))
+        if start_us is None:
             continue
-        start_us = us_from_seconds(start_s)
         if start_us >= duration_us:
-            check.add(f"{path}.start_s", f"attack starts at {start_s} s, at or past the scenario duration")
+            check.add(f"{path}.start_s",
+                      f"attack starts at {item['start_s']} s, at or past the scenario duration")
             continue
         check.expect_keys(path, item, {"type", "start_s", *ATTACK_FIELDS[kind]})
 
         if kind == "sniff":
-            duration_s = check.number(f"{path}.duration_s", item.get("duration_s"), lo=0.0)
-            if duration_s is None:
-                check.add(f"{path}.duration_s", "required")
+            window_us = check.seconds(f"{path}.duration_s",
+                                      check.required(f"{path}.duration_s", item.get("duration_s")))
+            if window_us is None:
                 continue
-            window_us = us_from_seconds(duration_s)
             if start_us + window_us > duration_us:
                 check.add(f"{path}.duration_s", "sniff window runs past the scenario duration")
                 continue
@@ -454,13 +468,12 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
             capture = reference(path, item, "capture", start_us)
             match = _validate_match(check, f"{path}.match", item.get("match"))
             mutation = None
-            if item.get("mutate") is not None:
-                text = check.string(f"{path}.mutate", item.get("mutate"))
-                if text is not None:
-                    try:
-                        mutation = Mutation.parse(text)
-                    except ConfigurationError as exc:
-                        check.add(f"{path}.mutate", str(exc))
+            text = check.string(f"{path}.mutate", item.get("mutate"))
+            if text is not None:
+                try:
+                    mutation = Mutation.parse(text)
+                except ConfigurationError as exc:
+                    check.add(f"{path}.mutate", str(exc))
             timing = item.get("timing", TIMING_PRESERVE)
             if timing not in (TIMING_PRESERVE, TIMING_FAST):
                 check.add(f"{path}.timing", f"expected preserve or fast, got {timing!r}")
@@ -485,14 +498,8 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
 
 def _output_paths(check: _Check, outputs_doc: dict, section: str, known, noun: str) -> dict[str, str]:
     """outputs.<section>: known name -> relative output path."""
-    doc = outputs_doc.get(section)
-    if doc is None:
-        return {}
-    if not isinstance(doc, dict):
-        check.add(f"outputs.{section}", f"expected an object, got {type(doc).__name__}")
-        return {}
     paths = {}
-    for name, rel in doc.items():
+    for name, rel in check.section(f"outputs.{section}", outputs_doc.get(section)).items():
         if name not in known:
             check.add(f"outputs.{section}.{name}", f"unknown {noun} {name!r}")
             continue
@@ -513,109 +520,71 @@ def validate_scenario(doc: dict) -> Scenario:
     })
     if doc.get("schema") != SCENARIO_SCHEMA:
         check.add("schema", f"expected {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}")
-    seed = check.integer("seed", doc.get("seed"), lo=0)
-    if seed is None and "seed" not in doc:
-        check.add("seed", "required")
-    duration_s = check.number("duration_s", doc.get("duration_s"), lo=1e-6)
-    if duration_s is None and "duration_s" not in doc:
-        check.add("duration_s", "required")
-    duration_us = us_from_seconds(duration_s) if duration_s else 1
+    seed = check.integer("seed", check.required("seed", doc.get("seed")), lo=0)
+    duration_us = check.seconds("duration_s", check.required("duration_s", doc.get("duration_s")),
+                                lo=1e-6, default=1)
 
-    bus_doc = doc.get("bus") or {}
-    bus = BusConfig()
-    if not isinstance(bus_doc, dict):
-        check.add("bus", "expected an object")
-    else:
-        check.expect_keys("bus", bus_doc, {"bitrate", "frame_overhead_bits"})
-        try:
-            bus = BusConfig(
-                bitrate=check.integer("bus.bitrate", bus_doc.get("bitrate"), lo=1, default=250_000),
-                frame_overhead_bits=check.integer(
-                    "bus.frame_overhead_bits", bus_doc.get("frame_overhead_bits"), lo=1, default=67),
-            )
-        except ConfigurationError as exc:
-            check.add("bus", str(exc))
+    bus_doc = check.section("bus", doc.get("bus"), {"bitrate", "frame_overhead_bits"})
+    bus = BusConfig(
+        bitrate=check.integer("bus.bitrate", bus_doc.get("bitrate"), lo=1, default=250_000),
+        frame_overhead_bits=check.integer(
+            "bus.frame_overhead_bits", bus_doc.get("frame_overhead_bits"), lo=1, default=67),
+    )
 
-    radio_doc = doc.get("radio") or {}
-    radio = RadioConfig()
-    if not isinstance(radio_doc, dict):
-        check.add("radio", "expected an object")
-    else:
-        check.expect_keys("radio", radio_doc, {
-            "num_channels", "hopping", "hop_seed", "loss_probability", "latency_s", "faraday_mode",
-        })
-        latency_s = check.number("radio.latency_s", radio_doc.get("latency_s"), lo=0.0, default=0.002)
-        try:
-            radio = RadioConfig(
-                num_channels=check.integer("radio.num_channels", radio_doc.get("num_channels"),
-                                           lo=1, hi=256, default=16),
-                hopping=check.boolean("radio.hopping", radio_doc.get("hopping"), default=False),
-                hop_seed=check.integer("radio.hop_seed", radio_doc.get("hop_seed"), lo=0, default=0),
-                loss_probability=check.number("radio.loss_probability",
-                                              radio_doc.get("loss_probability"),
-                                              lo=0.0, hi=1.0, default=0.0),
-                latency_us=us_from_seconds(latency_s if latency_s is not None else 0.002),
-                faraday_mode=check.boolean("radio.faraday_mode", radio_doc.get("faraday_mode"),
-                                           default=False),
-            )
-        except ConfigurationError as exc:
-            check.add("radio", str(exc))
+    radio_doc = check.section("radio", doc.get("radio"), {
+        "num_channels", "hopping", "hop_seed", "loss_probability", "latency_s", "faraday_mode",
+    })
+    radio = RadioConfig(
+        num_channels=check.integer("radio.num_channels", radio_doc.get("num_channels"),
+                                   lo=1, hi=256, default=16),
+        hopping=check.boolean("radio.hopping", radio_doc.get("hopping"), default=False),
+        hop_seed=check.integer("radio.hop_seed", radio_doc.get("hop_seed"),
+                               lo=0, hi=(1 << 64) - 1, default=0),
+        loss_probability=check.number("radio.loss_probability", radio_doc.get("loss_probability"),
+                                      lo=0.0, hi=1.0, default=0.0),
+        latency_us=check.seconds("radio.latency_s", radio_doc.get("latency_s"), default=2000),
+        faraday_mode=check.boolean("radio.faraday_mode", radio_doc.get("faraday_mode"), default=False),
+    )
 
-    fleet_doc = doc.get("fleet") or {}
+    fleet_doc = check.section("fleet", doc.get("fleet"),
+                              {"steer_enable", "engine_rpm", "machine_voltage", "catalog"})
+    steer_enable = check.boolean("fleet.steer_enable", fleet_doc.get("steer_enable"), default=False)
+    engine_rpm = check.number("fleet.engine_rpm", fleet_doc.get("engine_rpm"),
+                              lo=0.0, hi=8031.875, default=800.0)
+    machine_voltage = check.number("fleet.machine_voltage", fleet_doc.get("machine_voltage"),
+                                   lo=0.0, hi=3276.75, default=12.6)
+    overrides = {}
+    for name, fields in check.section("fleet.catalog", fleet_doc.get("catalog")).items():
+        path = f"fleet.catalog.{name}"
+        overrides[name] = {}
+        for key, value in check.section(path, fields, CATALOG_FIELDS).items():
+            # null passes to the catalog: for cycle_ms it means "sent on demand"
+            if key in CATALOG_FIELDS and (value is None or check.integer(f"{path}.{key}", value) is not None):
+                overrides[name][key] = value
     catalog = MessageCatalog.default()
-    steer_enable = False
-    engine_rpm = 800.0
-    machine_voltage = 12.6
-    if not isinstance(fleet_doc, dict):
-        check.add("fleet", "expected an object")
-    else:
-        check.expect_keys("fleet", fleet_doc, {"steer_enable", "engine_rpm", "machine_voltage", "catalog"})
-        steer_enable = check.boolean("fleet.steer_enable", fleet_doc.get("steer_enable"), default=False)
-        engine_rpm = check.number("fleet.engine_rpm", fleet_doc.get("engine_rpm"),
-                                  lo=0.0, hi=8031.875, default=800.0)
-        machine_voltage = check.number("fleet.machine_voltage", fleet_doc.get("machine_voltage"),
-                                       lo=0.0, hi=3276.75, default=12.6)
-        overrides = fleet_doc.get("catalog")
-        if overrides is not None:
-            if not isinstance(overrides, dict) or not all(isinstance(v, dict) for v in overrides.values()):
-                check.add("fleet.catalog", "expected an object of per-message field objects")
-            else:
-                try:
-                    catalog = catalog.with_overrides(overrides)
-                except (ConfigurationError, StaveError) as exc:
-                    check.add("fleet.catalog", str(exc))
+    try:
+        catalog = catalog.with_overrides(overrides)
+    except StaveError as exc:
+        check.add("fleet.catalog", str(exc))
 
     script = JoystickScript()
-    script_doc = doc.get("joystick_script")
-    if script_doc is not None:
-        if not isinstance(script_doc, list):
-            check.add("joystick_script", "expected a list")
-        else:
-            entries = []
-            bad = False
-            for i, item in enumerate(script_doc):
-                path = f"joystick_script[{i}]"
-                if not isinstance(item, dict):
-                    check.add(path, "expected an object")
-                    bad = True
-                    continue
-                check.expect_keys(path, item, {"t_s", "x", "y", "button"})
-                t_s = check.number(f"{path}.t_s", item.get("t_s"), lo=0.0)
-                if t_s is None:
-                    check.add(f"{path}.t_s", "required")
-                    bad = True
-                    continue
-                entries.append(ScriptEntry(
-                    t_us=us_from_seconds(t_s),
-                    x=item.get("x", 125),
-                    y=item.get("y", 125),
-                    button=item.get("button", 0),
-                ))
-            if not bad:
-                try:
-                    script = JoystickScript(tuple(entries))
-                except ScenarioValidationError as exc:
-                    check.errors.extend(exc.errors)
+    script_doc = check.items("joystick_script", doc.get("joystick_script"))
+    entries = []
+    for i, item in enumerate(script_doc):
+        path = f"joystick_script[{i}]"
+        if not isinstance(item, dict):
+            check.add(path, "expected an object")
+            continue
+        check.expect_keys(path, item, {"t_s", "x", "y", "button"})
+        t_us = check.seconds(f"{path}.t_s", check.required(f"{path}.t_s", item.get("t_s")))
+        if t_us is not None:
+            entries.append(ScriptEntry(t_us=t_us, x=item.get("x", 125), y=item.get("y", 125),
+                                       button=item.get("button", 0)))
+    if len(entries) == len(script_doc):  # entry i of the script is joystick_script[i]
+        try:
+            script = JoystickScript(tuple(entries))
+        except ScenarioValidationError as exc:
+            check.errors.extend(exc.errors)
 
     taps = _validate_taps(check, doc.get("taps"), radio.num_channels)
     tap_names = {t.name for t in taps}
@@ -623,22 +592,14 @@ def validate_scenario(doc: dict) -> Scenario:
     attacks, capture_ready, report_names = _validate_attacks(
         check, doc.get("attacks"), duration_us, tap_names)
 
-    outputs = OutputSpec()
-    outputs_doc = doc.get("outputs")
-    if outputs_doc is not None:
-        if not isinstance(outputs_doc, dict):
-            check.add("outputs", "expected an object")
-        else:
-            check.expect_keys("outputs", outputs_doc, {"summary", "captures", "reports"})
-            summary = None
-            if outputs_doc.get("summary") is not None:
-                summary = _relative_path(check, "outputs.summary", outputs_doc["summary"])
-            captures = _output_paths(check, outputs_doc, "captures", capture_ready, "capture")
-            reports = _output_paths(check, outputs_doc, "reports", report_names, "report")
-            paths = [p for p in [summary, *captures.values(), *reports.values()] if p]
-            if len(paths) != len(set(paths)):
-                check.add("outputs", "two outputs share the same path")
-            outputs = OutputSpec(summary=summary, captures=captures, reports=reports)
+    outputs_doc = check.section("outputs", doc.get("outputs"), {"summary", "captures", "reports"})
+    summary = _relative_path(check, "outputs.summary", outputs_doc.get("summary"))
+    captures = _output_paths(check, outputs_doc, "captures", capture_ready, "capture")
+    reports = _output_paths(check, outputs_doc, "reports", report_names, "report")
+    paths = [p for p in [summary, *captures.values(), *reports.values()] if p]
+    if len(paths) != len(set(paths)):
+        check.add("outputs", "two outputs share the same path")
+    outputs = OutputSpec(summary=summary, captures=captures, reports=reports)
 
     if check.errors:
         raise ScenarioValidationError(check.errors)

@@ -8,6 +8,32 @@ from stave import Scenario, validate_scenario
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS_DIR = REPO_ROOT / "scenarios"
 
+SNIFF = {"type": "sniff", "start_s": 0.0, "duration_s": 0.5, "save": "cap",
+         "attachment": {"kind": "wired-tap", "segment": "vehicle0"}}
+# each time field of a scenario, as the sections that set it to v
+TIME_FIELDS = {
+    "duration_s": lambda v: {"duration_s": v},
+    "radio.latency_s": lambda v: {"radio": {"latency_s": v}},
+    "joystick_script[0].t_s": lambda v: {"joystick_script": [{"t_s": v}]},
+    "attacks[0].start_s": lambda v: {"attacks": [{**SNIFF, "start_s": v}]},
+    "attacks[0].duration_s": lambda v: {"attacks": [{**SNIFF, "duration_s": v}]},
+}
+# (sections, the only error validation reports for them)
+MALFORMED_SECTIONS = [
+    ({"bus": []}, "bus: expected an object, got list"),
+    ({"radio": False}, "radio: expected an object, got bool"),
+    ({"fleet": 0}, "fleet: expected an object, got int"),
+    ({"radio": {"hop_seed": 2**64}},
+     "radio.hop_seed: must be <= 18446744073709551615, got 18446744073709551616"),
+    ({"taps": [{"name": "a b"}]}, "taps[0].name: tap name 'a b' must not contain whitespace"),
+    ({"fleet": {"catalog": {"JOY1": {"cycle_ms": True}}}},
+     "fleet.catalog.JOY1.cycle_ms: expected an integer, got True"),
+    ({"joystick_script": [{"t_s": 0.0, "button": True}]},
+     "joystick_script entry 0: button True must be 0 or 1"),
+    *((fields(v), f"{path}: must be <= 86400.0, got {v!r}")
+      for path, fields in TIME_FIELDS.items() for v in (1e300, 1e308)),
+]
+
 
 @pytest.fixture
 def scenarios_dir() -> Path:

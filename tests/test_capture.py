@@ -8,6 +8,8 @@ Line formats under test:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stave import (
     CaptureError,
@@ -88,10 +90,31 @@ def test_roundtrip_random_records() -> None:
     "(0.000001) air R:",                # empty radio payload
     "(0.000001) air R:ABC",             # odd hex digit count
     "(-0.000001) can0 00000100#AA",     # negative time
+    "(01.000000) can0 0CFF1028#00",     # leading zero in the seconds
+    "(1\u0660.000000) can0 0CFF1028#00",  # non-ASCII digit
+    "(0.00000\u0665) can0 0CFF1028#00",  # non-ASCII digit
+    "(0.000000) can0 0CFF1028#00\n\n",  # a second newline
 ])
 def test_parse_rejects_malformed(line: str) -> None:
     with pytest.raises(ParseError):
         parse_record(line)
+
+
+# a looser grammar than the log format's: any Unicode digits, leading
+# zeros, any interface text, and an optional extra line end
+_NEAR_LINES = st.from_regex(
+    r"\A\(\d{1,3}\.\d{6}\) \S{1,4} (?:[0-9A-F]{8}#(?:[0-9A-F]{2}){0,9}|R:(?:[0-9A-F]{2}){0,3})(?:\n|\r\n|\n\n)?\Z"
+)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(_NEAR_LINES, st.text(max_size=30)))
+def test_every_accepted_line_reserializes_identically(line: str) -> None:
+    try:
+        record = parse_record(line)
+    except ParseError:
+        return
+    assert serialize_record(record) == line.removesuffix("\n") + "\n"
 
 
 def test_parse_error_carries_line_number() -> None:

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from conftest import SCENARIOS_DIR, load_fixture
+from conftest import MALFORMED_SECTIONS, SCENARIOS_DIR, load_fixture
 
 from stave import CaptureLog, CaptureRecord
 from stave.capture import KIND_CAN
@@ -83,6 +83,15 @@ def test_validate_non_finite_duration_exits_2(tmp_path, capsys, token) -> None:
     err = capsys.readouterr().err
     assert err.startswith("error: duration_s: expected a finite number")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(("sections", "error"), MALFORMED_SECTIONS)
+def test_validate_malformed_scenario_exits_2(tmp_path, capsys, sections, error) -> None:
+    path = tmp_path / "bad.json"
+    doc = {"schema": "stave-scenario/1", "seed": 0, "duration_s": 2.0, **sections}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_validate_rejects_malformed_json(tmp_path, capsys) -> None:

@@ -274,9 +274,12 @@ def test_script_validation_collects_all_errors() -> None:
             "joystick_script": [
                 {"t_s": 0.5, "x": 300},
                 {"t_s": 0.5, "y": -2},
+                {"t_s": 0.6, "x": True, "button": True},
             ],
         })
     text = "; ".join(err.value.errors)
     assert "x 300" in text
     assert "y -2" in text
     assert "does not increase" in text
+    assert "x True" in text
+    assert "button True" in text

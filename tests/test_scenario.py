@@ -1,9 +1,14 @@
 """Scenario document validation."""
 
+import copy
+
 import pytest
-from conftest import SCENARIOS_DIR, load_fixture, make_scenario
+from conftest import MALFORMED_SECTIONS, SCENARIOS_DIR, TIME_FIELDS, load_fixture, make_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stave import ScenarioValidationError, load_scenario, validate_scenario
+from stave.scenario import MAX_TIME_S
 
 
 def errors_for(**sections) -> list[str]:
@@ -84,6 +89,12 @@ def test_fleet_section() -> None:
 def test_fleet_catalog_errors_carry_paths() -> None:
     errors = errors_for(fleet={"catalog": {"NOPE": {"cycle_ms": 10}}})
     assert any("fleet.catalog" in e for e in errors)
+    errors = errors_for(fleet={"catalog": {"JOY1": {"cycle_ms": True, "priority": True, "flavor": 1},
+                                           "STR1": [100]}})
+    assert errors == ["fleet.catalog.JOY1.flavor: unknown field",
+                      "fleet.catalog.JOY1.cycle_ms: expected an integer, got True",
+                      "fleet.catalog.JOY1.priority: expected an integer, got True",
+                      "fleet.catalog.STR1: expected an object, got list"]
 
 
 def test_joystick_script_errors_bubble_up() -> None:
@@ -102,12 +113,15 @@ def test_tap_rules() -> None:
         {"name": "air"},
         {"name": "narrow", "channels": [16]},
         {"name": "odd", "channels": "some"},
+        {"name": "a b"},
     ])
     joined = "\n".join(errors)
     assert "shadows a built-in" in joined
     assert "duplicate tap name" in joined
     assert "taps[3].channels" in joined  # 16 is out of range for 16 channels
     assert "taps[4].channels" in joined
+    # a tap's name is the interface column of its capture log
+    assert "taps[5].name: tap name 'a b' must not contain whitespace" in errors
 
 
 def test_tap_channels_all_is_none() -> None:
@@ -263,14 +277,10 @@ def test_outputs_sections_must_be_objects() -> None:
 
 
 NUMBER_FIELDS = {
-    "duration_s": lambda v: {"duration_s": v},
-    "radio.latency_s": lambda v: {"radio": {"latency_s": v}},
+    **TIME_FIELDS,
     "radio.loss_probability": lambda v: {"radio": {"loss_probability": v}},
     "fleet.engine_rpm": lambda v: {"fleet": {"engine_rpm": v}},
     "fleet.machine_voltage": lambda v: {"fleet": {"machine_voltage": v}},
-    "joystick_script[0].t_s": lambda v: {"joystick_script": [{"t_s": v}]},
-    "attacks[0].start_s": lambda v: {"attacks": [{**sniff(0.0, "cap"), "start_s": v}]},
-    "attacks[0].duration_s": lambda v: {"attacks": [sniff(0.0, "cap", duration_s=v)]},
 }
 
 
@@ -279,6 +289,21 @@ NUMBER_FIELDS = {
 def test_non_finite_numbers_are_located_errors(path: str, value: float) -> None:
     errors = errors_for(**NUMBER_FIELDS[path](value))
     assert f"{path}: expected a finite number, got {value!r}" in errors
+
+
+@pytest.mark.parametrize(("sections", "error"), MALFORMED_SECTIONS)
+def test_malformed_sections_are_located_errors(sections: dict, error: str) -> None:
+    assert errors_for(**sections) == [error]
+
+
+def test_duration_runs_up_to_one_day() -> None:
+    assert make_scenario(duration_s=86_400).duration_us == 86_400_000_000
+    assert errors_for(duration_s=86_400.000001) == ["duration_s: must be <= 86400.0, got 86400.000001"]
+
+
+def test_null_required_fields_are_missing() -> None:
+    errors = errors_for(seed=None, duration_s=None, attacks=[{"type": "diff", "start_s": None}])
+    assert errors == ["seed: required", "duration_s: required", "attacks[0].start_s: required"]
 
 
 def test_outputs_reject_shared_paths() -> None:
@@ -321,3 +346,48 @@ def test_load_scenario_reads_fixture() -> None:
     scenario = load_scenario(SCENARIOS_DIR / "baseline.json")
     assert scenario.seed == 42
     assert scenario.outputs.summary == "baseline/summary.json"
+
+
+def _subtree_paths(node, path=()):
+    """The key/index path of every value in a JSON document, root included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _subtree_paths(child, (*path, key))
+
+
+FIXTURES = {p.name: load_fixture(p.name) for p in sorted(SCENARIOS_DIR.glob("*.json"))}
+SUBTREES = [(name, path) for name, doc in FIXTURES.items() for path in _subtree_paths(doc)]
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(2**64), 10**400]),
+        st.floats(), st.sampled_from([1e308, -1e308, 1e300, 86_400.5]), st.text(max_size=6),
+    ),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(SUBTREES), JSON_VALUES)
+def test_any_json_value_anywhere_is_a_scenario_or_a_validation_error(subtree, value) -> None:
+    name, path = subtree
+    doc = copy.deepcopy(FIXTURES[name])
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        scenario = validate_scenario(doc)
+    except ScenarioValidationError:
+        return
+    for time_us in (scenario.duration_us, *(attack.start_us for attack in scenario.attacks)):
+        assert type(time_us) is int and time_us <= MAX_TIME_S * 1e6
