@@ -275,6 +275,12 @@ class ReplaySchedule:
     entries: tuple[tuple[int, CanFrame], ...]
     timing_mode: str = TIMING_PRESERVE
 
+    def __post_init__(self):
+        # schedule_injection sends the entries in list order
+        delays = [delay for delay, _ in self.entries]
+        if delays != sorted(delays) or (delays and delays[0] < 0):
+            raise ConfigurationError("replay schedule delays must be non-negative and non-decreasing")
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -395,6 +401,23 @@ class RadioInjector:
         self.medium.transmit(encapsulate(frame, channel, seq), sender=self)
 
 
+def _send_times(schedule: ReplaySchedule, start_us: int, cycle_us: int | None,
+                end_us: int | None):
+    """(instant, frame) of every send, in time order; cycle_us None: one pass."""
+    start = start_us
+    while True:
+        for delay, frame in schedule.entries:
+            at = start + delay
+            if end_us is not None and at > end_us:
+                break
+            yield at, frame
+        if cycle_us is None:
+            return
+        start += cycle_us
+        if start > end_us:
+            return
+
+
 def schedule_injection(
     clock: SimClock,
     injector,
@@ -409,7 +432,13 @@ def schedule_injection(
     With ``repeat``, the schedule loops until ``end_us`` with an
     inter-cycle gap equal to its mean inter-frame gap; that needs at
     least two entries and a positive span (preserve timing).
+
+    One send is queued at a time: each send queues the next, so a long
+    repeat keeps one pending event instead of one per send up to end_us.
+    Same-instant ties with other events break as if every send had been
+    queued at once, by this call.
     """
+    cycle_us = None
     if repeat:
         if end_us is None:
             raise ConfigurationError("repeat injection needs an end time")
@@ -418,16 +447,8 @@ def schedule_injection(
                 "repeat injection needs >= 2 schedule entries with preserved gaps"
             )
         gap = schedule.span_us // (len(schedule.entries) - 1)
-        cycle = schedule.span_us + gap
-    start = start_us
-    while True:
-        for delay, frame in schedule.entries:
-            at = start + delay
-            if end_us is not None and at > end_us:
-                break
-            clock.schedule(at, lambda f=frame: injector.send_frame(f))
-        if not repeat:
-            return
-        start += cycle
-        if start > end_us:
-            return
+        cycle_us = schedule.span_us + gap
+    clock.schedule_series(
+        (at, lambda f=frame: injector.send_frame(f))
+        for at, frame in _send_times(schedule, start_us, cycle_us, end_us)
+    )

@@ -85,9 +85,12 @@ class CanBus:
         self.clock = clock
         self.name = name
         self.config = config or BusConfig()
-        self._nodes: dict[int, tuple[NodeHandle, Callable[[CanFrame], None] | None]] = {}
+        self._nodes: dict[int, NodeHandle] = {}
+        # (node_id, on_frame) of every node that listens, in attach order
+        self._listeners: list[tuple[int, Callable[[CanFrame], None]]] = []
         self._names: set[str] = set()
         self._queues: dict[int, deque[CanFrame]] = {}
+        self._waiting = 0  # frames in all queues together
         self._busy = False
         self._kick_scheduled = False
         self._frames_delivered = 0
@@ -100,7 +103,9 @@ class CanBus:
         if name in self._names:
             raise ConfigurationError(f"node name {name!r} already attached to {self.name}")
         handle = NodeHandle(node_id=len(self._nodes), name=name)
-        self._nodes[handle.node_id] = (handle, on_frame)
+        self._nodes[handle.node_id] = handle
+        if on_frame is not None:
+            self._listeners.append((handle.node_id, on_frame))
         self._names.add(name)
         self._queues[handle.node_id] = deque()
         return handle
@@ -109,18 +114,19 @@ class CanBus:
         """Queue a frame for transmission from the given node (FIFO per node)."""
         if self.clock.finished:
             raise SimulationError("simulation has ended; frame rejected")
-        if handle.node_id not in self._nodes or self._nodes[handle.node_id][0] != handle:
+        if self._nodes.get(handle.node_id) != handle:
             raise ConfigurationError(f"unknown node handle {handle!r} on bus {self.name}")
         if not isinstance(frame, CanFrame):
             raise ConfigurationError(f"submit() wants a CanFrame, got {type(frame).__name__}")
         self._queues[handle.node_id].append(frame)
+        self._waiting += 1
         if not self._busy and not self._kick_scheduled:
             self._kick_scheduled = True
             self.clock.schedule(self.clock.now_us, self._kick)
 
     def _pending(self) -> list[tuple[NodeHandle, CanFrame]]:
         return [
-            (self._nodes[node_id][0], queue[0])
+            (self._nodes[node_id], queue[0])
             for node_id, queue in self._queues.items()
             if queue
         ]
@@ -134,6 +140,7 @@ class CanBus:
             return
         winner, frame = arbitrate(pending)
         self._queues[winner.node_id].popleft()
+        self._waiting -= 1
         self._busy = True
         duration = self.config.frame_time_us(frame.dlc)
         self.clock.schedule(
@@ -146,11 +153,10 @@ class CanBus:
         self._busy_us += duration
         self._frames_delivered += 1
         delivered = frame.at(self.clock.now_us)
-        for node_id, (handle, callback) in self._nodes.items():
-            if node_id == sender.node_id or callback is None:
-                continue
-            callback(delivered)
-        if not self._kick_scheduled and any(self._queues.values()):
+        for node_id, callback in self._listeners:
+            if node_id != sender.node_id:
+                callback(delivered)
+        if not self._kick_scheduled and self._waiting:
             self._kick_scheduled = True
             self.clock.schedule(self.clock.now_us, self._kick)
 

@@ -51,7 +51,9 @@ class CaptureRecord:
     def __post_init__(self):
         if not isinstance(self.timestamp_us, int) or self.timestamp_us < 0:
             raise CaptureError(f"timestamp_us {self.timestamp_us!r} must be a non-negative int")
-        if not self.interface or any(c.isspace() for c in self.interface):
+        # str.split() splits at exactly the characters for which isspace()
+        # holds, so this rejects an empty name and any name with whitespace
+        if not isinstance(self.interface, str) or self.interface.split() != [self.interface]:
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
         object.__setattr__(self, "data", bytes(self.data))
         if self.kind == KIND_CAN:

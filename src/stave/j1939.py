@@ -20,7 +20,7 @@ destination address and is excluded from the pgn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import AddressError, FrameError, IdentifierError, SignalError
 
@@ -56,7 +56,20 @@ class CanFrame:
 
     def at(self, timestamp_us: int) -> "CanFrame":
         """Copy of this frame carrying a different timestamp."""
-        return replace(self, timestamp_us=timestamp_us)
+        if not isinstance(timestamp_us, int) or timestamp_us < 0:
+            raise FrameError(f"timestamp_us {timestamp_us!r} must be a non-negative int")
+        return _valid_frame(self.can_id, self.data, timestamp_us)
+
+
+def _valid_frame(can_id: int, data: bytes, timestamp_us: int) -> CanFrame:
+    """A CanFrame from fields already known to be valid, without re-checking them."""
+    frame = object.__new__(CanFrame)
+    # not frame.__dict__.update(...): touching __dict__ gives the frame a dict
+    # of its own, which more than doubles its size
+    object.__setattr__(frame, "can_id", can_id)
+    object.__setattr__(frame, "data", data)
+    object.__setattr__(frame, "timestamp_us", timestamp_us)
+    return frame
 
 
 @dataclass(frozen=True)
@@ -159,6 +172,13 @@ def decode_id(can_id: int) -> J1939Address:
     )
 
 
+def pgn_of(can_id: int) -> int:
+    """The pgn of a valid 29-bit identifier: ``decode_id(can_id).pgn``
+    computed on the integer alone."""
+    pgn = (can_id >> 8) & 0x3FFFF  # edp, dp, pf, ps
+    return pgn if (pgn >> 8) & 0xFF >= PDU2_THRESHOLD else pgn & 0x3FF00
+
+
 def encode_id(address: J1939Address) -> int:
     """Pack address fields back into a 29-bit identifier."""
     return (
@@ -248,4 +268,5 @@ def write_signal(frame: CanFrame, signal: ScaledSignal, value: float) -> CanFram
     mask = (1 << (8 * signal.width_bytes)) - 1
     data = bytearray(frame.data)
     data[signal.byte_offset:end] = (raw & mask).to_bytes(signal.width_bytes, "little")
-    return replace(frame, data=bytes(data))
+    # same length as frame.data, so still a valid payload
+    return _valid_frame(frame.can_id, bytes(data), frame.timestamp_us)

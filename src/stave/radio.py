@@ -29,6 +29,7 @@ indistinguishable from a legitimate one.
 
 from __future__ import annotations
 
+import binascii
 import random
 from dataclasses import dataclass, field
 
@@ -48,22 +49,14 @@ SYNC = b"\xa5\x5a"
 FLAG_EXTENDED_ID = 0x01
 MIN_PACKET_SIZE = 14  # dlc 0
 
-_CRC_POLY = 0x1021
-_CRC_TABLE = []
-for _byte in range(256):
-    _crc = _byte << 8
-    for _ in range(8):
-        _crc = ((_crc << 1) ^ _CRC_POLY) & 0xFFFF if _crc & 0x8000 else (_crc << 1) & 0xFFFF
-    _CRC_TABLE.append(_crc)
-
 
 def crc16_ccitt_false(data: bytes) -> int:
-    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, unreflected)."""
-    crc = 0xFFFF
-    table = _CRC_TABLE
-    for b in data:
-        crc = ((crc << 8) & 0xFFFF) ^ table[(crc >> 8) ^ b]
-    return crc
+    """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, unreflected).
+
+    binascii.crc_hqx is this CRC (the XMODEM family: poly 0x1021, no
+    reflection, no final xor) started from the given initial value.
+    """
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 _MASK64 = (1 << 64) - 1

@@ -343,7 +343,7 @@ def _validate_sniff_attachment(check: _Check, path: str, doc, tap_names: set[str
     return None
 
 
-def _validate_inject_attachment(check: _Check, path: str, doc) -> InjectAttachment | None:
+def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int) -> InjectAttachment | None:
     doc = check.section(path, doc)
     kind = doc.get("kind")
     if kind == "wired":
@@ -354,10 +354,13 @@ def _validate_inject_attachment(check: _Check, path: str, doc) -> InjectAttachme
         strategy_doc = check.section(f"{path}.strategy", doc.get("strategy"), {"mode", "channel"})
         channel = _parse_int_field(check, f"{path}.strategy.channel", strategy_doc.get("channel", 0),
                                    lo=0, hi=255)
+        mode = strategy_doc.get("mode", "fixed")
+        if mode == "fixed" and channel is not None and channel >= num_channels:
+            # no endpoint listens there: every packet would be rejected
+            check.add(f"{path}.strategy.channel", f"must be <= {num_channels - 1}, got {channel}")
         strategy = None
         try:
-            strategy = ChannelStrategy(mode=strategy_doc.get("mode", "fixed"),
-                                       channel=channel if channel is not None else 0)
+            strategy = ChannelStrategy(mode=mode, channel=channel if channel is not None else 0)
         except ConfigurationError as exc:
             check.add(f"{path}.strategy", str(exc))
         inside = check.boolean(f"{path}.inside_faraday", doc.get("inside_faraday"), default=True)
@@ -382,7 +385,7 @@ def _validate_match(check: _Check, path: str, doc) -> MessageMatch | None:
     return MessageMatch(pgn=value) if value is not None else None
 
 
-def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str]):
+def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str], num_channels: int):
     attacks: list[AttackSpec] = []
     # name -> time from which the named capture or schedule may be consumed
     capture_ready: dict[str, int] = {name: 0 for name in (*SEGMENT_NAMES, *tap_names)}
@@ -487,7 +490,8 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str])
                                       mutation=mutation, timing=timing, save=save))
         else:  # inject
             schedule = reference(path, item, "schedule", start_us)
-            attachment = _validate_inject_attachment(check, f"{path}.attachment", item.get("attachment"))
+            attachment = _validate_inject_attachment(check, f"{path}.attachment", item.get("attachment"),
+                                                     num_channels)
             repeat = check.boolean(f"{path}.repeat", item.get("repeat"), default=False)
             if schedule is None or attachment is None:
                 continue
@@ -557,9 +561,12 @@ def validate_scenario(doc: dict) -> Scenario:
     for name, fields in check.section("fleet.catalog", fleet_doc.get("catalog")).items():
         path = f"fleet.catalog.{name}"
         overrides[name] = {}
-        for key, value in check.section(path, fields, CATALOG_FIELDS).items():
+        for key, value in check.section(path, fields, CATALOG_FIELDS.keys()).items():
+            if key not in CATALOG_FIELDS:
+                continue
+            lo, hi = CATALOG_FIELDS[key]
             # null passes to the catalog: for cycle_ms it means "sent on demand"
-            if key in CATALOG_FIELDS and (value is None or check.integer(f"{path}.{key}", value) is not None):
+            if value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
                 overrides[name][key] = value
     catalog = MessageCatalog.default()
     try:
@@ -590,7 +597,7 @@ def validate_scenario(doc: dict) -> Scenario:
     tap_names = {t.name for t in taps}
 
     attacks, capture_ready, report_names = _validate_attacks(
-        check, doc.get("attacks"), duration_us, tap_names)
+        check, doc.get("attacks"), duration_us, tap_names, radio.num_channels)
 
     outputs_doc = check.section("outputs", doc.get("outputs"), {"summary", "captures", "reports"})
     summary = _relative_path(check, "outputs.summary", outputs_doc.get("summary"))

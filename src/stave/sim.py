@@ -7,8 +7,9 @@ order): ties are FIFO, so a run is reproducible from its inputs alone.
 from __future__ import annotations
 
 import heapq
+from functools import wraps
 from itertools import count
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import SimulationError, TimeReversalError
 
@@ -31,6 +32,7 @@ class SimClock:
         self._now_us = 0
         self._queue: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = count()
+        self._series_seq: int | None = None  # set while schedule_series queues an event
         self._finished = False
 
     @property
@@ -50,7 +52,37 @@ class SimClock:
             raise SimulationError("simulation has ended; cannot schedule events")
         if at_us < self._now_us:
             raise TimeReversalError(f"cannot schedule at {at_us} us; now is {self._now_us} us")
-        heapq.heappush(self._queue, (at_us, next(self._seq), action))
+        seq = next(self._seq) if self._series_seq is None else self._series_seq
+        heapq.heappush(self._queue, (at_us, seq, action))
+
+    def schedule_series(self, events: Iterable[tuple[int, Callable[[], None]]]) -> None:
+        """Queue (time, action) events given in time order, one at a time.
+
+        Each event is scheduled when the one before it fires, so a long
+        series keeps one event pending. Ties break as if the whole series
+        had been scheduled by this call: at an equal time its events fire
+        after those already queued and before those queued later.
+        """
+        seq = next(self._seq)
+        events = iter(events)
+
+        def queue_next() -> None:
+            for at_us, action in events:
+                # wraps: tools that attribute events by their action's module
+                # (perfbench/tracer.py) see the action's module, not this one
+                @wraps(action)
+                def fire(action=action):
+                    action()
+                    queue_next()
+
+                self._series_seq = seq
+                try:
+                    self.schedule(at_us, fire)
+                finally:
+                    self._series_seq = None
+                return
+
+        queue_next()
 
     def schedule_in(self, delay_us: int, action: Callable[[], None]) -> None:
         self.schedule(self._now_us + delay_us, action)

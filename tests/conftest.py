@@ -32,6 +32,12 @@ MALFORMED_SECTIONS = [
      "joystick_script entry 0: button True must be 0 or 1"),
     *((fields(v), f"{path}: must be <= 86400.0, got {v!r}")
       for path, fields in TIME_FIELDS.items() for v in (1e300, 1e308)),
+    ({"attacks": [SNIFF,
+                  {"type": "replay", "start_s": 0.5, "capture": "cap",
+                   "match": {"pgn": "0xFF10"}, "save": "plan"},
+                  {"type": "inject", "start_s": 0.5, "schedule": "plan",
+                   "attachment": {"kind": "radio", "strategy": {"mode": "fixed", "channel": 200}}}]},
+     "attacks[2].attachment.strategy.channel: must be <= 15, got 200"),
 ]
 
 

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stave import (
     BaselineError,
@@ -370,6 +372,83 @@ def test_schedule_injection_repeat_uses_mean_gap() -> None:
         150_000, 200_000, 250_000,
         300_000, 350_000, 400_000,
     ]
+
+
+class _PeakClock(SimClock):
+    """A clock that remembers the most events it ever held queued."""
+
+    peak = 0
+
+    def schedule(self, at_us, action):
+        super().schedule(at_us, action)
+        self.peak = max(self.peak, len(self._queue))
+
+
+def repeat_sends(delays: list[int], start_us: int, end_us: int) -> list[tuple[int, int]]:
+    """(instant, entry index) of every repeated send, cycle after cycle."""
+    span = delays[-1] - delays[0]
+    cycle = span + span // (len(delays) - 1)
+    sends, start = [], start_us
+    while True:
+        for index, delay in enumerate(delays):
+            if start + delay > end_us:
+                break
+            sends.append((start + delay, index))
+        start += cycle
+        if start > end_us:
+            return sends
+
+
+@st.composite
+def _repeatable_delays(draw) -> list[int]:
+    first = draw(st.integers(0, 50_000))
+    span = draw(st.integers(10_000, 300_000))
+    inner = draw(st.lists(st.integers(first, first + span), max_size=6))
+    return [first, *sorted(inner), first + span]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_repeatable_delays(), st.integers(0, 1_000_000), st.integers(0, 3_000_000))
+def test_repeat_injection_sends_at_closed_form_instants_from_a_short_queue(
+        delays: list[int], start_us: int, end_us: int) -> None:
+    clock = _PeakClock()
+    injector = _RecordingInjector(clock)
+    schedule = ReplaySchedule(entries=tuple((d, CanFrame(JOY, bytes([i]))) for i, d in enumerate(delays)))
+    schedule_injection(clock, injector, schedule, start_us, repeat=True, end_us=end_us)
+    clock.run_until(end_us + 1)
+    assert [(t, data[0]) for t, data in injector.sent_at] == repeat_sends(delays, start_us, end_us)
+    assert clock.peak <= 1
+
+
+def test_repeat_sends_win_ties_with_events_queued_after_them() -> None:
+    clock = SimClock()
+    order = []
+
+    class Injector:
+        def send_frame(self, frame: CanFrame) -> None:
+            order.append(("send", clock.now_us))
+
+    def tick() -> None:
+        order.append(("tick", clock.now_us))
+        clock.schedule_in(100_000, tick)
+
+    schedule = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")), (50_000, CanFrame(JOY, b"\x02"))))
+    schedule_injection(clock, Injector(), schedule, 0, repeat=True, end_us=300_000)
+    clock.schedule(100_000, tick)
+    clock.run_until(300_000)
+    # every send counts as queued by schedule_injection, before any tick
+    assert order == [("send", 0), ("send", 50_000),
+                     ("send", 100_000), ("tick", 100_000), ("send", 150_000),
+                     ("send", 200_000), ("tick", 200_000), ("send", 250_000),
+                     ("send", 300_000), ("tick", 300_000)]
+
+
+def test_replay_schedule_delays_must_not_decrease() -> None:
+    frame = CanFrame(JOY, b"\x01")
+    ReplaySchedule(entries=((0, frame), (0, frame), (5, frame)))
+    for entries in (((10, frame), (5, frame)), ((-1, frame), (5, frame))):
+        with pytest.raises(ConfigurationError):
+            ReplaySchedule(entries=entries)
 
 
 def test_schedule_injection_repeat_needs_span_and_end() -> None:

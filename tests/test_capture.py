@@ -6,6 +6,7 @@ Line formats under test:
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -191,3 +192,16 @@ def test_record_validation() -> None:
         CaptureRecord(timestamp_us=0, interface="x", kind=KIND_CAN, data=b"", can_id=None)
     with pytest.raises(CaptureError):
         CaptureRecord(timestamp_us=0, interface="", kind=KIND_CAN, data=b"", can_id=1)
+
+
+def test_record_rejects_whitespace_anywhere_in_interface() -> None:
+    code_points = [chr(c) for c in range(sys.maxunicode + 1)]
+    for c in (c for c in code_points if c.isspace()):
+        for name in (c, f"{c}air", f"a{c}ir", f"air{c}"):
+            with pytest.raises(CaptureError):
+                CaptureRecord(timestamp_us=0, interface=name, kind=KIND_CAN, data=b"", can_id=1)
+    # every other code point is accepted, a thousand to a name
+    others = [c for c in code_points if not c.isspace()]
+    for i in range(0, len(others), 1000):
+        CaptureRecord(timestamp_us=0, interface="".join(others[i:i + 1000]), kind=KIND_CAN,
+                      data=b"", can_id=1)

@@ -19,6 +19,7 @@ from stave import (
     SignalError,
     decode_id,
     encode_id,
+    pgn_of,
     read_signal,
     write_signal,
 )
@@ -152,6 +153,19 @@ def test_frame_at_rebases_timestamp_only() -> None:
     assert moved.timestamp_us == 524
     assert (moved.can_id, moved.data) == (frame.can_id, frame.data)
     assert frame.timestamp_us == 0
+
+
+@pytest.mark.parametrize("timestamp_us", [-1, 1.5])
+def test_frame_at_rejects_bad_timestamp(timestamp_us) -> None:
+    with pytest.raises(FrameError):
+        CanFrame(0x100, b"\x01").at(timestamp_us)
+
+
+def test_pgn_of_matches_oracle() -> None:
+    rng = random.Random(1939)
+    edges = [0, (1 << 29) - 1, 0x00EFAB00, 0x00F0AB00, 0x03EFFFFF, 0x03F00000]
+    for can_id in edges + [rng.getrandbits(29) for _ in range(5_000)]:
+        assert pgn_of(can_id) == slicer_oracle(can_id)["pgn"]
 
 
 # Signal scaling: oracles are hand-computed from scale/offset.

@@ -10,6 +10,8 @@ Independent oracles frozen here:
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stave import (
     BusConfig,
@@ -63,6 +65,13 @@ def test_crc_matches_bit_serial_oracle() -> None:
     for _ in range(500):
         data = rng.randbytes(rng.randint(0, 64))
         assert crc16_ccitt_false(data) == crc_oracle(data)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.binary(max_size=300))
+@example(b"123456789")
+def test_crc_equals_bit_serial_oracle_on_any_bytes(data: bytes) -> None:
+    assert crc16_ccitt_false(data) == crc_oracle(data)
 
 
 def test_packet_layout_hand_assembled() -> None:
@@ -154,6 +163,43 @@ def test_decapsulate_unknown_flags_detected_behind_valid_crc() -> None:
     body[3] = 0x03  # only the extended-id flag is defined
     with pytest.raises(FramingError):
         decapsulate(_reframe(bytes(body)))
+
+
+def _framed(body: bytes) -> bytes:
+    """body (the bytes between sync and crc) with the sync and a correct crc."""
+    return b"\xa5\x5a" + body + crc_oracle(body).to_bytes(2, "big")
+
+
+def _replace_byte(buf: bytes, index: int, value: int) -> bytes:
+    index %= len(buf)
+    return buf[:index] + bytes([value]) + buf[index + 1:]
+
+
+_PACKETS = st.builds(
+    lambda can_id, data, channel, seq: encapsulate(CanFrame(can_id, data), channel, seq).to_bytes(),
+    st.integers(0, (1 << 29) - 1), st.binary(max_size=8), st.integers(0, 255), st.integers(0, 0xFFFF),
+)
+# any bytes, packets with a byte changed or cut off, and bodies with a correct
+# sync and crc, so the checks made after the crc see malformed input too
+_NEAR_PACKETS = st.one_of(
+    st.binary(max_size=40),
+    _PACKETS,
+    st.builds(_replace_byte, _PACKETS, st.integers(0, 63), st.integers(0, 255)),
+    st.builds(lambda p, n: p[:n], _PACKETS, st.integers(0, 22)),
+    st.binary(max_size=24).map(_framed),
+    st.builds(lambda p, i, v: _framed(_replace_byte(p[2:-2], i, v)),
+              _PACKETS, st.integers(0, 63), st.integers(0, 255)),
+)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_NEAR_PACKETS)
+def test_decapsulate_rejects_cleanly_or_reencodes_identically(buf: bytes) -> None:
+    try:
+        packet = decapsulate(buf)
+    except DecapsulationError:
+        return
+    assert packet.to_bytes() == buf
 
 
 def test_packet_field_validation() -> None:

@@ -95,6 +95,14 @@ def test_fleet_catalog_errors_carry_paths() -> None:
                       "fleet.catalog.JOY1.cycle_ms: expected an integer, got True",
                       "fleet.catalog.JOY1.priority: expected an integer, got True",
                       "fleet.catalog.STR1: expected an object, got list"]
+    errors = errors_for(fleet={"catalog": {"JOY1": {"pgn": -1, "source_address": 256},
+                                           "PWR1": {"pgn": 1 << 18, "priority": 8},
+                                           "STR1": {"cycle_ms": 0}}})
+    assert errors == ["fleet.catalog.JOY1.pgn: must be >= 0, got -1",
+                      "fleet.catalog.JOY1.source_address: must be <= 255, got 256",
+                      "fleet.catalog.PWR1.pgn: must be <= 262143, got 262144",
+                      "fleet.catalog.PWR1.priority: must be <= 7, got 8",
+                      "fleet.catalog.STR1.cycle_ms: must be >= 1, got 0"]
 
 
 def test_joystick_script_errors_bubble_up() -> None:

@@ -77,6 +77,43 @@ def test_clock_rejects_past_and_finished() -> None:
         clock.schedule(600, lambda: None)
 
 
+def _tie_order(clock: SimClock, queue_sends) -> list[str]:
+    """Firing order of sends queued by queue_sends(clock, events) amid
+    other events at the same instants, queued before, after and between."""
+    order = []
+
+    def note(name, then=None):
+        def action():
+            order.append(name)
+            if then is not None:
+                then()
+        return action
+
+    clock.schedule(100, note("before@100"))
+    queue_sends(clock, [
+        (50, note("s50", lambda: clock.schedule(200, note("by-s50@200")))),
+        (100, note("s100a", lambda: clock.schedule(100, note("by-s100a@100")))),
+        (100, note("s100b")),
+        (200, note("s200")),
+    ])
+    clock.schedule(100, note("after@100"))
+    clock.schedule(200, note("after@200"))
+    clock.run_until(1_000)
+    return order
+
+
+def test_series_breaks_ties_as_if_queued_at_once() -> None:
+    def queue_all(clock, events):
+        for at_us, action in events:
+            clock.schedule(at_us, action)
+
+    assert _tie_order(SimClock(), lambda clock, events: clock.schedule_series(events)) == \
+        _tie_order(SimClock(), queue_all)
+    clock = SimClock()
+    clock.schedule_series((t, lambda: None) for t in range(0, 100_000, 10))
+    assert len(clock._queue) == 1
+
+
 def test_run_until_does_not_go_backwards() -> None:
     clock = SimClock()
     clock.run_until(100)
