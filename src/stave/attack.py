@@ -25,7 +25,10 @@ from dataclasses import dataclass
 from .bus import CanBus, NodeHandle
 from .capture import KIND_CAN, KIND_RADIO, CaptureLog
 from .errors import BaselineError, ConfigurationError, DecapsulationError
-from .j1939 import CanFrame, decode_id
+from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, pgn_of
+# Not called here: matching reads a frame's pgn with pgn_of. The name stays
+# bound because perfbench/tracer.py counts decode_id calls at this lookup site.
+from .j1939 import decode_id  # noqa: F401
 from .radio import RadioConfig, RadioMedium, decapsulate, encapsulate, hop_channel
 from .sim import SimClock, seconds_from_us
 
@@ -202,11 +205,14 @@ class MessageMatch:
     def __post_init__(self):
         if (self.can_id is None) == (self.pgn is None):
             raise ConfigurationError("match needs exactly one of can_id or pgn")
+        for name, value, hi in (("can_id", self.can_id, MAX_CAN_ID), ("pgn", self.pgn, MAX_PGN)):
+            if value is not None and (type(value) is not int or not 0 <= value <= hi):
+                raise ConfigurationError(f"match {name} {value!r} outside 0..{hi}")
 
     def matches(self, frame: CanFrame) -> bool:
         if self.can_id is not None:
             return frame.can_id == self.can_id
-        return decode_id(frame.can_id).pgn == self.pgn
+        return pgn_of(frame.can_id) == self.pgn
 
 
 _MUTATION_RE = re.compile(r"^byte(\d+)=(reflect|const|add)\((-?(?:0[xX][0-9a-fA-F]+|\d+))\)$")

@@ -33,6 +33,12 @@ _CAN_BODY_RE = re.compile(r"^([0-9A-F]{8})#((?:[0-9A-F]{2})*)$")
 _RADIO_BODY_RE = re.compile(r"^R:((?:[0-9A-F]{2})+)$")
 
 
+def valid_interface(name) -> bool:
+    """Whether name can be a log line's interface column: a non-empty str
+    without whitespace (str.split() splits at exactly the isspace() characters)."""
+    return isinstance(name, str) and name.split() == [name]
+
+
 @dataclass(frozen=True)
 class CaptureRecord:
     """One observed frame or radio packet.
@@ -51,9 +57,7 @@ class CaptureRecord:
     def __post_init__(self):
         if not isinstance(self.timestamp_us, int) or self.timestamp_us < 0:
             raise CaptureError(f"timestamp_us {self.timestamp_us!r} must be a non-negative int")
-        # str.split() splits at exactly the characters for which isspace()
-        # holds, so this rejects an empty name and any name with whitespace
-        if not isinstance(self.interface, str) or self.interface.split() != [self.interface]:
+        if not valid_interface(self.interface):
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
         object.__setattr__(self, "data", bytes(self.data))
         if self.kind == KIND_CAN:

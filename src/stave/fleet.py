@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
 from .errors import ConfigurationError, ScenarioValidationError
-from .j1939 import CanFrame, J1939Address, ScaledSignal, encode_id, pgn_of, write_signal
+from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, encode_id, pgn_of, write_signal
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -50,10 +50,13 @@ VOLTAGE_SIGNAL = ScaledSignal(byte_offset=0, width_bytes=2, scale=0.05)
 WHEEL_ANGLE_SIGNAL = ScaledSignal(byte_offset=0, width_bytes=2, scale=0.01, signed=True)
 PUMP_SIGNAL = ScaledSignal(byte_offset=0, width_bytes=1, scale=0.4)
 ENGINE_SPEED_SIGNAL = ScaledSignal(byte_offset=3, width_bytes=2, scale=0.125)
+# the plant values a scenario may set, with the ranges (inclusive) their signals
+# encode: EEC1 speed up to raw 0xFAFF, PWR1 voltage up to raw 0xFFFE (0xFFFF: n/a)
+PLANT_FIELDS = {"engine_rpm": (0.0, 8031.875), "machine_voltage": (0.0, 3276.7)}
 # the MessageSpec fields a catalog override may set, with their ranges
 # (inclusive; None is unbounded)
 CATALOG_FIELDS = {
-    "pgn": (0, (1 << 18) - 1),
+    "pgn": (0, MAX_PGN),
     "source_address": (0, 255),
     "priority": (0, 7),
     "cycle_ms": (1, None),
@@ -221,12 +224,12 @@ def steering_step(
 class VehicleObservables:
     """Physical state a test (or an attacker) cares about."""
 
-    wheel_angle_deg: float = 0.0
-    steer_enabled: bool = False
-    led_mask: int = 0
-    pump_pct: float = 50.0
-    engine_rpm: float = 800.0
-    machine_voltage: float = 12.6
+    wheel_angle_deg: float
+    steer_enabled: bool
+    led_mask: int
+    pump_pct: float
+    engine_rpm: float
+    machine_voltage: float
 
 
 def _pad(defined: bytes, total: int = 8) -> bytes:
@@ -246,7 +249,6 @@ class _Node:
         pass
 
     def broadcast(self, message: str, data: bytes) -> None:
-        self.fleet.broadcast_times.setdefault(message, []).append(self.clock.now_us)
         self.bus.submit(self.handle, CanFrame(self.fleet.can_ids[message], data))
 
     def start_cycle(self, message: str, tick) -> None:
@@ -397,8 +399,8 @@ class Fleet:
         clock: shared simulation clock.
         operator_bus: segment carrying joystick and display.
         vehicle_bus: segment carrying the five vehicle ECUs.
-        catalog: message catalog (defaults apply if None).
-        script: joystick timeline (idle center if None).
+        catalog: message catalog.
+        script: joystick timeline.
         steer_enable: power controller's steer-enable line.
         engine_rpm / machine_voltage: fixed plant values.
     """
@@ -409,17 +411,16 @@ class Fleet:
         operator_bus: CanBus,
         vehicle_bus: CanBus,
         *,
-        catalog: MessageCatalog | None = None,
-        script: JoystickScript | None = None,
-        steer_enable: bool = False,
-        engine_rpm: float = 800.0,
-        machine_voltage: float = 12.6,
+        catalog: MessageCatalog,
+        script: JoystickScript,
+        steer_enable: bool,
+        engine_rpm: float,
+        machine_voltage: float,
     ):
         self.clock = clock
-        self.catalog = catalog or MessageCatalog.default()
-        self.script = script or JoystickScript()
-        self.can_ids = {spec.name: spec.can_id for spec in self.catalog}
-        self.broadcast_times: dict[str, list[int]] = {}
+        self.catalog = catalog
+        self.script = script
+        self.can_ids = {spec.name: spec.can_id for spec in catalog}
         self.joystick = JoystickNode(self, operator_bus)
         self.display = DisplayNode(self, operator_bus)
         self.implement = ImplementEcu(self, vehicle_bus)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .errors import AddressError, FrameError, IdentifierError, SignalError
 
 MAX_CAN_ID = (1 << 29) - 1
+MAX_PGN = (1 << 18) - 1
 PDU2_THRESHOLD = 240
 
 
@@ -130,7 +131,7 @@ class J1939Address:
         A destination must be supplied exactly when the pgn names a PDU1
         (destination-addressed) format.
         """
-        if not isinstance(pgn, int) or not 0 <= pgn < (1 << 18):
+        if not isinstance(pgn, int) or not 0 <= pgn <= MAX_PGN:
             raise AddressError(f"pgn {pgn!r} outside 18-bit range")
         edp = (pgn >> 17) & 1
         dp = (pgn >> 16) & 1

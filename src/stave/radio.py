@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bus import CanBus, NodeHandle
-from .capture import KIND_RADIO, CaptureLog, CaptureRecord
+from .capture import KIND_RADIO, CaptureLog, CaptureRecord, valid_interface
 from .errors import (
     ConfigurationError,
     DecapsulationError,
@@ -59,17 +59,17 @@ def crc16_ccitt_false(data: bytes) -> int:
     return binascii.crc_hqx(data, 0xFFFF)
 
 
-_MASK64 = (1 << 64) - 1
+MASK64 = (1 << 64) - 1  # the hop seed's range and the mixer's modulus
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _mix64(x: int) -> int:
     # splitmix64 finalizer: full-avalanche mix of a 64-bit word
-    x &= _MASK64
+    x &= MASK64
     x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
     x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
+    x = (x * 0x94D049BB133111EB) & MASK64
     x ^= x >> 31
     return x
 
@@ -88,7 +88,7 @@ class RadioConfig:
     def __post_init__(self):
         if not isinstance(self.num_channels, int) or not 1 <= self.num_channels <= 256:
             raise ConfigurationError(f"num_channels {self.num_channels!r} outside 1..256")
-        if not isinstance(self.hop_seed, int) or not 0 <= self.hop_seed <= _MASK64:
+        if not isinstance(self.hop_seed, int) or not 0 <= self.hop_seed <= MASK64:
             raise ConfigurationError(f"hop_seed {self.hop_seed!r} must be a 64-bit non-negative int")
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ConfigurationError(f"loss_probability {self.loss_probability!r} outside [0, 1]")
@@ -104,7 +104,7 @@ def hop_channel(config: RadioConfig, seq: int) -> int:
     """
     if not config.hopping:
         return 0
-    x = _mix64(config.hop_seed ^ ((seq * _GOLDEN) & _MASK64))
+    x = _mix64(config.hop_seed ^ ((seq * _GOLDEN) & MASK64))
     return x % config.num_channels
 
 
@@ -184,6 +184,8 @@ class Tap:
     log: CaptureLog = field(default_factory=CaptureLog)
 
     def __post_init__(self):
+        if not valid_interface(self.name):
+            raise ConfigurationError(f"tap name {self.name!r} must be non-empty without whitespace")
         if self.channels is not None:
             self.channels = frozenset(self.channels)
             if not self.channels:

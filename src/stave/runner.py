@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -147,9 +147,7 @@ def occupancy_report(capture: str, counts: list[tuple[int, int]]) -> dict:
 # and return the function that builds its summary entry after the run.
 
 def _run_sniff(bed: Testbed, spec: SniffSpec, index: int) -> Callable[[], dict]:
-    # Both attachment kinds name a live log: a segment recorder for
-    # wired-tap, a radio tap for radio-tap.
-    source = bed.captures[spec.attachment.ref]
+    source = bed.captures[spec.source]
 
     def materialize():
         bed.captures[spec.save] = sniff(source, spec.start_us, spec.duration_us)
@@ -247,7 +245,6 @@ class SimulationResult:
 def summarize(bed: Testbed) -> dict:
     """Deterministic end-of-run summary document."""
     obs = bed.fleet.observables()
-    radio = bed.medium.stats
     buses = {}
     for bus in bed.buses.values():
         stats = bus.stats
@@ -268,13 +265,7 @@ def summarize(bed: Testbed) -> dict:
             "machine_voltage": round(obs.machine_voltage, 6),
         },
         "buses": buses,
-        "radio": {
-            "packets_sent": radio.packets_sent,
-            "endpoint_delivered": radio.endpoint_delivered,
-            "packets_lost": radio.packets_lost,
-            "channel_rejected": radio.channel_rejected,
-            "crc_dropped": radio.crc_dropped,
-        },
+        "radio": asdict(bed.medium.stats),
         "captures": {name: len(log) for name, log in bed.captures.items()},
         "attacks": [entry() for entry in bed.attack_summaries],
     }

@@ -50,9 +50,11 @@ from pathlib import Path
 
 from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE
 from .bus import BusConfig
+from .capture import valid_interface
 from .errors import ConfigurationError, ScenarioValidationError, StaveError
-from .fleet import CATALOG_FIELDS, JoystickScript, MessageCatalog, ScriptEntry
-from .radio import RadioConfig
+from .fleet import CATALOG_FIELDS, PLANT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry
+from .j1939 import MAX_CAN_ID, MAX_PGN
+from .radio import MASK64, RadioConfig
 from .sim import us_from_seconds
 
 SCENARIO_SCHEMA = "stave-scenario/1"
@@ -78,12 +80,6 @@ class TapSpec:
 
 
 @dataclass(frozen=True)
-class SniffAttachment:
-    kind: str  # wired-tap | radio-tap
-    ref: str   # segment name or tap name
-
-
-@dataclass(frozen=True)
 class InjectAttachment:
     kind: str  # wired | radio
     segment: str | None = None
@@ -95,7 +91,7 @@ class InjectAttachment:
 class SniffSpec:
     start_us: int
     duration_us: int
-    attachment: SniffAttachment
+    source: str  # the log sniffed: a segment recorder or a tap
     save: str
 
 
@@ -247,21 +243,20 @@ class _Check:
         return default if seconds is None else us_from_seconds(seconds)
 
 
-def _parse_int_field(check: _Check, path: str, value, *, lo: int, hi: int):
-    """Accept an int or a 0x-prefixed hex string."""
+def _hex(value):
+    """A string such as "0xFF10" as its integer; any other value as it is."""
     if isinstance(value, str):
         try:
-            value = int(value, 0)
+            return int(value, 0)
         except ValueError:
-            check.add(path, f"not an integer: {value!r}")
-            return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        check.add(path, f"expected an integer or hex string, got {value!r}")
-        return None
-    if not lo <= value <= hi:
-        check.add(path, f"0x{value:X} outside 0x{lo:X}..0x{hi:X}")
-        return None
+            pass
     return value
+
+
+def _given(**fields) -> dict:
+    """The fields that are set: the type's own default stands for a field the
+    document omits, sets to null or sets to an invalid (reported) value."""
+    return {key: value for key, value in fields.items() if value is not None}
 
 
 def _relative_path(check: _Check, path: str, value) -> str | None:
@@ -288,7 +283,7 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
         if name in SEGMENT_NAMES:
             check.add(f"{path}.name", f"{name!r} shadows a built-in segment recorder")
             name = None
-        elif name is not None and any(c.isspace() for c in name):
+        elif name is not None and not valid_interface(name):
             # the name is the interface column of the tap's capture log
             check.add(f"{path}.name", f"tap name {name!r} must not contain whitespace")
             name = None
@@ -303,16 +298,17 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
         elif isinstance(channels, list) and channels:
             parsed = []
             for j, c in enumerate(channels):
-                c = _parse_int_field(check, f"{path}.channels[{j}]", c, lo=0, hi=num_channels - 1)
+                where = f"{path}.channels[{j}]"
+                c = check.integer(where, _hex(check.required(where, c)), lo=0, hi=num_channels - 1)
                 if c is not None:
                     parsed.append(c)
             parsed = tuple(parsed)
         else:
             check.add(f"{path}.channels", f'expected "all" or a non-empty channel list, got {channels!r}')
             parsed = None
-        inside = check.boolean(f"{path}.inside_faraday", item.get("inside_faraday"), default=True)
+        inside = check.boolean(f"{path}.inside_faraday", item.get("inside_faraday"))
         if name is not None:
-            taps.append(TapSpec(name=name, channels=parsed, inside_faraday=inside))
+            taps.append(TapSpec(name=name, channels=parsed, **_given(inside_faraday=inside)))
     return tuple(taps)
 
 
@@ -326,19 +322,19 @@ def _wired_segment(check: _Check, path: str, doc: dict) -> str | None:
     return segment
 
 
-def _validate_sniff_attachment(check: _Check, path: str, doc, tap_names: set[str]) -> SniffAttachment | None:
+def _sniff_source(check: _Check, path: str, doc, tap_names: set[str]) -> str | None:
+    """The log a sniff attachment reads: a wired-tap's segment or a radio-tap's tap."""
     doc = check.section(path, doc)
     kind = doc.get("kind")
     if kind == "wired-tap":
-        segment = _wired_segment(check, path, doc)
-        return SniffAttachment(kind="wired-tap", ref=segment) if segment else None
+        return _wired_segment(check, path, doc)
     if kind == "radio-tap":
         check.expect_keys(path, doc, {"kind", "tap"})
         tap = check.string(f"{path}.tap", doc.get("tap"))
         if tap is not None and tap not in tap_names:
             check.add(f"{path}.tap", f"tap {tap!r} is not declared in taps")
             return None
-        return SniffAttachment(kind="radio-tap", ref=tap) if tap else None
+        return tap
     check.add(f"{path}.kind", f"expected wired-tap or radio-tap, got {kind!r}")
     return None
 
@@ -352,21 +348,22 @@ def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int
     if kind == "radio":
         check.expect_keys(path, doc, {"kind", "strategy", "inside_faraday"})
         strategy_doc = check.section(f"{path}.strategy", doc.get("strategy"), {"mode", "channel"})
-        channel = _parse_int_field(check, f"{path}.strategy.channel", strategy_doc.get("channel", 0),
-                                   lo=0, hi=255)
-        mode = strategy_doc.get("mode", "fixed")
-        if mode == "fixed" and channel is not None and channel >= num_channels:
-            # no endpoint listens there: every packet would be rejected
-            check.add(f"{path}.strategy.channel", f"must be <= {num_channels - 1}, got {channel}")
+        mode = strategy_doc.get("mode", ChannelStrategy.mode)
+        where = f"{path}.strategy.channel"
+        channel = strategy_doc.get("channel", ChannelStrategy.channel)
+        # no endpoint listens past the last channel, so a fixed channel there
+        # would lose every packet; follow_hops ignores the channel
+        channel = check.integer(where, _hex(check.required(where, channel)),
+                                lo=0, hi=num_channels - 1 if mode == "fixed" else None)
         strategy = None
         try:
-            strategy = ChannelStrategy(mode=mode, channel=channel if channel is not None else 0)
+            strategy = ChannelStrategy(mode=mode, **_given(channel=channel))
         except ConfigurationError as exc:
             check.add(f"{path}.strategy", str(exc))
-        inside = check.boolean(f"{path}.inside_faraday", doc.get("inside_faraday"), default=True)
+        inside = check.boolean(f"{path}.inside_faraday", doc.get("inside_faraday"))
         if strategy is None:
             return None
-        return InjectAttachment(kind="radio", strategy=strategy, inside_faraday=inside)
+        return InjectAttachment(kind="radio", strategy=strategy, **_given(inside_faraday=inside))
     check.add(f"{path}.kind", f"expected wired or radio, got {kind!r}")
     return None
 
@@ -379,9 +376,9 @@ def _validate_match(check: _Check, path: str, doc) -> MessageMatch | None:
         check.add(path, "exactly one of can_id or pgn must be given")
         return None
     if can_id is not None:
-        value = _parse_int_field(check, f"{path}.can_id", can_id, lo=0, hi=(1 << 29) - 1)
+        value = check.integer(f"{path}.can_id", _hex(can_id), lo=0, hi=MAX_CAN_ID)
         return MessageMatch(can_id=value) if value is not None else None
-    value = _parse_int_field(check, f"{path}.pgn", pgn, lo=0, hi=(1 << 18) - 1)
+    value = check.integer(f"{path}.pgn", _hex(pgn), lo=0, hi=MAX_PGN)
     return MessageMatch(pgn=value) if value is not None else None
 
 
@@ -445,13 +442,12 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
             if start_us + window_us > duration_us:
                 check.add(f"{path}.duration_s", "sniff window runs past the scenario duration")
                 continue
-            attachment = _validate_sniff_attachment(check, f"{path}.attachment", item.get("attachment"), tap_names)
+            source = _sniff_source(check, f"{path}.attachment", item.get("attachment"), tap_names)
             save = fresh_save(path, item)
-            if attachment is None or save is None:
+            if source is None or save is None:
                 continue
             capture_ready[save] = start_us + window_us
-            attacks.append(SniffSpec(start_us=start_us, duration_us=window_us,
-                                     attachment=attachment, save=save))
+            attacks.append(SniffSpec(start_us=start_us, duration_us=window_us, source=source, save=save))
         elif kind == "diff":
             pre = reference(path, item, "pre", start_us)
             post = reference(path, item, "post", start_us)
@@ -492,11 +488,11 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
             schedule = reference(path, item, "schedule", start_us)
             attachment = _validate_inject_attachment(check, f"{path}.attachment", item.get("attachment"),
                                                      num_channels)
-            repeat = check.boolean(f"{path}.repeat", item.get("repeat"), default=False)
+            repeat = check.boolean(f"{path}.repeat", item.get("repeat"))
             if schedule is None or attachment is None:
                 continue
             attacks.append(InjectSpec(start_us=start_us, schedule=schedule,
-                                      attachment=attachment, repeat=repeat))
+                                      attachment=attachment, **_given(repeat=repeat)))
     return tuple(attacks), capture_ready, report_names
 
 
@@ -529,34 +525,32 @@ def validate_scenario(doc: dict) -> Scenario:
                                 lo=1e-6, default=1)
 
     bus_doc = check.section("bus", doc.get("bus"), {"bitrate", "frame_overhead_bits"})
-    bus = BusConfig(
-        bitrate=check.integer("bus.bitrate", bus_doc.get("bitrate"), lo=1, default=250_000),
-        frame_overhead_bits=check.integer(
-            "bus.frame_overhead_bits", bus_doc.get("frame_overhead_bits"), lo=1, default=67),
-    )
+    bus = BusConfig(**_given(
+        bitrate=check.integer("bus.bitrate", bus_doc.get("bitrate"), lo=1),
+        frame_overhead_bits=check.integer("bus.frame_overhead_bits", bus_doc.get("frame_overhead_bits"),
+                                          lo=1),
+    ))
 
     radio_doc = check.section("radio", doc.get("radio"), {
         "num_channels", "hopping", "hop_seed", "loss_probability", "latency_s", "faraday_mode",
     })
-    radio = RadioConfig(
-        num_channels=check.integer("radio.num_channels", radio_doc.get("num_channels"),
-                                   lo=1, hi=256, default=16),
-        hopping=check.boolean("radio.hopping", radio_doc.get("hopping"), default=False),
-        hop_seed=check.integer("radio.hop_seed", radio_doc.get("hop_seed"),
-                               lo=0, hi=(1 << 64) - 1, default=0),
+    radio = RadioConfig(**_given(
+        num_channels=check.integer("radio.num_channels", radio_doc.get("num_channels"), lo=1, hi=256),
+        hopping=check.boolean("radio.hopping", radio_doc.get("hopping")),
+        hop_seed=check.integer("radio.hop_seed", radio_doc.get("hop_seed"), lo=0, hi=MASK64),
         loss_probability=check.number("radio.loss_probability", radio_doc.get("loss_probability"),
-                                      lo=0.0, hi=1.0, default=0.0),
-        latency_us=check.seconds("radio.latency_s", radio_doc.get("latency_s"), default=2000),
-        faraday_mode=check.boolean("radio.faraday_mode", radio_doc.get("faraday_mode"), default=False),
-    )
+                                      lo=0.0, hi=1.0),
+        latency_us=check.seconds("radio.latency_s", radio_doc.get("latency_s")),
+        faraday_mode=check.boolean("radio.faraday_mode", radio_doc.get("faraday_mode")),
+    ))
 
     fleet_doc = check.section("fleet", doc.get("fleet"),
                               {"steer_enable", "engine_rpm", "machine_voltage", "catalog"})
     steer_enable = check.boolean("fleet.steer_enable", fleet_doc.get("steer_enable"), default=False)
-    engine_rpm = check.number("fleet.engine_rpm", fleet_doc.get("engine_rpm"),
-                              lo=0.0, hi=8031.875, default=800.0)
-    machine_voltage = check.number("fleet.machine_voltage", fleet_doc.get("machine_voltage"),
-                                   lo=0.0, hi=3276.75, default=12.6)
+    plant = {}
+    for key, default in (("engine_rpm", 800.0), ("machine_voltage", 12.6)):
+        lo, hi = PLANT_FIELDS[key]
+        plant[key] = check.number(f"fleet.{key}", fleet_doc.get(key), lo=lo, hi=hi, default=default)
     overrides = {}
     for name, fields in check.section("fleet.catalog", fleet_doc.get("catalog")).items():
         path = f"fleet.catalog.{name}"
@@ -585,8 +579,9 @@ def validate_scenario(doc: dict) -> Scenario:
         check.expect_keys(path, item, {"t_s", "x", "y", "button"})
         t_us = check.seconds(f"{path}.t_s", check.required(f"{path}.t_s", item.get("t_s")))
         if t_us is not None:
-            entries.append(ScriptEntry(t_us=t_us, x=item.get("x", 125), y=item.get("y", 125),
-                                       button=item.get("button", 0)))
+            # ScriptEntry's defaults stand for absent fields; a null one is checked
+            inputs = {key: item[key] for key in ("x", "y", "button") if key in item}
+            entries.append(ScriptEntry(t_us, **inputs))
     if len(entries) == len(script_doc):  # entry i of the script is joystick_script[i]
         try:
             script = JoystickScript(tuple(entries))
@@ -617,12 +612,11 @@ def validate_scenario(doc: dict) -> Scenario:
         radio=radio,
         catalog=catalog,
         steer_enable=steer_enable,
-        engine_rpm=engine_rpm,
-        machine_voltage=machine_voltage,
         script=script,
         taps=taps,
         attacks=attacks,
         outputs=outputs,
+        **plant,
     )
 
 

@@ -10,6 +10,7 @@ SCENARIOS_DIR = REPO_ROOT / "scenarios"
 
 SNIFF = {"type": "sniff", "start_s": 0.0, "duration_s": 0.5, "save": "cap",
          "attachment": {"kind": "wired-tap", "segment": "vehicle0"}}
+REPLAY = {"type": "replay", "start_s": 1.0, "capture": "vehicle0", "save": "plan"}
 # each time field of a scenario, as the sections that set it to v
 TIME_FIELDS = {
     "duration_s": lambda v: {"duration_s": v},
@@ -38,6 +39,15 @@ MALFORMED_SECTIONS = [
                   {"type": "inject", "start_s": 0.5, "schedule": "plan",
                    "attachment": {"kind": "radio", "strategy": {"mode": "fixed", "channel": 200}}}]},
      "attacks[2].attachment.strategy.channel: must be <= 15, got 200"),
+    ({"fleet": {"machine_voltage": 3276.75}}, "fleet.machine_voltage: must be <= 3276.7, got 3276.75"),
+    # fields that also take hex strings report ranges like every other field
+    ({"attacks": [{**REPLAY, "match": {"pgn": "0x40000"}}]},
+     "attacks[0].match.pgn: must be <= 262143, got 262144"),
+    ({"attacks": [{**REPLAY, "match": {"can_id": -1}}]}, "attacks[0].match.can_id: must be >= 0, got -1"),
+    ({"attacks": [{**REPLAY, "match": {"can_id": "0x20000000"}}]},
+     "attacks[0].match.can_id: must be <= 536870911, got 536870912"),
+    ({"attacks": [{**REPLAY, "match": {"pgn": "0xZZ"}}]}, "attacks[0].match.pgn: expected an integer, got '0xZZ'"),
+    ({"taps": [{"name": "air", "channels": ["0x3", "0x10"]}]}, "taps[0].channels[1]: must be <= 15, got 16"),
 ]
 
 

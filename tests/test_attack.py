@@ -256,6 +256,13 @@ def test_message_match_needs_exactly_one_selector() -> None:
         MessageMatch()
     with pytest.raises(ConfigurationError):
         MessageMatch(can_id=1, pgn=1)
+    # each selector within its range: 29-bit identifier, 18-bit pgn
+    for fields in ({"can_id": -1}, {"can_id": 0x20000000}, {"can_id": True},
+                   {"pgn": -5}, {"pgn": 0x40000}, {"pgn": 0xFF10 + 0.5}):
+        with pytest.raises(ConfigurationError, match="outside"):
+            MessageMatch(**fields)
+    for fields in ({"can_id": 0}, {"can_id": 0x1FFFFFFF}, {"pgn": 0}, {"pgn": 0x3FFFF}):
+        MessageMatch(**fields)
 
 
 def test_match_by_pgn_spans_source_addresses() -> None:
@@ -263,6 +270,11 @@ def test_match_by_pgn_spans_source_addresses() -> None:
     assert match.matches(CanFrame(0x0CFF1028, b""))
     assert match.matches(CanFrame(0x18FF10FE, b""))  # other sender, same group
     assert not match.matches(CanFrame(0x18FF1130, b""))
+    # PDU1 (pf 0xEF < 240): the destination byte is not part of the pgn
+    acknowledge = MessageMatch(pgn=0xEF00)
+    assert acknowledge.matches(CanFrame(0x18EF4210, b""))  # to 0x42 from 0x10
+    assert acknowledge.matches(CanFrame(0x18EFFF27, b""))  # to all from 0x27
+    assert not MessageMatch(pgn=0xEF42).matches(CanFrame(0x18EF4210, b""))
 
 
 def test_replay_schedule_json_roundtrip() -> None:

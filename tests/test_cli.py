@@ -183,6 +183,15 @@ def test_replay_plan_rejects_bad_hex(tmp_path, capsys) -> None:
     write_log(cap, [(0, 0x100, b"\x01")])
     assert main(["replay-plan", str(cap), "--match-pgn", "zzz"]) == 2
     assert "error:" in capsys.readouterr().err
+    # out of range: a pgn has 18 bits and an identifier 29
+    for flag, value, error in (
+        ("--match-pgn", "0x40000", "match pgn 262144 outside 0..262143"),
+        ("--match-pgn", "-5", "match pgn -5 outside 0..262143"),
+        ("--match-id", "-1", "match can_id -1 outside 0..536870911"),
+        ("--match-id", "0x20000000", "match can_id 536870912 outside 0..536870911"),
+    ):
+        assert main(["replay-plan", str(cap), flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
 
 
 def test_replay_plan_rejects_bad_mutation(tmp_path, capsys) -> None:

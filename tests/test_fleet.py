@@ -8,18 +8,23 @@ center 125, clamped to 35 deg, slewed at 20 deg/s.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stave import (
+    CanBus,
     CanFrame,
     ConfigurationError,
     MessageCatalog,
     ScenarioValidationError,
     build_testbed,
     read_signal,
+    run_scenario,
     steering_step,
     steering_target,
+    write_signal,
 )
-from stave.fleet import WHEEL_ANGLE_SIGNAL
+from stave.fleet import ENGINE_SPEED_SIGNAL, PLANT_FIELDS, VOLTAGE_SIGNAL, WHEEL_ANGLE_SIGNAL
 from stave.scenario import validate_scenario
 
 from conftest import make_scenario
@@ -102,22 +107,39 @@ def joy_frames(bed) -> list[CanFrame]:
     return out
 
 
-def test_first_broadcast_lands_at_cycle_not_zero() -> None:
+@pytest.fixture
+def broadcast_times(monkeypatch) -> dict[str, list[int]]:
+    """Message name -> the instants the fleet's own nodes submit it, filled
+    in as a testbed runs (the bridges' re-sent copies are left out)."""
+    names = {can_id: name for name, can_id in EXPECTED_IDS.items()}
+    times: dict[str, list[int]] = {}
+    submit = CanBus.submit
+
+    def spy(bus, handle, frame):
+        if not handle.name.startswith("bridge_"):
+            times.setdefault(names[frame.can_id], []).append(bus.clock.now_us)
+        submit(bus, handle, frame)
+
+    monkeypatch.setattr(CanBus, "submit", spy)
+    return times
+
+
+def test_first_broadcast_lands_at_cycle_not_zero(broadcast_times) -> None:
     bed = build({})
     run(bed, 1_000_000)
-    times = bed.fleet.broadcast_times
+    times = broadcast_times
     assert times["JOY1"][0] == 50_000
     assert times["STR1"][0] == 100_000
     assert times["PWR1"][0] == 1_000_000
     assert times["LED1"][0] == 500_000
 
 
-def test_periodic_submissions_are_exactly_cycle_spaced() -> None:
+def test_periodic_submissions_are_exactly_cycle_spaced(broadcast_times) -> None:
     bed = build({"duration_s": 4.0})
     run(bed, 4_000_000)
-    joy = bed.fleet.broadcast_times["JOY1"]
+    joy = broadcast_times["JOY1"]
     assert joy == [50_000 * (i + 1) for i in range(len(joy))]
-    eec = bed.fleet.broadcast_times["EEC1"]
+    eec = broadcast_times["EEC1"]
     assert eec == [100_000 * (i + 1) for i in range(len(eec))]
 
 
@@ -283,3 +305,22 @@ def test_script_validation_collects_all_errors() -> None:
     assert "does not increase" in text
     assert "x True" in text
     assert "button True" in text
+
+
+PLANT_SIGNALS = {"engine_rpm": ENGINE_SPEED_SIGNAL, "machine_voltage": VOLTAGE_SIGNAL}
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.data())
+def test_every_plant_value_in_range_encodes(data) -> None:
+    assert PLANT_SIGNALS.keys() == PLANT_FIELDS.keys()
+    for key, (lo, hi) in PLANT_FIELDS.items():
+        value = data.draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)), label=key)
+        write_signal(CanFrame(0, b"\xff" * 8), PLANT_SIGNALS[key], value)
+
+
+def test_run_at_the_top_of_the_voltage_range_completes() -> None:
+    # PWR1 first goes out at 1 s; 3276.75 would be raw 0xFFFF, not-available
+    result = run_scenario(make_scenario(duration_s=1.5, fleet={"machine_voltage": 3276.7}))
+    frames = [f for f in result.captures["vehicle0"].can_frames() if f.can_id == EXPECTED_IDS["PWR1"]]
+    assert len(frames) == 1 and read_signal(frames[0], VOLTAGE_SIGNAL) == pytest.approx(3276.7)

@@ -430,3 +430,7 @@ def test_tap_names_unique_and_channels_in_range() -> None:
         medium.add_tap(Tap(name="high", channels=frozenset({4})))
     with pytest.raises(ConfigurationError):
         Tap(name="empty", channels=frozenset())
+    # the name is the interface column of the tap's log: checked when built
+    for name in ("a b", "", "air\n", "\u3000air"):
+        with pytest.raises(ConfigurationError, match="without whitespace"):
+            Tap(name)
