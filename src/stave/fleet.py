@@ -197,7 +197,6 @@ def steering_step(
     *,
     steer_enable: bool = True,
     joystick_age_s: float = 0.0,
-    slew_deg_per_s: float = STEER_SLEW_DEG_PER_S,
 ) -> float:
     """Advance the wheel angle one control step.
 
@@ -211,7 +210,7 @@ def steering_step(
         target_deg = 0.0
     elif target_deg is None:
         return angle_deg
-    max_step = slew_deg_per_s * dt_s
+    max_step = STEER_SLEW_DEG_PER_S * dt_s
     delta = target_deg - angle_deg
     if delta > max_step:
         delta = max_step

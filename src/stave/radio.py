@@ -191,28 +191,6 @@ class Tap:
             if not self.channels:
                 raise ConfigurationError(f"tap {self.name!r} has an empty channel set")
 
-    def hears(self, channel: int | None) -> bool:
-        if self.channels is None:
-            return True
-        return channel is not None and channel in self.channels
-
-
-class _DeliveryToken:
-    """Tracks whether at least one endpoint accepted a transmitted packet."""
-
-    __slots__ = ("sender", "delivered")
-
-    def __init__(self, sender):
-        self.sender = sender
-        self.delivered = False
-
-    def accept(self):
-        if not self.delivered:
-            self.delivered = True
-            notify = getattr(self.sender, "on_packet_delivered", None)
-            if notify is not None:
-                notify()
-
 
 @dataclass
 class RadioStats:
@@ -256,11 +234,15 @@ class RadioMedium:
     def transmit(self, packet: RadioPacket | bytes, sender=None) -> None:
         """Put one packet on the air.
 
-        Taps get a copy now (transmit instant); every endpoint other
-        than the sender gets the bytes after the propagation latency,
-        subject to the faraday barrier and an independent loss draw.
+        Taps get a copy now (transmit instant). Every endpoint other than
+        the sender that the faraday barrier and an independent loss draw
+        let through hears the packet in one event, after the propagation
+        latency. Raw bytes are decoded once, in that event.
         """
-        wire = packet.to_bytes() if isinstance(packet, RadioPacket) else bytes(packet)
+        if isinstance(packet, RadioPacket):
+            wire = packet.to_bytes()
+        else:
+            wire = packet = bytes(packet)
         self.stats.packets_sent += 1
         channel = wire[2] if len(wire) > 2 else None
         sender_inside = getattr(sender, "inside_faraday", True)
@@ -268,12 +250,12 @@ class RadioMedium:
         for tap in self._taps:
             if self.config.faraday_mode and tap.inside_faraday != sender_inside:
                 continue
-            if not tap.hears(channel):
+            if tap.channels is not None and channel not in tap.channels:
                 continue
             tap.log.append(CaptureRecord(
                 timestamp_us=now, interface=tap.name, kind=KIND_RADIO, data=wire,
             ))
-        token = _DeliveryToken(sender)
+        reached = []
         for endpoint in self._endpoints:
             if endpoint is sender:
                 continue
@@ -282,10 +264,28 @@ class RadioMedium:
             if self.config.loss_probability > 0.0 and self._rng.random() < self.config.loss_probability:
                 self.stats.packets_lost += 1
                 continue
-            self.clock.schedule_in(
-                self.config.latency_us,
-                lambda ep=endpoint: ep._receive(wire, token),
-            )
+            reached.append(endpoint)
+        if reached:
+            self.clock.schedule(now + self.config.latency_us,
+                                lambda: self._deliver(packet, reached, sender))
+
+    def _deliver(self, packet: RadioPacket | bytes, endpoints: list[BridgeEndpoint], sender) -> None:
+        """Hand one packet to every endpoint it reached, in endpoint order."""
+        if not isinstance(packet, RadioPacket):
+            try:
+                packet = decapsulate(packet)
+            except DecapsulationError:
+                self.stats.crc_dropped += len(endpoints)
+                return
+        if packet.channel != hop_channel(self.config, packet.seq):
+            self.stats.channel_rejected += len(endpoints)
+            return
+        self.stats.endpoint_delivered += len(endpoints)
+        notify = getattr(sender, "on_packet_delivered", None)
+        if notify is not None:
+            notify()
+        for endpoint in endpoints:
+            endpoint.bus.submit(endpoint.handle, packet.frame)
 
 
 class BridgeEndpoint:
@@ -299,7 +299,6 @@ class BridgeEndpoint:
     def __init__(self, medium: RadioMedium, bus: CanBus, name: str, inside_faraday: bool = True):
         self.medium = medium
         self.bus = bus
-        self.name = name
         self.inside_faraday = inside_faraday
         self.seq_sent = 0
         self.handle: NodeHandle = bus.attach(name, self._on_bus_frame)
@@ -309,17 +308,3 @@ class BridgeEndpoint:
         self.seq_sent += 1
         channel = hop_channel(self.medium.config, seq)
         self.medium.transmit(encapsulate(frame, channel, seq), sender=self)
-
-    def _receive(self, wire: bytes, token: _DeliveryToken) -> None:
-        stats = self.medium.stats
-        try:
-            packet = decapsulate(wire)
-        except DecapsulationError:
-            stats.crc_dropped += 1
-            return
-        if packet.channel != hop_channel(self.medium.config, packet.seq):
-            stats.channel_rejected += 1
-            return
-        stats.endpoint_delivered += 1
-        token.accept()
-        self.bus.submit(self.handle, packet.frame)

@@ -213,9 +213,11 @@ def _run_inject(bed: Testbed, spec: InjectSpec, index: int) -> Callable[[], dict
                                  inside_faraday=spec.attachment.inside_faraday)
 
     def run_inject():
+        schedule = bed.schedules[spec.schedule]
+        # a plan with no span (under two frames) cannot loop: it is sent once, if at all
         schedule_injection(
-            bed.clock, injector, bed.schedules[spec.schedule], spec.start_us,
-            repeat=spec.repeat, end_us=bed.scenario.duration_us,
+            bed.clock, injector, schedule, spec.start_us,
+            repeat=spec.repeat and schedule.span_us > 0, end_us=bed.scenario.duration_us,
         )
 
     bed.clock.schedule(spec.start_us, run_inject)

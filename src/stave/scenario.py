@@ -154,6 +154,11 @@ class Scenario:
     outputs: OutputSpec
 
     def with_seed(self, seed: int) -> "Scenario":
+        """The same scenario with another seed, checked as a document's seed is."""
+        check = _Check()
+        check.integer("seed", seed, lo=0)
+        if check.errors:
+            raise ScenarioValidationError(check.errors)
         return replace(self, seed=seed)
 
 
@@ -387,6 +392,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
     # name -> time from which the named capture or schedule may be consumed
     capture_ready: dict[str, int] = {name: 0 for name in (*SEGMENT_NAMES, *tap_names)}
     schedule_ready: dict[str, int] = {}
+    fast_schedules: set[str] = set()  # planned with fast timing: no gaps to repeat
     report_names: set[str] = set()
 
     def fresh_save(path: str, item: dict) -> str | None:
@@ -481,6 +487,8 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
             if capture is None or match is None or save is None:
                 continue
             schedule_ready[save] = start_us
+            if timing == TIMING_FAST:
+                fast_schedules.add(save)
             report_names.add(save)
             attacks.append(ReplaySpec(start_us=start_us, capture=capture, match=match,
                                       mutation=mutation, timing=timing, save=save))
@@ -490,6 +498,10 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
                                                      num_channels)
             repeat = check.boolean(f"{path}.repeat", item.get("repeat"))
             if schedule is None or attachment is None:
+                continue
+            if repeat and schedule in fast_schedules:
+                check.add(f"{path}.repeat",
+                          f"schedule {schedule!r} has fast timing, so it has no gaps to repeat")
                 continue
             attacks.append(InjectSpec(start_us=start_us, schedule=schedule,
                                       attachment=attachment, **_given(repeat=repeat)))

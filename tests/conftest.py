@@ -48,6 +48,10 @@ MALFORMED_SECTIONS = [
      "attacks[0].match.can_id: must be <= 536870911, got 536870912"),
     ({"attacks": [{**REPLAY, "match": {"pgn": "0xZZ"}}]}, "attacks[0].match.pgn: expected an integer, got '0xZZ'"),
     ({"taps": [{"name": "air", "channels": ["0x3", "0x10"]}]}, "taps[0].channels[1]: must be <= 15, got 16"),
+    ({"attacks": [{**REPLAY, "match": {"pgn": "0xFF10"}, "timing": "fast"},
+                  {"type": "inject", "start_s": 1.0, "schedule": "plan", "repeat": True,
+                   "attachment": {"kind": "wired", "segment": "vehicle0"}}]},
+     "attacks[1].repeat: schedule 'plan' has fast timing, so it has no gaps to repeat"),
 ]
 
 

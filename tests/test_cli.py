@@ -51,6 +51,12 @@ def test_run_seed_flag_overrides_file(tmp_path, scenario_path, capsys) -> None:
     assert json.loads(capsys.readouterr().out)["seed"] == 99
 
 
+def test_run_seed_flag_is_checked_like_the_file_seed(tmp_path, scenario_path, capsys) -> None:
+    assert main(["run", str(scenario_path), "--seed", "-7", "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == "error: seed: must be >= 0, got -7\n"
+    assert not (tmp_path / "a").exists()
+
+
 def test_run_missing_file_is_io_error(tmp_path, capsys) -> None:
     assert main(["run", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -366,7 +366,20 @@ def test_endpoint_rejects_wrong_channel() -> None:
     assert medium.stats.endpoint_delivered == 0
 
 
-def test_endpoint_drops_corrupt_packets() -> None:
+@pytest.fixture
+def decoded(monkeypatch) -> list[bytes]:
+    """Every buffer the medium hands to stave.radio.decapsulate."""
+    calls: list[bytes] = []
+
+    def spy(buf: bytes) -> RadioPacket:
+        calls.append(buf)
+        return decapsulate(buf)
+
+    monkeypatch.setattr("stave.radio.decapsulate", spy)
+    return calls
+
+
+def test_endpoint_drops_corrupt_packets(decoded) -> None:
     clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig())
     got: list[CanFrame] = []
     bus_b.attach("sink", on_frame=got.append)
@@ -377,10 +390,20 @@ def test_endpoint_drops_corrupt_packets() -> None:
     assert got == []
     assert medium.stats.crc_dropped == 2
     assert medium.stats.endpoint_delivered == 0
+    # raw bytes are decoded once for both endpoints that heard them
+    assert decoded == [bytes(wire)]
 
 
-def test_injected_packet_reaches_all_endpoints_but_not_sender() -> None:
+def test_injected_packet_reaches_all_endpoints_but_not_sender(decoded, monkeypatch) -> None:
     clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig())
+    scheduled: list[int] = []
+    schedule = SimClock.schedule
+
+    def spy_schedule(self, at_us, action) -> None:
+        scheduled.append(at_us)
+        schedule(self, at_us, action)
+
+    monkeypatch.setattr(SimClock, "schedule", spy_schedule)
     got_a: list[CanFrame] = []
     got_b: list[CanFrame] = []
     bus_a.attach("sink_a", on_frame=got_a.append)
@@ -395,8 +418,11 @@ def test_injected_packet_reaches_all_endpoints_but_not_sender() -> None:
 
     sender = FakeSender()
     medium.transmit(encapsulate(JOY_FRAME, 0, 0), sender=sender)
+    assert scheduled == [2000]  # one delivery event, after the latency, for both endpoints
     clock.run_until(1_000_000)
     assert len(got_a) == 1 and len(got_b) == 1
+    assert [(f.can_id, f.data) for f in got_a + got_b] == [(JOY_FRAME.can_id, JOY_FRAME.data)] * 2
+    assert decoded == []  # the packet object itself is delivered, never re-decoded
     # one notification per packet even though two endpoints accepted it
     assert sender.delivered == 1
 

@@ -91,6 +91,27 @@ def test_every_attack_type_in_one_run() -> None:
     assert result.captures["pre"][0].timestamp_us >= 50_000
 
 
+def test_repeat_of_an_empty_plan_runs_to_the_horizon(tmp_path) -> None:
+    # PGN 0xEF00 matches nothing on vehicle0, so there is nothing to repeat
+    scenario = make_scenario(
+        duration_s=3.0,
+        attacks=[
+            {"type": "replay", "start_s": 1.0, "capture": "vehicle0",
+             "match": {"pgn": "0xEF00"}, "timing": "preserve", "save": "plan"},
+            {"type": "inject", "start_s": 1.0, "schedule": "plan", "repeat": True,
+             "attachment": {"kind": "wired", "segment": "vehicle0"}},
+        ],
+        outputs={"summary": "summary.json"},
+    )
+    result = run_scenario(scenario, out_dir=tmp_path)
+    assert result.summary["duration_s"] == 3.0
+    assert result.summary["attacks"] == [
+        {"type": "replay", "save": "plan", "entries": 0},
+        {"type": "inject", "schedule": "plan", "sent": 0, "delivered": 0},
+    ]
+    assert set(result.written) == {"summary"}
+
+
 def test_write_outputs_creates_declared_tree(tmp_path) -> None:
     scenario = make_scenario(
         duration_s=2.0,
