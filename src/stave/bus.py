@@ -44,8 +44,10 @@ class BusConfig:
         return bits * US_PER_SECOND // self.bitrate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeHandle:
+    """A node's token on the bus that issued it; equal only to itself."""
+
     node_id: int
     name: str
 
@@ -85,14 +87,11 @@ class CanBus:
         self.clock = clock
         self.name = name
         self.config = config or BusConfig()
-        self._nodes: dict[int, NodeHandle] = {}
+        self._queues: dict[NodeHandle, deque[CanFrame]] = {}  # in node_id order
         # (node_id, on_frame) of every node that listens, in attach order
         self._listeners: list[tuple[int, Callable[[CanFrame], None]]] = []
-        self._names: set[str] = set()
-        self._queues: dict[int, deque[CanFrame]] = {}
         self._waiting = 0  # frames in all queues together
-        self._busy = False
-        self._kick_scheduled = False
+        self._claimed = False  # an arbitration is queued or a frame is on the wire
         self._frames_delivered = 0
         self._busy_us = 0
 
@@ -100,48 +99,35 @@ class CanBus:
         """Join the segment. Node names must be unique per bus."""
         if self.clock.finished:
             raise SimulationError("simulation has ended; cannot attach nodes")
-        if name in self._names:
+        if any(handle.name == name for handle in self._queues):
             raise ConfigurationError(f"node name {name!r} already attached to {self.name}")
-        handle = NodeHandle(node_id=len(self._nodes), name=name)
-        self._nodes[handle.node_id] = handle
+        handle = NodeHandle(node_id=len(self._queues), name=name)
+        self._queues[handle] = deque()
         if on_frame is not None:
             self._listeners.append((handle.node_id, on_frame))
-        self._names.add(name)
-        self._queues[handle.node_id] = deque()
         return handle
 
     def submit(self, handle: NodeHandle, frame: CanFrame) -> None:
         """Queue a frame for transmission from the given node (FIFO per node)."""
         if self.clock.finished:
             raise SimulationError("simulation has ended; frame rejected")
-        if self._nodes.get(handle.node_id) != handle:
+        queue = self._queues.get(handle)
+        if queue is None:
             raise ConfigurationError(f"unknown node handle {handle!r} on bus {self.name}")
         if not isinstance(frame, CanFrame):
             raise ConfigurationError(f"submit() wants a CanFrame, got {type(frame).__name__}")
-        self._queues[handle.node_id].append(frame)
+        queue.append(frame)
         self._waiting += 1
-        if not self._busy and not self._kick_scheduled:
-            self._kick_scheduled = True
+        if not self._claimed:
+            self._claimed = True
             self.clock.schedule(self.clock.now_us, self._kick)
 
-    def _pending(self) -> list[tuple[NodeHandle, CanFrame]]:
-        return [
-            (self._nodes[node_id], queue[0])
-            for node_id, queue in self._queues.items()
-            if queue
-        ]
-
     def _kick(self) -> None:
-        self._kick_scheduled = False
-        if self._busy:
-            return
-        pending = self._pending()
-        if not pending:
-            return
-        winner, frame = arbitrate(pending)
-        self._queues[winner.node_id].popleft()
+        winner, frame = arbitrate(
+            (handle, queue[0]) for handle, queue in self._queues.items() if queue
+        )
+        self._queues[winner].popleft()
         self._waiting -= 1
-        self._busy = True
         duration = self.config.frame_time_us(frame.dlc)
         self.clock.schedule(
             self.clock.now_us + duration,
@@ -149,15 +135,15 @@ class CanBus:
         )
 
     def _complete(self, sender: NodeHandle, frame: CanFrame, duration: int) -> None:
-        self._busy = False
+        self._claimed = False
         self._busy_us += duration
         self._frames_delivered += 1
         delivered = frame.at(self.clock.now_us)
         for node_id, callback in self._listeners:
             if node_id != sender.node_id:
                 callback(delivered)
-        if not self._kick_scheduled and self._waiting:
-            self._kick_scheduled = True
+        if not self._claimed and self._waiting:
+            self._claimed = True
             self.clock.schedule(self.clock.now_us, self._kick)
 
     @property

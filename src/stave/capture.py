@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CaptureError, MonotonicityError, ParseError
 from .j1939 import MAX_CAN_ID, CanFrame
@@ -131,10 +131,8 @@ def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
 class CaptureLog:
     """An append-only, time-ordered sequence of capture records."""
 
-    def __init__(self, records: Iterable[CaptureRecord] = ()):
+    def __init__(self):
         self._records: list[CaptureRecord] = []
-        for record in records:
-            self.append(record)
 
     def append(self, record: CaptureRecord) -> None:
         if self._records and record.timestamp_us < self._records[-1].timestamp_us:

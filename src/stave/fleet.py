@@ -244,8 +244,7 @@ class _Node:
         self.clock: SimClock = fleet.clock
         self.handle: NodeHandle = bus.attach(node_name, self.on_frame)
 
-    def on_frame(self, frame: CanFrame) -> None:  # overridden where a node listens
-        pass
+    on_frame = None  # nodes that listen override this with a method
 
     def broadcast(self, message: str, data: bytes) -> None:
         self.bus.submit(self.handle, CanFrame(self.fleet.can_ids[message], data))

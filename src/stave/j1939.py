@@ -196,18 +196,16 @@ def encode_id(address: J1939Address) -> int:
 class ScaledSignal:
     """A little-endian scaled integer field inside a CAN payload.
 
-    value = raw * scale + offset. Width is 1 or 2 bytes. Unsigned
-    signals reserve a not-available raw sentinel (0xFF / 0xFFFF by
-    default); signed signals disable it by default because the all-ones
-    pattern is a legitimate negative sample.
+    value = raw * scale. Width is 1 or 2 bytes. Unsigned signals reserve
+    the all-ones raw value (0xFF / 0xFFFF) as the not-available sentinel;
+    signed signals have none because all ones is a legitimate negative
+    sample.
     """
 
     byte_offset: int
     width_bytes: int
     scale: float
-    offset: float = 0.0
     signed: bool = False
-    not_available_raw: int | None = None
 
     def __post_init__(self):
         if self.width_bytes not in (1, 2):
@@ -218,8 +216,10 @@ class ScaledSignal:
             raise SignalError("signal extends past byte 7")
         if not self.scale > 0:
             raise SignalError(f"scale {self.scale!r} must be positive")
-        if self.not_available_raw is None and not self.signed:
-            object.__setattr__(self, "not_available_raw", 0xFF if self.width_bytes == 1 else 0xFFFF)
+
+    @property
+    def not_available_raw(self) -> int | None:
+        return None if self.signed else (1 << (8 * self.width_bytes)) - 1
 
     @property
     def raw_bounds(self) -> tuple[int, int]:
@@ -244,13 +244,13 @@ def read_signal(frame: CanFrame, signal: ScaledSignal) -> float | None:
         bits = 8 * signal.width_bytes
         if raw >= 1 << (bits - 1):
             raw -= 1 << bits
-    return raw * signal.scale + signal.offset
+    return raw * signal.scale
 
 
 def write_signal(frame: CanFrame, signal: ScaledSignal, value: float) -> CanFrame:
     """Encode a physical value into a copy of the frame.
 
-    The raw value is the nearest integer of (value - offset) / scale, so
+    The raw value is the nearest integer of value / scale, so
     a read-back differs from ``value`` by at most scale/2.
     """
     end = signal.byte_offset + signal.width_bytes
@@ -258,7 +258,7 @@ def write_signal(frame: CanFrame, signal: ScaledSignal, value: float) -> CanFram
         raise SignalError(
             f"signal bytes {signal.byte_offset}..{end - 1} outside dlc {frame.dlc}"
         )
-    raw = round((value - signal.offset) / signal.scale)
+    raw = round(value / signal.scale)
     lo, hi = signal.raw_bounds
     if not lo <= raw <= hi:
         raise SignalError(f"value {value!r} maps to raw {raw}, outside {lo}..{hi}")

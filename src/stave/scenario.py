@@ -272,6 +272,9 @@ def _relative_path(check: _Check, path: str, value) -> str | None:
     if p.is_absolute() or ".." in p.parts:
         check.add(path, f"must be a relative path without '..', got {text!r}")
         return None
+    if not p.parts:
+        check.add(path, f"must name a file, got {text!r}")
+        return None
     return text
 
 
@@ -610,9 +613,14 @@ def validate_scenario(doc: dict) -> Scenario:
     summary = _relative_path(check, "outputs.summary", outputs_doc.get("summary"))
     captures = _output_paths(check, outputs_doc, "captures", capture_ready, "capture")
     reports = _output_paths(check, outputs_doc, "reports", report_names, "report")
-    paths = [p for p in [summary, *captures.values(), *reports.values()] if p]
+    texts = [p for p in [summary, *captures.values(), *reports.values()] if p]
+    paths = [Path(text).parts for text in texts]  # "a/./b" and "a/b" are one path
     if len(paths) != len(set(paths)):
         check.add("outputs", "two outputs share the same path")
+    for directory, directory_text in zip(paths, texts):
+        for path, text in zip(paths, texts):
+            if len(directory) < len(path) and path[:len(directory)] == directory:
+                check.add("outputs", f"output path {directory_text!r} is a directory of {text!r}")
     outputs = OutputSpec(summary=summary, captures=captures, reports=reports)
 
     if check.errors:

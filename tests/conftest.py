@@ -52,6 +52,12 @@ MALFORMED_SECTIONS = [
                   {"type": "inject", "start_s": 1.0, "schedule": "plan", "repeat": True,
                    "attachment": {"kind": "wired", "segment": "vehicle0"}}]},
      "attacks[1].repeat: schedule 'plan' has fast timing, so it has no gaps to repeat"),
+    # output paths are compared as paths, not as strings
+    ({"outputs": {"summary": "out/s.json", "captures": {"vehicle0": "out/./s.json"}}},
+     "outputs: two outputs share the same path"),
+    ({"outputs": {"summary": "./"}}, "outputs.summary: must name a file, got './'"),
+    ({"outputs": {"summary": "x", "captures": {"vehicle0": "x/v.log"}}},
+     "outputs: output path 'x' is a directory of 'x/v.log'"),
 ]
 
 

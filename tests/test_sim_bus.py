@@ -9,6 +9,8 @@ pending identifiers.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stave import (
     ArbitrationCollisionError,
@@ -249,7 +251,46 @@ def test_submit_checks_handle_and_frame() -> None:
         bus.submit(NodeHandle(node_id=99, name="ghost"), CanFrame(0x1, b""))
     with pytest.raises(ConfigurationError):
         bus.submit(a, b"raw bytes")
-    del foreign
+    with pytest.raises(ConfigurationError):
+        bus.submit(foreign, CanFrame(0x1, b""))
+    # equal in node_id and name to `a`, but issued by another bus
+    twin = CanBus(SimClock(), "can2").attach("a")
+    with pytest.raises(ConfigurationError):
+        bus.submit(twin, CanFrame(0x1, b""))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3_000), st.integers(0, 8)), max_size=24))
+def test_bus_matches_reference_model(sends) -> None:
+    """(node, submit instant, dlc) sends with distinct ids 0x100 + i, against
+    a reference model: the next frame starts at the later of the bus going
+    idle and the earliest unsent submit, the lowest id among the node-queue
+    heads submitted by then wins, and it arrives one frame time later."""
+    frames = sorted(
+        ((at_us, node, CanFrame(0x100 + i, bytes(dlc))) for i, (node, at_us, dlc) in enumerate(sends)),
+        key=lambda send: send[0],
+    )
+    clock, bus = _bus()
+    handles = [bus.attach(f"n{node}") for node in range(4)]
+    got: list[tuple[int, int]] = []
+    bus.attach("watch", on_frame=lambda f: got.append((f.can_id, f.timestamp_us)))
+    for at_us, node, frame in frames:
+        clock.schedule(at_us, lambda node=node, frame=frame: bus.submit(handles[node], frame))
+    clock.run_until(100_000)
+
+    queues = [[(at_us, frame) for at_us, n, frame in frames if n == node] for node in range(4)]
+    expected = []
+    idle_us = 0
+    while any(queues):
+        start_us = max(idle_us, min(queue[0][0] for queue in queues if queue))
+        winner = min(
+            (queue for queue in queues if queue and queue[0][0] <= start_us),
+            key=lambda queue: queue[0][1].can_id,
+        )
+        _, frame = winner.pop(0)
+        idle_us = start_us + bus.config.frame_time_us(frame.dlc)
+        expected.append((frame.can_id, idle_us))
+    assert got == expected
 
 
 def test_attach_names_unique_per_bus() -> None:
