@@ -23,9 +23,9 @@ import re
 from dataclasses import dataclass
 
 from .bus import CanBus, NodeHandle
-from .capture import KIND_CAN, KIND_RADIO, CaptureLog
+from .capture import CaptureLog
 from .errors import BaselineError, ConfigurationError, DecapsulationError
-from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, pgn_of
+from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -40,15 +40,15 @@ RATE_CHANGE_RATIO = 1.5
 def capture_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
     """(timestamp_us, frame) pairs from a capture, decapsulating radio records."""
     out = []
-    for record in capture:
-        if record.kind == KIND_CAN:
-            out.append((record.timestamp_us, record.frame()))
-        elif record.kind == KIND_RADIO:
+    for timestamp_us, can_id, data in capture.rows():
+        if can_id is not None:
+            out.append((timestamp_us, _valid_frame(can_id, data, timestamp_us)))
+        else:
             try:
-                packet = decapsulate(record.data)
+                packet = decapsulate(data)
             except DecapsulationError:
                 continue
-            out.append((record.timestamp_us, packet.frame.at(record.timestamp_us)))
+            out.append((timestamp_us, packet.frame.at(timestamp_us)))
     return out
 
 
@@ -67,10 +67,10 @@ def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:
     Counts radio records only; CAN records have no channel.
     """
     counts: dict[int, int] = {}
-    for record in capture:
-        if record.kind != KIND_RADIO or len(record.data) < 3:
+    for _, can_id, data in capture.rows():
+        if can_id is not None or len(data) < 3:
             continue
-        channel = record.data[2]
+        channel = data[2]
         counts[channel] = counts.get(channel, 0) + 1
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 

@@ -1,6 +1,8 @@
 """Capture records and the text log format.
 
-One record per line, UTF-8, LF terminated. Two line kinds:
+One record per line, UTF-8, every line LF terminated and split at LF
+only (a CR or any other line break is part of a line, and so an error).
+Two line kinds:
 
     (<ts>) <iface> <ID8>#<DATAHEX>     CAN frame
     (<ts>) <iface> R:<PACKETHEX>       radio packet
@@ -15,13 +17,16 @@ non-decreasing within a file.
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .errors import CaptureError, MonotonicityError, ParseError
-from .j1939 import MAX_CAN_ID, CanFrame
+from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
 
 KIND_CAN = "can"
 KIND_RADIO = "radio"
@@ -31,6 +36,8 @@ KIND_RADIO = "radio"
 _LINE_RE = re.compile(r"^\((0|[1-9][0-9]*)\.([0-9]{6})\) (\S+) (.+)\Z")
 _CAN_BODY_RE = re.compile(r"^([0-9A-F]{8})#((?:[0-9A-F]{2})*)$")
 _RADIO_BODY_RE = re.compile(r"^R:((?:[0-9A-F]{2})+)$")
+# a radio record's entry in a log's identifier column
+_RADIO_ID = -1
 
 
 def valid_interface(name) -> bool:
@@ -61,7 +68,7 @@ class CaptureRecord:
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
         object.__setattr__(self, "data", bytes(self.data))
         if self.kind == KIND_CAN:
-            if self.can_id is None or not 0 <= self.can_id <= MAX_CAN_ID:
+            if not isinstance(self.can_id, int) or not 0 <= self.can_id <= MAX_CAN_ID:
                 raise CaptureError(f"can record needs a 29-bit can_id, got {self.can_id!r}")
             if len(self.data) > 8:
                 raise CaptureError("can record payload exceeds 8 bytes")
@@ -76,7 +83,20 @@ class CaptureRecord:
     def frame(self) -> CanFrame:
         if self.kind != KIND_CAN:
             raise CaptureError("not a can record")
-        return CanFrame(self.can_id, self.data, timestamp_us=self.timestamp_us)
+        # a record's fields are already a valid frame's
+        return _valid_frame(self.can_id, self.data, self.timestamp_us)
+
+
+def _valid_record(timestamp_us: int, interface: str, kind: str, data: bytes,
+                  can_id: int | None = None) -> CaptureRecord:
+    """A CaptureRecord from fields already known to be valid, without re-checking them."""
+    record = object.__new__(CaptureRecord)
+    object.__setattr__(record, "timestamp_us", timestamp_us)
+    object.__setattr__(record, "interface", interface)
+    object.__setattr__(record, "kind", kind)
+    object.__setattr__(record, "data", data)
+    object.__setattr__(record, "can_id", can_id)
+    return record
 
 
 def _format_ts(us: int) -> str:
@@ -129,68 +149,143 @@ def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
 
 
 class CaptureLog:
-    """An append-only, time-ordered sequence of capture records."""
+    """An append-only, time-ordered sequence of capture records.
+
+    Stored column-wise: timestamps and identifiers in arrays (a radio
+    record's identifier is -1), interfaces and payloads in lists. A
+    CaptureRecord is built only when one is read.
+    """
 
     def __init__(self):
-        self._records: list[CaptureRecord] = []
+        self._stamps = array("q")
+        self._ids = array("i")
+        self._interfaces: list[str] = []
+        self._payloads: list[bytes] = []
 
     def append(self, record: CaptureRecord) -> None:
-        if self._records and record.timestamp_us < self._records[-1].timestamp_us:
+        stamps = self._stamps
+        if stamps and record.timestamp_us < stamps[-1]:
             raise MonotonicityError(
-                f"timestamp {record.timestamp_us} us is before previous "
-                f"{self._records[-1].timestamp_us} us"
+                f"timestamp {record.timestamp_us} us is before previous {stamps[-1]} us"
             )
-        self._records.append(record)
+        stamps.append(record.timestamp_us)
+        self._ids.append(_RADIO_ID if record.can_id is None else record.can_id)
+        self._interfaces.append(record.interface)
+        self._payloads.append(record.data)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._stamps)
 
     def __iter__(self) -> Iterator[CaptureRecord]:
-        return iter(self._records)
+        return map(_stored_record, self._stamps, self._interfaces, self._ids, self._payloads)
 
     def __getitem__(self, index):
-        return self._records[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return _stored_record(self._stamps[index], self._interfaces[index],
+                              self._ids[index], self._payloads[index])
+
+    def rows(self) -> Iterator[tuple[int, int | None, bytes]]:
+        """(timestamp_us, can_id, data) of each record, without building the
+        records; can_id is None for a radio record."""
+        for timestamp_us, can_id, data in zip(self._stamps, self._ids, self._payloads):
+            yield timestamp_us, None if can_id == _RADIO_ID else can_id, data
 
     @property
     def span_us(self) -> int:
         """Time between first and last record; 0 for fewer than 2 records."""
-        if len(self._records) < 2:
-            return 0
-        return self._records[-1].timestamp_us - self._records[0].timestamp_us
+        stamps = self._stamps
+        return stamps[-1] - stamps[0] if len(stamps) > 1 else 0
 
     def window(self, start_us: int, end_us: int) -> "CaptureLog":
         """Records with start_us <= timestamp < end_us."""
+        lo = bisect_left(self._stamps, start_us)
+        hi = max(lo, bisect_left(self._stamps, end_us))
         out = CaptureLog()
-        for record in self._records:
-            if start_us <= record.timestamp_us < end_us:
-                out._records.append(record)
+        out._stamps = self._stamps[lo:hi]
+        out._ids = self._ids[lo:hi]
+        out._interfaces = self._interfaces[lo:hi]
+        out._payloads = self._payloads[lo:hi]
         return out
 
     def can_frames(self) -> list[CanFrame]:
         """The CAN frames in this log (radio records skipped)."""
-        return [r.frame() for r in self._records if r.kind == KIND_CAN]
+        return [_valid_frame(can_id, data, ts)
+                for ts, can_id, data in self.rows() if can_id is not None]
 
     def to_text(self) -> str:
-        return "".join(serialize_record(r) for r in self._records)
+        return "".join(map(serialize_record, self))
 
     @classmethod
     def from_text(cls, text: str) -> "CaptureLog":
+        """Parse log text: LF-terminated lines, split at LF only."""
         log = cls()
-        last = -1
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        lines = text.split("\n")
+        if lines[-1]:
+            raise ParseError("last line lacks its LF terminator", len(lines))
+        for lineno, line in enumerate(lines[:-1], start=1):
             record = parse_record(line, lineno)
-            if record.timestamp_us < last:
+            try:
+                log.append(record)
+            except MonotonicityError:
                 raise MonotonicityError(
                     f"line {lineno}: timestamp goes backwards "
-                    f"({record.timestamp_us} us after {last} us)"
-                )
-            last = record.timestamp_us
-            log._records.append(record)
+                    f"({record.timestamp_us} us after {log._stamps[-1]} us)"
+                ) from None
         return log
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(map(serialize_record, self))
 
     @classmethod
     def load(cls, path: str | Path) -> "CaptureLog":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(_decode(Path(path).read_bytes()))
+
+
+def _decode(raw: bytes) -> str:
+    """A log file's text; bytes that are not UTF-8 are a ParseError on their line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}",
+                         raw.count(b"\n", 0, exc.start) + 1) from None
+
+
+def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) -> CaptureRecord:
+    """The record one row of a log's columns holds."""
+    if can_id == _RADIO_ID:
+        return _valid_record(timestamp_us, interface, KIND_RADIO, data)
+    return _valid_record(timestamp_us, interface, KIND_CAN, data, can_id)
+
+
+class CapturePoint:
+    """A place that observes traffic: a segment recorder or a radio tap.
+
+    It counts every record it sees and hands each one to the logs that
+    keep it. ``sinks`` holds (log, start_us, end_us) entries: a log keeps
+    the records with start_us <= timestamp_us < end_us. A new point keeps
+    everything in ``log``; a run keeps only what it reads or writes.
+    """
+
+    def __init__(self, interface: str, kind: str):
+        self.interface = interface
+        self.kind = kind
+        self.log = CaptureLog()
+        self.seen = 0
+        self.sinks: list[tuple[CaptureLog, int, float]] = []
+        self.keep(self.log)
+
+    def keep(self, log: CaptureLog, start_us: int = 0, end_us: float = math.inf) -> None:
+        """Also append the records seen in [start_us, end_us) to log."""
+        self.sinks.append((log, start_us, end_us))
+
+    def observe(self, timestamp_us: int, data: bytes, can_id: int | None = None) -> None:
+        """Count one valid observation; build its record only if a sink keeps it."""
+        self.seen += 1
+        record = None
+        for log, start_us, end_us in self.sinks:
+            if start_us <= timestamp_us < end_us:
+                if record is None:
+                    record = _valid_record(timestamp_us, self.interface, self.kind, data, can_id)
+                log.append(record)

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import binascii
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bus import CanBus, NodeHandle
-from .capture import KIND_RADIO, CaptureLog, CaptureRecord, valid_interface
+from .capture import KIND_RADIO, CapturePoint, valid_interface
 from .errors import (
     ConfigurationError,
     DecapsulationError,
@@ -171,8 +171,8 @@ def decapsulate(buf: bytes) -> RadioPacket:
     )
 
 
-@dataclass
-class Tap:
+@dataclass(eq=False)
+class Tap(CapturePoint):
     """Passive radio observer with a channel filter.
 
     ``channels`` is a set of channel indices, or None for all-band.
@@ -181,7 +181,6 @@ class Tap:
     name: str
     channels: frozenset[int] | None = None
     inside_faraday: bool = True
-    log: CaptureLog = field(default_factory=CaptureLog)
 
     def __post_init__(self):
         if not valid_interface(self.name):
@@ -190,6 +189,7 @@ class Tap:
             self.channels = frozenset(self.channels)
             if not self.channels:
                 raise ConfigurationError(f"tap {self.name!r} has an empty channel set")
+        CapturePoint.__init__(self, self.name, KIND_RADIO)
 
 
 @dataclass
@@ -252,9 +252,7 @@ class RadioMedium:
                 continue
             if tap.channels is not None and channel not in tap.channels:
                 continue
-            tap.log.append(CaptureRecord(
-                timestamp_us=now, interface=tap.name, kind=KIND_RADIO, data=wire,
-            ))
+            tap.observe(now, wire)
         reached = []
         for endpoint in self._endpoints:
             if endpoint is sender:

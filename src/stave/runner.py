@@ -25,10 +25,9 @@ from .attack import (
     diff_captures,
     plan_replay,
     schedule_injection,
-    sniff,
 )
 from .bus import CanBus
-from .capture import KIND_CAN, CaptureLog, CaptureRecord
+from .capture import KIND_CAN, CaptureLog, CapturePoint
 from .fleet import Fleet, VehicleObservables
 from .radio import RadioMedium, Tap
 from .scenario import (
@@ -51,22 +50,15 @@ def json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-class _Recorder:
-    """Passive bus node that logs every delivered frame."""
+class _Recorder(CapturePoint):
+    """Passive bus node that observes every delivered frame."""
 
     def __init__(self, bus: CanBus):
-        self.interface = bus.name
-        self.log = CaptureLog()
+        super().__init__(bus.name, KIND_CAN)
         self.handle = bus.attach("recorder", on_frame=self._on_frame)
 
     def _on_frame(self, frame) -> None:
-        self.log.append(CaptureRecord(
-            timestamp_us=frame.timestamp_us,
-            interface=self.interface,
-            kind=KIND_CAN,
-            data=frame.data,
-            can_id=frame.can_id,
-        ))
+        self.observe(frame.timestamp_us, frame.data, frame.can_id)
 
 
 @dataclass
@@ -78,6 +70,9 @@ class Testbed:
     buses: dict[str, CanBus]
     medium: RadioMedium
     fleet: Fleet
+    # every recorder and tap, by log name; counts all it sees
+    points: dict[str, CapturePoint]
+    # the logs kept whole, then each sniff save once its window closes
     captures: dict[str, CaptureLog]
     reports: dict[str, dict] = field(default_factory=dict)
     schedules: dict[str, ReplaySchedule] = field(default_factory=dict)
@@ -98,13 +93,12 @@ def build_testbed(scenario: Scenario) -> Testbed:
     """Construct buses, radio, vehicle, and attack timeline for a scenario."""
     clock = SimClock()
     buses = {name: CanBus(clock, name, scenario.bus) for name in SEGMENT_NAMES}
-    recorders = [_Recorder(bus) for bus in buses.values()]
+    points: dict[str, CapturePoint] = {name: _Recorder(bus) for name, bus in buses.items()}
 
     medium = RadioMedium(clock, scenario.radio, rng=loss_rng(scenario.seed))
-    captures: dict[str, CaptureLog] = {r.interface: r.log for r in recorders}
     for spec in scenario.taps:
-        tap = medium.add_tap(Tap(name=spec.name, channels=spec.channels, inside_faraday=spec.inside_faraday))
-        captures[spec.name] = tap.log
+        points[spec.name] = medium.add_tap(
+            Tap(name=spec.name, channels=spec.channels, inside_faraday=spec.inside_faraday))
     medium.create_endpoint(buses["operator0"], "bridge_op")
     medium.create_endpoint(buses["vehicle0"], "bridge_veh")
 
@@ -125,8 +119,15 @@ def build_testbed(scenario: Scenario) -> Testbed:
         buses=buses,
         medium=medium,
         fleet=fleet,
-        captures=captures,
+        points=points,
+        captures={},
     )
+    # A run keeps the records it reads or writes and only counts the rest:
+    # outputs and the run steps below ask for what they need.
+    for point in points.values():
+        point.sinks.clear()
+    for name in scenario.outputs.captures:
+        _keep_whole(bed, name)
     # list order breaks same-instant ties between attack events
     bed.attack_summaries = [_RUN_STEPS[type(spec)](bed, spec, index)
                             for index, spec in enumerate(scenario.attacks)]
@@ -143,20 +144,33 @@ def occupancy_report(capture: str, counts: list[tuple[int, int]]) -> dict:
     }
 
 
-# One run step per attack type: queue the attack's events on the clock
-# and return the function that builds its summary entry after the run.
+def _keep_whole(bed: Testbed, name: str) -> None:
+    """Keep every record of a recorder's or tap's log (a sniff save is kept anyway)."""
+    point = bed.points.get(name)
+    if point is not None and name not in bed.captures:
+        point.keep(point.log)
+        bed.captures[name] = point.log
+
+
+# One run step per attack type: say which logs the attack reads, queue its
+# events on the clock and return the function that builds its summary
+# entry after the run.
 
 def _run_sniff(bed: Testbed, spec: SniffSpec, index: int) -> Callable[[], dict]:
-    source = bed.captures[spec.source]
+    save = CaptureLog()
+    bed.points[spec.source].keep(save, spec.start_us, spec.start_us + spec.duration_us)
 
     def materialize():
-        bed.captures[spec.save] = sniff(source, spec.start_us, spec.duration_us)
+        bed.captures[spec.save] = save
 
     bed.clock.schedule(spec.start_us + spec.duration_us, materialize)
     return lambda: {"type": "sniff", "save": spec.save, "records": len(bed.captures[spec.save])}
 
 
 def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:
+    _keep_whole(bed, spec.pre)
+    _keep_whole(bed, spec.post)
+
     def run_diff():
         report = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
         bed.reports[spec.save] = report.to_json_dict()
@@ -177,6 +191,8 @@ def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:
 
 
 def _run_occupancy(bed: Testbed, spec: OccupancySpec, index: int) -> Callable[[], dict]:
+    _keep_whole(bed, spec.capture)
+
     def run_occupancy():
         counts = channel_occupancy(bed.captures[spec.capture])
         bed.reports[spec.save] = occupancy_report(spec.capture, counts)
@@ -192,6 +208,8 @@ def _run_occupancy(bed: Testbed, spec: OccupancySpec, index: int) -> Callable[[]
 
 
 def _run_replay(bed: Testbed, spec: ReplaySpec, index: int) -> Callable[[], dict]:
+    _keep_whole(bed, spec.capture)
+
     def run_plan():
         schedule = plan_replay(bed.captures[spec.capture], spec.match, spec.mutation, spec.timing)
         bed.schedules[spec.save] = schedule
@@ -268,7 +286,8 @@ def summarize(bed: Testbed) -> dict:
         },
         "buses": buses,
         "radio": asdict(bed.medium.stats),
-        "captures": {name: len(log) for name, log in bed.captures.items()},
+        "captures": {name: point.seen for name, point in bed.points.items()}
+                    | {name: len(log) for name, log in bed.captures.items() if name not in bed.points},
         "attacks": [entry() for entry in bed.attack_summaries],
     }
 

@@ -197,6 +197,7 @@ def test_criterion_5_faraday_isolation(report) -> None:
             {"name": "inside", "channels": "all", "inside_faraday": True},
             {"name": "outside", "channels": "all", "inside_faraday": False},
         ],
+        "outputs": {"captures": {"inside": "inside.log", "outside": "outside.log"}},
     })
     result = run_scenario(scenario)
     sent = result.summary["radio"]["packets_sent"]

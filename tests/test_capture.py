@@ -21,7 +21,8 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import KIND_CAN, KIND_RADIO
+from stave.capture import KIND_CAN, KIND_RADIO, valid_interface
+from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
 def can_record(ts: int = 50524, can_id: int = 0x0CFF1028,
@@ -118,6 +119,56 @@ def test_every_accepted_line_reserializes_identically(line: str) -> None:
     assert serialize_record(record) == line.removesuffix("\n") + "\n"
 
 
+# every line break str.splitlines knows; a log line ends at LF alone
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE = "(0.000001) can0 00000100#AA"
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.one_of(
+    st.lists(st.tuples(_NEAR_LINES, st.sampled_from(["", *_LINE_BREAKS])), max_size=3)
+    .map(lambda parts: "".join(line + end for line, end in parts)),
+    st.text(max_size=40),
+))
+def test_every_accepted_text_reserializes_identically(text: str) -> None:
+    try:
+        log = CaptureLog.from_text(text)
+    except CaptureError:
+        return
+    assert log.to_text() == text
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS[1:])
+def test_from_text_splits_at_lf_only(brk: str) -> None:
+    with pytest.raises(ParseError) as err:
+        CaptureLog.from_text(f"{LINE}\n{LINE}{brk}{LINE}\n")
+    assert err.value.lineno == 2
+
+
+def test_from_text_needs_a_final_lf() -> None:
+    assert len(CaptureLog.from_text("")) == 0
+    with pytest.raises(ParseError) as err:
+        CaptureLog.from_text(f"{LINE}\n{LINE}")
+    assert err.value.lineno == 2
+
+
+def test_load_reads_line_ends_untranslated(tmp_path) -> None:
+    path = tmp_path / "crlf.log"
+    path.write_bytes(f"{LINE}\r\n".encode())
+    with pytest.raises(ParseError) as err:
+        CaptureLog.load(path)
+    assert err.value.lineno == 1
+
+
+def test_load_reports_bytes_that_are_not_utf8_on_their_line(tmp_path) -> None:
+    path = tmp_path / "latin1.log"
+    path.write_bytes(f"{LINE}\n".encode() + "(0.000002) can\xe90 00000100#AA\n".encode("latin-1"))
+    with pytest.raises(ParseError) as err:
+        CaptureLog.load(path)
+    assert err.value.lineno == 2
+    assert "not UTF-8" in str(err.value)
+
+
 def test_parse_error_carries_line_number() -> None:
     with pytest.raises(ParseError) as err:
         parse_record("nope", lineno=7)
@@ -191,6 +242,8 @@ def test_record_validation() -> None:
     with pytest.raises(CaptureError):
         CaptureRecord(timestamp_us=0, interface="x", kind=KIND_CAN, data=b"", can_id=None)
     with pytest.raises(CaptureError):
+        CaptureRecord(timestamp_us=0, interface="x", kind=KIND_CAN, data=b"", can_id=1.0)
+    with pytest.raises(CaptureError):
         CaptureRecord(timestamp_us=0, interface="", kind=KIND_CAN, data=b"", can_id=1)
 
 
@@ -205,3 +258,56 @@ def test_record_rejects_whitespace_anywhere_in_interface() -> None:
     for i in range(0, len(others), 1000):
         CaptureRecord(timestamp_us=0, interface="".join(others[i:i + 1000]), kind=KIND_CAN,
                       data=b"", can_id=1)
+
+
+def _model_record(timestamp_us: int, interface: str, can_id: int | None, data: bytes) -> CaptureRecord:
+    if can_id is None:
+        return CaptureRecord(timestamp_us=timestamp_us, interface=interface, kind=KIND_RADIO,
+                             data=data or b"\x00")
+    return CaptureRecord(timestamp_us=timestamp_us, interface=interface, kind=KIND_CAN,
+                         data=data[:8], can_id=can_id)
+
+
+def _model_records(rows) -> list[CaptureRecord]:
+    records, ts = [], 0
+    for gap, interface, can_id, data in rows:
+        ts += gap
+        records.append(_model_record(ts, interface, can_id, data))
+    return records
+
+
+# valid CAN and radio records in time order, ties included
+_RECORDS = st.lists(st.tuples(
+    st.one_of(st.just(0), st.integers(0, 3_000_000)),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3).filter(valid_interface),
+    st.one_of(st.none(), st.integers(0, MAX_CAN_ID)),
+    st.binary(max_size=12),
+), max_size=12).map(_model_records)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(records=_RECORDS, data=st.data())
+def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -> None:
+    log = CaptureLog()
+    for record in records:
+        log.append(record)
+    n = len(records)
+    assert len(log) == n
+    assert list(log) == records
+    assert [log[i] for i in range(-n, n)] == records + records
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            log[i]
+    cut = data.draw(st.slices(n), label="slice")
+    assert log[cut] == records[cut]
+    stamps = st.integers(-1, records[-1].timestamp_us + 1 if records else 1)
+    start, end = data.draw(stamps, label="start"), data.draw(stamps, label="end")
+    assert list(log.window(start, end)) == [r for r in records if start <= r.timestamp_us < end]
+    assert list(log.rows()) == [(r.timestamp_us, r.can_id, r.data) for r in records]
+    assert log.can_frames() == [CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us)
+                                for r in records if r.kind == KIND_CAN]
+    assert log.span_us == (records[-1].timestamp_us - records[0].timestamp_us if n > 1 else 0)
+    assert log.to_text() == "".join(serialize_record(r) for r in records)
+    path = tmp_path_factory.mktemp("model") / "log.txt"
+    log.save(path)
+    assert list(CaptureLog.load(path)) == records

@@ -161,6 +161,13 @@ def test_occupancy_stdout_and_file(tmp_path, capsys) -> None:
     assert json.loads(report.read_text(encoding="utf-8")) == doc | {"capture": str(run_out / "air.log")}
 
 
+def test_occupancy_locates_bytes_that_are_not_utf8(tmp_path, capsys) -> None:
+    cap = tmp_path / "cap.log"
+    cap.write_bytes(b"(0.000001) air R:A55A00\n(0.000002) air\xff R:A55A00\n")
+    assert main(["occupancy", str(cap)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+
+
 def test_replay_plan_roundtrip(tmp_path, capsys) -> None:
     cap = tmp_path / "cap.log"
     write_log(cap, [

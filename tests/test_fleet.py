@@ -91,8 +91,12 @@ def test_steering_step_gates_and_staleness() -> None:
     assert steering_step(-10.0, None, 0.1) == -10.0
 
 
+# a run keeps only the logs its scenario reads or writes: these tests read both segments
+SEGMENT_LOGS = {"captures": {"operator0": "operator0.log", "vehicle0": "vehicle0.log"}}
+
+
 def build(doc_sections: dict):
-    return build_testbed(make_scenario(**doc_sections))
+    return build_testbed(make_scenario(outputs=SEGMENT_LOGS, **doc_sections))
 
 
 def run(bed, t_end_us: int) -> None:
@@ -321,6 +325,7 @@ def test_every_plant_value_in_range_encodes(data) -> None:
 
 def test_run_at_the_top_of_the_voltage_range_completes() -> None:
     # PWR1 first goes out at 1 s; 3276.75 would be raw 0xFFFF, not-available
-    result = run_scenario(make_scenario(duration_s=1.5, fleet={"machine_voltage": 3276.7}))
+    result = run_scenario(make_scenario(duration_s=1.5, fleet={"machine_voltage": 3276.7},
+                                        outputs={"captures": {"vehicle0": "vehicle0.log"}}))
     frames = [f for f in result.captures["vehicle0"].can_frames() if f.can_id == EXPECTED_IDS["PWR1"]]
     assert len(frames) == 1 and read_signal(frames[0], VOLTAGE_SIGNAL) == pytest.approx(3276.7)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from conftest import load_fixture, make_scenario
 
 from stave import CaptureLog, build_testbed, run_scenario, summarize, validate_scenario
@@ -11,7 +12,7 @@ JOY = 0x0CFF1028
 
 
 def test_summary_shape_and_consistency() -> None:
-    result = run_scenario(make_scenario(duration_s=2.0))
+    result = run_scenario(make_scenario(duration_s=2.0, outputs={"captures": {"operator0": "operator0.log"}}))
     summary = result.summary
     assert summary["schema"] == "stave-summary/1"
     assert summary["seed"] == 0
@@ -59,6 +60,7 @@ def test_every_attack_type_in_one_run() -> None:
             {"type": "inject", "start_s": 2.1, "schedule": "sched",
              "attachment": {"kind": "wired", "segment": "vehicle0"}},
         ],
+        outputs={"captures": {"operator0": "operator0.log", "vehicle0": "vehicle0.log"}},
     )
     result = run_scenario(scenario)
     by_type = {entry["type"]: entry for entry in result.summary["attacks"]}
@@ -155,6 +157,7 @@ def test_same_seed_reproduces_everything() -> None:
 
 def test_seed_changes_only_the_loss_stream() -> None:
     doc = load_fixture("lossy_hopping.json")
+    doc["outputs"]["captures"]["vehicle0"] = "lossy/vehicle0.log"
     base = validate_scenario(doc)
     a = run_scenario(base.with_seed(42))
     b = run_scenario(base.with_seed(777))
@@ -164,6 +167,55 @@ def test_seed_changes_only_the_loss_stream() -> None:
     # taps observe the air ideally, so their logs are seed-invariant
     assert a.captures["air"].to_text() == b.captures["air"].to_text()
     assert a.captures["vehicle0"].to_text() != b.captures["vehicle0"].to_text()
+
+
+@pytest.fixture
+def appended(monkeypatch) -> dict[int, list]:
+    """id(log) -> the records appended to that log, filled in as a run goes."""
+    seen: dict[int, list] = {}
+    append = CaptureLog.append
+
+    def spy(log, record):
+        seen.setdefault(id(log), []).append(record)
+        append(log, record)
+
+    monkeypatch.setattr(CaptureLog, "append", spy)
+    return seen
+
+
+def test_a_run_keeps_only_the_records_it_reads_or_writes(appended) -> None:
+    # the paper demo: air is only sniffed for 2 s, operator0 is never read
+    doc = load_fixture("replay_reverse_steer.json")
+    result = run_scenario(validate_scenario(doc))
+    assert set(result.captures) == {"vehicle0", "aircap"}
+    assert appended == {id(log): list(log) for log in result.captures.values()}
+    counts = result.summary["captures"]
+    assert counts["aircap"] == len(result.captures["aircap"]) == 100
+    assert counts["vehicle0"] == len(result.captures["vehicle0"])
+    assert counts["operator0"] == counts["air"] == result.summary["radio"]["packets_sent"] > 0
+
+    # the sniff kept exactly what a whole air log holds in its window
+    doc["outputs"]["captures"]["air"] = "replay/air.log"
+    whole = run_scenario(validate_scenario(doc))
+    assert whole.summary == result.summary
+    assert whole.captures["air"].window(0, 2_000_000).to_text() == result.captures["aircap"].to_text()
+
+
+def test_an_occupancy_of_a_tap_keeps_its_whole_log(appended) -> None:
+    scenario = make_scenario(
+        duration_s=1.5,
+        radio={"num_channels": 16, "hopping": True, "loss_probability": 0.1, "latency_s": 0.002},
+        taps=[{"name": "air", "channels": "all"}, {"name": "quad", "channels": [0, 5, 9, 12]}],
+        attacks=[{"type": "occupancy", "start_s": 1.0, "capture": "air", "save": "occ"}],
+    )
+    result = run_scenario(scenario)
+    assert set(result.captures) == {"air"}
+    air = result.captures["air"]
+    assert appended == {id(air): list(air)}
+    assert len(air) == result.summary["captures"]["air"] == result.summary["radio"]["packets_sent"] > 0
+    # including the records after the occupancy report was made
+    assert air[-1].timestamp_us > 1_000_000 > air[0].timestamp_us
+    assert result.reports["occ"]["total_packets"] == len(air.window(0, 1_000_000))
 
 
 def test_summarize_rounds_observables() -> None:
