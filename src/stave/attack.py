@@ -1,4 +1,4 @@
-"""Offensive tooling: sniffing, differential analysis, mutated replay.
+"""Offensive tooling: differential analysis, mutated replay, injection.
 
 The workflow this models is capture-driven: record baseline traffic,
 record traffic while an actuator is exercised, diff the two captures to
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bus import CanBus, NodeHandle
 from .capture import CaptureLog
-from .errors import BaselineError, ConfigurationError, DecapsulationError
+from .errors import BaselineError, ConfigurationError, DecapsulationError, check_int
 from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
@@ -50,15 +50,6 @@ def capture_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
                 continue
             out.append((timestamp_us, packet.frame.at(timestamp_us)))
     return out
-
-
-def sniff(source: CaptureLog, start_us: int, duration_us: int) -> CaptureLog:
-    """Everything observed at an attachment point during [start, start + duration).
-
-    ``source`` is the attachment's continuous record (a wired tap's or a
-    radio tap's log); a zero duration yields an empty log.
-    """
-    return source.window(start_us, start_us + duration_us)
 
 
 def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:
@@ -206,8 +197,8 @@ class MessageMatch:
         if (self.can_id is None) == (self.pgn is None):
             raise ConfigurationError("match needs exactly one of can_id or pgn")
         for name, value, hi in (("can_id", self.can_id, MAX_CAN_ID), ("pgn", self.pgn, MAX_PGN)):
-            if value is not None and (type(value) is not int or not 0 <= value <= hi):
-                raise ConfigurationError(f"match {name} {value!r} outside 0..{hi}")
+            if value is not None:
+                check_int(ConfigurationError, f"match {name}", value, 0, hi)
 
     def matches(self, frame: CanFrame) -> bool:
         if self.can_id is not None:
@@ -227,12 +218,12 @@ class Mutation:
     operand: int
 
     def __post_init__(self):
-        if not 0 <= self.byte_offset <= 7:
-            raise ConfigurationError(f"mutation byte offset {self.byte_offset!r} outside 0..7")
+        check_int(ConfigurationError, "mutation byte offset", self.byte_offset, 0, 7)
         if self.rule not in ("reflect", "const", "add"):
             raise ConfigurationError(f"unknown mutation rule {self.rule!r}")
-        if self.rule in ("reflect", "const") and not 0 <= self.operand <= 255:
-            raise ConfigurationError(f"{self.rule} operand {self.operand!r} outside 0..255")
+        # add wraps modulo 256, so any integer is an operand
+        lo, hi = (None, None) if self.rule == "add" else (0, 255)
+        check_int(ConfigurationError, f"{self.rule} operand", self.operand, lo, hi)
 
     @classmethod
     def parse(cls, text: str) -> "Mutation":
@@ -244,9 +235,6 @@ class Mutation:
             )
         offset, rule, operand = m.groups()
         return cls(byte_offset=int(offset), rule=rule, operand=int(operand, 0))
-
-    def spec_text(self) -> str:
-        return f"byte{self.byte_offset}={self.rule}({self.operand})"
 
     def apply(self, data: bytes) -> bytes:
         if self.byte_offset >= len(data):
@@ -282,10 +270,11 @@ class ReplaySchedule:
     timing_mode: str = TIMING_PRESERVE
 
     def __post_init__(self):
-        # schedule_injection sends the entries in list order
-        delays = [delay for delay, _ in self.entries]
-        if delays != sorted(delays) or (delays and delays[0] < 0):
-            raise ConfigurationError("replay schedule delays must be non-negative and non-decreasing")
+        # schedule_injection sends the entries in list order, so each delay is
+        # at least the one before it
+        previous = 0
+        for i, (delay, _) in enumerate(self.entries):
+            previous = check_int(ConfigurationError, f"replay schedule entry {i} delay", delay, previous)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -357,8 +346,7 @@ class ChannelStrategy:
     def __post_init__(self):
         if self.mode not in ("fixed", "follow_hops"):
             raise ConfigurationError(f"channel strategy {self.mode!r} must be fixed or follow_hops")
-        if not 0 <= self.channel <= 255:
-            raise ConfigurationError(f"channel {self.channel!r} outside 0..255")
+        check_int(ConfigurationError, "channel", self.channel, 0, 255)
 
     def channel_for(self, config: RadioConfig, seq: int) -> int:
         if self.mode == "follow_hops":

@@ -21,9 +21,10 @@ from .errors import (
     ArbitrationCollisionError,
     ConfigurationError,
     SimulationError,
+    check_int,
 )
 from .j1939 import CanFrame
-from .sim import US_PER_SECOND, SimClock, us_from_seconds
+from .sim import US_PER_SECOND, SimClock
 
 
 @dataclass(frozen=True)
@@ -32,12 +33,8 @@ class BusConfig:
     frame_overhead_bits: int = 67
 
     def __post_init__(self):
-        if not isinstance(self.bitrate, int) or self.bitrate <= 0:
-            raise ConfigurationError(f"bitrate {self.bitrate!r} must be a positive int")
-        if not isinstance(self.frame_overhead_bits, int) or self.frame_overhead_bits <= 0:
-            raise ConfigurationError(
-                f"frame_overhead_bits {self.frame_overhead_bits!r} must be a positive int"
-            )
+        check_int(ConfigurationError, "bitrate", self.bitrate, 1)
+        check_int(ConfigurationError, "frame_overhead_bits", self.frame_overhead_bits, 1)
 
     def frame_time_us(self, dlc: int) -> int:
         bits = self.frame_overhead_bits + 8 * dlc
@@ -151,8 +148,3 @@ class CanBus:
         elapsed = self.clock.now_us
         load = self._busy_us / elapsed if elapsed > 0 else 0.0
         return BusStats(frames_delivered=self._frames_delivered, bus_load=load)
-
-    def run_until(self, t_end_s: float) -> BusStats:
-        """Advance the shared clock to t_end_s and report this bus's stats."""
-        self.clock.run_until(us_from_seconds(t_end_s))
-        return self.stats

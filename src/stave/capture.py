@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import CaptureError, MonotonicityError, ParseError
+from .errors import CaptureError, MonotonicityError, ParseError, check_int
 from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
 
 KIND_CAN = "can"
@@ -62,14 +61,12 @@ class CaptureRecord:
     can_id: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.timestamp_us, int) or self.timestamp_us < 0:
-            raise CaptureError(f"timestamp_us {self.timestamp_us!r} must be a non-negative int")
+        check_int(CaptureError, "timestamp_us", self.timestamp_us, 0)
         if not valid_interface(self.interface):
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
         object.__setattr__(self, "data", bytes(self.data))
         if self.kind == KIND_CAN:
-            if not isinstance(self.can_id, int) or not 0 <= self.can_id <= MAX_CAN_ID:
-                raise CaptureError(f"can record needs a 29-bit can_id, got {self.can_id!r}")
+            check_int(CaptureError, "can record can_id", self.can_id, 0, MAX_CAN_ID)
             if len(self.data) > 8:
                 raise CaptureError("can record payload exceeds 8 bytes")
         elif self.kind == KIND_RADIO:
@@ -196,22 +193,6 @@ class CaptureLog:
         """Time between first and last record; 0 for fewer than 2 records."""
         stamps = self._stamps
         return stamps[-1] - stamps[0] if len(stamps) > 1 else 0
-
-    def window(self, start_us: int, end_us: int) -> "CaptureLog":
-        """Records with start_us <= timestamp < end_us."""
-        lo = bisect_left(self._stamps, start_us)
-        hi = max(lo, bisect_left(self._stamps, end_us))
-        out = CaptureLog()
-        out._stamps = self._stamps[lo:hi]
-        out._ids = self._ids[lo:hi]
-        out._interfaces = self._interfaces[lo:hi]
-        out._payloads = self._payloads[lo:hi]
-        return out
-
-    def can_frames(self) -> list[CanFrame]:
-        """The CAN frames in this log (radio records skipped)."""
-        return [_valid_frame(can_id, data, ts)
-                for ts, can_id, data in self.rows() if can_id is not None]
 
     def to_text(self) -> str:
         return "".join(map(serialize_record, self))

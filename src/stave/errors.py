@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for the
+integer and real-number fields of every public constructor."""
+
+import math
 
 
 class StaveError(Exception):
@@ -85,3 +88,42 @@ class ScenarioValidationError(StaveError):
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer; a bool is not one."""
+    return type(value) is int
+
+
+def is_real(value) -> bool:
+    """Whether value is a finite real number: an int or a finite float, not a bool."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def check_int(error: type[StaveError], name: str, value, lo: int | None = None,
+              hi: int | None = None) -> int:
+    """value, if it is an integer (not a bool) in lo..hi; otherwise raise
+    error, naming the field and the value.
+
+    Both bounds are inclusive. hi None means no upper bound; lo None too
+    means no bound at all.
+    """
+    # is_int inlined: constructors on the per-frame path call this
+    if type(value) is int and (lo is None or lo <= value) and (hi is None or value <= hi):
+        return value
+    if hi is None:
+        rule = "an integer" if lo is None else f"an integer >= {lo}"
+        raise error(f"{name} {value!r} must be {rule}")
+    if hi == lo + 1:
+        raise error(f"{name} {value!r} must be {lo} or {hi}")
+    raise error(f"{name} {value!r} outside {lo}..{hi}")
+
+
+def check_real(error: type[StaveError], name: str, value, lo: float = -math.inf,
+               hi: float = math.inf) -> float:
+    """value, if it is a finite real number (see is_real) in [lo, hi];
+    otherwise raise error, naming the field and the value."""
+    if is_real(value) and lo <= value <= hi:
+        return value
+    bounds = "" if lo == -math.inf and hi == math.inf else f" in [{lo}, {hi}]"
+    raise error(f"{name} {value!r} is not a finite number{bounds}")

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
-from .errors import ConfigurationError, ScenarioValidationError
+from .errors import ConfigurationError, ScenarioValidationError, check_int, is_int
 from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, encode_id, pgn_of, write_signal
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
@@ -74,8 +74,10 @@ class MessageSpec:
     cycle_ms: int | None  # None: sent on demand only
 
     def __post_init__(self):
-        if self.cycle_ms is not None and (not isinstance(self.cycle_ms, int) or self.cycle_ms <= 0):
-            raise ConfigurationError(f"{self.name}: cycle_ms {self.cycle_ms!r} must be a positive int")
+        for key, (lo, hi) in CATALOG_FIELDS.items():
+            value = getattr(self, key)
+            if not (key == "cycle_ms" and value is None):
+                check_int(ConfigurationError, f"{self.name}: {key}", value, lo, hi)
 
     @property
     def can_id(self) -> int:
@@ -110,11 +112,7 @@ class MessageCatalog:
                     f"both use pgn 0x{spec.pgn:04X}"
                 )
             seen_pgns[spec.pgn] = spec.name
-            spec.can_id  # validates pgn/source/priority ranges
-
-    @classmethod
-    def default(cls) -> "MessageCatalog":
-        return cls()
+            spec.can_id  # a destination-addressed (PDU1) pgn has no broadcast id
 
     def with_overrides(self, overrides: dict[str, dict]) -> "MessageCatalog":
         """New catalog with per-message field overrides applied."""
@@ -134,9 +132,6 @@ class MessageCatalog:
     def __iter__(self):
         return iter(self._specs.values())
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._specs)
-
 
 @dataclass(frozen=True)
 class ScriptEntry:
@@ -154,16 +149,15 @@ class JoystickScript:
         last_t = -1
         for i, entry in enumerate(entries):
             where = f"entry {i}"
-            if entry.t_us < 0:
-                errors.append(f"{where}: t must be >= 0")
-            if entry.t_us <= last_t:
-                errors.append(f"{where}: t {entry.t_us} us does not increase (previous {last_t} us)")
-            last_t = max(last_t, entry.t_us)
-            for axis, value in (("x", entry.x), ("y", entry.y)):
-                if type(value) is not int or not 0 <= value <= JOYSTICK_MAX:
-                    errors.append(f"{where}: {axis} {value!r} outside 0..{JOYSTICK_MAX}")
-            if type(entry.button) is not int or entry.button not in (0, 1):
-                errors.append(f"{where}: button {entry.button!r} must be 0 or 1")
+            for key, hi in (("t_us", None), ("x", JOYSTICK_MAX), ("y", JOYSTICK_MAX), ("button", 1)):
+                try:
+                    check_int(ConfigurationError, f"{where}: {key}", getattr(entry, key), 0, hi)
+                except ConfigurationError as exc:
+                    errors.append(str(exc))
+            if is_int(entry.t_us):
+                if entry.t_us <= last_t:
+                    errors.append(f"{where}: t {entry.t_us} us does not increase (previous {last_t} us)")
+                last_t = max(last_t, entry.t_us)
         if errors:
             raise ScenarioValidationError([f"joystick_script {e}" for e in errors])
         self.entries = tuple(entries)
@@ -279,8 +273,7 @@ class DisplayNode(_Node):
         super().__init__(fleet, bus, "display")
 
     def send_led_command(self, mask: int) -> None:
-        if not 0 <= mask <= 0xFF:
-            raise ConfigurationError(f"led command {mask!r} outside 0..255")
+        check_int(ConfigurationError, "led command", mask, 0, 0xFF)
         self.broadcast("DSP1", _pad(bytes((mask,))))
 
 

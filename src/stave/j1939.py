@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AddressError, FrameError, IdentifierError, SignalError
+from .errors import AddressError, FrameError, IdentifierError, SignalError, check_int, check_real
 
 MAX_CAN_ID = (1 << 29) - 1
 MAX_PGN = (1 << 18) - 1
@@ -43,13 +43,11 @@ class CanFrame:
     timestamp_us: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.can_id, int) or not 0 <= self.can_id <= MAX_CAN_ID:
-            raise FrameError(f"can_id {self.can_id!r} outside 29-bit range")
+        check_int(FrameError, "can_id", self.can_id, 0, MAX_CAN_ID)
         object.__setattr__(self, "data", bytes(self.data))
         if len(self.data) > 8:
             raise FrameError(f"payload of {len(self.data)} bytes exceeds dlc 8")
-        if not isinstance(self.timestamp_us, int) or self.timestamp_us < 0:
-            raise FrameError(f"timestamp_us {self.timestamp_us!r} must be a non-negative int")
+        check_int(FrameError, "timestamp_us", self.timestamp_us, 0)
 
     @property
     def dlc(self) -> int:
@@ -57,8 +55,7 @@ class CanFrame:
 
     def at(self, timestamp_us: int) -> "CanFrame":
         """Copy of this frame carrying a different timestamp."""
-        if not isinstance(timestamp_us, int) or timestamp_us < 0:
-            raise FrameError(f"timestamp_us {timestamp_us!r} must be a non-negative int")
+        check_int(FrameError, "timestamp_us", timestamp_us, 0)
         return _valid_frame(self.can_id, self.data, timestamp_us)
 
 
@@ -98,8 +95,7 @@ class J1939Address:
             ("dp", self.dp, 1),
         )
         for name, value, hi in checks:
-            if not isinstance(value, int) or not 0 <= value <= hi:
-                raise AddressError(f"{name} {value!r} outside 0..{hi}")
+            check_int(AddressError, name, value, 0, hi)
 
     @property
     def pgn(self) -> int:
@@ -114,10 +110,6 @@ class J1939Address:
             return self.pdu_specific
         return None
 
-    @property
-    def is_broadcast(self) -> bool:
-        return self.pdu_format >= PDU2_THRESHOLD
-
     @classmethod
     def from_pgn(
         cls,
@@ -131,8 +123,7 @@ class J1939Address:
         A destination must be supplied exactly when the pgn names a PDU1
         (destination-addressed) format.
         """
-        if not isinstance(pgn, int) or not 0 <= pgn <= MAX_PGN:
-            raise AddressError(f"pgn {pgn!r} outside 18-bit range")
+        check_int(AddressError, "pgn", pgn, 0, MAX_PGN)
         edp = (pgn >> 17) & 1
         dp = (pgn >> 16) & 1
         pf = (pgn >> 8) & 0xFF
@@ -142,9 +133,7 @@ class J1939Address:
                 raise AddressError(f"PDU1 pgn 0x{pgn:05X} must have a zero low byte")
             if destination is None:
                 raise AddressError(f"pgn 0x{pgn:05X} is destination-addressed; destination required")
-            if not isinstance(destination, int) or not 0 <= destination <= 255:
-                raise AddressError(f"destination {destination!r} outside 0..255")
-            ps = destination
+            ps = check_int(AddressError, "destination", destination, 0, 255)
         else:
             if destination is not None:
                 raise AddressError(f"pgn 0x{pgn:05X} is broadcast; destination must not be supplied")
@@ -161,8 +150,7 @@ class J1939Address:
 
 def decode_id(can_id: int) -> J1939Address:
     """Slice a 29-bit identifier into its address fields."""
-    if not isinstance(can_id, int) or not 0 <= can_id <= MAX_CAN_ID:
-        raise IdentifierError(f"identifier {can_id!r} outside 29-bit range")
+    check_int(IdentifierError, "identifier", can_id, 0, MAX_CAN_ID)
     return J1939Address(
         priority=(can_id >> 26) & 0x7,
         edp=(can_id >> 25) & 0x1,
@@ -208,13 +196,10 @@ class ScaledSignal:
     signed: bool = False
 
     def __post_init__(self):
-        if self.width_bytes not in (1, 2):
-            raise SignalError(f"width_bytes {self.width_bytes!r} must be 1 or 2")
-        if not isinstance(self.byte_offset, int) or self.byte_offset < 0:
-            raise SignalError(f"byte_offset {self.byte_offset!r} must be a non-negative int")
-        if self.byte_offset + self.width_bytes > 8:
-            raise SignalError("signal extends past byte 7")
-        if not self.scale > 0:
+        check_int(SignalError, "width_bytes", self.width_bytes, 1, 2)
+        # the signal ends at byte 7 at the latest
+        check_int(SignalError, "byte_offset", self.byte_offset, 0, 8 - self.width_bytes)
+        if check_real(SignalError, "scale", self.scale) <= 0:
             raise SignalError(f"scale {self.scale!r} must be positive")
 
     @property

@@ -41,6 +41,8 @@ from .errors import (
     FramingError,
     IntegrityError,
     LengthError,
+    check_int,
+    check_real,
 )
 from .j1939 import MAX_CAN_ID, CanFrame
 from .sim import SimClock
@@ -86,14 +88,10 @@ class RadioConfig:
     faraday_mode: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.num_channels, int) or not 1 <= self.num_channels <= 256:
-            raise ConfigurationError(f"num_channels {self.num_channels!r} outside 1..256")
-        if not isinstance(self.hop_seed, int) or not 0 <= self.hop_seed <= MASK64:
-            raise ConfigurationError(f"hop_seed {self.hop_seed!r} must be a 64-bit non-negative int")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ConfigurationError(f"loss_probability {self.loss_probability!r} outside [0, 1]")
-        if not isinstance(self.latency_us, int) or self.latency_us < 0:
-            raise ConfigurationError(f"latency_us {self.latency_us!r} must be a non-negative int")
+        check_int(ConfigurationError, "num_channels", self.num_channels, 1, 256)
+        check_int(ConfigurationError, "hop_seed", self.hop_seed, 0, MASK64)
+        check_real(ConfigurationError, "loss_probability", self.loss_probability, 0.0, 1.0)
+        check_int(ConfigurationError, "latency_us", self.latency_us, 0)
 
 
 def hop_channel(config: RadioConfig, seq: int) -> int:
@@ -115,10 +113,8 @@ class RadioPacket:
     frame: CanFrame
 
     def __post_init__(self):
-        if not isinstance(self.channel, int) or not 0 <= self.channel <= 255:
-            raise ConfigurationError(f"channel {self.channel!r} outside 0..255")
-        if not isinstance(self.seq, int) or not 0 <= self.seq <= 0xFFFF:
-            raise ConfigurationError(f"seq {self.seq!r} outside 0..65535")
+        check_int(ConfigurationError, "channel", self.channel, 0, 255)
+        check_int(ConfigurationError, "seq", self.seq, 0, 0xFFFF)
 
     def to_bytes(self) -> bytes:
         body = bytearray()
@@ -216,13 +212,9 @@ class RadioMedium:
     def add_tap(self, tap: Tap) -> Tap:
         if any(t.name == tap.name for t in self._taps):
             raise ConfigurationError(f"tap name {tap.name!r} already registered")
-        if tap.channels is not None:
-            bad = [c for c in tap.channels if not 0 <= c < self.config.num_channels]
-            if bad:
-                raise ConfigurationError(
-                    f"tap {tap.name!r} listens on channels {sorted(bad)} outside "
-                    f"0..{self.config.num_channels - 1}"
-                )
+        for channel in tap.channels or ():
+            check_int(ConfigurationError, f"tap {tap.name!r} channel", channel,
+                      0, self.config.num_channels - 1)
         self._taps.append(tap)
         return tap
 

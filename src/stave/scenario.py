@@ -44,14 +44,13 @@ prefixed with its field path.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE
 from .bus import BusConfig
 from .capture import valid_interface
-from .errors import ConfigurationError, ScenarioValidationError, StaveError
+from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real
 from .fleet import CATALOG_FIELDS, PLANT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry
 from .j1939 import MAX_CAN_ID, MAX_PGN
 from .radio import MASK64, RadioConfig
@@ -204,11 +203,9 @@ class _Check:
     def number(self, path: str, value, *, lo=None, hi=None, default=None):
         if value is None:
             return default
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.add(path, f"expected a number, got {value!r}")
-            return default
-        if isinstance(value, float) and not math.isfinite(value):
-            self.add(path, f"expected a finite number, got {value!r}")
+        if not is_real(value):
+            kind = "a finite number" if type(value) is float else "a number"
+            self.add(path, f"expected {kind}, got {value!r}")
             return default
         if lo is not None and value < lo:
             self.add(path, f"must be >= {lo}, got {value!r}")
@@ -221,7 +218,7 @@ class _Check:
     def integer(self, path: str, value, *, lo=None, hi=None, default=None):
         if value is None:
             return default
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             self.add(path, f"expected an integer, got {value!r}")
             return default
         return self.number(path, value, lo=lo, hi=hi, default=default)
@@ -577,7 +574,7 @@ def validate_scenario(doc: dict) -> Scenario:
             # null passes to the catalog: for cycle_ms it means "sent on demand"
             if value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
                 overrides[name][key] = value
-    catalog = MessageCatalog.default()
+    catalog = MessageCatalog()
     try:
         catalog = catalog.with_overrides(overrides)
     except StaveError as exc:

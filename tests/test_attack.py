@@ -1,4 +1,4 @@
-"""Sniffing, differential analysis, mutation, replay, and injection."""
+"""Differential analysis, mutation, replay, and injection."""
 
 import random
 from collections import Counter
@@ -31,7 +31,6 @@ from stave import (
     hop_channel,
     plan_replay,
     schedule_injection,
-    sniff,
 )
 from stave.capture import KIND_CAN, KIND_RADIO
 
@@ -60,12 +59,6 @@ def test_capture_frames_mixes_wired_and_radio() -> None:
                              data=b"\xde\xad\xbe\xef"))  # garbage is skipped
     frames = capture_frames(log)
     assert [(ts, f.can_id) for ts, f in frames] == [(10, JOY), (20, JOY)]
-
-
-def test_sniff_is_half_open_window() -> None:
-    log = can_log([(t, JOY, b"\x00") for t in (100, 200, 300)])
-    got = sniff(log, 100, 200)  # [100, 300)
-    assert [r.timestamp_us for r in got] == [100, 200]
 
 
 def test_channel_occupancy_matches_counter() -> None:
@@ -209,11 +202,6 @@ def test_mutation_offset_beyond_payload() -> None:
     mutation = Mutation.parse("byte5=add(1)")
     with pytest.raises(ConfigurationError):
         mutation.apply(bytes((1, 2)))
-
-
-def test_mutation_spec_text_roundtrip() -> None:
-    for text in ("byte0=reflect(250)", "byte7=const(66)", "byte2=add(-3)"):
-        assert Mutation.parse(Mutation.parse(text).spec_text()).spec_text() == text
 
 
 # Replay planning

@@ -21,7 +21,7 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import KIND_CAN, KIND_RADIO, valid_interface
+from stave.capture import KIND_CAN, KIND_RADIO, CapturePoint, valid_interface
 from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
@@ -199,12 +199,15 @@ def test_from_text_enforces_monotone_time() -> None:
         CaptureLog.from_text(lines)
 
 
-def test_window_is_half_open() -> None:
-    log = CaptureLog()
-    for ts in (100, 200, 300):
-        log.append(can_record(ts=ts))
-    selected = log.window(100, 300)
-    assert [r.timestamp_us for r in selected] == [100, 200]
+def test_capture_point_keeps_half_open_window() -> None:
+    point = CapturePoint("vehicle0", KIND_CAN)
+    window = CaptureLog()
+    point.keep(window, 100, 300)  # [100, 300)
+    for ts in (99, 100, 200, 300):
+        point.observe(ts, b"\x00", 0x100)
+    assert [r.timestamp_us for r in window] == [100, 200]
+    assert [r.timestamp_us for r in point.log] == [99, 100, 200, 300]
+    assert point.seen == 4
 
 
 def test_span_us() -> None:
@@ -300,12 +303,9 @@ def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -
             log[i]
     cut = data.draw(st.slices(n), label="slice")
     assert log[cut] == records[cut]
-    stamps = st.integers(-1, records[-1].timestamp_us + 1 if records else 1)
-    start, end = data.draw(stamps, label="start"), data.draw(stamps, label="end")
-    assert list(log.window(start, end)) == [r for r in records if start <= r.timestamp_us < end]
     assert list(log.rows()) == [(r.timestamp_us, r.can_id, r.data) for r in records]
-    assert log.can_frames() == [CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us)
-                                for r in records if r.kind == KIND_CAN]
+    assert [r.frame() for r in log if r.kind == KIND_CAN] == [
+        CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us) for r in records if r.kind == KIND_CAN]
     assert log.span_us == (records[-1].timestamp_us - records[0].timestamp_us if n > 1 else 0)
     assert log.to_text() == "".join(serialize_record(r) for r in records)
     path = tmp_path_factory.mktemp("model") / "log.txt"

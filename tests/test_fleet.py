@@ -18,6 +18,7 @@ from stave import (
     MessageCatalog,
     ScenarioValidationError,
     build_testbed,
+    capture_frames,
     read_signal,
     run_scenario,
     steering_step,
@@ -42,23 +43,22 @@ EXPECTED_IDS = {
 
 
 def test_catalog_identifiers_frozen() -> None:
-    catalog = MessageCatalog.default()
-    assert {name: catalog[name].can_id for name in catalog.names()} == EXPECTED_IDS
+    assert {spec.name: spec.can_id for spec in MessageCatalog()} == EXPECTED_IDS
 
 
 def test_catalog_rejects_pgn_collisions() -> None:
     with pytest.raises(ConfigurationError):
-        MessageCatalog.default().with_overrides({"JOY1": {"pgn": 0xFF11}})
+        MessageCatalog().with_overrides({"JOY1": {"pgn": 0xFF11}})
 
 
 def test_catalog_override_cycle() -> None:
-    catalog = MessageCatalog.default().with_overrides({"JOY1": {"cycle_ms": 20}})
+    catalog = MessageCatalog().with_overrides({"JOY1": {"cycle_ms": 20}})
     assert catalog["JOY1"].cycle_ms == 20
     assert catalog["JOY1"].can_id == EXPECTED_IDS["JOY1"]
     with pytest.raises(ConfigurationError):
-        MessageCatalog.default().with_overrides({"JOY1": {"flavor": "grape"}})
+        MessageCatalog().with_overrides({"JOY1": {"flavor": "grape"}})
     with pytest.raises(ConfigurationError):
-        MessageCatalog.default().with_overrides({"NOPE": {"cycle_ms": 10}})
+        MessageCatalog().with_overrides({"NOPE": {"cycle_ms": 10}})
 
 
 def test_steering_target_formula() -> None:
@@ -103,10 +103,14 @@ def run(bed, t_end_us: int) -> None:
     bed.clock.run_until(t_end_us)
 
 
+def segment_frames(log) -> list[CanFrame]:
+    return [frame for _, frame in capture_frames(log)]
+
+
 def joy_frames(bed) -> list[CanFrame]:
     out = []
     for name in ("operator0", "vehicle0"):
-        out.extend(f for f in bed.captures[name].can_frames()
+        out.extend(f for f in segment_frames(bed.captures[name])
                    if f.can_id == EXPECTED_IDS["JOY1"])
     return out
 
@@ -158,11 +162,11 @@ def test_one_second_carries_at_least_twenty_joystick_frames() -> None:
 def test_vehicle_segment_carries_all_five_vehicle_ids() -> None:
     bed = build({})
     run(bed, 1_200_000)
-    seen = {f.can_id for f in bed.captures["vehicle0"].can_frames()}
+    seen = {f.can_id for f in segment_frames(bed.captures["vehicle0"])}
     for name in ("STR1", "LED1", "HYD1", "EEC1", "PWR1"):
         assert EXPECTED_IDS[name] in seen
-    fast_by_1s = {f.can_id for f in bed.captures["vehicle0"]
-                  .window(0, 1_000_000).can_frames()}
+    fast_by_1s = {f.can_id for f in segment_frames(bed.captures["vehicle0"])
+                  if f.timestamp_us < 1_000_000}
     for name in ("STR1", "HYD1", "EEC1"):
         assert EXPECTED_IDS[name] in fast_by_1s
 
@@ -237,7 +241,7 @@ def test_quiet_joystick_recenters_after_timeout() -> None:
     assert bed.fleet.steering.angle_deg == 0.0
     angles = [
         read_signal(f, WHEEL_ANGLE_SIGNAL)
-        for f in bed.captures["vehicle0"].can_frames()
+        for f in segment_frames(bed.captures["vehicle0"])
         if f.can_id == EXPECTED_IDS["STR1"]
     ]
     assert min(angles) <= -2.0  # it really did move before recentering
@@ -248,7 +252,7 @@ def test_pump_follows_joystick_y_axis() -> None:
     bed = build(sections)
     run(bed, 2_000_000)
     assert bed.fleet.observables().pump_pct == pytest.approx(80.0)
-    hyd = [f for f in bed.captures["vehicle0"].can_frames()
+    hyd = [f for f in segment_frames(bed.captures["vehicle0"])
            if f.can_id == EXPECTED_IDS["HYD1"]]
     assert hyd[-1].data[0] == 200
 
@@ -257,7 +261,7 @@ def test_engine_speed_payload() -> None:
     sections = {"fleet": {"engine_rpm": 1500.0}}
     bed = build(sections)
     run(bed, 300_000)
-    eec = [f for f in bed.captures["vehicle0"].can_frames()
+    eec = [f for f in segment_frames(bed.captures["vehicle0"])
            if f.can_id == EXPECTED_IDS["EEC1"]]
     raw = int.from_bytes(eec[0].data[3:5], "little")
     assert raw * 0.125 == pytest.approx(1500.0)
@@ -269,14 +273,14 @@ def test_led_command_round_trip_with_on_change_report() -> None:
     run(bed, 2_000_000)
     assert bed.fleet.observables().led_mask == 0b101
     led = [(f.timestamp_us, f.data[0])
-           for f in bed.captures["vehicle0"].can_frames()
+           for f in segment_frames(bed.captures["vehicle0"])
            if f.can_id == EXPECTED_IDS["LED1"]]
     # periodic zero at 0.5 s, on-change report shortly after 0.7 s
     assert led[0][1] == 0
     changed = [t for t, mask in led if mask == 0b101]
     assert changed and changed[0] < 800_000
     # the command itself crossed the bridge as a DSP1 frame
-    vehicle_ids = {f.can_id for f in bed.captures["vehicle0"].can_frames()}
+    vehicle_ids = {f.can_id for f in segment_frames(bed.captures["vehicle0"])}
     assert EXPECTED_IDS["DSP1"] in vehicle_ids
     with pytest.raises(ConfigurationError):
         bed.fleet.display.send_led_command(300)
@@ -327,5 +331,5 @@ def test_run_at_the_top_of_the_voltage_range_completes() -> None:
     # PWR1 first goes out at 1 s; 3276.75 would be raw 0xFFFF, not-available
     result = run_scenario(make_scenario(duration_s=1.5, fleet={"machine_voltage": 3276.7},
                                         outputs={"captures": {"vehicle0": "vehicle0.log"}}))
-    frames = [f for f in result.captures["vehicle0"].can_frames() if f.can_id == EXPECTED_IDS["PWR1"]]
+    frames = [f for f in segment_frames(result.captures["vehicle0"]) if f.can_id == EXPECTED_IDS["PWR1"]]
     assert len(frames) == 1 and read_signal(frames[0], VOLTAGE_SIGNAL) == pytest.approx(3276.7)

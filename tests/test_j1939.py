@@ -68,7 +68,6 @@ def test_worked_decomposition_pdu1() -> None:
     assert addr.pgn == 0xEF00
     assert addr.destination_address == 0x00
     assert addr.source_address == 0x21
-    assert not addr.is_broadcast
     assert_matches_oracle(0x18EF0021)
 
 
@@ -78,7 +77,6 @@ def test_worked_decomposition_pdu2() -> None:
     assert addr.priority == 3
     assert addr.pgn == 0xF004
     assert addr.destination_address is None
-    assert addr.is_broadcast
     assert addr.source_address == 0x00
     assert_matches_oracle(0x0CF00400)
 

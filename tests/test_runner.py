@@ -198,7 +198,8 @@ def test_a_run_keeps_only_the_records_it_reads_or_writes(appended) -> None:
     doc["outputs"]["captures"]["air"] = "replay/air.log"
     whole = run_scenario(validate_scenario(doc))
     assert whole.summary == result.summary
-    assert whole.captures["air"].window(0, 2_000_000).to_text() == result.captures["aircap"].to_text()
+    window = [r for r in whole.captures["air"] if r.timestamp_us < 2_000_000]
+    assert window == list(result.captures["aircap"])
 
 
 def test_an_occupancy_of_a_tap_keeps_its_whole_log(appended) -> None:
@@ -215,7 +216,7 @@ def test_an_occupancy_of_a_tap_keeps_its_whole_log(appended) -> None:
     assert len(air) == result.summary["captures"]["air"] == result.summary["radio"]["packets_sent"] > 0
     # including the records after the occupancy report was made
     assert air[-1].timestamp_us > 1_000_000 > air[0].timestamp_us
-    assert result.reports["occ"]["total_packets"] == len(air.window(0, 1_000_000))
+    assert result.reports["occ"]["total_packets"] == sum(r.timestamp_us < 1_000_000 for r in air)
 
 
 def test_summarize_rounds_observables() -> None:

@@ -226,7 +226,8 @@ def test_bus_load_single_frame() -> None:
     clock, bus = _bus()
     a = bus.attach("a")
     bus.submit(a, CanFrame(0x123, b"\x00" * 8))
-    stats = bus.run_until(1.0)
+    clock.run_until(1_000_000)
+    stats = bus.stats
     assert stats.frames_delivered == 1
     assert stats.bus_load == pytest.approx(524 / 1_000_000)
 
@@ -236,7 +237,8 @@ def test_bus_load_saturates_under_backlog() -> None:
     a = bus.attach("a")
     for i in range(200):
         bus.submit(a, CanFrame(0x100 + i, b"\x00" * 8))
-    stats = bus.run_until(0.0524)  # exactly 100 frames worth of wire time
+    clock.run_until(52_400)  # exactly 100 frames worth of wire time
+    stats = bus.stats
     assert stats.frames_delivered == 100
     assert stats.bus_load == pytest.approx(1.0)
 
