@@ -79,27 +79,76 @@ def test_roundtrip_random_records() -> None:
         assert parse_record(serialize_record(record).rstrip("\n")) == record
 
 
-@pytest.mark.parametrize("line", [
-    "",
-    "garbage",
-    "(1.5) can0 00000100#",             # timestamp needs 6 decimals
-    "(0.000001) can0 100#AA",           # id must be 8 hex digits
-    "(0.000001) can0 00000100#A",       # odd hex digit count
-    "(0.000001) can0 00000100#aa",      # lowercase payload
-    "(0.000001) can0 0cff1028#AA",      # lowercase id
-    "(0.000001) can0 20000000#AA",      # beyond 29 bits
-    "(0.000001) can0 00000100#AABBCCDDEEFF00112233",  # dlc over 8
-    "(0.000001) air R:",                # empty radio payload
-    "(0.000001) air R:ABC",             # odd hex digit count
-    "(-0.000001) can0 00000100#AA",     # negative time
-    "(01.000000) can0 0CFF1028#00",     # leading zero in the seconds
-    "(1\u0660.000000) can0 0CFF1028#00",  # non-ASCII digit
-    "(0.00000\u0665) can0 0CFF1028#00",  # non-ASCII digit
-    "(0.000000) can0 0CFF1028#00\n\n",  # a second newline
-])
+# each malformed line, and the (line number, message) of the ParseError that
+# CaptureLog.from_text raises for a log holding it as line 2 of 3
+MALFORMED = {
+    "": (2, "malformed record ''"),
+    "garbage": (2, "malformed record 'garbage'"),
+    # timestamp needs 6 decimals
+    "(1.5) can0 00000100#": (2, "malformed record '(1.5) can0 00000100#'"),
+    # id must be 8 hex digits
+    "(0.000001) can0 100#AA": (2, "unrecognized record body '100#AA'"),
+    # odd hex digit count
+    "(0.000001) can0 00000100#A": (2, "unrecognized record body '00000100#A'"),
+    # lowercase payload
+    "(0.000001) can0 00000100#aa": (2, "unrecognized record body '00000100#aa'"),
+    # lowercase id
+    "(0.000001) can0 0cff1028#AA": (2, "unrecognized record body '0cff1028#AA'"),
+    # beyond 29 bits
+    "(0.000001) can0 20000000#AA": (2, "can record can_id 536870912 outside 0..536870911"),
+    # dlc over 8
+    "(0.000001) can0 00000100#AABBCCDDEEFF00112233": (2, "can record payload exceeds 8 bytes"),
+    # empty radio payload
+    "(0.000001) air R:": (2, "unrecognized record body 'R:'"),
+    # odd hex digit count
+    "(0.000001) air R:ABC": (2, "unrecognized record body 'R:ABC'"),
+    # negative time
+    "(-0.000001) can0 00000100#AA": (2, "malformed record '(-0.000001) can0 00000100#AA'"),
+    # leading zero in the seconds
+    "(01.000000) can0 0CFF1028#00": (2, "malformed record '(01.000000) can0 0CFF1028#00'"),
+    # non-ASCII digit
+    "(1\u0660.000000) can0 0CFF1028#00": (2, "malformed record '(1\u0660.000000) can0 0CFF1028#00'"),
+    # non-ASCII digit
+    "(0.00000\u0665) can0 0CFF1028#00": (2, "malformed record '(0.00000\u0665) can0 0CFF1028#00'"),
+    # a second newline: in a log, an empty line after a good one
+    "(0.000000) can0 0CFF1028#00\n\n": (3, "malformed record ''"),
+}
+
+
+@pytest.mark.parametrize("line", MALFORMED)
 def test_parse_rejects_malformed(line: str) -> None:
     with pytest.raises(ParseError):
         parse_record(line)
+
+
+@pytest.mark.parametrize("line", MALFORMED)
+def test_from_text_pins_each_parse_error(line: str) -> None:
+    lineno, message = MALFORMED[line]
+    text = f"(0.000000) can0 00000100#AA\n{line}\n(9.000000) can0 00000100#AA\n"
+    with pytest.raises(ParseError) as err:
+        CaptureLog.from_text(text)
+    assert str(err.value) == f"line {lineno}: {message}"
+    assert err.value.lineno == lineno
+    if lineno == 2:
+        with pytest.raises(ParseError) as err:
+            parse_record(line)
+        assert (str(err.value), err.value.lineno) == (message, None)
+
+
+def test_from_text_pins_order_and_framing_errors() -> None:
+    with pytest.raises(MonotonicityError) as err:
+        CaptureLog.from_text("(0.000002) can0 00000100#AA\n(0.000001) can0 00000100#AA\n"
+                             "(0.000003) can0 00000100#AA\n")
+    assert str(err.value) == "line 2: timestamp goes backwards (1 us after 2 us)"
+    # the final LF is checked before any line is parsed
+    for text, lineno in ((f"{LINE}\n{LINE}\n{LINE}", 3), ("garbage\nnope", 2), ("x", 1)):
+        with pytest.raises(ParseError) as err:
+            CaptureLog.from_text(text)
+        assert str(err.value) == f"line {lineno}: last line lacks its LF terminator"
+        assert err.value.lineno == lineno
+    with pytest.raises(ParseError) as err:
+        parse_record("(0.000000) can0 0CFF1028#00\n\n", lineno=4)
+    assert str(err.value) == "line 4: malformed record '(0.000000) can0 0CFF1028#00\\n'"
 
 
 # a looser grammar than the log format's: any Unicode digits, leading
