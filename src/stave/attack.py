@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bus import CanBus, NodeHandle
 from .capture import CaptureLog
@@ -29,7 +30,10 @@ from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
-from .radio import RadioConfig, RadioMedium, decapsulate, encapsulate, hop_channel
+from .radio import RadioConfig, RadioMedium, encapsulate, hop_channel, packet_frame
+# Not called here: the analyses verify packets with packet_frame. The name stays
+# bound because perfbench/tracer.py patches decapsulate at this lookup site.
+from .radio import decapsulate  # noqa: F401
 from .sim import SimClock, seconds_from_us
 
 logger = logging.getLogger(__name__)
@@ -37,19 +41,21 @@ logger = logging.getLogger(__name__)
 RATE_CHANGE_RATIO = 1.5
 
 
-def capture_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
-    """(timestamp_us, frame) pairs from a capture, decapsulating radio records."""
-    out = []
+def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
+    """(timestamp_us, can_id, data) of each frame in a capture: a CAN record's
+    own, a radio record's through packet_frame, which skips failed packets."""
     for timestamp_us, can_id, data in capture.rows():
-        if can_id is not None:
-            out.append((timestamp_us, _valid_frame(can_id, data, timestamp_us)))
-        else:
+        if can_id is None:
             try:
-                packet = decapsulate(data)
+                can_id, data = packet_frame(data)
             except DecapsulationError:
                 continue
-            out.append((timestamp_us, packet.frame.at(timestamp_us)))
-    return out
+        yield timestamp_us, can_id, data
+
+
+def capture_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
+    """(timestamp_us, frame) pairs from a capture, decapsulating radio records."""
+    return [(ts, _valid_frame(can_id, data, ts)) for ts, can_id, data in _frame_rows(capture)]
 
 
 def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:
@@ -124,10 +130,10 @@ class DiffReport:
         }
 
 
-def _group_by_id(frames: list[tuple[int, CanFrame]]) -> dict[int, list[CanFrame]]:
-    groups: dict[int, list[CanFrame]] = {}
-    for _, frame in frames:
-        groups.setdefault(frame.can_id, []).append(frame)
+def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
+    groups: dict[int, list[bytes]] = {}
+    for _, can_id, data in _frame_rows(capture):
+        groups.setdefault(can_id, []).append(data)
     return groups
 
 
@@ -140,23 +146,23 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> DiffReport:
     rates (count / capture span) are compared where both spans are
     positive; a max/min ratio above 1.5 is reported.
     """
-    pre_groups = _group_by_id(capture_frames(pre))
+    pre_groups = _payloads_by_id(pre)
     if not pre_groups:
         raise BaselineError("baseline capture holds no frames; cannot establish constants")
-    post_groups = _group_by_id(capture_frames(post))
+    post_groups = _payloads_by_id(post)
 
     shared = sorted(set(pre_groups) & set(post_groups))
     flagged: dict[int, tuple[FlaggedByte, ...]] = {}
     for can_id in shared:
-        pre_frames = pre_groups[can_id]
-        post_frames = post_groups[can_id]
-        width = min(min(f.dlc for f in pre_frames), min(f.dlc for f in post_frames))
+        # zip(*payloads) yields one column of byte values per offset, up to the
+        # shortest payload; zipping both sides stops at the shorter side's
+        columns = zip(zip(*pre_groups[can_id]), zip(*post_groups[can_id]))
         findings = []
-        for offset in range(width):
-            pre_values = {f.data[offset] for f in pre_frames}
+        for offset, (pre_column, post_column) in enumerate(columns):
+            pre_values = set(pre_column)
             if len(pre_values) != 1:
                 continue
-            post_values = {f.data[offset] for f in post_frames}
+            post_values = set(post_column)
             if len(post_values) >= 2:
                 findings.append(FlaggedByte(
                     offset=offset,
@@ -200,10 +206,11 @@ class MessageMatch:
             if value is not None:
                 check_int(ConfigurationError, f"match {name}", value, 0, hi)
 
-    def matches(self, frame: CanFrame) -> bool:
+    def matches(self, can_id: int) -> bool:
+        """Whether a frame with this identifier is selected."""
         if self.can_id is not None:
-            return frame.can_id == self.can_id
-        return pgn_of(frame.can_id) == self.pgn
+            return can_id == self.can_id
+        return pgn_of(can_id) == self.pgn
 
 
 _MUTATION_RE = re.compile(r"^byte(\d+)=(reflect|const|add)\((-?(?:0[xX][0-9a-fA-F]+|\d+))\)$")
@@ -312,16 +319,17 @@ def plan_replay(
     """
     if timing_mode not in (TIMING_PRESERVE, TIMING_FAST):
         raise ConfigurationError(f"timing mode {timing_mode!r} must be preserve or fast")
-    matched = [(ts, frame) for ts, frame in capture_frames(capture) if match.matches(frame)]
+    matched = [row for row in _frame_rows(capture) if match.matches(row[1])]
     if not matched:
         logger.warning("replay plan matched no frames (match=%s)", match)
         return ReplaySchedule(entries=(), timing_mode=timing_mode)
     t0 = matched[0][0]
     entries = []
-    for ts, frame in matched:
-        data = mutation.apply(frame.data) if mutation is not None else frame.data
+    for ts, can_id, data in matched:
+        if mutation is not None:
+            data = mutation.apply(data)
         delay = ts - t0 if timing_mode == TIMING_PRESERVE else 0
-        entries.append((delay, CanFrame(frame.can_id, data)))
+        entries.append((delay, CanFrame(can_id, data)))
     return ReplaySchedule(entries=tuple(entries), timing_mode=timing_mode)
 
 

@@ -24,17 +24,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import CaptureError, MonotonicityError, ParseError, check_int
+from .errors import CaptureError, MonotonicityError, ParseError, check_bytes, check_int
 from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
 
 KIND_CAN = "can"
 KIND_RADIO = "radio"
 
-# ASCII digits, no leading zero and no trailing newline: anything else
-# would parse but re-serialize differently
-_LINE_RE = re.compile(r"^\((0|[1-9][0-9]*)\.([0-9]{6})\) (\S+) (.+)\Z")
-_CAN_BODY_RE = re.compile(r"^([0-9A-F]{8})#((?:[0-9A-F]{2})*)$")
-_RADIO_BODY_RE = re.compile(r"^R:((?:[0-9A-F]{2})+)$")
+# The grammar of one line, LF included. Groups: seconds, fraction,
+# interface, then a CAN record's identifier and payload digits or a radio
+# record's packet digits; any other body matches no group. Timestamps take
+# ASCII digits and no leading zero: anything else would parse but
+# re-serialize differently. Hex digits are matched as one run and their
+# count checked even by the reader: a pairwise repeat doubles the regex
+# engine's time per line. No part matches an LF, so a match is one line.
+_LINE_RE = re.compile(
+    r"\((0|[1-9][0-9]*)\.([0-9]{6})\) (\S+) (?:([0-9A-F]{8})#([0-9A-F]*)|R:([0-9A-F]+)|.+)\n"
+)
 # a radio record's entry in a log's identifier column
 _RADIO_ID = -1
 
@@ -64,7 +69,8 @@ class CaptureRecord:
         check_int(CaptureError, "timestamp_us", self.timestamp_us, 0)
         if not valid_interface(self.interface):
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
-        object.__setattr__(self, "data", bytes(self.data))
+        if type(self.data) is not bytes:
+            object.__setattr__(self, "data", check_bytes(CaptureError, "data", self.data))
         if self.kind == KIND_CAN:
             check_int(CaptureError, "can record can_id", self.can_id, 0, MAX_CAN_ID)
             if len(self.data) > 8:
@@ -111,38 +117,33 @@ def serialize_record(record: CaptureRecord) -> str:
 
 
 def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
-    """Parse one log line; raises ParseError on any deviation."""
+    """Parse one log line, with or without its LF; raises ParseError on any
+    deviation, numbered lineno when one is given."""
     text = line[:-1] if line.endswith("\n") else line
-    m = _LINE_RE.match(text)
-    if not m:
+    if "\n" in text:
         raise ParseError(f"malformed record {text!r}", lineno)
-    seconds, fraction, interface, body = m.groups()
-    timestamp_us = int(seconds) * 1_000_000 + int(fraction)
+    return CaptureLog._parse(text + "\n", lineno)[0]
+
+
+def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError:
+    """The ParseError for the line at text[pos:] that _parse refused; match
+    is the line's grammar match, None when the grammar refused it."""
+    if match is None:
+        line = text[pos:text.index("\n", pos)]
+        return ParseError(f"malformed record {line!r}", lineno)
+    seconds, fraction, interface, can_hex, digits, _ = match.groups()
+    if can_hex is None or len(digits) % 2:
+        # a body of no record kind, or an odd number of hex digits
+        body = text[match.end(3) + 1:match.end() - 1]
+        return ParseError(f"unrecognized record body {body!r}", lineno)
+    # a syntactically valid line carrying impossible values, such as an
+    # identifier past 29 bits or a payload past 8 bytes: the record says which
     try:
-        radio = _RADIO_BODY_RE.match(body)
-        if radio:
-            return CaptureRecord(
-                timestamp_us=timestamp_us,
-                interface=interface,
-                kind=KIND_RADIO,
-                data=bytes.fromhex(radio.group(1)),
-            )
-        can = _CAN_BODY_RE.match(body)
-        if can:
-            return CaptureRecord(
-                timestamp_us=timestamp_us,
-                interface=interface,
-                kind=KIND_CAN,
-                can_id=int(can.group(1), 16),
-                data=bytes.fromhex(can.group(2)),
-            )
-    except ParseError:
-        raise
+        CaptureRecord(int(seconds + fraction), interface, KIND_CAN, bytes.fromhex(digits),
+                      int(can_hex, 16))
     except CaptureError as exc:
-        # a syntactically valid line carrying impossible values, such as
-        # an identifier past 29 bits or a payload past 8 bytes
-        raise ParseError(str(exc), lineno) from exc
-    raise ParseError(f"unrecognized record body {body!r}", lineno)
+        return ParseError(str(exc), lineno)
+    raise AssertionError(f"line {lineno} holds a valid record")
 
 
 class CaptureLog:
@@ -200,20 +201,53 @@ class CaptureLog:
     @classmethod
     def from_text(cls, text: str) -> "CaptureLog":
         """Parse log text: LF-terminated lines, split at LF only."""
+        if text and not text.endswith("\n"):
+            raise ParseError("last line lacks its LF terminator", text.count("\n") + 1)
+        return cls._parse(text, 1)
+
+    @classmethod
+    def _parse(cls, text: str, lineno: int | None) -> "CaptureLog":
+        """The log of text, whole LF-terminated lines, read straight into the
+        columns. lineno numbers text's first line in errors; None: no numbers.
+
+        One grammar match per line reads the fields, so no per-line record,
+        string list or tuple list is built.
+        """
         log = cls()
-        lines = text.split("\n")
-        if lines[-1]:
-            raise ParseError("last line lacks its LF terminator", len(lines))
-        for lineno, line in enumerate(lines[:-1], start=1):
-            record = parse_record(line, lineno)
-            try:
-                log.append(record)
-            except MonotonicityError:
+        stamps, ids, interfaces, payloads = log._stamps, log._ids, log._interfaces, log._payloads
+        previous = 0
+        match = _LINE_RE.match
+        fromhex = bytes.fromhex
+        pos, end = 0, len(text)
+        # every break leaves the loop at a line the grammar or a limit refused
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                break
+            seconds, fraction, interface, can_hex, digits, packet = m.groups()
+            if can_hex is not None:
+                can_id = int(can_hex, 16)
+                if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > 16:
+                    break
+            elif packet is not None and not len(packet) % 2:
+                can_id, digits = _RADIO_ID, packet
+            else:
+                break
+            stamp = int(seconds + fraction)
+            if stamp < previous:
                 raise MonotonicityError(
-                    f"line {lineno}: timestamp goes backwards "
-                    f"({record.timestamp_us} us after {log._stamps[-1]} us)"
-                ) from None
-        return log
+                    f"line {_line_at(text, pos, lineno)}: timestamp goes backwards "
+                    f"({stamp} us after {previous} us)"
+                )
+            stamps.append(stamp)
+            ids.append(can_id)
+            interfaces.append(interface)
+            payloads.append(fromhex(digits))
+            previous = stamp
+            pos = m.end()
+        else:
+            return log
+        raise _rejected_line(text, pos, m, _line_at(text, pos, lineno))
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -222,6 +256,11 @@ class CaptureLog:
     @classmethod
     def load(cls, path: str | Path) -> "CaptureLog":
         return cls.from_text(_decode(Path(path).read_bytes()))
+
+
+def _line_at(text: str, pos: int, lineno: int | None) -> int | None:
+    """The number of the line at text[pos:], when text's first is lineno."""
+    return None if lineno is None else lineno + text.count("\n", 0, pos)
 
 
 def _decode(raw: bytes) -> str:

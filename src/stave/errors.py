@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one rule for the
-integer and real-number fields of every public constructor."""
+"""Exception types shared across the package, and the one rule for each
+kind of field of every public constructor: integer, real number, bytes
+and bool."""
 
 import math
 
@@ -127,3 +128,19 @@ def check_real(error: type[StaveError], name: str, value, lo: float = -math.inf,
         return value
     bounds = "" if lo == -math.inf and hi == math.inf else f" in [{lo}, {hi}]"
     raise error(f"{name} {value!r} is not a finite number{bounds}")
+
+
+def check_bytes(error: type[StaveError], name: str, value) -> bytes:
+    """value as bytes, if it is bytes or a bytearray; otherwise raise error,
+    naming the field and the value."""
+    if isinstance(value, (bytes, bytearray)):
+        return bytes(value)
+    raise error(f"{name} {value!r} must be bytes")
+
+
+def check_bool(error: type[StaveError], name: str, value) -> bool:
+    """value, if it is True or False; otherwise raise error, naming the
+    field and the value."""
+    if value is True or value is False:
+        return value
+    raise error(f"{name} {value!r} must be True or False")

@@ -22,7 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AddressError, FrameError, IdentifierError, SignalError, check_int, check_real
+from .errors import (
+    AddressError,
+    FrameError,
+    IdentifierError,
+    SignalError,
+    check_bool,
+    check_bytes,
+    check_int,
+    check_real,
+)
 
 MAX_CAN_ID = (1 << 29) - 1
 MAX_PGN = (1 << 18) - 1
@@ -44,7 +53,8 @@ class CanFrame:
 
     def __post_init__(self):
         check_int(FrameError, "can_id", self.can_id, 0, MAX_CAN_ID)
-        object.__setattr__(self, "data", bytes(self.data))
+        if type(self.data) is not bytes:
+            object.__setattr__(self, "data", check_bytes(FrameError, "data", self.data))
         if len(self.data) > 8:
             raise FrameError(f"payload of {len(self.data)} bytes exceeds dlc 8")
         check_int(FrameError, "timestamp_us", self.timestamp_us, 0)
@@ -201,6 +211,7 @@ class ScaledSignal:
         check_int(SignalError, "byte_offset", self.byte_offset, 0, 8 - self.width_bytes)
         if check_real(SignalError, "scale", self.scale) <= 0:
             raise SignalError(f"scale {self.scale!r} must be positive")
+        check_bool(SignalError, "signed", self.signed)
 
     @property
     def not_available_raw(self) -> int | None:

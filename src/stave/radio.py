@@ -41,6 +41,7 @@ from .errors import (
     FramingError,
     IntegrityError,
     LengthError,
+    check_bool,
     check_int,
     check_real,
 )
@@ -92,6 +93,8 @@ class RadioConfig:
         check_int(ConfigurationError, "hop_seed", self.hop_seed, 0, MASK64)
         check_real(ConfigurationError, "loss_probability", self.loss_probability, 0.0, 1.0)
         check_int(ConfigurationError, "latency_us", self.latency_us, 0)
+        check_bool(ConfigurationError, "hopping", self.hopping)
+        check_bool(ConfigurationError, "faraday_mode", self.faraday_mode)
 
 
 def hop_channel(config: RadioConfig, seq: int) -> int:
@@ -134,13 +137,24 @@ def encapsulate(frame: CanFrame, channel: int, seq: int) -> RadioPacket:
 
 
 def decapsulate(buf: bytes) -> RadioPacket:
-    """Parse and verify one radio packet.
+    """Parse and verify one radio packet (see packet_frame)."""
+    buf = bytes(buf)
+    can_id, data = packet_frame(buf)
+    return RadioPacket(
+        channel=buf[2],
+        seq=int.from_bytes(buf[3:5], "big"),
+        frame=CanFrame(can_id, data),
+    )
+
+
+def packet_frame(buf: bytes) -> tuple[int, bytes]:
+    """The (can_id, data) of the frame a radio packet carries, once the
+    packet passes every check; raises DecapsulationError otherwise.
 
     Check order matters: minimum size, sync, then CRC (its boundary
     comes from the buffer, not the len byte, so a corrupted len byte is
     caught by the CRC), then structural consistency.
     """
-    buf = bytes(buf)
     if len(buf) < MIN_PACKET_SIZE:
         raise LengthError(f"packet of {len(buf)} bytes is below the {MIN_PACKET_SIZE}-byte minimum")
     if buf[0:2] != SYNC:
@@ -160,11 +174,7 @@ def decapsulate(buf: bytes) -> RadioPacket:
     can_id = int.from_bytes(buf[7:11], "big")
     if can_id > MAX_CAN_ID:
         raise FramingError(f"identifier 0x{can_id:08X} exceeds 29 bits")
-    return RadioPacket(
-        channel=buf[2],
-        seq=int.from_bytes(buf[3:5], "big"),
-        frame=CanFrame(can_id, buf[12:12 + dlc]),
-    )
+    return can_id, buf[12:12 + dlc]
 
 
 @dataclass(eq=False)
@@ -181,8 +191,14 @@ class Tap(CapturePoint):
     def __post_init__(self):
         if not valid_interface(self.name):
             raise ConfigurationError(f"tap name {self.name!r} must be non-empty without whitespace")
+        check_bool(ConfigurationError, f"tap {self.name!r} inside_faraday", self.inside_faraday)
         if self.channels is not None:
-            self.channels = frozenset(self.channels)
+            try:
+                self.channels = frozenset(self.channels)
+            except TypeError:
+                raise ConfigurationError(
+                    f"tap {self.name!r} channels {self.channels!r} must be a collection of channel numbers"
+                ) from None
             if not self.channels:
                 raise ConfigurationError(f"tap {self.name!r} has an empty channel set")
         CapturePoint.__init__(self, self.name, KIND_RADIO)

@@ -16,6 +16,7 @@ from stave import (
     CaptureRecord,
     ChannelStrategy,
     ConfigurationError,
+    DecapsulationError,
     MessageMatch,
     Mutation,
     RadioConfig,
@@ -26,9 +27,12 @@ from stave import (
     WiredInjector,
     capture_frames,
     channel_occupancy,
+    crc16_ccitt_false,
+    decapsulate,
     diff_captures,
     encapsulate,
     hop_channel,
+    pgn_of,
     plan_replay,
     schedule_injection,
 )
@@ -81,6 +85,133 @@ def test_channel_occupancy_matches_counter() -> None:
 def test_occupancy_ignores_wired_records() -> None:
     log = can_log([(0, JOY, b"\x00")])
     assert channel_occupancy(log) == []
+
+
+# Radio records that fail verification, in every way decapsulate names:
+# each builds the packet bytes from a good packet's body (the bytes between
+# sync and crc), behind a recomputed crc where a later check is the target
+def _framed(body: bytes) -> bytes:
+    return b"\xa5\x5a" + body + crc16_ccitt_false(body).to_bytes(2, "big")
+
+
+def _flip(buf: bytes, index: int) -> bytes:
+    return buf[:index] + bytes((buf[index] ^ 1,)) + buf[index + 1:]
+
+
+# body layout: channel | seq(2) | flags | len | can_id(4) | dlc | data
+CORRUPTIONS = {
+    "sync": lambda body, rng: _flip(_framed(body), 1),
+    "crc": lambda body, rng: _flip(_framed(body), 2),
+    "len": lambda body, rng: _framed(_flip(body, 4)),
+    "dlc": lambda body, rng: _framed(_flip(body, 9)),
+    # len and dlc agree, but a CAN payload holds at most 8 bytes
+    "dlc over 8": lambda body, rng: _framed(body[:4] + bytes((5 + 9,)) + body[5:9] + bytes((9,) * 10)),
+    "flags": lambda body, rng: _framed(_flip(body, 3)),
+    "id past 29 bits": lambda body, rng: _framed(body[:5] + bytes((body[5] | 0x20,)) + body[6:]),
+    "short": lambda body, rng: _framed(body)[:rng.randrange(1, 14)],
+}
+
+
+def test_every_corruption_fails_verification() -> None:
+    body = encapsulate(CanFrame(JOY, b"\x01\x02"), 3, 7).to_bytes()[2:-2]
+    for name, corrupt in CORRUPTIONS.items():
+        for seed in range(20):
+            with pytest.raises(DecapsulationError):
+                decapsulate(corrupt(body, random.Random(seed)))
+
+
+def mixed_capture(rng: random.Random, active: bool) -> CaptureLog:
+    """Wired and radio records of a few ids; a third of the radio records fail
+    verification while carrying values that would change every analysis."""
+    log = CaptureLog()
+    for seq in range(300):
+        can_id = rng.choice((JOY, STR, 0x18FEF100))
+        dlc = {JOY: 8, STR: 3}.get(can_id) or rng.randint(0, 8)
+        if active:
+            data = bytes(rng.choice((5, 6, 7)) for _ in range(dlc))
+        else:
+            data = bytes((5, rng.choice((3, 4)), 2, 1, 1, 1, 1, 1)[:dlc])
+        wire = encapsulate(CanFrame(can_id, data), rng.randrange(16), seq).to_bytes()
+        if rng.random() < 0.25:
+            log.append(CaptureRecord(seq * 1000, "vehicle0", KIND_CAN, data, can_id))
+        elif rng.random() < 0.33:
+            forged = encapsulate(CanFrame(rng.choice((can_id, 0x1ABCDE00)), bytes((99,) * 8)),
+                                 rng.randrange(16), seq).to_bytes()
+            corrupt = CORRUPTIONS[rng.choice(sorted(CORRUPTIONS))]
+            log.append(CaptureRecord(seq * 1000, "air", KIND_RADIO, corrupt(forged[2:-2], rng)))
+        else:
+            log.append(CaptureRecord(seq * 1000, "air", KIND_RADIO, wire))
+    return log
+
+
+def reference_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
+    """(timestamp_us, frame) of each record, one decapsulate per radio record."""
+    frames = []
+    for record in capture:
+        if record.kind == KIND_CAN:
+            frames.append((record.timestamp_us, record.frame()))
+            continue
+        try:
+            frames.append((record.timestamp_us, decapsulate(record.data).frame))
+        except DecapsulationError:
+            pass
+    return frames
+
+
+def reference_diff(pre: CaptureLog, post: CaptureLog) -> dict:
+    """diff_captures' report, computed one frame at a time."""
+    groups = []
+    for capture in (pre, post):
+        by_id: dict[int, list[CanFrame]] = {}
+        for _, frame in reference_frames(capture):
+            by_id.setdefault(frame.can_id, []).append(frame)
+        groups.append(by_id)
+    pre_groups, post_groups = groups
+    shared = sorted(set(pre_groups) & set(post_groups))
+    flagged = []
+    for can_id in shared:
+        width = min(frame.dlc for frame in pre_groups[can_id] + post_groups[can_id])
+        found = []
+        for offset in range(width):
+            pre_values = {frame.data[offset] for frame in pre_groups[can_id]}
+            post_values = {frame.data[offset] for frame in post_groups[can_id]}
+            if len(pre_values) == 1 and len(post_values) >= 2:
+                found.append({"offset": offset, "pre_constant": pre_values.pop(),
+                              "post_distinct": len(post_values),
+                              "post_min": min(post_values), "post_max": max(post_values)})
+        if found:
+            flagged.append({"can_id": f"0x{can_id:08X}", "bytes": found})
+    rates = []
+    for can_id in shared:
+        pre_hz = len(pre_groups[can_id]) * 1e6 / pre.span_us
+        post_hz = len(post_groups[can_id]) * 1e6 / post.span_us
+        if max(pre_hz, post_hz) / min(pre_hz, post_hz) > 1.5:
+            rates.append({"can_id": f"0x{can_id:08X}", "pre_hz": pre_hz, "post_hz": post_hz})
+    return {
+        "schema": "stave-diff/1",
+        "flagged": flagged,
+        "ids_only_in_pre": [f"0x{i:08X}" for i in sorted(set(pre_groups) - set(post_groups))],
+        "ids_only_in_post": [f"0x{i:08X}" for i in sorted(set(post_groups) - set(pre_groups))],
+        "rate_changes": rates,
+    }
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> None:
+    rng = random.Random(seed)
+    pre, post = mixed_capture(rng, active=False), mixed_capture(rng, active=True)
+    assert diff_captures(pre, post).to_json_dict() == reference_diff(pre, post)
+
+    radio = [record.data for record in post if record.kind == KIND_RADIO and len(record.data) >= 3]
+    counts = Counter(data[2] for data in radio)
+    assert channel_occupancy(post) == sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+
+    mutation = Mutation.parse("byte0=add(1)")
+    for match in (MessageMatch(pgn=pgn_of(JOY)), MessageMatch(can_id=STR)):
+        matched = [(ts, frame) for ts, frame in reference_frames(post) if match.matches(frame.can_id)]
+        want = [(ts - matched[0][0], CanFrame(frame.can_id, mutation.apply(frame.data)))
+                for ts, frame in matched]
+        assert plan_replay(post, match, mutation).entries == tuple(want)
 
 
 # Differential analysis
@@ -255,14 +386,14 @@ def test_message_match_needs_exactly_one_selector() -> None:
 
 def test_match_by_pgn_spans_source_addresses() -> None:
     match = MessageMatch(pgn=0xFF10)
-    assert match.matches(CanFrame(0x0CFF1028, b""))
-    assert match.matches(CanFrame(0x18FF10FE, b""))  # other sender, same group
-    assert not match.matches(CanFrame(0x18FF1130, b""))
+    assert match.matches(0x0CFF1028)
+    assert match.matches(0x18FF10FE)  # other sender, same group
+    assert not match.matches(0x18FF1130)
     # PDU1 (pf 0xEF < 240): the destination byte is not part of the pgn
     acknowledge = MessageMatch(pgn=0xEF00)
-    assert acknowledge.matches(CanFrame(0x18EF4210, b""))  # to 0x42 from 0x10
-    assert acknowledge.matches(CanFrame(0x18EFFF27, b""))  # to all from 0x27
-    assert not MessageMatch(pgn=0xEF42).matches(CanFrame(0x18EF4210, b""))
+    assert acknowledge.matches(0x18EF4210)  # to 0x42 from 0x10
+    assert acknowledge.matches(0x18EFFF27)  # to all from 0x27
+    assert not MessageMatch(pgn=0xEF42).matches(0x18EF4210)
 
 
 def test_replay_schedule_json_roundtrip() -> None:

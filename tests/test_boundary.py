@@ -1,9 +1,12 @@
 """The library boundary: every public constructor takes exactly the
-integers in its fields' ranges and the finite real numbers in its
-real-valued fields, and raises its own StaveError subclass otherwise.
+integers in its fields' ranges, the finite real numbers in its
+real-valued fields, bytes or a bytearray in its payload fields and True
+or False in its bool fields, and raises its own StaveError subclass
+otherwise.
 
-The rule lives in stave.errors (check_int, check_real); the guard test
-below keeps every other module from spelling an integer check of its own.
+The rule lives in stave.errors (check_int, check_real, check_bytes,
+check_bool); the guard test below keeps every other module from spelling
+an integer check of its own.
 """
 
 import ast
@@ -143,6 +146,53 @@ def test_real_fields_take_exactly_the_finite_numbers_in_range(field, data) -> No
         build(value)
     for value in (*rejected, True, False, "0.5", data.draw(NOT_REALS, label="not a finite number")):
         rejects(build, error, value)
+
+
+# field -> (build an object with the field set to v, error class)
+BYTES_FIELDS = {
+    "CanFrame.data": (lambda v: CanFrame(1, v), FrameError),
+    "CaptureRecord.data": (lambda v: CaptureRecord(0, "vehicle0", "can", v, 1), CaptureError),
+}
+
+BOOL_FIELDS = {
+    "RadioConfig.hopping": (lambda v: RadioConfig(hopping=v), ConfigurationError),
+    "RadioConfig.faraday_mode": (lambda v: RadioConfig(faraday_mode=v), ConfigurationError),
+    "ScaledSignal.signed": (lambda v: ScaledSignal(0, 1, 1.0, v), SignalError),
+    "Tap.inside_faraday": (lambda v: Tap("air", inside_faraday=v), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BYTES_FIELDS))
+def test_bytes_fields_take_exactly_bytes_and_bytearrays(field) -> None:
+    build, error = BYTES_FIELDS[field]
+    for value in (b"\x01\x02", bytearray(b"\x01\x02")):
+        data = build(value).data
+        assert type(data) is bytes and data == b"\x01\x02"
+    # an int used to become that many zero bytes, a str a bare TypeError
+    for value in (3, 0, True, "ab", [1, 2], None, memoryview(b"\x01")):
+        rejects(build, error, value)
+    with pytest.raises(error, match=r"^data 3 must be bytes$"):
+        build(3)
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_FIELDS))
+def test_bool_fields_take_exactly_true_and_false(field) -> None:
+    build, error = BOOL_FIELDS[field]
+    build(True)
+    build(False)
+    # a non-empty str used to read as True
+    for value in ("no", "", 0, 1, 1.0, None):
+        rejects(build, error, value)
+    with pytest.raises(error, match=r"'no' must be True or False$"):
+        build("no")
+
+
+def test_tap_channels_must_be_a_collection() -> None:
+    with pytest.raises(ConfigurationError, match=r"^tap 'air' channels 5 must be a collection of channel numbers$"):
+        Tap("air", channels=5)
+    with pytest.raises(ConfigurationError):
+        Tap("air", channels=[[1]])
+    assert Tap("air", channels=[1, 1, 2]).channels == frozenset({1, 2})
 
 
 def integer_checks(source: str) -> list[int]:

@@ -187,6 +187,79 @@ def test_every_accepted_text_reserializes_identically(text: str) -> None:
     assert log.to_text() == text
 
 
+# every code point str.isspace() names, and so str.split() splits at
+_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+# log lines that are mostly valid, with interfaces of any code points,
+# whitespace included, and bodies on and just off the grammar
+_ANY_LINES = st.builds(
+    "({}) {} {}".format,
+    st.one_of(st.sampled_from([0, 1, 1_500_000]), st.integers(0, 99_999_999))
+    .map(lambda us: f"{us // 1_000_000}.{us % 1_000_000:06d}"),
+    st.one_of(
+        st.sampled_from(["can0", "air"]),
+        st.sampled_from(["can0", "air"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+        st.tuples(st.text(max_size=2), st.sampled_from(_SPACES), st.text(max_size=2)).map("".join),
+    ),
+    st.one_of(
+        st.builds("{:08X}#{}".format, st.integers(0, 2 * MAX_CAN_ID), st.binary(max_size=9).map(bytes.hex))
+        .map(str.upper),
+        st.binary(min_size=1, max_size=4).map(lambda data: "R:" + data.hex().upper()),
+        st.text("0123456789ABCDEFR:#a ", max_size=12),
+    ),
+)
+
+
+def reference_from_text(text: str) -> CaptureLog:
+    """CaptureLog.from_text as one parse_record and one append per line,
+    each record checked again by its validating constructor."""
+    lines = text.split("\n")
+    if lines[-1]:
+        raise ParseError("last line lacks its LF terminator", len(lines))
+    log = CaptureLog()
+    for lineno, line in enumerate(lines[:-1], start=1):
+        parsed = parse_record(line, lineno)
+        record = CaptureRecord(parsed.timestamp_us, parsed.interface, parsed.kind, parsed.data,
+                               parsed.can_id)
+        try:
+            log.append(record)
+        except MonotonicityError:
+            raise MonotonicityError(f"line {lineno}: timestamp goes backwards "
+                                    f"({record.timestamp_us} us after {log[-1].timestamp_us} us)") from None
+    return log
+
+
+def _outcome(parse, text: str):
+    try:
+        return list(parse(text))
+    except CaptureError as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(
+    *[st.lists(st.tuples(lines, st.sampled_from(["\n"] * 6 + ["", "\r\n"])), max_size=4)
+      .map(lambda parts: "".join(line + end for line, end in parts))
+      for lines in (_ANY_LINES, _ANY_LINES, _ANY_LINES, _NEAR_LINES)],
+    st.text(max_size=40),
+))
+def test_from_text_agrees_with_parsing_line_by_line(text: str) -> None:
+    assert _outcome(CaptureLog.from_text, text) == _outcome(reference_from_text, text)
+
+
+def test_grammar_takes_exactly_the_valid_interfaces() -> None:
+    for c in _SPACES:
+        name = f"a{c}b"
+        assert not valid_interface(name)
+        with pytest.raises(ParseError):
+            CaptureLog.from_text(f"(0.000000) {name} 00000100#\n")
+    others = [chr(c) for c in range(sys.maxunicode + 1) if not chr(c).isspace()]
+    names = ["".join(others[i:i + 1000]) for i in range(0, len(others), 1000)]
+    assert all(map(valid_interface, names))
+    log = CaptureLog.from_text("".join(f"(0.000000) {name} 00000100#\n" for name in names))
+    assert [record.interface for record in log] == names
+
+
 @pytest.mark.parametrize("brk", _LINE_BREAKS[1:])
 def test_from_text_splits_at_lf_only(brk: str) -> None:
     with pytest.raises(ParseError) as err:
