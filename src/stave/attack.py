@@ -26,7 +26,7 @@ from typing import Iterator
 from .bus import CanBus, NodeHandle
 from .capture import CaptureLog
 from .errors import BaselineError, ConfigurationError, DecapsulationError, check_int
-from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
+from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -51,11 +51,6 @@ def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
             except DecapsulationError:
                 continue
         yield timestamp_us, can_id, data
-
-
-def capture_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
-    """(timestamp_us, frame) pairs from a capture, decapsulating radio records."""
-    return [(ts, _valid_frame(can_id, data, ts)) for ts, can_id, data in _frame_rows(capture)]
 
 
 def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:

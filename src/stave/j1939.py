@@ -22,16 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    AddressError,
-    FrameError,
-    IdentifierError,
-    SignalError,
-    check_bool,
-    check_bytes,
-    check_int,
-    check_real,
-)
+from .errors import AddressError, FrameError, IdentifierError, SignalError, check_bool, check_bytes, check_int, check_real
 
 MAX_CAN_ID = (1 << 29) - 1
 MAX_PGN = (1 << 18) - 1

@@ -140,11 +140,7 @@ def decapsulate(buf: bytes) -> RadioPacket:
     """Parse and verify one radio packet (see packet_frame)."""
     buf = bytes(buf)
     can_id, data = packet_frame(buf)
-    return RadioPacket(
-        channel=buf[2],
-        seq=int.from_bytes(buf[3:5], "big"),
-        frame=CanFrame(can_id, data),
-    )
+    return RadioPacket(channel=buf[2], seq=int.from_bytes(buf[3:5], "big"), frame=CanFrame(can_id, data))
 
 
 def packet_frame(buf: bytes) -> tuple[int, bytes]:

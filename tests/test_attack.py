@@ -25,7 +25,6 @@ from stave import (
     ReplaySchedule,
     SimClock,
     WiredInjector,
-    capture_frames,
     channel_occupancy,
     crc16_ccitt_false,
     decapsulate,
@@ -52,7 +51,7 @@ JOY = 0x0CFF1028
 STR = 0x18FF1213
 
 
-def test_capture_frames_mixes_wired_and_radio() -> None:
+def test_plan_replay_mixes_wired_and_radio() -> None:
     frame = CanFrame(JOY, b"\x19\x7d\x00\xff\xff\xff\xff\xff")
     log = CaptureLog()
     log.append(CaptureRecord(timestamp_us=10, interface="v", kind=KIND_CAN,
@@ -61,8 +60,8 @@ def test_capture_frames_mixes_wired_and_radio() -> None:
                              data=encapsulate(frame, 0, 1).to_bytes()))
     log.append(CaptureRecord(timestamp_us=30, interface="air", kind=KIND_RADIO,
                              data=b"\xde\xad\xbe\xef"))  # garbage is skipped
-    frames = capture_frames(log)
-    assert [(ts, f.can_id) for ts, f in frames] == [(10, JOY), (20, JOY)]
+    schedule = plan_replay(log, MessageMatch(can_id=JOY), None)
+    assert schedule.entries == ((0, frame), (10, frame))
 
 
 def test_channel_occupancy_matches_counter() -> None:

@@ -18,7 +18,6 @@ from stave import (
     MessageCatalog,
     ScenarioValidationError,
     build_testbed,
-    capture_frames,
     read_signal,
     run_scenario,
     steering_step,
@@ -104,7 +103,7 @@ def run(bed, t_end_us: int) -> None:
 
 
 def segment_frames(log) -> list[CanFrame]:
-    return [frame for _, frame in capture_frames(log)]
+    return [record.frame() for record in log]
 
 
 def joy_frames(bed) -> list[CanFrame]:
