@@ -12,7 +12,9 @@ Two line kinds:
 uppercase with no separators; a dlc-0 frame has nothing after ``#``.
 Parsing is the strict inverse of serialization: a parsed log
 re-serializes byte-identically, and timestamps must be monotone
-non-decreasing within a file.
+non-decreasing within a file. One line grammar serves both parsers:
+CaptureLog.from_text reads a log straight into its columns with it, and
+parse_record reads one line.
 """
 
 from __future__ import annotations
