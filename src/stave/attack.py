@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .bus import CanBus, NodeHandle
 from .capture import CaptureLog
-from .errors import BaselineError, ConfigurationError, DecapsulationError, check_int
+from .errors import BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int
 from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
@@ -383,7 +383,7 @@ class RadioInjector:
                  inside_faraday: bool = True):
         self.medium = medium
         self.strategy = strategy or ChannelStrategy()
-        self.inside_faraday = inside_faraday
+        self.inside_faraday = check_bool(ConfigurationError, "injector inside_faraday", inside_faraday)
         self.seq_sent = 0
         self.stats = InjectionStats()
 

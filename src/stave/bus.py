@@ -62,19 +62,22 @@ def arbitrate(pending: Iterable[tuple[NodeHandle, CanFrame]]) -> tuple[NodeHandl
     identifier is a fault: on real hardware both would see themselves
     win and collide with an error frame.
     """
-    entries = list(pending)
-    if not entries:
+    # one pass: the first contender with the lowest identifier wins, and
+    # the second one with that identifier, if any, is the one it may collide with
+    winner = runner = None
+    for entry in pending:
+        can_id = entry[1].can_id
+        if winner is None or can_id < winner_id:
+            winner, winner_id, runner = entry, can_id, None
+        elif can_id == winner_id and runner is None:
+            runner = entry
+    if winner is None:
         raise ValueError("arbitrate() needs at least one pending frame")
-    entries.sort(key=lambda e: e[1].can_id)
-    winner_handle, winner_frame = entries[0]
-    if len(entries) > 1:
-        runner_handle, runner_frame = entries[1]
-        if runner_frame.can_id == winner_frame.can_id and runner_handle.node_id != winner_handle.node_id:
-            raise ArbitrationCollisionError(
-                f"nodes {winner_handle.name!r} and {runner_handle.name!r} "
-                f"both transmitting id 0x{winner_frame.can_id:08X}"
-            )
-    return winner_handle, winner_frame
+    if runner is not None and runner[0].node_id != winner[0].node_id:
+        raise ArbitrationCollisionError(
+            f"nodes {winner[0].name!r} and {runner[0].name!r} both transmitting id 0x{winner_id:08X}"
+        )
+    return winner
 
 
 class CanBus:
@@ -89,6 +92,8 @@ class CanBus:
         self._listeners: list[tuple[int, Callable[[CanFrame], None]]] = []
         self._waiting = 0  # frames in all queues together
         self._claimed = False  # an arbitration is queued or a frame is on the wire
+        self._on_wire: tuple[NodeHandle, CanFrame] | None = None  # (sender, frame)
+        self._frame_us = [self.config.frame_time_us(dlc) for dlc in range(9)]  # by dlc
         self._frames_delivered = 0
         self._busy_us = 0
 
@@ -120,28 +125,33 @@ class CanBus:
             self.clock.schedule(self.clock.now_us, self._kick)
 
     def _kick(self) -> None:
-        winner, frame = arbitrate(
+        self._on_wire = winner, frame = arbitrate(
             (handle, queue[0]) for handle, queue in self._queues.items() if queue
         )
         self._queues[winner].popleft()
         self._waiting -= 1
-        duration = self.config.frame_time_us(frame.dlc)
-        self.clock.schedule(
-            self.clock.now_us + duration,
-            lambda: self._complete(winner, frame, duration),
-        )
+        self.clock.schedule(self.clock.now_us + self._frame_us[len(frame.data)], self._complete)
 
-    def _complete(self, sender: NodeHandle, frame: CanFrame, duration: int) -> None:
+    def _complete(self) -> None:
+        sender, frame = self._on_wire
+        now = self.clock.now_us
         self._claimed = False
-        self._busy_us += duration
+        self._busy_us += self._frame_us[len(frame.data)]
         self._frames_delivered += 1
-        delivered = frame.at(self.clock.now_us)
+        delivered = frame.at(now)
+        sender_id = sender.node_id
         for node_id, callback in self._listeners:
-            if node_id != sender.node_id:
+            if node_id != sender_id:
                 callback(delivered)
         if not self._claimed and self._waiting:
             self._claimed = True
-            self.clock.schedule(self.clock.now_us, self._kick)
+            # A queued kick would fire after every event already due now and
+            # before any other; with none due it is the next event, so
+            # arbitrating here gives the same order without the event.
+            if self.clock.due(now):
+                self.clock.schedule(now, self._kick)
+            else:
+                self._kick()
 
     @property
     def stats(self) -> BusStats:

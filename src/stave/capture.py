@@ -104,18 +104,18 @@ def _valid_record(timestamp_us: int, interface: str, kind: str, data: bytes,
     return record
 
 
-def _format_ts(us: int) -> str:
-    return f"{us // 1_000_000}.{us % 1_000_000:06d}"
+def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> str:
+    """The log line of one row of a log's columns (can_id -1: a radio record)."""
+    ts = f"{timestamp_us // 1_000_000}.{timestamp_us % 1_000_000:06d}"
+    if can_id == _RADIO_ID:
+        return f"({ts}) {interface} R:{data.hex().upper()}\n"
+    return f"({ts}) {interface} {can_id:08X}#{data.hex().upper()}\n"
 
 
 def serialize_record(record: CaptureRecord) -> str:
     """Render one record as its log line, newline terminated."""
-    ts = _format_ts(record.timestamp_us)
-    if record.kind == KIND_CAN:
-        body = f"{record.can_id:08X}#{record.data.hex().upper()}"
-    else:
-        body = f"R:{record.data.hex().upper()}"
-    return f"({ts}) {record.interface} {body}\n"
+    can_id = record.can_id if record.kind == KIND_CAN else _RADIO_ID
+    return _format_row(record.timestamp_us, record.interface, can_id, record.data)
 
 
 def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
@@ -197,8 +197,11 @@ class CaptureLog:
         stamps = self._stamps
         return stamps[-1] - stamps[0] if len(stamps) > 1 else 0
 
+    def _lines(self) -> Iterator[str]:
+        return map(_format_row, self._stamps, self._interfaces, self._ids, self._payloads)
+
     def to_text(self) -> str:
-        return "".join(map(serialize_record, self))
+        return "".join(self._lines())
 
     @classmethod
     def from_text(cls, text: str) -> "CaptureLog":
@@ -253,7 +256,7 @@ class CaptureLog:
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(map(serialize_record, self))
+            fh.writelines(self._lines())
 
     @classmethod
     def load(cls, path: str | Path) -> "CaptureLog":

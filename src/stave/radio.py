@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import binascii
 import random
+import struct
 from dataclasses import dataclass
 
 from .bus import CanBus, NodeHandle
@@ -51,6 +52,8 @@ from .sim import SimClock
 SYNC = b"\xa5\x5a"
 FLAG_EXTENDED_ID = 0x01
 MIN_PACKET_SIZE = 14  # dlc 0
+# bytes 2 .. 11: channel, seq, flags, len, can_id, dlc
+_HEADER = struct.Struct(">BHBBIB")
 
 
 def crc16_ccitt_false(data: bytes) -> int:
@@ -120,16 +123,19 @@ class RadioPacket:
         check_int(ConfigurationError, "seq", self.seq, 0, 0xFFFF)
 
     def to_bytes(self) -> bytes:
-        body = bytearray()
-        body.append(self.channel)
-        body += self.seq.to_bytes(2, "big")
-        body.append(FLAG_EXTENDED_ID)
-        body.append(5 + self.frame.dlc)
-        body += self.frame.can_id.to_bytes(4, "big")
-        body.append(self.frame.dlc)
-        body += self.frame.data
-        crc = crc16_ccitt_false(bytes(body))
-        return SYNC + bytes(body) + crc.to_bytes(2, "big")
+        frame = self.frame
+        dlc = len(frame.data)
+        body = _HEADER.pack(self.channel, self.seq, FLAG_EXTENDED_ID, 5 + dlc, frame.can_id, dlc) + frame.data
+        return SYNC + body + crc16_ccitt_false(body).to_bytes(2, "big")
+
+
+def _valid_packet(channel: int, seq: int, frame: CanFrame) -> RadioPacket:
+    """A RadioPacket from fields already known to be valid, without re-checking them."""
+    packet = object.__new__(RadioPacket)
+    object.__setattr__(packet, "channel", channel)
+    object.__setattr__(packet, "seq", seq)
+    object.__setattr__(packet, "frame", frame)
+    return packet
 
 
 def encapsulate(frame: CanFrame, channel: int, seq: int) -> RadioPacket:
@@ -301,12 +307,13 @@ class BridgeEndpoint:
     def __init__(self, medium: RadioMedium, bus: CanBus, name: str, inside_faraday: bool = True):
         self.medium = medium
         self.bus = bus
-        self.inside_faraday = inside_faraday
+        self.inside_faraday = check_bool(ConfigurationError, f"endpoint {name!r} inside_faraday", inside_faraday)
         self.seq_sent = 0
         self.handle: NodeHandle = bus.attach(name, self._on_bus_frame)
 
     def _on_bus_frame(self, frame: CanFrame) -> None:
         seq = self.seq_sent & 0xFFFF
         self.seq_sent += 1
-        channel = hop_channel(self.medium.config, seq)
-        self.medium.transmit(encapsulate(frame, channel, seq), sender=self)
+        # hop_channel is below num_channels <= 256 and seq is masked to 16 bits
+        packet = _valid_packet(hop_channel(self.medium.config, seq), seq, frame)
+        self.medium.transmit(packet, sender=self)

@@ -84,6 +84,11 @@ class SimClock:
 
         queue_next()
 
+    def due(self, at_us: int) -> bool:
+        """Whether an event is queued at or before at_us."""
+        queue = self._queue
+        return bool(queue) and queue[0][0] <= at_us
+
     def schedule_in(self, delay_us: int, action: Callable[[], None]) -> None:
         self.schedule(self._now_us + delay_us, action)
 

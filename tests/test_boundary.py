@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from stave import (
     AddressError,
     BusConfig,
+    CanBus,
     CanFrame,
     CaptureError,
     CaptureRecord,
@@ -33,6 +34,7 @@ from stave import (
     MessageSpec,
     Mutation,
     RadioConfig,
+    RadioInjector,
     RadioMedium,
     RadioPacket,
     ReplaySchedule,
@@ -159,7 +161,15 @@ BOOL_FIELDS = {
     "RadioConfig.faraday_mode": (lambda v: RadioConfig(faraday_mode=v), ConfigurationError),
     "ScaledSignal.signed": (lambda v: ScaledSignal(0, 1, 1.0, v), SignalError),
     "Tap.inside_faraday": (lambda v: Tap("air", inside_faraday=v), ConfigurationError),
+    "RadioInjector.inside_faraday": (
+        lambda v: RadioInjector(RadioMedium(SimClock()), inside_faraday=v), ConfigurationError),
+    "BridgeEndpoint.inside_faraday": (lambda v: _endpoint(inside_faraday=v), ConfigurationError),
 }
+
+
+def _endpoint(inside_faraday):
+    clock = SimClock()
+    return RadioMedium(clock).create_endpoint(CanBus(clock), "bridge", inside_faraday)
 
 
 @pytest.mark.parametrize("field", sorted(BYTES_FIELDS))

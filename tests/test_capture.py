@@ -432,4 +432,5 @@ def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -
     assert log.to_text() == "".join(serialize_record(r) for r in records)
     path = tmp_path_factory.mktemp("model") / "log.txt"
     log.save(path)
+    assert path.read_bytes() == log.to_text().encode()
     assert list(CaptureLog.load(path)) == records

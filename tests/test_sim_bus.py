@@ -170,6 +170,43 @@ def test_arbitrate_empty_is_an_error() -> None:
         arbitrate([])
 
 
+def _sorted_arbitrate(pending):
+    """The rule arbitrate keeps: a stable sort by identifier, the first entry
+    wins, and the second collides with it when it shares the identifier
+    from another node."""
+    entries = sorted(pending, key=lambda e: e[1].can_id)
+    if not entries:
+        raise ValueError("arbitrate() needs at least one pending frame")
+    (winner, frame), rest = entries[0], entries[1:]
+    if rest and rest[0][1].can_id == frame.can_id and rest[0][0].node_id != winner.node_id:
+        raise ArbitrationCollisionError(
+            f"nodes {winner.name!r} and {rest[0][0].name!r} both transmitting id 0x{frame.can_id:08X}"
+        )
+    return winner, frame
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from([0x100, 0x101, 0x102, 0x0CFF1028])), max_size=8))
+def test_arbitrate_agrees_with_the_sorted_rule(contenders) -> None:
+    """(node, id) contenders with duplicate ids, repeated nodes and same-id
+    pairs from distinct nodes: the same winner, or the same error message."""
+    handles = [NodeHandle(node_id=i, name=f"n{i}") for i in range(4)]
+    # a distinct frame per entry, so the winner is told apart by identity
+    pending = [(handles[node], CanFrame(can_id, bytes([i]))) for i, (node, can_id) in enumerate(contenders)]
+
+    def outcome(rule):
+        try:
+            return rule(iter(pending))
+        except (ValueError, ArbitrationCollisionError) as exc:
+            return type(exc), str(exc)
+
+    got, want = outcome(arbitrate), outcome(_sorted_arbitrate)
+    if isinstance(want[0], type):
+        assert got == want
+    else:
+        assert got[0] is want[0] and got[1] is want[1]
+
+
 def _bus() -> tuple[SimClock, CanBus]:
     clock = SimClock()
     return clock, CanBus(clock, "can0")
@@ -220,6 +257,47 @@ def test_same_id_contention_raises_collision() -> None:
     bus.submit(b, CanFrame(0x100, b""))
     with pytest.raises(ArbitrationCollisionError):
         clock.run_until(10_000)
+
+
+class _CountingClock(SimClock):
+    def __init__(self):
+        super().__init__()
+        self.scheduled = 0
+
+    def schedule(self, at_us, action):
+        self.scheduled += 1
+        super().schedule(at_us, action)
+
+
+def test_backlog_arbitrates_inline_when_nothing_else_is_due() -> None:
+    clock = _CountingClock()
+    bus = CanBus(clock, "can0")
+    got: list[tuple[int, int]] = []
+    a = bus.attach("a")
+    bus.attach("watch", on_frame=lambda f: got.append((f.can_id, f.timestamp_us)))
+    for i in range(10):
+        bus.submit(a, CanFrame(0x100 + i, b""))
+    clock.run_until(10_000)
+    assert got == [(0x100 + i, 268 * (i + 1)) for i in range(10)]
+    # one kick from the first submit and one completion per frame; the
+    # next arbitration runs inside each completion
+    assert clock.scheduled == 11
+
+
+def test_kick_stays_an_event_when_another_is_due_at_completion() -> None:
+    clock, bus = _bus()
+    got: list[tuple[int, int]] = []
+    a = bus.attach("a")
+    b = bus.attach("b")
+    bus.attach("watch", on_frame=lambda f: got.append((f.can_id, f.timestamp_us)))
+    bus.submit(a, CanFrame(0x300, b""))  # on the wire 0..268
+    bus.submit(a, CanFrame(0x301, b""))
+    # queued after the first frame's completion, at its instant: the
+    # completion fires first and must leave the next arbitration to a kick
+    # that fires after this submit
+    clock.schedule(0, lambda: clock.schedule(268, lambda: bus.submit(b, CanFrame(0x100, b""))))
+    clock.run_until(10_000)
+    assert got == [(0x300, 268), (0x100, 536), (0x301, 804)]
 
 
 def test_bus_load_single_frame() -> None:
