@@ -126,7 +126,7 @@ class CanBus:
 
     def _kick(self) -> None:
         self._on_wire = winner, frame = arbitrate(
-            (handle, queue[0]) for handle, queue in self._queues.items() if queue
+            [(handle, queue[0]) for handle, queue in self._queues.items() if queue]
         )
         self._queues[winner].popleft()
         self._waiting -= 1

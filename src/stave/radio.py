@@ -257,8 +257,9 @@ class RadioMedium:
         channel = wire[2] if len(wire) > 2 else None
         sender_inside = getattr(sender, "inside_faraday", True)
         now = self.clock.now_us
+        faraday, loss = self.config.faraday_mode, self.config.loss_probability
         for tap in self._taps:
-            if self.config.faraday_mode and tap.inside_faraday != sender_inside:
+            if faraday and tap.inside_faraday != sender_inside:
                 continue
             if tap.channels is not None and channel not in tap.channels:
                 continue
@@ -267,9 +268,9 @@ class RadioMedium:
         for endpoint in self._endpoints:
             if endpoint is sender:
                 continue
-            if self.config.faraday_mode and endpoint.inside_faraday != sender_inside:
+            if faraday and endpoint.inside_faraday != sender_inside:
                 continue
-            if self.config.loss_probability > 0.0 and self._rng.random() < self.config.loss_probability:
+            if loss > 0.0 and self._rng.random() < loss:
                 self.stats.packets_lost += 1
                 continue
             reached.append(endpoint)
