@@ -23,7 +23,7 @@ from .errors import (
     SimulationError,
     check_int,
 )
-from .j1939 import CanFrame
+from .j1939 import CanFrame, _valid_frame
 from .sim import US_PER_SECOND, SimClock
 
 
@@ -90,6 +90,8 @@ class CanBus:
         self._queues: dict[NodeHandle, deque[CanFrame]] = {}  # in node_id order
         # (node_id, on_frame) of every node that listens, in attach order
         self._listeners: list[tuple[int, Callable[[CanFrame], None]]] = []
+        # by sender node_id: the on_frame of every other listener, in attach order
+        self._fanout: list[tuple[Callable[[CanFrame], None], ...]] = []
         self._waiting = 0  # frames in all queues together
         self._claimed = False  # an arbitration is queued or a frame is on the wire
         self._on_wire: tuple[NodeHandle, CanFrame] | None = None  # (sender, frame)
@@ -107,6 +109,8 @@ class CanBus:
         self._queues[handle] = deque()
         if on_frame is not None:
             self._listeners.append((handle.node_id, on_frame))
+        self._fanout = [tuple(callback for node_id, callback in self._listeners if node_id != sender_id)
+                        for sender_id in range(len(self._queues))]
         return handle
 
     def submit(self, handle: NodeHandle, frame: CanFrame) -> None:
@@ -138,11 +142,10 @@ class CanBus:
         self._claimed = False
         self._busy_us += self._frame_us[len(frame.data)]
         self._frames_delivered += 1
-        delivered = frame.at(now)
-        sender_id = sender.node_id
-        for node_id, callback in self._listeners:
-            if node_id != sender_id:
-                callback(delivered)
+        # the frame passed submit's checks and now is never negative
+        delivered = _valid_frame(frame.can_id, frame.data, now)
+        for callback in self._fanout[sender.node_id]:
+            callback(delivered)
         if not self._claimed and self._waiting:
             self._claimed = True
             # A queued kick would fire after every event already due now and

@@ -163,15 +163,18 @@ class CaptureLog:
         self._payloads: list[bytes] = []
 
     def append(self, record: CaptureRecord) -> None:
+        self._append_row(record.timestamp_us, record.interface, record.data, record.can_id)
+
+    def _append_row(self, timestamp_us: int, interface: str, data: bytes, can_id: int | None) -> None:
+        """Append the record with these fields, already known to be valid
+        (can_id None: a radio record), without building it."""
         stamps = self._stamps
-        if stamps and record.timestamp_us < stamps[-1]:
-            raise MonotonicityError(
-                f"timestamp {record.timestamp_us} us is before previous {stamps[-1]} us"
-            )
-        stamps.append(record.timestamp_us)
-        self._ids.append(_RADIO_ID if record.can_id is None else record.can_id)
-        self._interfaces.append(record.interface)
-        self._payloads.append(record.data)
+        if stamps and timestamp_us < stamps[-1]:
+            raise MonotonicityError(f"timestamp {timestamp_us} us is before previous {stamps[-1]} us")
+        stamps.append(timestamp_us)
+        self._ids.append(_RADIO_ID if can_id is None else can_id)
+        self._interfaces.append(interface)
+        self._payloads.append(data)
 
     def __len__(self) -> int:
         return len(self._stamps)
@@ -291,11 +294,11 @@ class CapturePoint:
     keep it. ``sinks`` holds (log, start_us, end_us) entries: a log keeps
     the records with start_us <= timestamp_us < end_us. A new point keeps
     everything in ``log``; a run keeps only what it reads or writes.
+    A segment recorder observes CAN records, a tap radio records.
     """
 
-    def __init__(self, interface: str, kind: str):
+    def __init__(self, interface: str):
         self.interface = interface
-        self.kind = kind
         self.log = CaptureLog()
         self.seen = 0
         self.sinks: list[tuple[CaptureLog, int, float]] = []
@@ -306,11 +309,9 @@ class CapturePoint:
         self.sinks.append((log, start_us, end_us))
 
     def observe(self, timestamp_us: int, data: bytes, can_id: int | None = None) -> None:
-        """Count one valid observation; build its record only if a sink keeps it."""
+        """Count one valid observation and append it to every sink that keeps
+        it; can_id None: a radio record."""
         self.seen += 1
-        record = None
         for log, start_us, end_us in self.sinks:
             if start_us <= timestamp_us < end_us:
-                if record is None:
-                    record = _valid_record(timestamp_us, self.interface, self.kind, data, can_id)
-                log.append(record)
+                log._append_row(timestamp_us, self.interface, data, can_id)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
 from .errors import ConfigurationError, ScenarioValidationError, check_int, is_int
-from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, encode_id, pgn_of, write_signal
+from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id, pgn_of, write_signal
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -241,7 +241,9 @@ class _Node:
     on_frame = None  # nodes that listen override this with a method
 
     def broadcast(self, message: str, data: bytes) -> None:
-        self.bus.submit(self.handle, CanFrame(self.fleet.can_ids[message], data))
+        # the identifier comes from the validated catalog and every payload
+        # here is 8 bytes, so the frame is valid without re-checking it
+        self.bus.submit(self.handle, _valid_frame(self.fleet.can_ids[message], data, 0))
 
     def start_cycle(self, message: str, tick) -> None:
         """First tick at t = cycle, then every cycle."""
@@ -287,7 +289,7 @@ class PowerEcu(_Node):
         self.start_cycle("PWR1", self.tick)
 
     def tick(self):
-        frame = CanFrame(0, _pad(b"\x00\x00" + bytes((1 if self.steer_enable else 0,))))
+        frame = _valid_frame(0, _pad(b"\x00\x00" + bytes((1 if self.steer_enable else 0,))), 0)
         frame = write_signal(frame, VOLTAGE_SIGNAL, self.machine_voltage)
         self.broadcast("PWR1", frame.data)
 
@@ -326,7 +328,7 @@ class SteeringEcu(_Node):
             self.angle_deg, target, dt_s,
             steer_enable=self.steer_enable, joystick_age_s=age_s,
         )
-        frame = write_signal(CanFrame(0, _pad(b"\x00\x00")), WHEEL_ANGLE_SIGNAL, self.angle_deg)
+        frame = write_signal(_valid_frame(0, _pad(b"\x00\x00"), 0), WHEEL_ANGLE_SIGNAL, self.angle_deg)
         self.broadcast("STR1", frame.data)
 
 
@@ -360,7 +362,7 @@ class EngineEcu(_Node):
         self.start_cycle("EEC1", self.tick)
 
     def tick(self):
-        frame = write_signal(CanFrame(0, b"\xff" * 8), ENGINE_SPEED_SIGNAL, self.engine_rpm)
+        frame = write_signal(_valid_frame(0, b"\xff" * 8, 0), ENGINE_SPEED_SIGNAL, self.engine_rpm)
         self.broadcast("EEC1", frame.data)
 
 

@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 
 from .bus import CanBus, NodeHandle
-from .capture import KIND_RADIO, CapturePoint, valid_interface
+from .capture import CapturePoint, valid_interface
 from .errors import (
     ConfigurationError,
     DecapsulationError,
@@ -203,7 +203,7 @@ class Tap(CapturePoint):
                 ) from None
             if not self.channels:
                 raise ConfigurationError(f"tap {self.name!r} has an empty channel set")
-        CapturePoint.__init__(self, self.name, KIND_RADIO)
+        CapturePoint.__init__(self, self.name)
 
 
 @dataclass
@@ -247,12 +247,16 @@ class RadioMedium:
         Taps get a copy now (transmit instant). Every endpoint other than
         the sender that the faraday barrier and an independent loss draw
         let through hears the packet in one event, after the propagation
-        latency. Raw bytes are decoded once, in that event.
+        latency. Raw bytes are decoded once, in that event. A bridge
+        endpoint's own packets are on the hop channel by construction, so
+        only other senders' packets are checked against the hop sequence.
         """
         if isinstance(packet, RadioPacket):
             wire = packet.to_bytes()
+            on_hop = isinstance(sender, BridgeEndpoint)
         else:
             wire = packet = bytes(packet)
+            on_hop = False
         self.stats.packets_sent += 1
         channel = wire[2] if len(wire) > 2 else None
         sender_inside = getattr(sender, "inside_faraday", True)
@@ -276,17 +280,19 @@ class RadioMedium:
             reached.append(endpoint)
         if reached:
             self.clock.schedule(now + self.config.latency_us,
-                                lambda: self._deliver(packet, reached, sender))
+                                lambda: self._deliver(packet, reached, sender, on_hop))
 
-    def _deliver(self, packet: RadioPacket | bytes, endpoints: list[BridgeEndpoint], sender) -> None:
-        """Hand one packet to every endpoint it reached, in endpoint order."""
+    def _deliver(self, packet: RadioPacket | bytes, endpoints: list[BridgeEndpoint], sender,
+                 on_hop: bool) -> None:
+        """Hand one packet to every endpoint it reached, in endpoint order;
+        on_hop: the packet is known to be on its seq's hop channel."""
         if not isinstance(packet, RadioPacket):
             try:
                 packet = decapsulate(packet)
             except DecapsulationError:
                 self.stats.crc_dropped += len(endpoints)
                 return
-        if packet.channel != hop_channel(self.config, packet.seq):
+        if not on_hop and packet.channel != hop_channel(self.config, packet.seq):
             self.stats.channel_rejected += len(endpoints)
             return
         self.stats.endpoint_delivered += len(endpoints)

@@ -27,7 +27,7 @@ from .attack import (
     schedule_injection,
 )
 from .bus import CanBus
-from .capture import KIND_CAN, CaptureLog, CapturePoint
+from .capture import CaptureLog, CapturePoint
 from .fleet import Fleet, VehicleObservables
 from .radio import RadioMedium, Tap
 from .scenario import (
@@ -54,11 +54,14 @@ class _Recorder(CapturePoint):
     """Passive bus node that observes every delivered frame."""
 
     def __init__(self, bus: CanBus):
-        super().__init__(bus.name, KIND_CAN)
+        super().__init__(bus.name)
         self.handle = bus.attach("recorder", on_frame=self._on_frame)
 
     def _on_frame(self, frame) -> None:
-        self.observe(frame.timestamp_us, frame.data, frame.can_id)
+        if self.sinks:
+            self.observe(frame.timestamp_us, frame.data, frame.can_id)
+        else:  # no log keeps this segment: count only
+            self.seen += 1
 
 
 @dataclass

@@ -322,7 +322,7 @@ def test_from_text_enforces_monotone_time() -> None:
 
 
 def test_capture_point_keeps_half_open_window() -> None:
-    point = CapturePoint("vehicle0", KIND_CAN)
+    point = CapturePoint("vehicle0")
     window = CaptureLog()
     point.keep(window, 100, 300)  # [100, 300)
     for ts in (99, 100, 200, 300):

@@ -285,6 +285,29 @@ def test_led_command_round_trip_with_on_change_report() -> None:
         bed.fleet.display.send_led_command(300)
 
 
+def test_every_delivered_frame_passes_the_frame_checks() -> None:
+    # the fleet and the bus build their frames without re-checking them
+    sections = {
+        "duration_s": 2.0,
+        "fleet": {"steer_enable": True, "engine_rpm": 1234.5, "catalog": {
+            "JOY1": {"cycle_ms": 15}, "PWR1": {"cycle_ms": 90}, "STR1": {"cycle_ms": 20},
+            "LED1": {"cycle_ms": 70}, "HYD1": {"cycle_ms": 35}, "EEC1": {"cycle_ms": 45},
+        }},
+        "joystick_script": [{"t_s": 0.0, "x": 25, "y": 200, "button": 1}, {"t_s": 1.0, "x": 240}],
+    }
+    bed = build(sections)
+    bed.clock.schedule(600_000, lambda: bed.fleet.display.send_led_command(0b1011))
+    run(bed, 2_000_000)
+    for name in ("operator0", "vehicle0"):
+        records = list(bed.captures[name])
+        assert {r.can_id for r in records} >= {EXPECTED_IDS["JOY1"], EXPECTED_IDS["DSP1"]}
+        for record in records:
+            checked = CanFrame(record.can_id, record.data, record.timestamp_us)
+            assert record.frame() == checked
+            assert type(record.data) is bytes and len(record.data) == 8
+    assert bed.captures["vehicle0"][-1].timestamp_us > 1_900_000
+
+
 def test_observables_shape() -> None:
     bed = build({"fleet": {"machine_voltage": 13.8, "engine_rpm": 900.0}})
     run(bed, 1_500_000)

@@ -17,12 +17,14 @@ from stave import (
     BusConfig,
     CanBus,
     CanFrame,
+    ChannelStrategy,
     ConfigurationError,
     DecapsulationError,
     FramingError,
     IntegrityError,
     LengthError,
     RadioConfig,
+    RadioInjector,
     RadioMedium,
     RadioPacket,
     SimClock,
@@ -364,6 +366,39 @@ def test_endpoint_rejects_wrong_channel() -> None:
     assert got == []
     assert medium.stats.channel_rejected == 2  # both endpoints refused it
     assert medium.stats.endpoint_delivered == 0
+    # an injector pinned to a channel off the hop is refused the same way
+    injector = RadioInjector(medium, ChannelStrategy("fixed", wrong))
+    injector.send_frame(JOY_FRAME)  # its own seq 0
+    clock.run_until(2_000_000)
+    assert got == []
+    assert medium.stats.channel_rejected == 4
+    assert medium.stats.endpoint_delivered == 0
+    assert (injector.stats.sent, injector.stats.delivered) == (1, 0)
+
+
+def test_bridge_packets_ride_the_hop_sequence() -> None:
+    config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
+    clock, bus_a, bus_b, medium = two_segment_medium(config)
+    air = medium.add_tap(Tap(name="air"))
+    got_a: list[CanFrame] = []
+    got_b: list[CanFrame] = []
+    ecu_a = bus_a.attach("ecu_a", on_frame=got_a.append)
+    ecu_b = bus_b.attach("ecu_b", on_frame=got_b.append)
+    for i in range(40):
+        bus_a.submit(ecu_a, CanFrame(0x100 + i, bytes((i,))))
+        bus_b.submit(ecu_b, CanFrame(0x200 + i, bytes((i,))))
+    clock.run_until(1_000_000)
+    assert medium.stats.channel_rejected == 0
+    assert medium.stats.endpoint_delivered == medium.stats.packets_sent == 80
+    assert [f.can_id for f in got_b] == [0x100 + i for i in range(40)]
+    assert [f.can_id for f in got_a] == [0x200 + i for i in range(40)]
+    # each bridge numbers its own packets from 0 and sends each on its hop channel
+    packets = [decapsulate(record.data) for record in air.log]
+    for prefix in (0x100, 0x200):
+        own = [p for p in packets if p.frame.can_id & 0xF00 == prefix]
+        assert [p.seq for p in own] == list(range(40))
+        assert [p.channel for p in own] == [hop_channel(config, seq) for seq in range(40)]
+    assert len({p.channel for p in packets}) > 1
 
 
 @pytest.fixture

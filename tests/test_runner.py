@@ -5,7 +5,8 @@ import json
 import pytest
 from conftest import load_fixture, make_scenario
 
-from stave import CaptureLog, build_testbed, run_scenario, summarize, validate_scenario
+from stave import CaptureLog, CaptureRecord, build_testbed, run_scenario, summarize, validate_scenario
+from stave.capture import KIND_CAN, KIND_RADIO
 from stave.runner import json_text, write_outputs
 
 JOY = 0x0CFF1028
@@ -26,6 +27,11 @@ def test_summary_shape_and_consistency() -> None:
     assert radio["packets_sent"] == radio["endpoint_delivered"] > 0
     assert radio["packets_lost"] == radio["channel_rejected"] == radio["crc_dropped"] == 0
     assert summary["captures"]["operator0"] == len(result.captures["operator0"])
+    # a recorder sees every delivered frame, whether a log keeps its segment
+    # (operator0) or it only counts (vehicle0)
+    assert "vehicle0" not in result.captures
+    for seg in ("operator0", "vehicle0"):
+        assert summary["captures"][seg] == summary["buses"][seg]["frames_delivered"]
     assert summary["attacks"] == []
     assert summary["observables"]["wheel_angle_deg"] == 0.0
 
@@ -171,15 +177,20 @@ def test_seed_changes_only_the_loss_stream() -> None:
 
 @pytest.fixture
 def appended(monkeypatch) -> dict[int, list]:
-    """id(log) -> the records appended to that log, filled in as a run goes."""
+    """id(log) -> the records appended to that log, filled in as a run goes.
+
+    Spies on the row append that CaptureLog.append and the recorders and
+    taps all go through.
+    """
     seen: dict[int, list] = {}
-    append = CaptureLog.append
+    append_row = CaptureLog._append_row
 
-    def spy(log, record):
-        seen.setdefault(id(log), []).append(record)
-        append(log, record)
+    def spy(log, timestamp_us, interface, data, can_id):
+        kind = KIND_RADIO if can_id is None else KIND_CAN
+        seen.setdefault(id(log), []).append(CaptureRecord(timestamp_us, interface, kind, data, can_id))
+        append_row(log, timestamp_us, interface, data, can_id)
 
-    monkeypatch.setattr(CaptureLog, "append", spy)
+    monkeypatch.setattr(CaptureLog, "_append_row", spy)
     return seen
 
 

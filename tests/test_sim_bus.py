@@ -225,6 +225,32 @@ def test_delivery_excludes_sender_and_stamps_time() -> None:
     assert got_b[0].timestamp_us == 524
 
 
+def test_node_attached_mid_run_hears_later_frames_in_attach_order() -> None:
+    clock, bus = _bus()
+    got: list[tuple[str, int]] = []
+
+    def listener(name: str):
+        return lambda frame: got.append((name, frame.can_id))
+
+    a = bus.attach("a", on_frame=listener("a"))
+    b = bus.attach("b", on_frame=listener("b"))
+    bus.submit(a, CanFrame(0x100, b""))
+    clock.run_until(1_000)
+    assert got == [("b", 0x100)]
+    got.clear()
+    c = bus.attach("c", on_frame=listener("c"))
+    d = bus.attach("d")  # sends only
+    for t_end, sender, can_id in ((2_000, a, 0x101), (3_000, b, 0x102), (4_000, c, 0x103), (5_000, d, 0x104)):
+        bus.submit(sender, CanFrame(can_id, b""))
+        clock.run_until(t_end)
+    assert got == [
+        ("b", 0x101), ("c", 0x101),
+        ("a", 0x102), ("c", 0x102),
+        ("a", 0x103), ("b", 0x103),
+        ("a", 0x104), ("b", 0x104), ("c", 0x104),
+    ]
+
+
 def test_lower_id_wins_then_loser_follows() -> None:
     clock, bus = _bus()
     got: list[CanFrame] = []
