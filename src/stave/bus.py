@@ -88,8 +88,8 @@ class CanBus:
         self.name = name
         self.config = config or BusConfig()
         self._queues: dict[NodeHandle, deque[CanFrame]] = {}  # in node_id order
-        # (node_id, on_frame) of every node that listens, in attach order
-        self._listeners: list[tuple[int, Callable[[CanFrame], None]]] = []
+        # on_frame of every node that listens, in attach order
+        self._listeners: list[Callable[[CanFrame], None]] = []
         # by sender node_id: the on_frame of every other listener, in attach order
         self._fanout: list[tuple[Callable[[CanFrame], None], ...]] = []
         self._waiting = 0  # frames in all queues together
@@ -107,10 +107,13 @@ class CanBus:
             raise ConfigurationError(f"node name {name!r} already attached to {self.name}")
         handle = NodeHandle(node_id=len(self._queues), name=name)
         self._queues[handle] = deque()
+        # the new node's frames reach every earlier listener; if it listens,
+        # every earlier node's frames reach it
+        self._fanout.append(tuple(self._listeners))
         if on_frame is not None:
-            self._listeners.append((handle.node_id, on_frame))
-        self._fanout = [tuple(callback for node_id, callback in self._listeners if node_id != sender_id)
-                        for sender_id in range(len(self._queues))]
+            self._listeners.append(on_frame)
+            for node_id in range(handle.node_id):
+                self._fanout[node_id] += (on_frame,)
         return handle
 
     def submit(self, handle: NodeHandle, frame: CanFrame) -> None:
