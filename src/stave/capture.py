@@ -294,7 +294,7 @@ class CapturePoint:
     keep it. ``sinks`` holds (log, start_us, end_us) entries: a log keeps
     the records with start_us <= timestamp_us < end_us. A new point keeps
     everything in ``log``; a run keeps only what it reads or writes.
-    A segment recorder observes CAN records, a tap radio records.
+    A segment recorder observes CAN records and a tap radio records.
     """
 
     def __init__(self, interface: str):
