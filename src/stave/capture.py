@@ -29,9 +29,6 @@ from typing import Iterator
 from .errors import CaptureError, MonotonicityError, ParseError, check_bytes, check_int
 from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
 
-KIND_CAN = "can"
-KIND_RADIO = "radio"
-
 # The grammar of one line, LF included. Groups: seconds, fraction,
 # interface, then a CAN record's identifier and payload digits or a radio
 # record's packet digits; any other body matches no group. Timestamps take
@@ -54,16 +51,15 @@ def valid_interface(name) -> bool:
 
 @dataclass(frozen=True)
 class CaptureRecord:
-    """One observed frame or radio packet.
+    """One observed frame or radio packet: a row of a capture log.
 
-    For ``kind == "can"``, ``can_id`` holds the identifier and ``data``
-    the payload. For ``kind == "radio"``, ``can_id`` is None and
-    ``data`` holds the full packet bytes.
+    A CAN record holds its identifier in ``can_id`` and its payload in
+    ``data``. A radio record is one whose ``can_id`` is None; ``data``
+    holds the full packet bytes.
     """
 
     timestamp_us: int
     interface: str
-    kind: str
     data: bytes
     can_id: int | None = None
 
@@ -73,35 +69,19 @@ class CaptureRecord:
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
         if type(self.data) is not bytes:
             object.__setattr__(self, "data", check_bytes(CaptureError, "data", self.data))
-        if self.kind == KIND_CAN:
-            check_int(CaptureError, "can record can_id", self.can_id, 0, MAX_CAN_ID)
-            if len(self.data) > 8:
-                raise CaptureError("can record payload exceeds 8 bytes")
-        elif self.kind == KIND_RADIO:
-            if self.can_id is not None:
-                raise CaptureError("radio record must not carry a can_id")
+        if self.can_id is None:
             if not self.data:
                 raise CaptureError("radio record needs packet bytes")
         else:
-            raise CaptureError(f"unknown record kind {self.kind!r}")
+            check_int(CaptureError, "can record can_id", self.can_id, 0, MAX_CAN_ID)
+            if len(self.data) > 8:
+                raise CaptureError("can record payload exceeds 8 bytes")
 
     def frame(self) -> CanFrame:
-        if self.kind != KIND_CAN:
+        if self.can_id is None:
             raise CaptureError("not a can record")
         # a record's fields are already a valid frame's
         return _valid_frame(self.can_id, self.data, self.timestamp_us)
-
-
-def _valid_record(timestamp_us: int, interface: str, kind: str, data: bytes,
-                  can_id: int | None = None) -> CaptureRecord:
-    """A CaptureRecord from fields already known to be valid, without re-checking them."""
-    record = object.__new__(CaptureRecord)
-    object.__setattr__(record, "timestamp_us", timestamp_us)
-    object.__setattr__(record, "interface", interface)
-    object.__setattr__(record, "kind", kind)
-    object.__setattr__(record, "data", data)
-    object.__setattr__(record, "can_id", can_id)
-    return record
 
 
 def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> str:
@@ -114,7 +94,7 @@ def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> 
 
 def serialize_record(record: CaptureRecord) -> str:
     """Render one record as its log line, newline terminated."""
-    can_id = record.can_id if record.kind == KIND_CAN else _RADIO_ID
+    can_id = _RADIO_ID if record.can_id is None else record.can_id
     return _format_row(record.timestamp_us, record.interface, can_id, record.data)
 
 
@@ -141,8 +121,7 @@ def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError
     # a syntactically valid line carrying impossible values, such as an
     # identifier past 29 bits or a payload past 8 bytes: the record says which
     try:
-        CaptureRecord(int(seconds + fraction), interface, KIND_CAN, bytes.fromhex(digits),
-                      int(can_hex, 16))
+        CaptureRecord(int(seconds + fraction), interface, bytes.fromhex(digits), int(can_hex, 16))
     except CaptureError as exc:
         return ParseError(str(exc), lineno)
     raise AssertionError(f"line {lineno} holds a valid record")
@@ -281,10 +260,14 @@ def _decode(raw: bytes) -> str:
 
 
 def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) -> CaptureRecord:
-    """The record one row of a log's columns holds."""
-    if can_id == _RADIO_ID:
-        return _valid_record(timestamp_us, interface, KIND_RADIO, data)
-    return _valid_record(timestamp_us, interface, KIND_CAN, data, can_id)
+    """The record one row of a log's columns holds, built without re-checking
+    its fields (can_id -1: a radio record)."""
+    record = object.__new__(CaptureRecord)
+    object.__setattr__(record, "timestamp_us", timestamp_us)
+    object.__setattr__(record, "interface", interface)
+    object.__setattr__(record, "data", data)
+    object.__setattr__(record, "can_id", None if can_id == _RADIO_ID else can_id)
+    return record
 
 
 class CapturePoint:

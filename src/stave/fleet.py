@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
 from .errors import ConfigurationError, ScenarioValidationError, check_int, is_int
-from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id, pgn_of, write_signal
+from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id, pgn_of
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -71,7 +71,7 @@ class MessageSpec:
     pgn: int
     source_address: int
     priority: int
-    cycle_ms: int | None  # None: sent on demand only
+    cycle_ms: int | None  # None: not broadcast on a cycle
 
     def __post_init__(self):
         for key, (lo, hi) in CATALOG_FIELDS.items():
@@ -230,82 +230,82 @@ def _pad(defined: bytes, total: int = 8) -> bytes:
 
 
 class _Node:
-    """Shared plumbing for fleet nodes: attach, periodic ticks, broadcast."""
+    """A fleet node, which sends one catalog message. It attaches to its bus
+    and then, when it has a tick and the catalog gives its message a cycle,
+    ticks at t = cycle and every cycle after."""
 
-    def __init__(self, fleet: "Fleet", bus: CanBus, node_name: str):
+    on_frame = None  # nodes that listen override this with a method
+    tick = None  # nodes that send on a cycle override this with a method
+
+    def __init__(self, fleet: "Fleet", bus: CanBus, node_name: str, message: str):
         self.fleet = fleet
         self.bus = bus
         self.clock: SimClock = fleet.clock
+        self.spec: MessageSpec = fleet.catalog[message]
+        self.can_id = self.spec.can_id
         self.handle: NodeHandle = bus.attach(node_name, self.on_frame)
+        tick = self.tick
+        if tick is not None and self.spec.cycle_ms is not None:
+            cycle_us = self.spec.cycle_ms * 1000
 
-    on_frame = None  # nodes that listen override this with a method
+            def fire():
+                tick()
+                self.clock.schedule_in(cycle_us, fire)
 
-    def broadcast(self, message: str, data: bytes) -> None:
+            self.clock.schedule(self.clock.now_us + cycle_us, fire)
+
+    def broadcast(self, data: bytes) -> None:
         # the identifier comes from the validated catalog and every payload
         # here is 8 bytes, so the frame is valid without re-checking it
-        self.bus.submit(self.handle, _valid_frame(self.fleet.can_ids[message], data, 0))
-
-    def start_cycle(self, message: str, tick) -> None:
-        """First tick at t = cycle, then every cycle."""
-        cycle_us = self.fleet.catalog[message].cycle_ms * 1000
-
-        def fire():
-            tick()
-            self.clock.schedule_in(cycle_us, fire)
-
-        self.clock.schedule(self.clock.now_us + cycle_us, fire)
+        self.bus.submit(self.handle, _valid_frame(self.can_id, data, 0))
 
 
 class JoystickNode(_Node):
     """Operator joystick: plays a scripted timeline at the JOY1 cadence."""
 
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "joystick")
-        self.start_cycle("JOY1", self.tick)
+        super().__init__(fleet, bus, "joystick", "JOY1")
 
     def tick(self):
         x, y, button = self.fleet.script.value_at(self.clock.now_us)
-        self.broadcast("JOY1", _pad(bytes((x, y, button & 1))))
+        self.broadcast(_pad(bytes((x, y, button & 1))))
 
 
 class DisplayNode(_Node):
     """Operator display; sends LED commands on demand."""
 
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "display")
+        super().__init__(fleet, bus, "display", "DSP1")
 
     def send_led_command(self, mask: int) -> None:
         check_int(ConfigurationError, "led command", mask, 0, 0xFF)
-        self.broadcast("DSP1", _pad(bytes((mask,))))
+        self.broadcast(_pad(bytes((mask,))))
 
 
 class PowerEcu(_Node):
     """Transmits machine voltage and the steer-enable line."""
 
     def __init__(self, fleet, bus, steer_enable: bool, machine_voltage: float):
-        super().__init__(fleet, bus, "power_ecu")
+        super().__init__(fleet, bus, "power_ecu", "PWR1")
         self.steer_enable = steer_enable
         self.machine_voltage = machine_voltage
-        self.start_cycle("PWR1", self.tick)
+        self.voltage_bytes = VOLTAGE_SIGNAL.encode(machine_voltage)
 
     def tick(self):
-        frame = _valid_frame(0, _pad(b"\x00\x00" + bytes((1 if self.steer_enable else 0,))), 0)
-        frame = write_signal(frame, VOLTAGE_SIGNAL, self.machine_voltage)
-        self.broadcast("PWR1", frame.data)
+        self.broadcast(_pad(self.voltage_bytes + bytes((1 if self.steer_enable else 0,))))
 
 
 class SteeringEcu(_Node):
     """Electric steer motor controller: slews toward the joystick target."""
 
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "steering_ecu")
+        super().__init__(fleet, bus, "steering_ecu", "STR1")
         self.angle_deg = 0.0
         self.steer_enable = False  # off until PWR1 says otherwise
         self.last_joy_us: int | None = None
         self.last_x = JOYSTICK_CENTER
         self._joy_pgn = fleet.catalog["JOY1"].pgn
         self._pwr_pgn = fleet.catalog["PWR1"].pgn
-        self.start_cycle("STR1", self.tick)
 
     def on_frame(self, frame: CanFrame) -> None:
         pgn = pgn_of(frame.can_id)
@@ -323,23 +323,20 @@ class SteeringEcu(_Node):
         else:
             age_s = (now - self.last_joy_us) / 1e6
             target = steering_target(self.last_x)
-        dt_s = self.fleet.catalog["STR1"].cycle_ms / 1000
         self.angle_deg = steering_step(
-            self.angle_deg, target, dt_s,
+            self.angle_deg, target, self.spec.cycle_ms / 1000,
             steer_enable=self.steer_enable, joystick_age_s=age_s,
         )
-        frame = write_signal(_valid_frame(0, _pad(b"\x00\x00"), 0), WHEEL_ANGLE_SIGNAL, self.angle_deg)
-        self.broadcast("STR1", frame.data)
+        self.broadcast(_pad(WHEEL_ANGLE_SIGNAL.encode(self.angle_deg)))
 
 
 class HydraulicsEcu(_Node):
     """Maps the joystick Y axis onto the pump command."""
 
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "hydraulics_ecu")
+        super().__init__(fleet, bus, "hydraulics_ecu", "HYD1")
         self.pump_raw = JOYSTICK_CENTER
         self._joy_pgn = fleet.catalog["JOY1"].pgn
-        self.start_cycle("HYD1", self.tick)
 
     def on_frame(self, frame: CanFrame) -> None:
         if pgn_of(frame.can_id) == self._joy_pgn and frame.dlc >= 2:
@@ -350,30 +347,28 @@ class HydraulicsEcu(_Node):
         return self.pump_raw * PUMP_SIGNAL.scale
 
     def tick(self):
-        self.broadcast("HYD1", _pad(bytes((self.pump_raw,))))
+        self.broadcast(_pad(bytes((self.pump_raw,))))
 
 
 class EngineEcu(_Node):
     """Broadcasts a fixed engine speed."""
 
     def __init__(self, fleet, bus, engine_rpm: float):
-        super().__init__(fleet, bus, "engine_ecu")
+        super().__init__(fleet, bus, "engine_ecu", "EEC1")
         self.engine_rpm = engine_rpm
-        self.start_cycle("EEC1", self.tick)
+        self.payload = _pad(b"\xff" * ENGINE_SPEED_SIGNAL.byte_offset + ENGINE_SPEED_SIGNAL.encode(engine_rpm))
 
     def tick(self):
-        frame = write_signal(_valid_frame(0, b"\xff" * 8, 0), ENGINE_SPEED_SIGNAL, self.engine_rpm)
-        self.broadcast("EEC1", frame.data)
+        self.broadcast(self.payload)
 
 
 class ImplementEcu(_Node):
     """Drives the LED bank from operator commands; reports on change."""
 
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "implement_ecu")
+        super().__init__(fleet, bus, "implement_ecu", "LED1")
         self.led_mask = 0
         self._dsp_pgn = fleet.catalog["DSP1"].pgn
-        self.start_cycle("LED1", self.tick)
 
     def on_frame(self, frame: CanFrame) -> None:
         if pgn_of(frame.can_id) == self._dsp_pgn and frame.dlc >= 1:
@@ -382,7 +377,7 @@ class ImplementEcu(_Node):
                 self.tick()
 
     def tick(self):
-        self.broadcast("LED1", _pad(bytes((self.led_mask,))))
+        self.broadcast(_pad(bytes((self.led_mask,))))
 
 
 class Fleet:
@@ -413,7 +408,6 @@ class Fleet:
         self.clock = clock
         self.catalog = catalog
         self.script = script
-        self.can_ids = {spec.name: spec.can_id for spec in catalog}
         self.joystick = JoystickNode(self, operator_bus)
         self.display = DisplayNode(self, operator_bus)
         self.implement = ImplementEcu(self, vehicle_bus)

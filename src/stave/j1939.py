@@ -215,6 +215,22 @@ class ScaledSignal:
             return -(1 << (bits - 1)), (1 << (bits - 1)) - 1
         return 0, (1 << bits) - 1
 
+    def encode(self, value: float) -> bytes:
+        """The signal's field bytes for a physical value, little-endian.
+
+        The raw value is the nearest integer of value / scale, so
+        a read-back differs from ``value`` by at most scale/2.
+        """
+        raw = round(value / self.scale)
+        lo, hi = self.raw_bounds
+        if not lo <= raw <= hi:
+            raise SignalError(f"value {value!r} maps to raw {raw}, outside {lo}..{hi}")
+        if raw == self.not_available_raw:
+            raise SignalError(
+                f"value {value!r} maps to raw {raw}, the not-available sentinel"
+            )
+        return (raw & ((1 << (8 * self.width_bytes)) - 1)).to_bytes(self.width_bytes, "little")
+
 
 def read_signal(frame: CanFrame, signal: ScaledSignal) -> float | None:
     """Decode a signal from a frame; None when the raw value is the
@@ -235,26 +251,12 @@ def read_signal(frame: CanFrame, signal: ScaledSignal) -> float | None:
 
 
 def write_signal(frame: CanFrame, signal: ScaledSignal, value: float) -> CanFrame:
-    """Encode a physical value into a copy of the frame.
-
-    The raw value is the nearest integer of value / scale, so
-    a read-back differs from ``value`` by at most scale/2.
-    """
+    """Encode a physical value into a copy of the frame (see ScaledSignal.encode)."""
     end = signal.byte_offset + signal.width_bytes
     if end > frame.dlc:
         raise SignalError(
             f"signal bytes {signal.byte_offset}..{end - 1} outside dlc {frame.dlc}"
         )
-    raw = round(value / signal.scale)
-    lo, hi = signal.raw_bounds
-    if not lo <= raw <= hi:
-        raise SignalError(f"value {value!r} maps to raw {raw}, outside {lo}..{hi}")
-    if signal.not_available_raw is not None and raw == signal.not_available_raw:
-        raise SignalError(
-            f"value {value!r} maps to raw {raw}, the not-available sentinel"
-        )
-    mask = (1 << (8 * signal.width_bytes)) - 1
-    data = bytearray(frame.data)
-    data[signal.byte_offset:end] = (raw & mask).to_bytes(signal.width_bytes, "little")
+    data = frame.data[:signal.byte_offset] + signal.encode(value) + frame.data[end:]
     # same length as frame.data, so still a valid payload
-    return _valid_frame(frame.can_id, bytes(data), frame.timestamp_us)
+    return _valid_frame(frame.can_id, data, frame.timestamp_us)

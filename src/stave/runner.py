@@ -75,7 +75,7 @@ class Testbed:
     fleet: Fleet
     # every recorder and tap, by log name; counts all it sees
     points: dict[str, CapturePoint]
-    # the logs kept whole, then each sniff save once its window closes
+    # the logs kept whole and each sniff save
     captures: dict[str, CaptureLog]
     reports: dict[str, dict] = field(default_factory=dict)
     schedules: dict[str, ReplaySchedule] = field(default_factory=dict)
@@ -160,14 +160,10 @@ def _keep_whole(bed: Testbed, name: str) -> None:
 # entry after the run.
 
 def _run_sniff(bed: Testbed, spec: SniffSpec, index: int) -> Callable[[], dict]:
-    save = CaptureLog()
+    # validation starts every reader of the save after its window closes
+    save = bed.captures[spec.save] = CaptureLog()
     bed.points[spec.source].keep(save, spec.start_us, spec.start_us + spec.duration_us)
-
-    def materialize():
-        bed.captures[spec.save] = save
-
-    bed.clock.schedule(spec.start_us + spec.duration_us, materialize)
-    return lambda: {"type": "sniff", "save": spec.save, "records": len(bed.captures[spec.save])}
+    return lambda: {"type": "sniff", "save": spec.save, "records": len(save)}
 
 
 def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:

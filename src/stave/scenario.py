@@ -563,6 +563,9 @@ def validate_scenario(doc: dict) -> Scenario:
     for key, default in (("engine_rpm", 800.0), ("machine_voltage", 12.6)):
         lo, hi = PLANT_FIELDS[key]
         plant[key] = check.number(f"fleet.{key}", fleet_doc.get(key), lo=lo, hi=hi, default=default)
+    catalog = MessageCatalog()
+    # no node sends these on a cycle, so a cycle for one would be ignored
+    on_demand = {spec.name for spec in catalog if spec.cycle_ms is None}
     overrides = {}
     for name, fields in check.section("fleet.catalog", fleet_doc.get("catalog")).items():
         path = f"fleet.catalog.{name}"
@@ -571,10 +574,11 @@ def validate_scenario(doc: dict) -> Scenario:
             if key not in CATALOG_FIELDS:
                 continue
             lo, hi = CATALOG_FIELDS[key]
-            # null passes to the catalog: for cycle_ms it means "sent on demand"
-            if value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
+            if key == "cycle_ms" and name in on_demand and value is not None:
+                check.add(f"{path}.{key}", f"{name} is sent on demand only, so it takes no cycle, got {value!r}")
+            # null passes to the catalog: for cycle_ms it means "not broadcast on a cycle"
+            elif value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
                 overrides[name][key] = value
-    catalog = MessageCatalog()
     try:
         catalog = catalog.with_overrides(overrides)
     except StaveError as exc:

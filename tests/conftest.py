@@ -58,6 +58,9 @@ MALFORMED_SECTIONS = [
     ({"outputs": {"summary": "./"}}, "outputs.summary: must name a file, got './'"),
     ({"outputs": {"summary": "x", "captures": {"vehicle0": "x/v.log"}}},
      "outputs: output path 'x' is a directory of 'x/v.log'"),
+    # a message the default catalog sends on demand only takes no cycle
+    ({"fleet": {"catalog": {"DSP1": {"cycle_ms": 100}}}},
+     "fleet.catalog.DSP1.cycle_ms: DSP1 is sent on demand only, so it takes no cycle, got 100"),
 ]
 
 

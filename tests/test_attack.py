@@ -35,7 +35,6 @@ from stave import (
     plan_replay,
     schedule_injection,
 )
-from stave.capture import KIND_CAN, KIND_RADIO
 
 
 def can_log(entries: list[tuple[int, int, bytes]]) -> CaptureLog:
@@ -43,7 +42,7 @@ def can_log(entries: list[tuple[int, int, bytes]]) -> CaptureLog:
     log = CaptureLog()
     for ts, can_id, data in entries:
         log.append(CaptureRecord(timestamp_us=ts, interface="vehicle0",
-                                 kind=KIND_CAN, data=data, can_id=can_id))
+                                 data=data, can_id=can_id))
     return log
 
 
@@ -54,12 +53,9 @@ STR = 0x18FF1213
 def test_plan_replay_mixes_wired_and_radio() -> None:
     frame = CanFrame(JOY, b"\x19\x7d\x00\xff\xff\xff\xff\xff")
     log = CaptureLog()
-    log.append(CaptureRecord(timestamp_us=10, interface="v", kind=KIND_CAN,
-                             data=frame.data, can_id=JOY))
-    log.append(CaptureRecord(timestamp_us=20, interface="air", kind=KIND_RADIO,
-                             data=encapsulate(frame, 0, 1).to_bytes()))
-    log.append(CaptureRecord(timestamp_us=30, interface="air", kind=KIND_RADIO,
-                             data=b"\xde\xad\xbe\xef"))  # garbage is skipped
+    log.append(CaptureRecord(timestamp_us=10, interface="v", data=frame.data, can_id=JOY))
+    log.append(CaptureRecord(timestamp_us=20, interface="air", data=encapsulate(frame, 0, 1).to_bytes()))
+    log.append(CaptureRecord(timestamp_us=30, interface="air", data=b"\xde\xad\xbe\xef"))  # garbage is skipped
     schedule = plan_replay(log, MessageMatch(can_id=JOY), None)
     assert schedule.entries == ((0, frame), (10, frame))
 
@@ -73,7 +69,6 @@ def test_channel_occupancy_matches_counter() -> None:
         channel = rng.randrange(16)
         counts[channel] += 1
         log.append(CaptureRecord(timestamp_us=seq, interface="air",
-                                 kind=KIND_RADIO,
                                  data=encapsulate(frame, channel, seq).to_bytes()))
     got = channel_occupancy(log)
     assert dict(got) == dict(counts)
@@ -132,14 +127,14 @@ def mixed_capture(rng: random.Random, active: bool) -> CaptureLog:
             data = bytes((5, rng.choice((3, 4)), 2, 1, 1, 1, 1, 1)[:dlc])
         wire = encapsulate(CanFrame(can_id, data), rng.randrange(16), seq).to_bytes()
         if rng.random() < 0.25:
-            log.append(CaptureRecord(seq * 1000, "vehicle0", KIND_CAN, data, can_id))
+            log.append(CaptureRecord(seq * 1000, "vehicle0", data, can_id))
         elif rng.random() < 0.33:
             forged = encapsulate(CanFrame(rng.choice((can_id, 0x1ABCDE00)), bytes((99,) * 8)),
                                  rng.randrange(16), seq).to_bytes()
             corrupt = CORRUPTIONS[rng.choice(sorted(CORRUPTIONS))]
-            log.append(CaptureRecord(seq * 1000, "air", KIND_RADIO, corrupt(forged[2:-2], rng)))
+            log.append(CaptureRecord(seq * 1000, "air", corrupt(forged[2:-2], rng)))
         else:
-            log.append(CaptureRecord(seq * 1000, "air", KIND_RADIO, wire))
+            log.append(CaptureRecord(seq * 1000, "air", wire))
     return log
 
 
@@ -147,7 +142,7 @@ def reference_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
     """(timestamp_us, frame) of each record, one decapsulate per radio record."""
     frames = []
     for record in capture:
-        if record.kind == KIND_CAN:
+        if record.can_id is not None:
             frames.append((record.timestamp_us, record.frame()))
             continue
         try:
@@ -201,7 +196,7 @@ def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> No
     pre, post = mixed_capture(rng, active=False), mixed_capture(rng, active=True)
     assert diff_captures(pre, post).to_json_dict() == reference_diff(pre, post)
 
-    radio = [record.data for record in post if record.kind == KIND_RADIO and len(record.data) >= 3]
+    radio = [record.data for record in post if record.can_id is None and len(record.data) >= 3]
     counts = Counter(data[2] for data in radio)
     assert channel_occupancy(post) == sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 

@@ -77,8 +77,8 @@ INT_FIELDS = {
     "ScaledSignal.width_bytes": (lambda v: ScaledSignal(0, v, 1.0), SignalError, 1, 2),
     "ScaledSignal.byte_offset(width 1)": (lambda v: ScaledSignal(v, 1, 1.0), SignalError, 0, 7),
     "ScaledSignal.byte_offset(width 2)": (lambda v: ScaledSignal(v, 2, 1.0), SignalError, 0, 6),
-    "CaptureRecord.timestamp_us": (lambda v: CaptureRecord(v, "vehicle0", "can", b"", 1), CaptureError, 0, None),
-    "CaptureRecord.can_id": (lambda v: CaptureRecord(0, "vehicle0", "can", b"", v), CaptureError, 0, MAX_CAN_ID),
+    "CaptureRecord.timestamp_us": (lambda v: CaptureRecord(v, "vehicle0", b"", 1), CaptureError, 0, None),
+    "CaptureRecord.can_id": (lambda v: CaptureRecord(0, "vehicle0", b"", v), CaptureError, 0, MAX_CAN_ID),
     "BusConfig.bitrate": (lambda v: BusConfig(bitrate=v), ConfigurationError, 1, None),
     "BusConfig.frame_overhead_bits": (lambda v: BusConfig(frame_overhead_bits=v), ConfigurationError, 1, None),
     "RadioConfig.num_channels": (lambda v: RadioConfig(num_channels=v), ConfigurationError, 1, 256),
@@ -153,7 +153,7 @@ def test_real_fields_take_exactly_the_finite_numbers_in_range(field, data) -> No
 # field -> (build an object with the field set to v, error class)
 BYTES_FIELDS = {
     "CanFrame.data": (lambda v: CanFrame(1, v), FrameError),
-    "CaptureRecord.data": (lambda v: CaptureRecord(0, "vehicle0", "can", v, 1), CaptureError),
+    "CaptureRecord.data": (lambda v: CaptureRecord(0, "vehicle0", v, 1), CaptureError),
 }
 
 BOOL_FIELDS = {

@@ -21,14 +21,13 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import KIND_CAN, KIND_RADIO, CapturePoint, valid_interface
+from stave.capture import CapturePoint, valid_interface
 from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
 def can_record(ts: int = 50524, can_id: int = 0x0CFF1028,
                data: bytes = b"\x19\x7d\x00\xff\xff\xff\xff\xff") -> CaptureRecord:
-    return CaptureRecord(timestamp_us=ts, interface="vehicle0", kind=KIND_CAN,
-                         data=data, can_id=can_id)
+    return CaptureRecord(timestamp_us=ts, interface="vehicle0", data=data, can_id=can_id)
 
 
 def test_serialize_can_record_exact_text() -> None:
@@ -38,7 +37,7 @@ def test_serialize_can_record_exact_text() -> None:
 
 def test_serialize_radio_record_exact_text() -> None:
     record = CaptureRecord(timestamp_us=1_000_000, interface="air",
-                           kind=KIND_RADIO, data=b"\xa5\x5a\x00\x01")
+                           data=b"\xa5\x5a\x00\x01")
     assert serialize_record(record) == "(1.000000) air R:A55A0001\n"
 
 
@@ -46,7 +45,6 @@ def test_parse_serialized_can_line() -> None:
     record = parse_record("(0.050524) vehicle0 0CFF1028#197D00FFFFFFFFFF")
     assert record.timestamp_us == 50524
     assert record.interface == "vehicle0"
-    assert record.kind == KIND_CAN
     assert record.can_id == 0x0CFF1028
     assert record.data == b"\x19\x7d\x00\xff\xff\xff\xff\xff"
     frame = record.frame()
@@ -68,13 +66,12 @@ def test_roundtrip_random_records() -> None:
         if rng.random() < 0.5:
             record = CaptureRecord(
                 timestamp_us=ts, interface=rng.choice(["vehicle0", "operator0"]),
-                kind=KIND_CAN, can_id=rng.getrandbits(29),
+                can_id=rng.getrandbits(29),
                 data=rng.randbytes(rng.randint(0, 8)),
             )
         else:
             record = CaptureRecord(
-                timestamp_us=ts, interface="air", kind=KIND_RADIO,
-                data=rng.randbytes(rng.randint(1, 22)),
+                timestamp_us=ts, interface="air", data=rng.randbytes(rng.randint(1, 22)),
             )
         assert parse_record(serialize_record(record).rstrip("\n")) == record
 
@@ -219,7 +216,7 @@ def reference_from_text(text: str) -> CaptureLog:
     log = CaptureLog()
     for lineno, line in enumerate(lines[:-1], start=1):
         parsed = parse_record(line, lineno)
-        record = CaptureRecord(parsed.timestamp_us, parsed.interface, parsed.kind, parsed.data,
+        record = CaptureRecord(parsed.timestamp_us, parsed.interface, parsed.data,
                                parsed.can_id)
         try:
             log.append(record)
@@ -348,8 +345,7 @@ def test_text_roundtrip_is_byte_identical(tmp_path) -> None:
     for _ in range(300):
         ts += rng.randint(1, 60_000)
         log.append(CaptureRecord(
-            timestamp_us=ts, interface="vehicle0", kind=KIND_CAN,
-            can_id=rng.getrandbits(29), data=rng.randbytes(8),
+            timestamp_us=ts, interface="vehicle0", can_id=rng.getrandbits(29), data=rng.randbytes(8),
         ))
     path = tmp_path / "round.log"
     log.save(path)
@@ -360,16 +356,13 @@ def test_text_roundtrip_is_byte_identical(tmp_path) -> None:
 
 def test_record_validation() -> None:
     with pytest.raises(CaptureError):
-        CaptureRecord(timestamp_us=0, interface="x", kind=KIND_CAN,
-                      data=b"\x00" * 9, can_id=0x1)
+        CaptureRecord(timestamp_us=0, interface="x", data=b"\x00" * 9, can_id=0x1)
     with pytest.raises(CaptureError):
-        CaptureRecord(timestamp_us=0, interface="x", kind=KIND_RADIO, data=b"")
+        CaptureRecord(timestamp_us=0, interface="x", data=b"")
     with pytest.raises(CaptureError):
-        CaptureRecord(timestamp_us=0, interface="x", kind=KIND_CAN, data=b"", can_id=None)
+        CaptureRecord(timestamp_us=0, interface="x", data=b"", can_id=1.0)
     with pytest.raises(CaptureError):
-        CaptureRecord(timestamp_us=0, interface="x", kind=KIND_CAN, data=b"", can_id=1.0)
-    with pytest.raises(CaptureError):
-        CaptureRecord(timestamp_us=0, interface="", kind=KIND_CAN, data=b"", can_id=1)
+        CaptureRecord(timestamp_us=0, interface="", data=b"", can_id=1)
 
 
 def test_record_rejects_whitespace_anywhere_in_interface() -> None:
@@ -377,20 +370,17 @@ def test_record_rejects_whitespace_anywhere_in_interface() -> None:
     for c in (c for c in code_points if c.isspace()):
         for name in (c, f"{c}air", f"a{c}ir", f"air{c}"):
             with pytest.raises(CaptureError):
-                CaptureRecord(timestamp_us=0, interface=name, kind=KIND_CAN, data=b"", can_id=1)
+                CaptureRecord(timestamp_us=0, interface=name, data=b"", can_id=1)
     # every other code point is accepted, a thousand to a name
     others = [c for c in code_points if not c.isspace()]
     for i in range(0, len(others), 1000):
-        CaptureRecord(timestamp_us=0, interface="".join(others[i:i + 1000]), kind=KIND_CAN,
-                      data=b"", can_id=1)
+        CaptureRecord(timestamp_us=0, interface="".join(others[i:i + 1000]), data=b"", can_id=1)
 
 
 def _model_record(timestamp_us: int, interface: str, can_id: int | None, data: bytes) -> CaptureRecord:
     if can_id is None:
-        return CaptureRecord(timestamp_us=timestamp_us, interface=interface, kind=KIND_RADIO,
-                             data=data or b"\x00")
-    return CaptureRecord(timestamp_us=timestamp_us, interface=interface, kind=KIND_CAN,
-                         data=data[:8], can_id=can_id)
+        return CaptureRecord(timestamp_us=timestamp_us, interface=interface, data=data or b"\x00")
+    return CaptureRecord(timestamp_us=timestamp_us, interface=interface, data=data[:8], can_id=can_id)
 
 
 def _model_records(rows) -> list[CaptureRecord]:
@@ -426,8 +416,8 @@ def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -
     cut = data.draw(st.slices(n), label="slice")
     assert log[cut] == records[cut]
     assert list(log.rows()) == [(r.timestamp_us, r.can_id, r.data) for r in records]
-    assert [r.frame() for r in log if r.kind == KIND_CAN] == [
-        CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us) for r in records if r.kind == KIND_CAN]
+    assert [r.frame() for r in log if r.can_id is not None] == [
+        CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us) for r in records if r.can_id is not None]
     assert log.span_us == (records[-1].timestamp_us - records[0].timestamp_us if n > 1 else 0)
     assert log.to_text() == "".join(serialize_record(r) for r in records)
     path = tmp_path_factory.mktemp("model") / "log.txt"

@@ -6,7 +6,6 @@ import pytest
 from conftest import MALFORMED_SECTIONS, SCENARIOS_DIR, load_fixture
 
 from stave import CaptureLog, CaptureRecord
-from stave.capture import KIND_CAN
 from stave.cli import main
 
 
@@ -29,7 +28,7 @@ def write_log(path, rows) -> None:
     log = CaptureLog()
     for ts, can_id, data in rows:
         log.append(CaptureRecord(timestamp_us=ts, interface="vehicle0",
-                                 kind=KIND_CAN, data=data, can_id=can_id))
+                                 data=data, can_id=can_id))
     log.save(path)
 
 

@@ -5,6 +5,7 @@ each catalog row. Steering oracle: 0.28 deg per joystick count around
 center 125, clamped to 35 deg, slewed at 20 deg/s.
 """
 
+import json
 import math
 
 import pytest
@@ -15,8 +16,12 @@ from stave import (
     CanBus,
     CanFrame,
     ConfigurationError,
+    Fleet,
+    JoystickScript,
     MessageCatalog,
     ScenarioValidationError,
+    SignalError,
+    SimClock,
     build_testbed,
     read_signal,
     run_scenario,
@@ -24,6 +29,7 @@ from stave import (
     steering_target,
     write_signal,
 )
+from stave.cli import main
 from stave.fleet import ENGINE_SPEED_SIGNAL, PLANT_FIELDS, VOLTAGE_SIGNAL, WHEEL_ANGLE_SIGNAL
 from stave.scenario import validate_scenario
 
@@ -285,6 +291,26 @@ def test_led_command_round_trip_with_on_change_report() -> None:
         bed.fleet.display.send_led_command(300)
 
 
+@pytest.mark.parametrize("message", ["JOY1", "PWR1", "STR1", "LED1", "HYD1", "EEC1"])
+def test_null_cycle_is_not_broadcast_on_a_cycle(message, tmp_path, broadcast_times) -> None:
+    fleet = {"catalog": {message: {"cycle_ms": None}}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"schema": "stave-scenario/1", "seed": 0, "duration_s": 2.0, "fleet": fleet}))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    assert broadcast_times and message not in broadcast_times
+    # an LED1 without a cycle still reports a change of the LED command
+    broadcast_times.clear()
+    bed = build({"fleet": fleet})
+    bed.clock.schedule(700_000, lambda: bed.fleet.display.send_led_command(0b101))
+    run(bed, 2_000_000)
+    led = broadcast_times["LED1"]
+    if message == "LED1":
+        assert len(led) == 1 and 700_000 < led[0] < 800_000
+    else:
+        assert message not in broadcast_times and 500_000 in led
+
+
 def test_every_delivered_frame_passes_the_frame_checks() -> None:
     # the fleet and the bus build their frames without re-checking them
     sections = {
@@ -340,13 +366,40 @@ def test_script_validation_collects_all_errors() -> None:
 PLANT_SIGNALS = {"engine_rpm": ENGINE_SPEED_SIGNAL, "machine_voltage": VOLTAGE_SIGNAL}
 
 
+def plant_fleet(steer_enable: bool = False, engine_rpm: float = 800.0, machine_voltage: float = 12.6) -> Fleet:
+    """A fleet on two bare buses with these plant values, never run."""
+    clock = SimClock()
+    return Fleet(clock, CanBus(clock, "operator0"), CanBus(clock, "vehicle0"),
+                 catalog=MessageCatalog(), script=JoystickScript(), steer_enable=steer_enable,
+                 engine_rpm=engine_rpm, machine_voltage=machine_voltage)
+
+
 @settings(derandomize=True, max_examples=300)
 @given(st.data())
 def test_every_plant_value_in_range_encodes(data) -> None:
     assert PLANT_SIGNALS.keys() == PLANT_FIELDS.keys()
-    for key, (lo, hi) in PLANT_FIELDS.items():
-        value = data.draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)), label=key)
-        write_signal(CanFrame(0, b"\xff" * 8), PLANT_SIGNALS[key], value)
+    plant = {key: data.draw(st.one_of(st.sampled_from((lo, hi)), st.floats(lo, hi)), label=key)
+             for key, (lo, hi) in PLANT_FIELDS.items()}
+    steer_enable = data.draw(st.booleans(), label="steer_enable")
+    fleet = plant_fleet(steer_enable, **plant)
+    # the fleet encodes its plant values once, at construction: EEC1 is the
+    # speed in an all-0xFF payload, PWR1 the voltage before the steer-enable byte
+    sent = []
+    for node in (fleet.engine, fleet.power):
+        node.broadcast = sent.append
+        node.tick()
+    assert sent == [
+        write_signal(CanFrame(0, b"\xff" * 8), ENGINE_SPEED_SIGNAL, plant["engine_rpm"]).data,
+        write_signal(CanFrame(0, bytes((0, 0, steer_enable)) + b"\xff" * 5), VOLTAGE_SIGNAL,
+                     plant["machine_voltage"]).data,
+    ]
+
+
+def test_voltage_sentinel_fails_in_the_fleet_constructor() -> None:
+    # 3276.75 V is raw 0xFFFF, the not-available sentinel: refused when the
+    # power controller is built, not at its first PWR1 tick
+    with pytest.raises(SignalError, match="not-available sentinel"):
+        plant_fleet(machine_voltage=3276.75)
 
 
 def test_run_at_the_top_of_the_voltage_range_completes() -> None:

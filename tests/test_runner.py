@@ -6,7 +6,6 @@ import pytest
 from conftest import load_fixture, make_scenario
 
 from stave import CaptureLog, CaptureRecord, build_testbed, run_scenario, summarize, validate_scenario
-from stave.capture import KIND_CAN, KIND_RADIO
 from stave.runner import json_text, write_outputs
 
 JOY = 0x0CFF1028
@@ -94,7 +93,7 @@ def test_every_attack_type_in_one_run() -> None:
     assert inject["sent"] == 19
     assert inject["delivered"] == 19
 
-    # captures materialized for both sniffs plus live recorders and taps
+    # captures kept for both sniffs plus live recorders and taps
     assert set(result.captures) == {"operator0", "vehicle0", "air", "pre", "post"}
     assert result.captures["pre"][0].timestamp_us >= 50_000
 
@@ -144,6 +143,20 @@ def test_write_outputs_creates_declared_tree(tmp_path) -> None:
     assert occ == result.reports["occ"]
 
 
+def test_a_sniff_save_is_a_capture_from_build_time() -> None:
+    sniff = {"type": "sniff", "start_s": 0.2, "duration_s": 0.5, "save": "cap",
+             "attachment": {"kind": "wired-tap", "segment": "vehicle0"}}
+    outputs = {"captures": {"vehicle0": "vehicle0.log"}}
+    bed = build_testbed(make_scenario(duration_s=1.0, attacks=[sniff], outputs=outputs))
+    save = bed.captures["cap"]
+    assert len(save) == 0
+    # the sniff queues no event of its own
+    assert len(bed.clock._queue) == len(build_testbed(make_scenario(duration_s=1.0, outputs=outputs)).clock._queue)
+    bed.clock.run_until(1_000_000)
+    assert list(save) == [r for r in bed.captures["vehicle0"] if 200_000 <= r.timestamp_us < 700_000]
+    assert len(save) > 0
+
+
 def test_no_out_dir_writes_nothing(tmp_path) -> None:
     before = sorted(tmp_path.iterdir())
     result = run_scenario(make_scenario(duration_s=1.0))
@@ -186,8 +199,7 @@ def appended(monkeypatch) -> dict[int, list]:
     append_row = CaptureLog._append_row
 
     def spy(log, timestamp_us, interface, data, can_id):
-        kind = KIND_RADIO if can_id is None else KIND_CAN
-        seen.setdefault(id(log), []).append(CaptureRecord(timestamp_us, interface, kind, data, can_id))
+        seen.setdefault(id(log), []).append(CaptureRecord(timestamp_us, interface, data, can_id))
         append_row(log, timestamp_us, interface, data, can_id)
 
     monkeypatch.setattr(CaptureLog, "_append_row", spy)
