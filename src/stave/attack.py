@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from .bus import CanBus, NodeHandle
 from .capture import CaptureLog
 from .errors import BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int
-from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, pgn_of
+from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -45,7 +46,7 @@ def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
     """(timestamp_us, can_id, data) of each frame in a capture: a CAN record's
     own, a radio record's through packet_frame, which skips failed packets."""
     for timestamp_us, can_id, data in capture.rows():
-        if can_id is None:
+        if can_id < 0:  # a radio record
             try:
                 can_id, data = packet_frame(data)
             except DecapsulationError:
@@ -58,12 +59,7 @@ def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:
 
     Counts radio records only; CAN records have no channel.
     """
-    counts: dict[int, int] = {}
-    for _, can_id, data in capture.rows():
-        if can_id is not None or len(data) < 3:
-            continue
-        channel = data[2]
-        counts[channel] = counts.get(channel, 0) + 1
+    counts = Counter(data[2] for _, can_id, data in capture.rows() if can_id < 0 and len(data) > 2)
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
@@ -126,9 +122,21 @@ class DiffReport:
 
 
 def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
+    """The payload of each frame in a capture, grouped by can_id in capture
+    order. The frames are _frame_rows', read here without its generator:
+    diff reads every record of both captures."""
     groups: dict[int, list[bytes]] = {}
-    for _, can_id, data in _frame_rows(capture):
-        groups.setdefault(can_id, []).append(data)
+    for _, can_id, data in capture.rows():
+        if can_id < 0:  # a radio record
+            try:
+                can_id, data = packet_frame(data)
+            except DecapsulationError:
+                continue
+        group = groups.get(can_id)
+        if group is None:
+            groups[can_id] = [data]
+        else:
+            group.append(data)
     return groups
 
 
@@ -324,7 +332,9 @@ def plan_replay(
         if mutation is not None:
             data = mutation.apply(data)
         delay = ts - t0 if timing_mode == TIMING_PRESERVE else 0
-        entries.append((delay, CanFrame(can_id, data)))
+        # the log checked can_id and data when it was parsed or built, and a
+        # mutation keeps the payload's length
+        entries.append((delay, _valid_frame(can_id, data, 0)))
     return ReplaySchedule(entries=tuple(entries), timing_mode=timing_mode)
 
 

@@ -39,8 +39,8 @@ from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
 _LINE_RE = re.compile(
     r"\((0|[1-9][0-9]*)\.([0-9]{6})\) (\S+) (?:([0-9A-F]{8})#([0-9A-F]*)|R:([0-9A-F]+)|.+)\n"
 )
-# a radio record's entry in a log's identifier column
-_RADIO_ID = -1
+# a radio record's identifier in a log's columns and rows
+RADIO_ID = -1
 
 
 def valid_interface(name) -> bool:
@@ -85,16 +85,16 @@ class CaptureRecord:
 
 
 def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> str:
-    """The log line of one row of a log's columns (can_id -1: a radio record)."""
+    """The log line of one row of a log's columns (can_id RADIO_ID: a radio record)."""
     ts = f"{timestamp_us // 1_000_000}.{timestamp_us % 1_000_000:06d}"
-    if can_id == _RADIO_ID:
+    if can_id == RADIO_ID:
         return f"({ts}) {interface} R:{data.hex().upper()}\n"
     return f"({ts}) {interface} {can_id:08X}#{data.hex().upper()}\n"
 
 
 def serialize_record(record: CaptureRecord) -> str:
     """Render one record as its log line, newline terminated."""
-    can_id = _RADIO_ID if record.can_id is None else record.can_id
+    can_id = RADIO_ID if record.can_id is None else record.can_id
     return _format_row(record.timestamp_us, record.interface, can_id, record.data)
 
 
@@ -131,7 +131,7 @@ class CaptureLog:
     """An append-only, time-ordered sequence of capture records.
 
     Stored column-wise: timestamps and identifiers in arrays (a radio
-    record's identifier is -1), interfaces and payloads in lists. A
+    record's identifier is RADIO_ID), interfaces and payloads in lists. A
     CaptureRecord is built only when one is read.
     """
 
@@ -151,7 +151,7 @@ class CaptureLog:
         if stamps and timestamp_us < stamps[-1]:
             raise MonotonicityError(f"timestamp {timestamp_us} us is before previous {stamps[-1]} us")
         stamps.append(timestamp_us)
-        self._ids.append(_RADIO_ID if can_id is None else can_id)
+        self._ids.append(RADIO_ID if can_id is None else can_id)
         self._interfaces.append(interface)
         self._payloads.append(data)
 
@@ -167,11 +167,11 @@ class CaptureLog:
         return _stored_record(self._stamps[index], self._interfaces[index],
                               self._ids[index], self._payloads[index])
 
-    def rows(self) -> Iterator[tuple[int, int | None, bytes]]:
-        """(timestamp_us, can_id, data) of each record, without building the
-        records; can_id is None for a radio record."""
-        for timestamp_us, can_id, data in zip(self._stamps, self._ids, self._payloads):
-            yield timestamp_us, None if can_id == _RADIO_ID else can_id, data
+    def rows(self) -> Iterator[tuple[int, int, bytes]]:
+        """(timestamp_us, can_id, data) of each record, straight from the
+        columns without building the records; a radio record's can_id is
+        RADIO_ID (-1), below every CAN identifier."""
+        return zip(self._stamps, self._ids, self._payloads)
 
     @property
     def span_us(self) -> int:
@@ -217,7 +217,7 @@ class CaptureLog:
                 if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > 16:
                     break
             elif packet is not None and not len(packet) % 2:
-                can_id, digits = _RADIO_ID, packet
+                can_id, digits = RADIO_ID, packet
             else:
                 break
             stamp = int(seconds + fraction)
@@ -261,12 +261,12 @@ def _decode(raw: bytes) -> str:
 
 def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) -> CaptureRecord:
     """The record one row of a log's columns holds, built without re-checking
-    its fields (can_id -1: a radio record)."""
+    its fields (can_id RADIO_ID: a radio record)."""
     record = object.__new__(CaptureRecord)
     object.__setattr__(record, "timestamp_us", timestamp_us)
     object.__setattr__(record, "interface", interface)
     object.__setattr__(record, "data", data)
-    object.__setattr__(record, "can_id", None if can_id == _RADIO_ID else can_id)
+    object.__setattr__(record, "can_id", None if can_id == RADIO_ID else can_id)
     return record
 
 

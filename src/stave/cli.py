@@ -13,6 +13,7 @@ Exit status: 0 success, 1 I/O failure, 2 validation or domain error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .attack import MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE, channel_occupancy, diff_captures, plan_replay
@@ -22,7 +23,10 @@ from .runner import json_text, occupancy_report, run_scenario
 from .scenario import load_scenario
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: parse_args
+    leaves it unchanged, so every main call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="stave",
         description="Simulated agricultural-vehicle CAN testbed and attack toolkit.",

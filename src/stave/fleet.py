@@ -28,6 +28,7 @@ center as a safety.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
@@ -161,15 +162,15 @@ class JoystickScript:
         if errors:
             raise ScenarioValidationError([f"joystick_script {e}" for e in errors])
         self.entries = tuple(entries)
+        # the entry times, increasing, and the value from each entry on; the
+        # value before the first entry is center, center, button 0
+        self._times = [entry.t_us for entry in self.entries]
+        self._values = [(JOYSTICK_CENTER, JOYSTICK_CENTER, 0)]
+        self._values += [(entry.x, entry.y, entry.button) for entry in self.entries]
 
     def value_at(self, t_us: int) -> tuple[int, int, int]:
-        current = (JOYSTICK_CENTER, JOYSTICK_CENTER, 0)
-        for entry in self.entries:
-            if entry.t_us <= t_us:
-                current = (entry.x, entry.y, entry.button)
-            else:
-                break
-        return current
+        """(x, y, button) of the last entry at or before t_us."""
+        return self._values[bisect_right(self._times, t_us)]
 
 
 def steering_target(x_raw: int) -> float | None:
@@ -231,21 +232,25 @@ def _pad(defined: bytes, total: int = 8) -> bytes:
 
 class _Node:
     """A fleet node, which sends one catalog message. It attaches to its bus
-    and then, when it has a tick and the catalog gives its message a cycle,
-    ticks at t = cycle and every cycle after."""
+    and then, when the catalog gives its message a cycle, ticks at t = cycle
+    and every cycle after. A node without a tick sends on demand only, and
+    its message takes no cycle (check_cycle)."""
 
+    node_name: str  # each node sets its name on the bus
+    message: str  # and the catalog message it sends
     on_frame = None  # nodes that listen override this with a method
     tick = None  # nodes that send on a cycle override this with a method
 
-    def __init__(self, fleet: "Fleet", bus: CanBus, node_name: str, message: str):
+    def __init__(self, fleet: "Fleet", bus: CanBus):
         self.fleet = fleet
         self.bus = bus
         self.clock: SimClock = fleet.clock
-        self.spec: MessageSpec = fleet.catalog[message]
+        self.spec: MessageSpec = fleet.catalog[self.message]
+        check_cycle(self.message, self.spec.cycle_ms)
         self.can_id = self.spec.can_id
-        self.handle: NodeHandle = bus.attach(node_name, self.on_frame)
-        tick = self.tick
-        if tick is not None and self.spec.cycle_ms is not None:
+        self.handle: NodeHandle = bus.attach(self.node_name, self.on_frame)
+        if self.spec.cycle_ms is not None:  # then the node has a tick (check_cycle)
+            tick = self.tick
             cycle_us = self.spec.cycle_ms * 1000
 
             def fire():
@@ -263,8 +268,7 @@ class _Node:
 class JoystickNode(_Node):
     """Operator joystick: plays a scripted timeline at the JOY1 cadence."""
 
-    def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "joystick", "JOY1")
+    node_name, message = "joystick", "JOY1"
 
     def tick(self):
         x, y, button = self.fleet.script.value_at(self.clock.now_us)
@@ -274,8 +278,7 @@ class JoystickNode(_Node):
 class DisplayNode(_Node):
     """Operator display; sends LED commands on demand."""
 
-    def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "display", "DSP1")
+    node_name, message = "display", "DSP1"
 
     def send_led_command(self, mask: int) -> None:
         check_int(ConfigurationError, "led command", mask, 0, 0xFF)
@@ -285,8 +288,10 @@ class DisplayNode(_Node):
 class PowerEcu(_Node):
     """Transmits machine voltage and the steer-enable line."""
 
+    node_name, message = "power_ecu", "PWR1"
+
     def __init__(self, fleet, bus, steer_enable: bool, machine_voltage: float):
-        super().__init__(fleet, bus, "power_ecu", "PWR1")
+        super().__init__(fleet, bus)
         self.steer_enable = steer_enable
         self.machine_voltage = machine_voltage
         self.voltage_bytes = VOLTAGE_SIGNAL.encode(machine_voltage)
@@ -298,8 +303,10 @@ class PowerEcu(_Node):
 class SteeringEcu(_Node):
     """Electric steer motor controller: slews toward the joystick target."""
 
+    node_name, message = "steering_ecu", "STR1"
+
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "steering_ecu", "STR1")
+        super().__init__(fleet, bus)
         self.angle_deg = 0.0
         self.steer_enable = False  # off until PWR1 says otherwise
         self.last_joy_us: int | None = None
@@ -333,8 +340,10 @@ class SteeringEcu(_Node):
 class HydraulicsEcu(_Node):
     """Maps the joystick Y axis onto the pump command."""
 
+    node_name, message = "hydraulics_ecu", "HYD1"
+
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "hydraulics_ecu", "HYD1")
+        super().__init__(fleet, bus)
         self.pump_raw = JOYSTICK_CENTER
         self._joy_pgn = fleet.catalog["JOY1"].pgn
 
@@ -353,8 +362,10 @@ class HydraulicsEcu(_Node):
 class EngineEcu(_Node):
     """Broadcasts a fixed engine speed."""
 
+    node_name, message = "engine_ecu", "EEC1"
+
     def __init__(self, fleet, bus, engine_rpm: float):
-        super().__init__(fleet, bus, "engine_ecu", "EEC1")
+        super().__init__(fleet, bus)
         self.engine_rpm = engine_rpm
         self.payload = _pad(b"\xff" * ENGINE_SPEED_SIGNAL.byte_offset + ENGINE_SPEED_SIGNAL.encode(engine_rpm))
 
@@ -365,8 +376,10 @@ class EngineEcu(_Node):
 class ImplementEcu(_Node):
     """Drives the LED bank from operator commands; reports on change."""
 
+    node_name, message = "implement_ecu", "LED1"
+
     def __init__(self, fleet, bus):
-        super().__init__(fleet, bus, "implement_ecu", "LED1")
+        super().__init__(fleet, bus)
         self.led_mask = 0
         self._dsp_pgn = fleet.catalog["DSP1"].pgn
 
@@ -378,6 +391,17 @@ class ImplementEcu(_Node):
 
     def tick(self):
         self.broadcast(_pad(bytes((self.led_mask,))))
+
+
+# the messages whose node has no tick, so that no node sends them on a cycle
+ON_DEMAND = frozenset(node.message for node in _Node.__subclasses__() if node.tick is None)
+
+
+def check_cycle(message: str, cycle_ms: int | None) -> None:
+    """Raise ConfigurationError when a catalog gives a message sent on demand
+    only (ON_DEMAND) a cycle: no node would ever send on it."""
+    if cycle_ms is not None and message in ON_DEMAND:
+        raise ConfigurationError(f"{message} is sent on demand only, so it takes no cycle, got {cycle_ms!r}")
 
 
 class Fleet:

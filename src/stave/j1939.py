@@ -219,9 +219,10 @@ class ScaledSignal:
         """The signal's field bytes for a physical value, little-endian.
 
         The raw value is the nearest integer of value / scale, so
-        a read-back differs from ``value`` by at most scale/2.
+        a read-back differs from ``value`` by at most scale/2. A value
+        that is not a finite number (see check_real) is a SignalError.
         """
-        raw = round(value / self.scale)
+        raw = round(check_real(SignalError, "value", value) / self.scale)
         lo, hi = self.raw_bounds
         if not lo <= raw <= hi:
             raise SignalError(f"value {value!r} maps to raw {raw}, outside {lo}..{hi}")

@@ -157,26 +157,25 @@ def packet_frame(buf: bytes) -> tuple[int, bytes]:
     comes from the buffer, not the len byte, so a corrupted len byte is
     caught by the CRC), then structural consistency.
     """
-    if len(buf) < MIN_PACKET_SIZE:
-        raise LengthError(f"packet of {len(buf)} bytes is below the {MIN_PACKET_SIZE}-byte minimum")
-    if buf[0:2] != SYNC:
+    size = len(buf)
+    if size < MIN_PACKET_SIZE:
+        raise LengthError(f"packet of {size} bytes is below the {MIN_PACKET_SIZE}-byte minimum")
+    if not buf.startswith(SYNC):
         raise FramingError(f"bad sync bytes {buf[0:2].hex().upper()}")
-    crc_claimed = int.from_bytes(buf[-2:], "big")
+    crc_claimed = buf[-2] << 8 | buf[-1]
     crc_actual = crc16_ccitt_false(buf[2:-2])
     if crc_claimed != crc_actual:
         raise IntegrityError(f"crc mismatch: packet says 0x{crc_claimed:04X}, computed 0x{crc_actual:04X}")
-    length = buf[6]
-    if length != len(buf) - 9:
-        raise LengthError(f"len byte {length} disagrees with a {len(buf)}-byte packet")
-    dlc = buf[11]
+    _, _, flags, length, can_id, dlc = _HEADER.unpack_from(buf, 2)
+    if length != size - 9:
+        raise LengthError(f"len byte {length} disagrees with a {size}-byte packet")
     if dlc != length - 5 or dlc > 8:
         raise LengthError(f"dlc {dlc} inconsistent with len byte {length}")
-    if buf[5] != FLAG_EXTENDED_ID:
-        raise FramingError(f"unsupported flags byte 0x{buf[5]:02X}")
-    can_id = int.from_bytes(buf[7:11], "big")
+    if flags != FLAG_EXTENDED_ID:
+        raise FramingError(f"unsupported flags byte 0x{flags:02X}")
     if can_id > MAX_CAN_ID:
         raise FramingError(f"identifier 0x{can_id:08X} exceeds 29 bits")
-    return can_id, buf[12:12 + dlc]
+    return can_id, buf[12:-2]
 
 
 @dataclass(eq=False)

@@ -11,9 +11,9 @@ seed.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
@@ -45,9 +45,59 @@ SUMMARY_SCHEMA = "stave-summary/1"
 OCCUPANCY_SCHEMA = "stave-occupancy/1"
 
 
+# json.dumps's text of the floats that are not finite (allow_nan)
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _NON_FINITE.get(text, text)
+
+
+# the text of each scalar, keyed by its exact type: json's C string encoder,
+# and int's and float's own repr, as json.dumps renders them
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _render(value, indent: str) -> str:
+    """The JSON text of value, its nested lines indented past indent."""
+    kind = type(value)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        # a key that is not a str fails in sorted or in the string encoder
+        body = f",\n{inner}".join([f"{encode_basestring_ascii(key)}: {_render(item, inner)}"
+                                   for key, item in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        body = f",\n{inner}".join([_render(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def json_text(doc: dict) -> str:
-    """Canonical JSON rendering used for every report and summary file."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering used for every report and summary file.
+
+    The text is exactly ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``
+    for documents of dicts with str keys, lists, tuples, str, int, float
+    (NaN and infinities as json.dumps writes them), bool and None, built
+    one join per container. Anything else raises TypeError: a dict key
+    that is not a str, and a value of any other type, subclasses of the
+    types above included.
+    """
+    return _render(doc, "") + "\n"
 
 
 class _Recorder(CapturePoint):

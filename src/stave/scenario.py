@@ -51,7 +51,7 @@ from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING
 from .bus import BusConfig
 from .capture import valid_interface
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real
-from .fleet import CATALOG_FIELDS, PLANT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry
+from .fleet import CATALOG_FIELDS, PLANT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry, check_cycle
 from .j1939 import MAX_CAN_ID, MAX_PGN
 from .radio import MASK64, RadioConfig
 from .sim import us_from_seconds
@@ -564,8 +564,6 @@ def validate_scenario(doc: dict) -> Scenario:
         lo, hi = PLANT_FIELDS[key]
         plant[key] = check.number(f"fleet.{key}", fleet_doc.get(key), lo=lo, hi=hi, default=default)
     catalog = MessageCatalog()
-    # no node sends these on a cycle, so a cycle for one would be ignored
-    on_demand = {spec.name for spec in catalog if spec.cycle_ms is None}
     overrides = {}
     for name, fields in check.section("fleet.catalog", fleet_doc.get("catalog")).items():
         path = f"fleet.catalog.{name}"
@@ -574,10 +572,14 @@ def validate_scenario(doc: dict) -> Scenario:
             if key not in CATALOG_FIELDS:
                 continue
             lo, hi = CATALOG_FIELDS[key]
-            if key == "cycle_ms" and name in on_demand and value is not None:
-                check.add(f"{path}.{key}", f"{name} is sent on demand only, so it takes no cycle, got {value!r}")
+            if key == "cycle_ms":
+                try:
+                    check_cycle(name, value)
+                except ConfigurationError as exc:
+                    check.add(f"{path}.{key}", str(exc))
+                    continue
             # null passes to the catalog: for cycle_ms it means "not broadcast on a cycle"
-            elif value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
+            if value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
                 overrides[name][key] = value
     try:
         catalog = catalog.with_overrides(overrides)

@@ -35,6 +35,8 @@ from stave import (
     plan_replay,
     schedule_injection,
 )
+from stave.capture import CapturePoint
+from stave.j1939 import MAX_CAN_ID
 
 
 def can_log(entries: list[tuple[int, int, bytes]]) -> CaptureLog:
@@ -206,6 +208,43 @@ def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> No
         want = [(ts - matched[0][0], CanFrame(frame.can_id, mutation.apply(frame.data)))
                 for ts, frame in matched]
         assert plan_replay(post, match, mutation).entries == tuple(want)
+
+
+def _analyses(pre: CaptureLog, post: CaptureLog) -> tuple:
+    plans = tuple(plan_replay(post, match, Mutation.parse("byte0=add(1)")).entries
+                  for match in (MessageMatch(pgn=pgn_of(JOY)), MessageMatch(can_id=0)))
+    return diff_captures(pre, post).to_json_dict(), channel_occupancy(post), plans
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_analyses_agree_however_a_log_was_filled(seed: int) -> None:
+    # the analyses read a log's rows, where a radio record's identifier is
+    # RADIO_ID: a log appended record by record, one a capture point filled
+    # and one parsed from text hold the same rows, so they give the same results
+    rng = random.Random(seed)
+    pre, post = mixed_capture(rng, active=False), mixed_capture(rng, active=True)
+    # identifier 0 and the largest one are CAN records, not radio ones: byte 1
+    # is flagged for both, and neither adds to the channel counts
+    for log, payloads in ((pre, (b"\x01\x02\x03", b"\x01\x02\x03")),
+                          (post, (b"\x01\x03\x03", b"\x01\x04\x03"))):
+        for ts, can_id, payload in ((300_000, 0, payloads[0]), (301_000, MAX_CAN_ID, payloads[0]),
+                                     (302_000, 0, payloads[1]), (303_000, MAX_CAN_ID, payloads[1])):
+            log.append(CaptureRecord(ts, "vehicle0", payload, can_id))
+    want = _analyses(pre, post)
+    flagged = {entry["can_id"]: [byte["offset"] for byte in entry["bytes"]] for entry in want[0]["flagged"]}
+    assert flagged["0x00000000"] == flagged[f"0x{MAX_CAN_ID:08X}"] == [1]
+    assert sum(count for _, count in want[1]) == len([r for r in post if r.can_id is None and len(r.data) > 2])
+    assert want[2][0]
+    assert want[2][1] == ((0, CanFrame(0, b"\x02\x03\x03")), (2000, CanFrame(0, b"\x02\x04\x03")))
+
+    def observed(log: CaptureLog) -> CaptureLog:
+        point = CapturePoint("any")
+        for record in log:
+            point.observe(record.timestamp_us, record.data, record.can_id)
+        return point.log
+
+    assert _analyses(observed(pre), observed(post)) == want
+    assert _analyses(CaptureLog.from_text(pre.to_text()), CaptureLog.from_text(post.to_text())) == want
 
 
 # Differential analysis

@@ -110,6 +110,9 @@ REAL_FIELDS = {
                                      (0, 0.0, 0.5, 1.0, 1), (-5e-324, math.nextafter(1.0, 2.0))),
     "ScaledSignal.scale": (lambda v: ScaledSignal(0, 1, v), SignalError,
                            (5e-324, 0.05, 1, 1e300), (0, 0.0, -0.05)),
+    # raw 0..254 at 0.4 per bit; raw 255 is the not-available sentinel
+    "ScaledSignal.encode value": (lambda v: ScaledSignal(0, 1, 0.4).encode(v), SignalError,
+                                  (0, -0.0, 101.6, 1), (-0.4, 102.0, 103.0, 1e300)),
 }
 
 NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.text(max_size=3))
@@ -195,6 +198,19 @@ def test_bool_fields_take_exactly_true_and_false(field) -> None:
         rejects(build, error, value)
     with pytest.raises(error, match=r"'no' must be True or False$"):
         build("no")
+
+
+def test_signal_encode_names_the_value_it_rejects() -> None:
+    pump = ScaledSignal(0, 1, 0.4)
+    for value in (math.nan, math.inf, "3", None, True):
+        with pytest.raises(SignalError) as raised:
+            pump.encode(value)
+        assert str(raised.value) == f"value {value!r} is not a finite number"
+    for value, message in ((103.0, "value 103.0 maps to raw 258, outside 0..255"),
+                           (102.0, "value 102.0 maps to raw 255, the not-available sentinel")):
+        with pytest.raises(SignalError) as raised:
+            pump.encode(value)
+        assert str(raised.value) == message
 
 
 def test_tap_channels_must_be_a_collection() -> None:

@@ -21,7 +21,7 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import CapturePoint, valid_interface
+from stave.capture import RADIO_ID, CapturePoint, valid_interface
 from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
@@ -415,7 +415,9 @@ def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -
             log[i]
     cut = data.draw(st.slices(n), label="slice")
     assert log[cut] == records[cut]
-    assert list(log.rows()) == [(r.timestamp_us, r.can_id, r.data) for r in records]
+    # rows are the stored columns: a radio record's identifier is RADIO_ID
+    assert list(log.rows()) == [(r.timestamp_us, RADIO_ID if r.can_id is None else r.can_id, r.data)
+                                for r in records]
     assert [r.frame() for r in log if r.can_id is not None] == [
         CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us) for r in records if r.can_id is not None]
     assert log.span_us == (records[-1].timestamp_us - records[0].timestamp_us if n > 1 else 0)

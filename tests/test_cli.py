@@ -1,9 +1,12 @@
 """Command-line interface, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
-from conftest import MALFORMED_SECTIONS, SCENARIOS_DIR, load_fixture
+from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
 
 from stave import CaptureLog, CaptureRecord
 from stave.cli import main
@@ -226,3 +229,42 @@ def test_match_flags_are_mutually_exclusive(tmp_path, capsys) -> None:
 def test_console_script_is_installed() -> None:
     import shutil
     assert shutil.which("stave") is not None
+
+
+def _in_process(argv, capsys) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _in_new_process(argv) -> tuple:
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from stave.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatch) -> None:
+    # the parser is built once per process; argparse wraps usage text to COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    pre, post, report = tmp_path / "pre.log", tmp_path / "post.log", tmp_path / "report.json"
+    write_log(pre, [(t, 0x0CFF1028, bytes((125,))) for t in range(0, 300, 100)])
+    write_log(post, [(t, 0x0CFF1028, bytes((v,))) for t, v in ((0, 25), (100, 225), (200, 90))])
+    calls = [
+        ["diff", str(pre), str(post), "--report", str(report)],
+        ["replay-plan", str(post), "--match-pgn", "0x100", "--match-id", "0x100"],
+        ["replay-plan", str(post), "--match-pgn", "0x40000"],
+        ["diff", str(pre), str(post), "--report", str(report)],
+    ]
+    codes = []
+    for argv in calls:
+        report.unlink(missing_ok=True)
+        got = _in_process(argv, capsys), report.read_bytes() if report.exists() else None
+        report.unlink(missing_ok=True)
+        want = _in_new_process(argv), report.read_bytes() if report.exists() else None
+        assert got == want
+        codes.append(got[0][0])
+    assert codes == [0, 2, 2, 0]

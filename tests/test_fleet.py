@@ -20,6 +20,7 @@ from stave import (
     JoystickScript,
     MessageCatalog,
     ScenarioValidationError,
+    ScriptEntry,
     SignalError,
     SimClock,
     build_testbed,
@@ -408,3 +409,44 @@ def test_run_at_the_top_of_the_voltage_range_completes() -> None:
                                         outputs={"captures": {"vehicle0": "vehicle0.log"}}))
     frames = [f for f in segment_frames(result.captures["vehicle0"]) if f.can_id == EXPECTED_IDS["PWR1"]]
     assert len(frames) == 1 and read_signal(frames[0], VOLTAGE_SIGNAL) == pytest.approx(3276.7)
+
+
+def test_on_demand_message_takes_no_cycle_in_the_fleet_constructor() -> None:
+    # the scenario path reports the same rule at fleet.catalog.DSP1.cycle_ms
+    clock = SimClock()
+    catalog = MessageCatalog().with_overrides({"DSP1": {"cycle_ms": 100}})
+    with pytest.raises(ConfigurationError) as raised:
+        Fleet(clock, CanBus(clock, "operator0"), CanBus(clock, "vehicle0"),
+              catalog=catalog, script=JoystickScript(), steer_enable=False,
+              engine_rpm=800.0, machine_voltage=12.6)
+    assert str(raised.value) == "DSP1 is sent on demand only, so it takes no cycle, got 100"
+
+
+def _linear_value_at(script: JoystickScript, t_us: int) -> tuple[int, int, int]:
+    """The lookup by a scan from the first entry: the last entry at or before t_us."""
+    current = (125, 125, 0)
+    for entry in script.entries:
+        if entry.t_us <= t_us:
+            current = (entry.x, entry.y, entry.button)
+        else:
+            break
+    return current
+
+
+_SCRIPTS = st.lists(
+    st.tuples(st.integers(1, 500_000), st.integers(0, 250), st.integers(0, 250), st.integers(0, 1)),
+    max_size=8,
+).map(lambda rows: JoystickScript(tuple(
+    ScriptEntry(sum(gap for gap, *_ in rows[:i + 1]) - 1, x, y, button)
+    for i, (_, x, y, button) in enumerate(rows))))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(script=_SCRIPTS, data=st.data())
+def test_value_at_is_the_last_entry_at_or_before_t(script, data) -> None:
+    times = [entry.t_us for entry in script.entries]
+    # before the first entry, on each entry and either side of it, and after the last
+    probes = {0, *times, *(t - 1 for t in times if t), *(t + 1 for t in times),
+              data.draw(st.integers(0, 5_000_000), label="t_us")}
+    for t_us in sorted(probes):
+        assert script.value_at(t_us) == _linear_value_at(script, t_us)

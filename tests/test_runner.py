@@ -1,8 +1,12 @@
 """Scenario execution: wiring, summaries, output files, determinism."""
 
+import enum
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import load_fixture, make_scenario
 
 from stave import CaptureLog, CaptureRecord, build_testbed, run_scenario, summarize, validate_scenario
@@ -39,6 +43,37 @@ def test_summary_is_json_clean() -> None:
     result = run_scenario(make_scenario(duration_s=1.0))
     json.loads(json_text(result.summary))
     assert json_text({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.sampled_from('\x00\x1f\x7f"\\/\u2028\xe9\U0001f600')))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200),
+    st.floats(), st.sampled_from([-0.0, 1e308, -1e-308, 5e-324, 1e16, 1.5e300, math.nan, math.inf, -math.inf]),
+    _JSON_TEXT,
+)
+_JSON_DOCS = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_JSON_TEXT, inner, max_size=4),
+), max_leaves=20)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(doc=_JSON_DOCS)
+def test_json_text_is_json_dumps(doc) -> None:
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 1
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a"}, {"a": {None: 1}}, {"a": 1, 2: "b"}, {"a": {1, 2}}, [b"\x00"], {"a": _Level.HIGH},
+])
+def test_json_text_rejects_what_it_does_not_render(doc) -> None:
+    # json.dumps would write a non-str key or an int subclass; json_text refuses them
+    with pytest.raises(TypeError):
+        json_text(doc)
 
 
 def test_every_attack_type_in_one_run() -> None:
