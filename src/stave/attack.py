@@ -40,6 +40,7 @@ from .sim import SimClock, seconds_from_us
 logger = logging.getLogger(__name__)
 
 RATE_CHANGE_RATIO = 1.5
+OCCUPANCY_SCHEMA = "stave-occupancy/1"
 
 
 def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
@@ -63,62 +64,14 @@ def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:
     return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
-@dataclass(frozen=True)
-class FlaggedByte:
-    offset: int
-    pre_constant: int
-    post_distinct: int
-    post_min: int
-    post_max: int
-
-
-@dataclass(frozen=True)
-class RateChange:
-    can_id: int
-    pre_hz: float
-    post_hz: float
-
-
-@dataclass(frozen=True)
-class DiffReport:
-    """Where the two captures disagree.
-
-    ``flagged`` maps can_id to byte findings: offsets constant across
-    every baseline frame of that id but taking two or more distinct
-    values afterwards.
-    """
-
-    flagged: dict[int, tuple[FlaggedByte, ...]]
-    ids_only_in_pre: tuple[int, ...]
-    ids_only_in_post: tuple[int, ...]
-    rate_changes: tuple[RateChange, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "stave-diff/1",
-            "flagged": [
-                {
-                    "can_id": f"0x{can_id:08X}",
-                    "bytes": [
-                        {
-                            "offset": fb.offset,
-                            "pre_constant": fb.pre_constant,
-                            "post_distinct": fb.post_distinct,
-                            "post_min": fb.post_min,
-                            "post_max": fb.post_max,
-                        }
-                        for fb in flags
-                    ],
-                }
-                for can_id, flags in sorted(self.flagged.items())
-            ],
-            "ids_only_in_pre": [f"0x{i:08X}" for i in self.ids_only_in_pre],
-            "ids_only_in_post": [f"0x{i:08X}" for i in self.ids_only_in_post],
-            "rate_changes": [
-                {"can_id": f"0x{rc.can_id:08X}", "pre_hz": rc.pre_hz, "post_hz": rc.post_hz}
-                for rc in self.rate_changes
-            ],
-        }
+def occupancy_report(capture: str, counts: list[tuple[int, int]]) -> dict:
+    """The stave-occupancy/1 document for a capture's per-channel counts."""
+    return {
+        "schema": OCCUPANCY_SCHEMA,
+        "capture": capture,
+        "channels": [{"channel": c, "count": n} for c, n in counts],
+        "total_packets": sum(n for _, n in counts),
+    }
 
 
 def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
@@ -140,14 +93,16 @@ def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
     return groups
 
 
-def diff_captures(pre: CaptureLog, post: CaptureLog) -> DiffReport:
-    """Locate signal bytes by differencing a baseline against an active capture.
+def diff_captures(pre: CaptureLog, post: CaptureLog) -> dict:
+    """Locate signal bytes by differencing a baseline against an active
+    capture: the stave-diff/1 document.
 
     A byte offset of an id present in both captures is flagged iff it is
     constant across all baseline frames and takes >= 2 distinct values in
-    the active capture. Ids present on one side only are listed. Message
-    rates (count / capture span) are compared where both spans are
-    positive; a max/min ratio above 1.5 is reported.
+    the active capture; ``flagged`` lists the ids with such bytes in id
+    order. Ids present on one side only are listed. Message rates (count /
+    capture span) are compared where both spans are positive; a max/min
+    ratio above 1.5 is reported.
     """
     pre_groups = _payloads_by_id(pre)
     if not pre_groups:
@@ -155,7 +110,7 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> DiffReport:
     post_groups = _payloads_by_id(post)
 
     shared = sorted(set(pre_groups) & set(post_groups))
-    flagged: dict[int, tuple[FlaggedByte, ...]] = {}
+    flagged = []
     for can_id in shared:
         # zip(*payloads) yields one column of byte values per offset, up to the
         # shortest payload; zipping both sides stops at the shorter side's
@@ -167,15 +122,11 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> DiffReport:
                 continue
             post_values = set(post_column)
             if len(post_values) >= 2:
-                findings.append(FlaggedByte(
-                    offset=offset,
-                    pre_constant=next(iter(pre_values)),
-                    post_distinct=len(post_values),
-                    post_min=min(post_values),
-                    post_max=max(post_values),
-                ))
+                findings.append({"offset": offset, "pre_constant": next(iter(pre_values)),
+                                 "post_distinct": len(post_values),
+                                 "post_min": min(post_values), "post_max": max(post_values)})
         if findings:
-            flagged[can_id] = tuple(findings)
+            flagged.append({"can_id": f"0x{can_id:08X}", "bytes": findings})
 
     rate_changes = []
     pre_span = pre.span_us
@@ -185,14 +136,15 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> DiffReport:
             pre_hz = len(pre_groups[can_id]) * 1e6 / pre_span
             post_hz = len(post_groups[can_id]) * 1e6 / post_span
             if max(pre_hz, post_hz) / min(pre_hz, post_hz) > RATE_CHANGE_RATIO:
-                rate_changes.append(RateChange(can_id, pre_hz, post_hz))
+                rate_changes.append({"can_id": f"0x{can_id:08X}", "pre_hz": pre_hz, "post_hz": post_hz})
 
-    return DiffReport(
-        flagged=flagged,
-        ids_only_in_pre=tuple(sorted(set(pre_groups) - set(post_groups))),
-        ids_only_in_post=tuple(sorted(set(post_groups) - set(pre_groups))),
-        rate_changes=tuple(rate_changes),
-    )
+    return {
+        "schema": "stave-diff/1",
+        "flagged": flagged,
+        "ids_only_in_pre": [f"0x{i:08X}" for i in sorted(set(pre_groups) - set(post_groups))],
+        "ids_only_in_post": [f"0x{i:08X}" for i in sorted(set(post_groups) - set(pre_groups))],
+        "rate_changes": rate_changes,
+    }
 
 
 @dataclass(frozen=True)

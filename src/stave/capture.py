@@ -12,9 +12,9 @@ Two line kinds:
 uppercase with no separators; a dlc-0 frame has nothing after ``#``.
 Parsing is the strict inverse of serialization: a parsed log
 re-serializes byte-identically, and timestamps must be monotone
-non-decreasing within a file. One line grammar serves both parsers:
-CaptureLog.from_text reads a log straight into its columns with it, and
-parse_record reads one line.
+non-decreasing within a file and at most MAX_TIMESTAMP_US. One line
+grammar serves both parsers: CaptureLog.from_text reads a log straight
+into its columns with it, and parse_record reads one line.
 """
 
 from __future__ import annotations
@@ -32,15 +32,18 @@ from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
 # The grammar of one line, LF included. Groups: seconds, fraction,
 # interface, then a CAN record's identifier and payload digits or a radio
 # record's packet digits; any other body matches no group. Timestamps take
-# ASCII digits and no leading zero: anything else would parse but
-# re-serialize differently. Hex digits are matched as one run and their
-# count checked even by the reader: a pairwise repeat doubles the regex
-# engine's time per line. No part matches an LF, so a match is one line.
+# ASCII digits, at most 13 in the seconds as in MAX_TIMESTAMP_US, and no
+# leading zero: anything else would parse but re-serialize differently. Hex
+# digits are matched as one run and their count checked even by the reader:
+# a pairwise repeat doubles the regex engine's time per line. No part
+# matches an LF, so a match is one line.
 _LINE_RE = re.compile(
-    r"\((0|[1-9][0-9]*)\.([0-9]{6})\) (\S+) (?:([0-9A-F]{8})#([0-9A-F]*)|R:([0-9A-F]+)|.+)\n"
+    r"\((0|[1-9][0-9]{0,12})\.([0-9]{6})\) (\S+) (?:([0-9A-F]{8})#([0-9A-F]*)|R:([0-9A-F]+)|.+)\n"
 )
 # a radio record's identifier in a log's columns and rows
 RADIO_ID = -1
+# the latest stamp a log's 64-bit stamps column holds
+MAX_TIMESTAMP_US = 2**63 - 1
 
 
 def valid_interface(name) -> bool:
@@ -64,7 +67,7 @@ class CaptureRecord:
     can_id: int | None = None
 
     def __post_init__(self):
-        check_int(CaptureError, "timestamp_us", self.timestamp_us, 0)
+        check_int(CaptureError, "timestamp_us", self.timestamp_us, 0, MAX_TIMESTAMP_US)
         if not valid_interface(self.interface):
             raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
         if type(self.data) is not bytes:
@@ -113,15 +116,19 @@ def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError
     if match is None:
         line = text[pos:text.index("\n", pos)]
         return ParseError(f"malformed record {line!r}", lineno)
-    seconds, fraction, interface, can_hex, digits, _ = match.groups()
-    if can_hex is None or len(digits) % 2:
+    seconds, fraction, interface, can_hex, digits, packet = match.groups()
+    if can_hex is None:  # a radio record's packet, or a body of no record kind
+        digits = packet
+    if digits is None or len(digits) % 2:
         # a body of no record kind, or an odd number of hex digits
         body = text[match.end(3) + 1:match.end() - 1]
         return ParseError(f"unrecognized record body {body!r}", lineno)
-    # a syntactically valid line carrying impossible values, such as an
-    # identifier past 29 bits or a payload past 8 bytes: the record says which
+    # a syntactically valid line carrying impossible values, such as a stamp
+    # past MAX_TIMESTAMP_US, an identifier past 29 bits or a payload past 8
+    # bytes: the record says which
     try:
-        CaptureRecord(int(seconds + fraction), interface, bytes.fromhex(digits), int(can_hex, 16))
+        CaptureRecord(int(seconds + fraction), interface, bytes.fromhex(digits),
+                      None if can_hex is None else int(can_hex, 16))
     except CaptureError as exc:
         return ParseError(str(exc), lineno)
     raise AssertionError(f"line {lineno} holds a valid record")
@@ -206,34 +213,38 @@ class CaptureLog:
         match = _LINE_RE.match
         fromhex = bytes.fromhex
         pos, end = 0, len(text)
-        # every break leaves the loop at a line the grammar or a limit refused
-        while pos < end:
-            m = match(text, pos)
-            if m is None:
-                break
-            seconds, fraction, interface, can_hex, digits, packet = m.groups()
-            if can_hex is not None:
-                can_id = int(can_hex, 16)
-                if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > 16:
+        # every break leaves the loop at a line the grammar or a limit refused,
+        # and so does a stamp past MAX_TIMESTAMP_US, overflowing its column
+        try:
+            while pos < end:
+                m = match(text, pos)
+                if m is None:
                     break
-            elif packet is not None and not len(packet) % 2:
-                can_id, digits = RADIO_ID, packet
+                seconds, fraction, interface, can_hex, digits, packet = m.groups()
+                if can_hex is not None:
+                    can_id = int(can_hex, 16)
+                    if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > 16:
+                        break
+                elif packet is not None and not len(packet) % 2:
+                    can_id, digits = RADIO_ID, packet
+                else:
+                    break
+                stamp = int(seconds + fraction)
+                if stamp < previous:
+                    raise MonotonicityError(
+                        f"line {_line_at(text, pos, lineno)}: timestamp goes backwards "
+                        f"({stamp} us after {previous} us)"
+                    )
+                stamps.append(stamp)
+                ids.append(can_id)
+                interfaces.append(interface)
+                payloads.append(fromhex(digits))
+                previous = stamp
+                pos = m.end()
             else:
-                break
-            stamp = int(seconds + fraction)
-            if stamp < previous:
-                raise MonotonicityError(
-                    f"line {_line_at(text, pos, lineno)}: timestamp goes backwards "
-                    f"({stamp} us after {previous} us)"
-                )
-            stamps.append(stamp)
-            ids.append(can_id)
-            interfaces.append(interface)
-            payloads.append(fromhex(digits))
-            previous = stamp
-            pos = m.end()
-        else:
-            return log
+                return log
+        except OverflowError:
+            pass
         raise _rejected_line(text, pos, m, _line_at(text, pos, lineno))
 
     def save(self, path: str | Path) -> None:

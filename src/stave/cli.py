@@ -16,10 +16,11 @@ import argparse
 import functools
 import sys
 
-from .attack import MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE, channel_occupancy, diff_captures, plan_replay
+from .attack import (MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE, channel_occupancy, diff_captures,
+                     occupancy_report, plan_replay)
 from .capture import CaptureLog
 from .errors import ScenarioValidationError, StaveError
-from .runner import json_text, occupancy_report, run_scenario
+from .runner import json_text, run_scenario
 from .scenario import load_scenario
 
 
@@ -97,10 +98,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    pre = CaptureLog.load(args.pre)
-    post = CaptureLog.load(args.post)
-    report = diff_captures(pre, post).to_json_dict()
-    _write_or_print(report, args.report)
+    _write_or_print(diff_captures(CaptureLog.load(args.pre), CaptureLog.load(args.post)), args.report)
     print(f"wrote report: {args.report}", file=sys.stderr)
     return 0
 

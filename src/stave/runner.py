@@ -23,6 +23,7 @@ from .attack import (
     WiredInjector,
     channel_occupancy,
     diff_captures,
+    occupancy_report,
     plan_replay,
     schedule_injection,
 )
@@ -42,7 +43,6 @@ from .scenario import (
 from .sim import SimClock, seconds_from_us
 
 SUMMARY_SCHEMA = "stave-summary/1"
-OCCUPANCY_SCHEMA = "stave-occupancy/1"
 
 
 # json.dumps's text of the floats that are not finite (allow_nan)
@@ -187,16 +187,6 @@ def build_testbed(scenario: Scenario) -> Testbed:
     return bed
 
 
-def occupancy_report(capture: str, counts: list[tuple[int, int]]) -> dict:
-    """The stave-occupancy/1 document for a capture's per-channel counts."""
-    return {
-        "schema": OCCUPANCY_SCHEMA,
-        "capture": capture,
-        "channels": [{"channel": c, "count": n} for c, n in counts],
-        "total_packets": sum(n for _, n in counts),
-    }
-
-
 def _keep_whole(bed: Testbed, name: str) -> None:
     """Keep every record of a recorder's or tap's log (a sniff save is kept anyway)."""
     point = bed.points.get(name)
@@ -221,8 +211,7 @@ def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:
     _keep_whole(bed, spec.post)
 
     def run_diff():
-        report = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
-        bed.reports[spec.save] = report.to_json_dict()
+        bed.reports[spec.save] = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
 
     def summary():
         report = bed.reports[spec.save]

@@ -578,8 +578,9 @@ def validate_scenario(doc: dict) -> Scenario:
                 except ConfigurationError as exc:
                     check.add(f"{path}.{key}", str(exc))
                     continue
-            # null passes to the catalog: for cycle_ms it means "not broadcast on a cycle"
-            if value is None or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None:
+            # a null cycle_ms ("not broadcast on a cycle") passes; any other null is absent
+            if (key == "cycle_ms" and value is None
+                    or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None):
                 overrides[name][key] = value
     try:
         catalog = catalog.with_overrides(overrides)
@@ -644,10 +645,13 @@ def validate_scenario(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a scenario file; one that is not UTF-8 JSON is an error naming it."""
+    raw = Path(path).read_bytes()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ScenarioValidationError([f"{path}: not UTF-8: {exc.reason} at byte {exc.start}"]) from None
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past Python's digit limit or nesting past the recursion limit
         raise ScenarioValidationError([f"{path}: not valid JSON: {exc}"]) from exc
     return validate_scenario(doc)

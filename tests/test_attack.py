@@ -196,7 +196,7 @@ def reference_diff(pre: CaptureLog, post: CaptureLog) -> dict:
 def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> None:
     rng = random.Random(seed)
     pre, post = mixed_capture(rng, active=False), mixed_capture(rng, active=True)
-    assert diff_captures(pre, post).to_json_dict() == reference_diff(pre, post)
+    assert diff_captures(pre, post) == reference_diff(pre, post)
 
     radio = [record.data for record in post if record.can_id is None and len(record.data) >= 3]
     counts = Counter(data[2] for data in radio)
@@ -213,7 +213,7 @@ def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> No
 def _analyses(pre: CaptureLog, post: CaptureLog) -> tuple:
     plans = tuple(plan_replay(post, match, Mutation.parse("byte0=add(1)")).entries
                   for match in (MessageMatch(pgn=pgn_of(JOY)), MessageMatch(can_id=0)))
-    return diff_captures(pre, post).to_json_dict(), channel_occupancy(post), plans
+    return diff_captures(pre, post), channel_occupancy(post), plans
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -257,33 +257,33 @@ def test_diff_flags_only_constant_to_changing_bytes() -> None:
         for t, x in zip(range(0, 1000, 100), [25, 25, 225, 225, 90, 90, 25, 225, 90, 25])
     ])
     report = diff_captures(pre, post)
-    assert set(report.flagged) == {JOY}
-    (entry,) = report.flagged[JOY]
-    assert entry.offset == 0
-    assert entry.pre_constant == 125
-    assert entry.post_distinct == 3
-    assert (entry.post_min, entry.post_max) == (25, 225)
+    assert [flagged["can_id"] for flagged in report["flagged"]] == [f"0x{JOY:08X}"]
+    (entry,) = report["flagged"][0]["bytes"]
+    assert entry["offset"] == 0
+    assert entry["pre_constant"] == 125
+    assert entry["post_distinct"] == 3
+    assert (entry["post_min"], entry["post_max"]) == (25, 225)
 
 
 def test_diff_requires_two_distinct_post_values() -> None:
     pre = can_log([(t, JOY, bytes((125,))) for t in range(0, 500, 100)])
     post = can_log([(t, JOY, bytes((25,))) for t in range(0, 500, 100)])
     # one constant replaced by another constant is not a moving byte
-    assert diff_captures(pre, post).flagged == {}
+    assert diff_captures(pre, post)["flagged"] == []
 
 
 def test_diff_ignores_bytes_that_vary_in_baseline() -> None:
     pre = can_log([(t, JOY, bytes((125 + (t // 100) % 2,))) for t in range(0, 500, 100)])
     post = can_log([(t, JOY, bytes((t % 7,))) for t in range(0, 500, 100)])
-    assert diff_captures(pre, post).flagged == {}
+    assert diff_captures(pre, post)["flagged"] == []
 
 
 def test_diff_reports_ids_unique_to_each_side() -> None:
     pre = can_log([(0, JOY, b"\x01"), (100, 0x111, b"\x02")])
     post = can_log([(0, JOY, b"\x01"), (100, 0x222, b"\x02")])
     report = diff_captures(pre, post)
-    assert report.ids_only_in_pre == (0x111,)
-    assert report.ids_only_in_post == (0x222,)
+    assert report["ids_only_in_pre"] == ["0x00000111"]
+    assert report["ids_only_in_post"] == ["0x00000222"]
 
 
 def test_diff_rate_change_ratio() -> None:
@@ -291,16 +291,16 @@ def test_diff_rate_change_ratio() -> None:
     pre = can_log([(t, STR, b"\x00\x00") for t in range(0, 1_000_001, 100_000)])
     post = can_log([(t, STR, b"\x00\x00") for t in range(0, 1_000_001, 500_000)])
     report = diff_captures(pre, post)
-    (rate,) = report.rate_changes
-    assert rate.can_id == STR
-    assert rate.pre_hz == pytest.approx(11 / 1.0)
-    assert rate.post_hz == pytest.approx(3 / 1.0)
+    (rate,) = report["rate_changes"]
+    assert rate["can_id"] == f"0x{STR:08X}"
+    assert rate["pre_hz"] == pytest.approx(11 / 1.0)
+    assert rate["post_hz"] == pytest.approx(3 / 1.0)
 
 
 def test_diff_rate_within_ratio_not_flagged() -> None:
     pre = can_log([(t, STR, b"\x00") for t in range(0, 1_000_001, 100_000)])
     post = can_log([(t, STR, b"\x00") for t in range(0, 1_000_001, 125_000)])
-    assert diff_captures(pre, post).rate_changes == ()
+    assert diff_captures(pre, post)["rate_changes"] == []
 
 
 def test_diff_empty_baseline_is_an_error() -> None:
@@ -312,7 +312,7 @@ def test_diff_empty_baseline_is_an_error() -> None:
 def test_diff_json_shape() -> None:
     pre = can_log([(t, JOY, bytes((125,))) for t in range(0, 300, 100)])
     post = can_log([(t, JOY, bytes((v,))) for t, v in ((0, 1), (100, 2), (200, 3))])
-    doc = diff_captures(pre, post).to_json_dict()
+    doc = diff_captures(pre, post)
     assert doc["schema"] == "stave-diff/1"
     assert doc["flagged"][0]["can_id"] == "0x0CFF1028"
     assert doc["flagged"][0]["bytes"][0]["offset"] == 0

@@ -46,6 +46,7 @@ from stave import (
     Tap,
     decode_id,
 )
+from stave.capture import MAX_TIMESTAMP_US
 from stave.j1939 import MAX_CAN_ID, MAX_PGN
 from stave.radio import MASK64
 
@@ -77,7 +78,8 @@ INT_FIELDS = {
     "ScaledSignal.width_bytes": (lambda v: ScaledSignal(0, v, 1.0), SignalError, 1, 2),
     "ScaledSignal.byte_offset(width 1)": (lambda v: ScaledSignal(v, 1, 1.0), SignalError, 0, 7),
     "ScaledSignal.byte_offset(width 2)": (lambda v: ScaledSignal(v, 2, 1.0), SignalError, 0, 6),
-    "CaptureRecord.timestamp_us": (lambda v: CaptureRecord(v, "vehicle0", b"", 1), CaptureError, 0, None),
+    "CaptureRecord.timestamp_us": (lambda v: CaptureRecord(v, "vehicle0", b"", 1), CaptureError, 0,
+                                   MAX_TIMESTAMP_US),
     "CaptureRecord.can_id": (lambda v: CaptureRecord(0, "vehicle0", b"", v), CaptureError, 0, MAX_CAN_ID),
     "BusConfig.bitrate": (lambda v: BusConfig(bitrate=v), ConfigurationError, 1, None),
     "BusConfig.frame_overhead_bits": (lambda v: BusConfig(frame_overhead_bits=v), ConfigurationError, 1, None),

@@ -21,7 +21,7 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import RADIO_ID, CapturePoint, valid_interface
+from stave.capture import MAX_TIMESTAMP_US, RADIO_ID, CapturePoint, valid_interface
 from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
@@ -109,6 +109,11 @@ MALFORMED = {
     "(0.00000\u0665) can0 0CFF1028#00": (2, "malformed record '(0.00000\u0665) can0 0CFF1028#00'"),
     # a second newline: in a log, an empty line after a good one
     "(0.000000) can0 0CFF1028#00\n\n": (3, "malformed record ''"),
+    # a stamp past the log's 64-bit stamps column, on a CAN and on a radio line
+    "(9223372036854.775808) can0 00000100#AA": (2, "timestamp_us 9223372036854775808 outside 0..9223372036854775807"),
+    "(9223372036854.775808) air R:A55A00": (2, "timestamp_us 9223372036854775808 outside 0..9223372036854775807"),
+    # seconds past 13 digits
+    "(10000000000000.000000) can0 00000100#AA": (2, "malformed record '(10000000000000.000000) can0 00000100#AA'"),
 }
 
 
@@ -130,6 +135,14 @@ def test_from_text_pins_each_parse_error(line: str) -> None:
         with pytest.raises(ParseError) as err:
             parse_record(line)
         assert (str(err.value), err.value.lineno) == (message, None)
+
+
+def test_the_latest_stamp_parses_and_round_trips() -> None:
+    text = "(9223372036854.775807) can0 00000100#AA\n(9223372036854.775807) air R:A55A00\n"
+    log = CaptureLog.from_text(text)
+    assert [record.timestamp_us for record in log] == [MAX_TIMESTAMP_US] * 2
+    assert log.to_text() == text
+    assert parse_record(serialize_record(log[1])) == log[1]
 
 
 def test_from_text_pins_order_and_framing_errors() -> None:

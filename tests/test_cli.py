@@ -109,6 +109,34 @@ def test_validate_rejects_malformed_json(tmp_path, capsys) -> None:
     assert "not valid JSON" in capsys.readouterr().err
 
 
+# an input file that cannot be read, the command reading it (FILE: the file)
+# and where the one error line locates the fault
+UNREADABLE_INPUTS = {
+    "malformed-json": (b"{", ["validate", "FILE"], "FILE: not valid JSON"),
+    "deep-nesting": (b"[" * 100_000, ["validate", "FILE"], "FILE: not valid JSON"),
+    "5000-digit-integer": (b'{"seed": ' + b"1" * 5000 + b"}", ["run", "FILE"], "FILE: not valid JSON"),
+    "non-utf8-scenario": (b'{"seed": "\xff"}', ["validate", "FILE"], "FILE: not UTF-8"),
+    "out-of-range-stamp": (b"(0.000000) air R:A55A00\n(9223372036854.775808) air R:A55A00\n",
+                           ["occupancy", "FILE"], "line 2: timestamp_us 9223372036854775808 outside"),
+    "over-long-stamp": (b"(" + b"1" * 5000 + b".000000) can0 00000100#AA\n",
+                        ["replay-plan", "FILE", "--match-id", "0x100"], "line 1: malformed record"),
+    "bad-capture-line": (b"(0.000000) vehicle0 NOT-A-RECORD\n",
+                         ["diff", "FILE", "FILE", "--report", "report.json"], "line 1: unrecognized record body"),
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+def test_unreadable_input_file_is_one_located_error(tmp_path, capsys, monkeypatch, name) -> None:
+    raw, argv, where = UNREADABLE_INPUTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input").write_bytes(raw)
+    assert main([arg.replace("FILE", "input") for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where.replace('FILE', 'input')}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_diff_writes_report(tmp_path, capsys) -> None:
     pre = tmp_path / "pre.log"
     post = tmp_path / "post.log"

@@ -9,7 +9,7 @@ import importlib.util
 
 from conftest import REPO_ROOT, make_scenario
 
-from stave import run_scenario
+from stave import CaptureLog, CaptureRecord, cli, run_scenario
 
 
 def load_tracer():
@@ -38,3 +38,24 @@ def test_tracer_sees_replay_planning_and_injection() -> None:
     plan_calls, _, _, planned_records = tracer.stat("attack.plan")
     assert plan_calls == 1 and planned_records > 0
     assert tracer.stat("attack.inject_schedule")[0] == 1
+
+
+def test_tracer_sees_offline_diff_and_occupancy(tmp_path, capsys) -> None:
+    pre, post = CaptureLog(), CaptureLog()
+    for ts in (0, 100, 200):
+        pre.append(CaptureRecord(ts, "vehicle0", b"\x01", 0x0CFF1028))
+    for ts in (0, 100):
+        post.append(CaptureRecord(ts, "air", b"\xa5\x5a\x03"))
+    pre.save(tmp_path / "pre.log")
+    post.save(tmp_path / "post.log")
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["diff", str(tmp_path / "pre.log"), str(tmp_path / "post.log"),
+                         "--report", str(tmp_path / "diff.json")]) == 0
+        assert cli.main(["occupancy", str(tmp_path / "post.log")]) == 0
+    finally:
+        tracer.uninstall()
+    diff_calls, _, _, diffed_records = tracer.stat("attack.diff")
+    assert (diff_calls, diffed_records) == (1, len(pre) + len(post))
+    assert tracer.stat("attack.occupancy")[0] == 1

@@ -7,7 +7,7 @@ from conftest import MALFORMED_SECTIONS, SCENARIOS_DIR, TIME_FIELDS, load_fixtur
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stave import ScenarioValidationError, load_scenario, validate_scenario
+from stave import MessageCatalog, ScenarioValidationError, load_scenario, validate_scenario
 from stave.scenario import MAX_TIME_S
 
 
@@ -103,6 +103,19 @@ def test_fleet_catalog_errors_carry_paths() -> None:
                       "fleet.catalog.PWR1.pgn: must be <= 262143, got 262144",
                       "fleet.catalog.PWR1.priority: must be <= 7, got 8",
                       "fleet.catalog.STR1.cycle_ms: must be >= 1, got 0"]
+
+
+def test_null_catalog_fields_keep_the_catalog_default() -> None:
+    # null means "not broadcast on a cycle" for cycle_ms only; elsewhere it is absent
+    scenario = make_scenario(fleet={"catalog": {
+        "JOY1": {"pgn": None, "priority": None, "source_address": None},
+        "PWR1": {"pgn": None, "cycle_ms": None},
+    }})
+    default = MessageCatalog()
+    assert scenario.catalog["JOY1"] == default["JOY1"]
+    assert scenario.catalog["JOY1"].can_id == default["JOY1"].can_id
+    assert scenario.catalog["PWR1"].can_id == default["PWR1"].can_id
+    assert scenario.catalog["PWR1"].cycle_ms is None
 
 
 def test_joystick_script_errors_bubble_up() -> None:
@@ -348,6 +361,20 @@ def test_load_scenario_rejects_bad_json(tmp_path) -> None:
     with pytest.raises(ScenarioValidationError) as info:
         load_scenario(bad)
     assert "not valid JSON" in info.value.errors[0]
+
+
+@pytest.mark.parametrize(("raw", "error"), [
+    (b"[" * 100_000, "not valid JSON: maximum recursion depth exceeded"),
+    (b'{"seed": ' + b"1" * 5000 + b"}", "not valid JSON: Exceeds the limit (4300 digits)"),
+    (b'{"seed": "\xff"}', "not UTF-8: invalid start byte at byte 10"),
+], ids=["deep-nesting", "5000-digit-integer", "not-utf8"])
+def test_load_scenario_locates_an_unreadable_file(tmp_path, raw: bytes, error: str) -> None:
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(ScenarioValidationError) as info:
+        load_scenario(path)
+    (message,) = info.value.errors
+    assert message.startswith(f"{path}: {error}")
 
 
 def test_load_scenario_reads_fixture() -> None:
