@@ -26,12 +26,12 @@ from typing import Iterator
 
 from .bus import CanBus, NodeHandle
 from .capture import CaptureLog
-from .errors import BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int
+from .errors import BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int, shown
 from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
-from .radio import RadioConfig, RadioMedium, encapsulate, hop_channel, packet_frame
+from .radio import RadioConfig, RadioMedium, _valid_packet, hop_channel, packet_frame
 # Not called here: the analyses verify packets with packet_frame. The name stays
 # bound because perfbench/tracer.py patches decapsulate at this lookup site.
 from .radio import decapsulate  # noqa: F401
@@ -168,7 +168,7 @@ class MessageMatch:
         return pgn_of(can_id) == self.pgn
 
 
-_MUTATION_RE = re.compile(r"^byte(\d+)=(reflect|const|add)\((-?(?:0[xX][0-9a-fA-F]+|\d+))\)$")
+_MUTATION_RE = re.compile(r"^byte([0-9]+)=(reflect|const|add)\((-?(?:0[xX][0-9a-fA-F]+|[0-9]+))\)$")
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,16 @@ class Mutation:
         m = _MUTATION_RE.match(text.strip())
         if not m:
             raise ConfigurationError(
-                f"cannot parse mutation {text!r}; expected byte<K>=reflect(<max>)|const(<v>)|add(<n>)"
+                f"cannot parse mutation {shown(text)}; expected byte<K>=reflect(<max>)|const(<v>)|add(<n>)"
             )
         offset, rule, operand = m.groups()
-        return cls(byte_offset=int(offset), rule=rule, operand=int(operand, 0))
+        try:
+            offset, operand = int(offset), int(operand, 0)
+        except ValueError:
+            raise ConfigurationError(
+                f"cannot parse mutation {shown(text)}; a decimal number has a leading zero or too many digits"
+            ) from None
+        return cls(byte_offset=offset, rule=rule, operand=operand)
 
     def apply(self, data: bytes) -> bytes:
         if self.byte_offset >= len(data):
@@ -237,9 +243,6 @@ class ReplaySchedule:
         previous = 0
         for i, (delay, _) in enumerate(self.entries):
             previous = check_int(ConfigurationError, f"replay schedule entry {i} delay", delay, previous)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     @property
     def span_us(self) -> int:
@@ -355,19 +358,19 @@ class RadioInjector:
     def send_frame(self, frame: CanFrame) -> None:
         seq = self.seq_sent & 0xFFFF
         self.seq_sent += 1
+        # channel_for gives a channel in 0..255 and seq is masked to 16 bits
         channel = self.strategy.channel_for(self.medium.config, seq)
         self.stats.sent += 1
-        self.medium.transmit(encapsulate(frame, channel, seq), sender=self)
+        self.medium.transmit(_valid_packet(channel, seq, frame), sender=self)
 
 
-def _send_times(schedule: ReplaySchedule, start_us: int, cycle_us: int | None,
-                end_us: int | None):
-    """(instant, frame) of every send, in time order; cycle_us None: one pass."""
+def _send_times(schedule: ReplaySchedule, start_us: int, cycle_us: int | None, end_us: int):
+    """(instant, frame) of every send up to end_us, in time order; cycle_us None: one pass."""
     start = start_us
     while True:
         for delay, frame in schedule.entries:
             at = start + delay
-            if end_us is not None and at > end_us:
+            if at > end_us:
                 break
             yield at, frame
         if cycle_us is None:
@@ -384,9 +387,9 @@ def schedule_injection(
     start_us: int,
     *,
     repeat: bool = False,
-    end_us: int | None = None,
+    end_us: int,
 ) -> None:
-    """Arrange for the injector to send the schedule starting at start_us.
+    """Arrange for the injector to send the schedule from start_us to end_us.
 
     With ``repeat``, the schedule loops until ``end_us`` with an
     inter-cycle gap equal to its mean inter-frame gap; that needs at
@@ -399,8 +402,6 @@ def schedule_injection(
     """
     cycle_us = None
     if repeat:
-        if end_us is None:
-            raise ConfigurationError("repeat injection needs an end time")
         if len(schedule.entries) < 2 or schedule.span_us <= 0:
             raise ConfigurationError(
                 "repeat injection needs >= 2 schedule entries with preserved gaps"

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .errors import CaptureError, MonotonicityError, ParseError, check_bytes, check_int
-from .j1939 import MAX_CAN_ID, CanFrame, _valid_frame
+from .errors import CaptureError, MonotonicityError, ParseError, check_bytes, check_int, shown
+from .j1939 import MAX_CAN_ID
 
 # The grammar of one line, LF included. Groups: seconds, fraction,
 # interface, then a CAN record's identifier and payload digits or a radio
@@ -80,12 +80,6 @@ class CaptureRecord:
             if len(self.data) > 8:
                 raise CaptureError("can record payload exceeds 8 bytes")
 
-    def frame(self) -> CanFrame:
-        if self.can_id is None:
-            raise CaptureError("not a can record")
-        # a record's fields are already a valid frame's
-        return _valid_frame(self.can_id, self.data, self.timestamp_us)
-
 
 def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> str:
     """The log line of one row of a log's columns (can_id RADIO_ID: a radio record)."""
@@ -115,14 +109,14 @@ def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError
     is the line's grammar match, None when the grammar refused it."""
     if match is None:
         line = text[pos:text.index("\n", pos)]
-        return ParseError(f"malformed record {line!r}", lineno)
+        return ParseError(f"malformed record {shown(line)}", lineno)
     seconds, fraction, interface, can_hex, digits, packet = match.groups()
     if can_hex is None:  # a radio record's packet, or a body of no record kind
         digits = packet
     if digits is None or len(digits) % 2:
         # a body of no record kind, or an odd number of hex digits
         body = text[match.end(3) + 1:match.end() - 1]
-        return ParseError(f"unrecognized record body {body!r}", lineno)
+        return ParseError(f"unrecognized record body {shown(body)}", lineno)
     # a syntactically valid line carrying impossible values, such as a stamp
     # past MAX_TIMESTAMP_US, an identifier past 29 bits or a payload past 8
     # bytes: the record says which

@@ -19,7 +19,7 @@ import sys
 from .attack import (MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE, channel_occupancy, diff_captures,
                      occupancy_report, plan_replay)
 from .capture import CaptureLog
-from .errors import ScenarioValidationError, StaveError
+from .errors import ConfigurationError, ScenarioValidationError, StaveError, shown
 from .runner import json_text, run_scenario
 from .scenario import load_scenario
 
@@ -109,13 +109,26 @@ def _cmd_occupancy(args) -> int:
     return 0
 
 
+def _flag_int(flag: str, text: str) -> int:
+    """A numeric flag's value, decimal or 0x hex."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ConfigurationError(f"{flag}: expected an integer, got {shown(text)}") from None
+
+
 def _cmd_replay_plan(args) -> int:
     log = CaptureLog.load(args.capture)
     if args.match_pgn is not None:
-        match = MessageMatch(pgn=int(args.match_pgn, 0))
+        match = MessageMatch(pgn=_flag_int("--match-pgn", args.match_pgn))
     else:
-        match = MessageMatch(can_id=int(args.match_id, 0))
-    mutation = Mutation.parse(args.mutate) if args.mutate is not None else None
+        match = MessageMatch(can_id=_flag_int("--match-id", args.match_id))
+    mutation = None
+    if args.mutate is not None:
+        try:
+            mutation = Mutation.parse(args.mutate)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--mutate: {exc}") from None
     schedule = plan_replay(log, match, mutation, args.timing)
     _write_or_print(schedule.to_json_dict(), args.out)
     return 0
@@ -142,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # bad numeric literals in flags such as --match-pgn
+        # a safety net: the commands report their own bad values as StaveErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

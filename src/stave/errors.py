@@ -91,6 +91,17 @@ class ScenarioValidationError(StaveError):
         super().__init__("; ".join(self.errors))
 
 
+def shown(value, limit: int = 100) -> str:
+    """repr(value) for an error message: a str past limit characters as its start and its
+    length, an int with more digits than str() converts (say, from 0x hex) as its size."""
+    if isinstance(value, str) and len(value) > limit:
+        return f"{value[:limit]!r}... ({len(value)} characters)"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
+
+
 def is_int(value) -> bool:
     """Whether value is an integer; a bool is not one."""
     return type(value) is int
@@ -114,10 +125,10 @@ def check_int(error: type[StaveError], name: str, value, lo: int | None = None,
         return value
     if hi is None:
         rule = "an integer" if lo is None else f"an integer >= {lo}"
-        raise error(f"{name} {value!r} must be {rule}")
+        raise error(f"{name} {shown(value)} must be {rule}")
     if hi == lo + 1:
-        raise error(f"{name} {value!r} must be {lo} or {hi}")
-    raise error(f"{name} {value!r} outside {lo}..{hi}")
+        raise error(f"{name} {shown(value)} must be {lo} or {hi}")
+    raise error(f"{name} {shown(value)} outside {lo}..{hi}")
 
 
 def check_real(error: type[StaveError], name: str, value, lo: float = -math.inf,

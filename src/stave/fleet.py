@@ -255,7 +255,7 @@ class _Node:
 
             def fire():
                 tick()
-                self.clock.schedule_in(cycle_us, fire)
+                self.clock.schedule(self.clock.now_us + cycle_us, fire)
 
             self.clock.schedule(self.clock.now_us + cycle_us, fire)
 

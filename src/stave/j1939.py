@@ -249,15 +249,3 @@ def read_signal(frame: CanFrame, signal: ScaledSignal) -> float | None:
         if raw >= 1 << (bits - 1):
             raw -= 1 << bits
     return raw * signal.scale
-
-
-def write_signal(frame: CanFrame, signal: ScaledSignal, value: float) -> CanFrame:
-    """Encode a physical value into a copy of the frame (see ScaledSignal.encode)."""
-    end = signal.byte_offset + signal.width_bytes
-    if end > frame.dlc:
-        raise SignalError(
-            f"signal bytes {signal.byte_offset}..{end - 1} outside dlc {frame.dlc}"
-        )
-    data = frame.data[:signal.byte_offset] + signal.encode(value) + frame.data[end:]
-    # same length as frame.data, so still a valid payload
-    return _valid_frame(frame.can_id, data, frame.timestamp_us)

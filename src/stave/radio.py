@@ -20,11 +20,11 @@ The medium is a broadcast channel with a fixed propagation latency and
 an optional per-packet loss draw (the only stochastic element, seeded).
 Taps are ideal observers: they see packets at the transmit instant,
 filtered by listened channels and, in faraday mode, by being on the
-same side of the shield as the transmitter. Endpoints accept a packet
-only when its channel matches the hop sequence position for its seq,
-then re-emit the embedded frame onto their own bus segment; there is no
-authentication, so a well-formed packet on the right channel is
-indistinguishable from a legitimate one.
+same side of the shield as the transmitter. Bridge endpoints are inside
+the shield. Endpoints accept a packet only when its channel matches the
+hop sequence position for its seq, then re-emit the embedded frame onto
+their own bus segment; there is no authentication, so a well-formed
+packet on the right channel is indistinguishable from a legitimate one.
 """
 
 from __future__ import annotations
@@ -138,10 +138,6 @@ def _valid_packet(channel: int, seq: int, frame: CanFrame) -> RadioPacket:
     return packet
 
 
-def encapsulate(frame: CanFrame, channel: int, seq: int) -> RadioPacket:
-    return RadioPacket(channel=channel, seq=seq, frame=frame)
-
-
 def decapsulate(buf: bytes) -> RadioPacket:
     """Parse and verify one radio packet (see packet_frame)."""
     buf = bytes(buf)
@@ -235,8 +231,8 @@ class RadioMedium:
         self._taps.append(tap)
         return tap
 
-    def create_endpoint(self, bus: CanBus, name: str, inside_faraday: bool = True) -> "BridgeEndpoint":
-        endpoint = BridgeEndpoint(self, bus, name, inside_faraday)
+    def create_endpoint(self, bus: CanBus, name: str) -> "BridgeEndpoint":
+        endpoint = BridgeEndpoint(self, bus, name)
         self._endpoints.append(endpoint)
         return endpoint
 
@@ -244,11 +240,12 @@ class RadioMedium:
         """Put one packet on the air.
 
         Taps get a copy now (transmit instant). Every endpoint other than
-        the sender that the faraday barrier and an independent loss draw
-        let through hears the packet in one event, after the propagation
-        latency. Raw bytes are decoded once, in that event. A bridge
-        endpoint's own packets are on the hop channel by construction, so
-        only other senders' packets are checked against the hop sequence.
+        the sender that an independent loss draw lets through hears the
+        packet in one event, after the propagation latency; in faraday mode
+        a sender outside the shield reaches none. Raw bytes are decoded
+        once, in that event. A bridge endpoint's own packets are on the hop
+        channel by construction, so only other senders' packets are checked
+        against the hop sequence.
         """
         if isinstance(packet, RadioPacket):
             wire = packet.to_bytes()
@@ -267,11 +264,11 @@ class RadioMedium:
             if tap.channels is not None and channel not in tap.channels:
                 continue
             tap.observe(now, wire)
+        if faraday and not sender_inside:
+            return
         reached = []
         for endpoint in self._endpoints:
             if endpoint is sender:
-                continue
-            if faraday and endpoint.inside_faraday != sender_inside:
                 continue
             if loss > 0.0 and self._rng.random() < loss:
                 self.stats.packets_lost += 1
@@ -310,10 +307,9 @@ class BridgeEndpoint:
     acceptable packet heard on the air is re-emitted onto the segment.
     """
 
-    def __init__(self, medium: RadioMedium, bus: CanBus, name: str, inside_faraday: bool = True):
+    def __init__(self, medium: RadioMedium, bus: CanBus, name: str):
         self.medium = medium
         self.bus = bus
-        self.inside_faraday = check_bool(ConfigurationError, f"endpoint {name!r} inside_faraday", inside_faraday)
         self.seq_sent = 0
         self.handle: NodeHandle = bus.attach(name, self._on_bus_frame)
 

@@ -50,7 +50,7 @@ from pathlib import Path
 from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE
 from .bus import BusConfig
 from .capture import valid_interface
-from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real
+from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real, shown
 from .fleet import CATALOG_FIELDS, PLANT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry, check_cycle
 from .j1939 import MAX_CAN_ID, MAX_PGN
 from .radio import MASK64, RadioConfig
@@ -208,10 +208,10 @@ class _Check:
             self.add(path, f"expected {kind}, got {value!r}")
             return default
         if lo is not None and value < lo:
-            self.add(path, f"must be >= {lo}, got {value!r}")
+            self.add(path, f"must be >= {lo}, got {shown(value)}")
             return default
         if hi is not None and value > hi:
-            self.add(path, f"must be <= {hi}, got {value!r}")
+            self.add(path, f"must be <= {hi}, got {shown(value)}")
             return default
         return value
 
@@ -264,6 +264,9 @@ def _given(**fields) -> dict:
 def _relative_path(check: _Check, path: str, value) -> str | None:
     text = check.string(path, value)
     if text is None:
+        return None
+    if "\0" in text:  # no file system takes one in a name
+        check.add(path, f"must not contain a NUL character, got {text!r}")
         return None
     p = Path(text)
     if p.is_absolute() or ".." in p.parts:

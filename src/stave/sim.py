@@ -89,9 +89,6 @@ class SimClock:
         queue = self._queue
         return bool(queue) and queue[0][0] <= at_us
 
-    def schedule_in(self, delay_us: int, action: Callable[[], None]) -> None:
-        self.schedule(self._now_us + delay_us, action)
-
     def run_until(self, t_end_us: int) -> None:
         """Dispatch every event with time <= t_end_us, then advance now.
 

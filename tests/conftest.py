@@ -61,6 +61,18 @@ MALFORMED_SECTIONS = [
     # a message the default catalog sends on demand only takes no cycle
     ({"fleet": {"catalog": {"DSP1": {"cycle_ms": 100}}}},
      "fleet.catalog.DSP1.cycle_ms: DSP1 is sent on demand only, so it takes no cycle, got 100"),
+    # hex converts at any length, but the value has too many digits to print
+    ({"attacks": [{**REPLAY, "match": {"pgn": "0x" + "F" * 5000}}]},
+     "attacks[0].match.pgn: must be <= 262143, got <20000-bit integer>"),
+    ({"outputs": {"summary": "a\u0000b.json"}},
+     "outputs.summary: must not contain a NUL character, got 'a\\x00b.json'"),
+    # mutation numbers take ASCII digits, and no more than int() converts
+    ({"attacks": [{**REPLAY, "match": {"pgn": "0xFF10"}, "mutate": "byte\u0663=add(1)"}]},
+     "attacks[0].mutate: cannot parse mutation 'byte\u0663=add(1)'; "
+     "expected byte<K>=reflect(<max>)|const(<v>)|add(<n>)"),
+    ({"attacks": [{**REPLAY, "match": {"pgn": "0xFF10"}, "mutate": f"byte0=add({'9' * 5000})"}]},
+     f"attacks[0].mutate: cannot parse mutation {'byte0=add(' + '9' * 90!r}... (5011 characters); "
+     "a decimal number has a leading zero or too many digits"),
 ]
 
 

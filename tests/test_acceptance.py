@@ -22,6 +22,7 @@ from stave import (
     NodeHandle,
     RadioConfig,
     RadioMedium,
+    RadioPacket,
     SimClock,
     Tap,
     arbitrate,
@@ -29,7 +30,6 @@ from stave import (
     crc16_ccitt_false,
     decapsulate,
     decode_id,
-    encapsulate,
     encode_id,
     hop_channel,
     load_scenario,
@@ -218,14 +218,14 @@ def test_criterion_6_frequency_hopping(report) -> None:
     n = 100_000
     for seq in range(n):
         seq &= 0xFFFF
-        medium.transmit(encapsulate(frame, hop_channel(config, seq), seq))
+        medium.transmit(RadioPacket(hop_channel(config, seq), seq, frame))
     fraction = len(eavesdropper.log) / n
 
     flat_config = RadioConfig(num_channels=16, hopping=False)
     flat_medium = RadioMedium(SimClock(), flat_config, rng=random.Random(0))
     flat_tap = flat_medium.add_tap(Tap("air"))
     for seq in range(2_000):
-        flat_medium.transmit(encapsulate(frame, hop_channel(flat_config, seq), seq))
+        flat_medium.transmit(RadioPacket(hop_channel(flat_config, seq), seq, frame))
     occupancy = channel_occupancy(flat_tap.log)
 
     ok = (abs(fraction - 1 / 16) <= 0.02
@@ -270,11 +270,11 @@ def test_criterion_8_encapsulation_integrity(report) -> None:
         frame = CanFrame(rng.getrandbits(29), rng.randbytes(rng.randint(0, 8)))
         channel = rng.randrange(256)
         seq = rng.randrange(1 << 16)
-        packet = decapsulate(encapsulate(frame, channel, seq).to_bytes())
+        packet = decapsulate(RadioPacket(channel, seq, frame).to_bytes())
         if packet.frame != frame or packet.channel != channel or packet.seq != seq:
             roundtrip_failures += 1
 
-    buf = encapsulate(CanFrame(0x0CFF1028, bytes(range(8))), 3, 0xBEEF).to_bytes()
+    buf = RadioPacket(3, 0xBEEF, CanFrame(0x0CFF1028, bytes(range(8)))).to_bytes()
     undetected = 0
     framing = integrity = 0
     for bit in range(len(buf) * 8):

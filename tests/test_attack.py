@@ -22,6 +22,7 @@ from stave import (
     RadioConfig,
     RadioInjector,
     RadioMedium,
+    RadioPacket,
     ReplaySchedule,
     SimClock,
     WiredInjector,
@@ -29,7 +30,6 @@ from stave import (
     crc16_ccitt_false,
     decapsulate,
     diff_captures,
-    encapsulate,
     hop_channel,
     pgn_of,
     plan_replay,
@@ -56,7 +56,7 @@ def test_plan_replay_mixes_wired_and_radio() -> None:
     frame = CanFrame(JOY, b"\x19\x7d\x00\xff\xff\xff\xff\xff")
     log = CaptureLog()
     log.append(CaptureRecord(timestamp_us=10, interface="v", data=frame.data, can_id=JOY))
-    log.append(CaptureRecord(timestamp_us=20, interface="air", data=encapsulate(frame, 0, 1).to_bytes()))
+    log.append(CaptureRecord(timestamp_us=20, interface="air", data=RadioPacket(0, 1, frame).to_bytes()))
     log.append(CaptureRecord(timestamp_us=30, interface="air", data=b"\xde\xad\xbe\xef"))  # garbage is skipped
     schedule = plan_replay(log, MessageMatch(can_id=JOY), None)
     assert schedule.entries == ((0, frame), (10, frame))
@@ -71,7 +71,7 @@ def test_channel_occupancy_matches_counter() -> None:
         channel = rng.randrange(16)
         counts[channel] += 1
         log.append(CaptureRecord(timestamp_us=seq, interface="air",
-                                 data=encapsulate(frame, channel, seq).to_bytes()))
+                                 data=RadioPacket(channel, seq, frame).to_bytes()))
     got = channel_occupancy(log)
     assert dict(got) == dict(counts)
     # sorted by descending count, channel number breaking ties
@@ -109,7 +109,7 @@ CORRUPTIONS = {
 
 
 def test_every_corruption_fails_verification() -> None:
-    body = encapsulate(CanFrame(JOY, b"\x01\x02"), 3, 7).to_bytes()[2:-2]
+    body = RadioPacket(3, 7, CanFrame(JOY, b"\x01\x02")).to_bytes()[2:-2]
     for name, corrupt in CORRUPTIONS.items():
         for seed in range(20):
             with pytest.raises(DecapsulationError):
@@ -127,12 +127,12 @@ def mixed_capture(rng: random.Random, active: bool) -> CaptureLog:
             data = bytes(rng.choice((5, 6, 7)) for _ in range(dlc))
         else:
             data = bytes((5, rng.choice((3, 4)), 2, 1, 1, 1, 1, 1)[:dlc])
-        wire = encapsulate(CanFrame(can_id, data), rng.randrange(16), seq).to_bytes()
+        wire = RadioPacket(rng.randrange(16), seq, CanFrame(can_id, data)).to_bytes()
         if rng.random() < 0.25:
             log.append(CaptureRecord(seq * 1000, "vehicle0", data, can_id))
         elif rng.random() < 0.33:
-            forged = encapsulate(CanFrame(rng.choice((can_id, 0x1ABCDE00)), bytes((99,) * 8)),
-                                 rng.randrange(16), seq).to_bytes()
+            frame = CanFrame(rng.choice((can_id, 0x1ABCDE00)), bytes((99,) * 8))
+            forged = RadioPacket(rng.randrange(16), seq, frame).to_bytes()
             corrupt = CORRUPTIONS[rng.choice(sorted(CORRUPTIONS))]
             log.append(CaptureRecord(seq * 1000, "air", corrupt(forged[2:-2], rng)))
         else:
@@ -145,7 +145,7 @@ def reference_frames(capture: CaptureLog) -> list[tuple[int, CanFrame]]:
     frames = []
     for record in capture:
         if record.can_id is not None:
-            frames.append((record.timestamp_us, record.frame()))
+            frames.append((record.timestamp_us, CanFrame(record.can_id, record.data, record.timestamp_us)))
             continue
         try:
             frames.append((record.timestamp_us, decapsulate(record.data).frame))
@@ -356,6 +356,27 @@ def test_mutation_parse_rejects(text: str) -> None:
         Mutation.parse(text)
 
 
+# digit runs: short ones that mix in non-ASCII digits, and ASCII ones around
+# the interpreter's int-conversion limit of 4,300 digits
+MUTATION_DIGITS = st.one_of(st.text("0123456789\u0663\u0660\u06f3\uff13", min_size=1, max_size=6),
+                            st.integers(4_295, 4_305).map(lambda n: "9" * n))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.one_of(
+    st.text(),
+    st.builds("byte{}={}({}{})".format, MUTATION_DIGITS, st.sampled_from(("reflect", "const", "add")),
+              st.sampled_from(("", "-", "0x")), MUTATION_DIGITS),
+))
+def test_mutation_parse_returns_a_mutation_or_a_configuration_error(text: str) -> None:
+    try:
+        mutation = Mutation.parse(text)
+    except ConfigurationError:
+        return
+    assert isinstance(mutation, Mutation)
+    assert text.strip().isascii()
+
+
 def test_mutation_reflect_range_guard() -> None:
     mutation = Mutation.parse("byte0=reflect(250)")
     with pytest.raises(ConfigurationError):
@@ -394,7 +415,7 @@ def test_plan_replay_empty_match_warns(caplog) -> None:
     log = can_log([(0, STR, b"\x00\x00")])
     with caplog.at_level("WARNING"):
         schedule = plan_replay(log, MessageMatch(pgn=0xFF10), None)
-    assert len(schedule) == 0
+    assert schedule.entries == ()
     assert any("matched no frames" in r.message for r in caplog.records)
 
 
@@ -514,9 +535,14 @@ def test_schedule_injection_one_shot_times() -> None:
         (50_000, CanFrame(JOY, b"\x02")),
         (100_000, CanFrame(JOY, b"\x03")),
     ))
-    schedule_injection(clock, injector, schedule, start_us=10_000)
+    schedule_injection(clock, injector, schedule, start_us=10_000, end_us=1_000_000)
     clock.run_until(1_000_000)
     assert [t for t, _ in injector.sent_at] == [10_000, 60_000, 110_000]
+    # no send falls after the end
+    injector.sent_at.clear()
+    schedule_injection(clock, injector, schedule, start_us=1_000_000, end_us=1_050_000)
+    clock.run_until(2_000_000)
+    assert [t for t, _ in injector.sent_at] == [1_000_000, 1_050_000]
 
 
 def test_schedule_injection_repeat_uses_mean_gap() -> None:
@@ -594,7 +620,7 @@ def test_repeat_sends_win_ties_with_events_queued_after_them() -> None:
 
     def tick() -> None:
         order.append(("tick", clock.now_us))
-        clock.schedule_in(100_000, tick)
+        clock.schedule(clock.now_us + 100_000, tick)
 
     schedule = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")), (50_000, CanFrame(JOY, b"\x02"))))
     schedule_injection(clock, Injector(), schedule, 0, repeat=True, end_us=300_000)
@@ -623,5 +649,5 @@ def test_schedule_injection_repeat_needs_span_and_end() -> None:
         schedule_injection(clock, injector, single, 0, repeat=True, end_us=100)
     pair = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")),
                                    (10, CanFrame(JOY, b"\x02"))))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         schedule_injection(clock, injector, pair, 0, repeat=True)  # no end

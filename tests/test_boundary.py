@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from stave import (
     AddressError,
     BusConfig,
-    CanBus,
     CanFrame,
     CaptureError,
     CaptureRecord,
@@ -168,13 +167,7 @@ BOOL_FIELDS = {
     "Tap.inside_faraday": (lambda v: Tap("air", inside_faraday=v), ConfigurationError),
     "RadioInjector.inside_faraday": (
         lambda v: RadioInjector(RadioMedium(SimClock()), inside_faraday=v), ConfigurationError),
-    "BridgeEndpoint.inside_faraday": (lambda v: _endpoint(inside_faraday=v), ConfigurationError),
 }
-
-
-def _endpoint(inside_faraday):
-    clock = SimClock()
-    return RadioMedium(clock).create_endpoint(CanBus(clock), "bridge", inside_faraday)
 
 
 @pytest.mark.parametrize("field", sorted(BYTES_FIELDS))

@@ -47,7 +47,7 @@ def test_parse_serialized_can_line() -> None:
     assert record.interface == "vehicle0"
     assert record.can_id == 0x0CFF1028
     assert record.data == b"\x19\x7d\x00\xff\xff\xff\xff\xff"
-    frame = record.frame()
+    frame = CanFrame(record.can_id, record.data, record.timestamp_us)
     assert frame.can_id == 0x0CFF1028
     assert frame.timestamp_us == 50524
 
@@ -135,6 +135,18 @@ def test_from_text_pins_each_parse_error(line: str) -> None:
         with pytest.raises(ParseError) as err:
             parse_record(line)
         assert (str(err.value), err.value.lineno) == (message, None)
+
+
+def test_parse_error_quotes_at_most_100_characters_of_a_line() -> None:
+    long_stamp = f"({'1' * 5000}.000000) can0 00000100#AA"
+    for line, message in (
+        (long_stamp, f"malformed record {long_stamp[:100]!r}... (5026 characters)"),
+        ("(0.000001) can0 " + "Z" * 5000, f"unrecognized record body {'Z' * 100!r}... (5000 characters)"),
+    ):
+        with pytest.raises(ParseError) as err:
+            CaptureLog.from_text(f"(0.000000) can0 00000100#AA\n{line}\n")
+        assert (str(err.value), err.value.lineno) == (f"line 2: {message}", 2)
+        assert len(str(err.value)) < 160
 
 
 def test_the_latest_stamp_parses_and_round_trips() -> None:
@@ -431,7 +443,7 @@ def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -
     # rows are the stored columns: a radio record's identifier is RADIO_ID
     assert list(log.rows()) == [(r.timestamp_us, RADIO_ID if r.can_id is None else r.can_id, r.data)
                                 for r in records]
-    assert [r.frame() for r in log if r.can_id is not None] == [
+    assert [CanFrame(r.can_id, r.data, r.timestamp_us) for r in log if r.can_id is not None] == [
         CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us) for r in records if r.can_id is not None]
     assert log.span_us == (records[-1].timestamp_us - records[0].timestamp_us if n > 1 else 0)
     assert log.to_text() == "".join(serialize_record(r) for r in records)

@@ -137,6 +137,42 @@ def test_unreadable_input_file_is_one_located_error(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "report.json").exists()
 
 
+# a scenario or capture file, a command on it (FILE: the file) and the one
+# error line it prints, naming the field or the flag at fault
+CAPTURE = b"(0.000000) vehicle0 0CFF1028#01\n"
+BAD_VALUES = {
+    "nul-in-output-path": (b'{"schema": "stave-scenario/1", "seed": 0, "duration_s": 0.1, '
+                           b'"outputs": {"summary": "a\\u0000b.json"}}',
+                           ["run", "FILE", "--out", "out"],
+                           "outputs.summary: must not contain a NUL character, got 'a\\x00b.json'"),
+    "non-ascii-mutation-digit": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0xFF10",
+                                           "--mutate", "byte\u0663=add(1)"],
+                                 "--mutate: cannot parse mutation 'byte\u0663=add(1)'; "
+                                 "expected byte<K>=reflect(<max>)|const(<v>)|add(<n>)"),
+    "5000-digit-mutation-offset": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0xFF10",
+                                             "--mutate", f"byte{'1' * 5000}=add(1)"],
+                                   f"--mutate: cannot parse mutation {'byte' + '1' * 96!r}... "
+                                   "(5011 characters); a decimal number has a leading zero or too many digits"),
+    "bad-hex-match-pgn": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0xZZ"],
+                          "--match-pgn: expected an integer, got '0xZZ'"),
+    "5000-digit-match-id": (CAPTURE, ["replay-plan", "FILE", "--match-id", "1" * 5000],
+                            f"--match-id: expected an integer, got {'1' * 100!r}... (5000 characters)"),
+    # hex converts at any length, but the value has too many digits to print
+    "5000-hex-digit-match-pgn": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0x" + "F" * 5000],
+                                 "match pgn <20000-bit integer> outside 0..262143"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_VALUES)
+def test_bad_value_is_one_located_error(tmp_path, capsys, monkeypatch, name) -> None:
+    raw, argv, error = BAD_VALUES[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "input").write_bytes(raw)
+    assert main([arg.replace("FILE", "input") for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()  # rejected before anything ran
+
+
 def test_diff_writes_report(tmp_path, capsys) -> None:
     pre = tmp_path / "pre.log"
     post = tmp_path / "post.log"

@@ -28,7 +28,6 @@ from stave import (
     run_scenario,
     steering_step,
     steering_target,
-    write_signal,
 )
 from stave.cli import main
 from stave.fleet import ENGINE_SPEED_SIGNAL, PLANT_FIELDS, VOLTAGE_SIGNAL, WHEEL_ANGLE_SIGNAL
@@ -110,7 +109,7 @@ def run(bed, t_end_us: int) -> None:
 
 
 def segment_frames(log) -> list[CanFrame]:
-    return [record.frame() for record in log]
+    return [CanFrame(r.can_id, r.data, r.timestamp_us) for r in log]
 
 
 def joy_frames(bed) -> list[CanFrame]:
@@ -329,8 +328,7 @@ def test_every_delivered_frame_passes_the_frame_checks() -> None:
         records = list(bed.captures[name])
         assert {r.can_id for r in records} >= {EXPECTED_IDS["JOY1"], EXPECTED_IDS["DSP1"]}
         for record in records:
-            checked = CanFrame(record.can_id, record.data, record.timestamp_us)
-            assert record.frame() == checked
+            CanFrame(record.can_id, record.data, record.timestamp_us)  # the checked constructor accepts it
             assert type(record.data) is bytes and len(record.data) == 8
     assert bed.captures["vehicle0"][-1].timestamp_us > 1_900_000
 
@@ -389,11 +387,13 @@ def test_every_plant_value_in_range_encodes(data) -> None:
     for node in (fleet.engine, fleet.power):
         node.broadcast = sent.append
         node.tick()
-    assert sent == [
-        write_signal(CanFrame(0, b"\xff" * 8), ENGINE_SPEED_SIGNAL, plant["engine_rpm"]).data,
-        write_signal(CanFrame(0, bytes((0, 0, steer_enable)) + b"\xff" * 5), VOLTAGE_SIGNAL,
-                     plant["machine_voltage"]).data,
-    ]
+    engine, power = (CanFrame(0, data) for data in sent)
+    # read back exactly: the raw value is the nearest integer of value / scale
+    for frame, signal, value in ((engine, ENGINE_SPEED_SIGNAL, plant["engine_rpm"]),
+                                 (power, VOLTAGE_SIGNAL, plant["machine_voltage"])):
+        assert read_signal(frame, signal) == round(value / signal.scale) * signal.scale
+    assert engine.data[:3] + engine.data[5:] == b"\xff" * 6
+    assert power.data[2:] == bytes((steer_enable,)) + b"\xff" * 5
 
 
 def test_voltage_sentinel_fails_in_the_fleet_constructor() -> None:

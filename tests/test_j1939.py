@@ -21,7 +21,6 @@ from stave import (
     encode_id,
     pgn_of,
     read_signal,
-    write_signal,
 )
 
 
@@ -187,19 +186,17 @@ def test_read_signed_angle() -> None:
 
 def test_write_then_read_quantizes_within_half_scale() -> None:
     rng = random.Random(7)
-    frame = CanFrame(0x18FF1130, b"\x00" * 8)
     for _ in range(2_000):
         value = rng.uniform(0.0, 3276.0)
-        written = write_signal(frame, VOLTAGE, value)
+        written = CanFrame(0x18FF1130, VOLTAGE.encode(value))
         back = read_signal(written, VOLTAGE)
         assert back is not None
         assert abs(back - value) <= VOLTAGE.scale / 2 + 1e-9
 
 
 def test_signed_write_read_roundtrip() -> None:
-    frame = CanFrame(0x18FF1213, b"\x00" * 8)
     for value in (-35.0, -28.0, -0.01, 0.0, 0.01, 28.0, 35.0):
-        back = read_signal(write_signal(frame, ANGLE, value), ANGLE)
+        back = read_signal(CanFrame(0x18FF1213, ANGLE.encode(value)), ANGLE)
         assert back == pytest.approx(value)
 
 
@@ -212,13 +209,12 @@ def test_not_available_sentinel_reads_none() -> None:
 
 
 def test_write_rejects_out_of_range() -> None:
-    frame = CanFrame(0x18FF1421, b"\x00" * 8)
     with pytest.raises(SignalError):
-        write_signal(frame, PUMP, -0.5)
+        PUMP.encode(-0.5)
     with pytest.raises(SignalError):
-        write_signal(frame, PUMP, 103.0)  # raw 257 exceeds one byte
+        PUMP.encode(103.0)  # raw 257 exceeds one byte
     with pytest.raises(SignalError):
-        write_signal(frame, PUMP, 102.0)  # raw 255 is the sentinel, not a value
+        PUMP.encode(102.0)  # raw 255 is the sentinel, not a value
 
 
 def test_signal_beyond_frame_end() -> None:

@@ -31,7 +31,6 @@ from stave import (
     Tap,
     crc16_ccitt_false,
     decapsulate,
-    encapsulate,
     hop_channel,
 )
 
@@ -77,7 +76,7 @@ def test_crc_equals_bit_serial_oracle_on_any_bytes(data: bytes) -> None:
 
 
 def test_packet_layout_hand_assembled() -> None:
-    wire = encapsulate(JOY_FRAME, channel=0, seq=0).to_bytes()
+    wire = RadioPacket(0, 0, JOY_FRAME).to_bytes()
     body = bytes([0x00]) + b"\x00\x00" + b"\x01" + bytes([5 + 8]) \
         + (0x0CFF1028).to_bytes(4, "big") + bytes([8]) + JOY_FRAME.data
     expected = b"\xa5\x5a" + body + crc_oracle(body).to_bytes(2, "big")
@@ -86,7 +85,7 @@ def test_packet_layout_hand_assembled() -> None:
 
 
 def test_minimum_packet_is_empty_payload() -> None:
-    wire = encapsulate(CanFrame(0x1, b""), channel=7, seq=0xBEEF).to_bytes()
+    wire = RadioPacket(7, 0xBEEF, CanFrame(0x1, b"")).to_bytes()
     assert len(wire) == 14
     packet = decapsulate(wire)
     assert packet.channel == 7
@@ -100,13 +99,13 @@ def test_roundtrip_random_packets() -> None:
         frame = CanFrame(rng.getrandbits(29), rng.randbytes(rng.randint(0, 8)))
         channel = rng.randrange(256)
         seq = rng.randrange(1 << 16)
-        packet = decapsulate(encapsulate(frame, channel, seq).to_bytes())
+        packet = decapsulate(RadioPacket(channel, seq, frame).to_bytes())
         assert (packet.channel, packet.seq) == (channel, seq)
         assert (packet.frame.can_id, packet.frame.data) == (frame.can_id, frame.data)
 
 
 def test_decapsulate_too_short() -> None:
-    wire = encapsulate(JOY_FRAME, 0, 0).to_bytes()
+    wire = RadioPacket(0, 0, JOY_FRAME).to_bytes()
     with pytest.raises(LengthError):
         decapsulate(wire[:13])
     with pytest.raises(LengthError):
@@ -114,14 +113,14 @@ def test_decapsulate_too_short() -> None:
 
 
 def test_decapsulate_bad_sync() -> None:
-    wire = bytearray(encapsulate(JOY_FRAME, 0, 0).to_bytes())
+    wire = bytearray(RadioPacket(0, 0, JOY_FRAME).to_bytes())
     wire[0] ^= 0xFF
     with pytest.raises(FramingError):
         decapsulate(bytes(wire))
 
 
 def test_decapsulate_corrupt_payload() -> None:
-    wire = bytearray(encapsulate(JOY_FRAME, 0, 0).to_bytes())
+    wire = bytearray(RadioPacket(0, 0, JOY_FRAME).to_bytes())
     wire[9] ^= 0x01
     with pytest.raises(IntegrityError):
         decapsulate(bytes(wire))
@@ -129,7 +128,7 @@ def test_decapsulate_corrupt_payload() -> None:
 
 def test_decapsulate_truncation_with_valid_prefix_length() -> None:
     # dropping trailing bytes leaves min size intact but breaks the CRC
-    wire = encapsulate(JOY_FRAME, 0, 0).to_bytes()
+    wire = RadioPacket(0, 0, JOY_FRAME).to_bytes()
     with pytest.raises(DecapsulationError):
         decapsulate(wire[:16])
 
@@ -144,7 +143,7 @@ def _reframe(body: bytes) -> bytes:
 
 def test_decapsulate_length_lies_detected_behind_valid_crc() -> None:
     # forge a len byte inconsistent with the byte count, CRC recomputed
-    wire = encapsulate(JOY_FRAME, 0, 0).to_bytes()
+    wire = RadioPacket(0, 0, JOY_FRAME).to_bytes()
     body = bytearray(wire[2:-2])
     body[4] = 5 + 7  # len field claims one byte fewer
     with pytest.raises(LengthError):
@@ -152,7 +151,7 @@ def test_decapsulate_length_lies_detected_behind_valid_crc() -> None:
 
 
 def test_decapsulate_dlc_lies_detected_behind_valid_crc() -> None:
-    wire = encapsulate(JOY_FRAME, 0, 0).to_bytes()
+    wire = RadioPacket(0, 0, JOY_FRAME).to_bytes()
     body = bytearray(wire[2:-2])
     body[9] = 9  # dlc field disagrees with len
     with pytest.raises(LengthError):
@@ -160,7 +159,7 @@ def test_decapsulate_dlc_lies_detected_behind_valid_crc() -> None:
 
 
 def test_decapsulate_unknown_flags_detected_behind_valid_crc() -> None:
-    wire = encapsulate(JOY_FRAME, 0, 0).to_bytes()
+    wire = RadioPacket(0, 0, JOY_FRAME).to_bytes()
     body = bytearray(wire[2:-2])
     body[3] = 0x03  # only the extended-id flag is defined
     with pytest.raises(FramingError):
@@ -178,7 +177,7 @@ def _replace_byte(buf: bytes, index: int, value: int) -> bytes:
 
 
 _PACKETS = st.builds(
-    lambda can_id, data, channel, seq: encapsulate(CanFrame(can_id, data), channel, seq).to_bytes(),
+    lambda can_id, data, channel, seq: RadioPacket(channel, seq, CanFrame(can_id, data)).to_bytes(),
     st.integers(0, (1 << 29) - 1), st.binary(max_size=8), st.integers(0, 255), st.integers(0, 0xFFFF),
 )
 # any bytes, packets with a byte changed or cut off, and bodies with a correct
@@ -319,24 +318,55 @@ def test_taps_observe_at_transmit_instant_without_loss() -> None:
 
 
 def test_faraday_blocks_cross_side_taps_and_endpoints() -> None:
-    config = RadioConfig(faraday_mode=True)
-    clock = SimClock()
-    bus_a = CanBus(clock, "a")
-    bus_b = CanBus(clock, "b")
-    medium = RadioMedium(clock, config)
-    medium.create_endpoint(bus_a, "bridge_a", inside_faraday=True)
-    outside_endpoint = medium.create_endpoint(bus_b, "bridge_b", inside_faraday=False)
+    clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig(faraday_mode=True))
     inside = medium.add_tap(Tap(name="inside", inside_faraday=True))
     outside = medium.add_tap(Tap(name="outside", inside_faraday=False))
+    got_a: list[CanFrame] = []
     got_b: list[CanFrame] = []
-    sender = bus_a.attach("ecu")
+    sender = bus_a.attach("ecu", on_frame=got_a.append)
     bus_b.attach("sink", on_frame=got_b.append)
+    # the bridges are inside the shield: only the inside tap hears them
     bus_a.submit(sender, JOY_FRAME)
     clock.run_until(1_000_000)
-    assert len(inside.log) == 1
-    assert len(outside.log) == 0
-    assert got_b == []  # the outside endpoint never heard the packet
-    del outside_endpoint
+    assert (len(inside.log), len(outside.log)) == (1, 0)
+    assert (len(got_a), len(got_b)) == (0, 1)
+    # an outside injector on the hop channel reaches no endpoint and no inside tap
+    injector = RadioInjector(medium, inside_faraday=False)
+    injector.send_frame(JOY_FRAME)
+    clock.run_until(2_000_000)
+    assert (len(inside.log), len(outside.log)) == (1, 1)
+    assert (len(got_a), len(got_b)) == (0, 1)
+    assert (injector.stats.sent, injector.stats.delivered) == (1, 0)
+    assert medium.stats.endpoint_delivered == 1
+
+
+def test_outside_sender_draws_no_loss_number() -> None:
+    clock, bus_a, bus_b, medium = two_segment_medium(
+        RadioConfig(faraday_mode=True, loss_probability=0.5))
+    state = medium._rng.getstate()
+    RadioInjector(medium, inside_faraday=False).send_frame(JOY_FRAME)
+    assert medium._rng.getstate() == state
+    # an inside sender draws once per endpoint
+    RadioInjector(medium).send_frame(JOY_FRAME)
+    assert medium._rng.getstate() != state
+
+
+@pytest.mark.parametrize("follow_hops", [False, True])
+def test_injector_packets_equal_checked_packets(follow_hops) -> None:
+    config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
+    clock = SimClock()
+    medium = RadioMedium(clock, config)
+    air = medium.add_tap(Tap(name="air"))
+    strategy = ChannelStrategy("follow_hops") if follow_hops else ChannelStrategy("fixed", 9)
+    injector = RadioInjector(medium, strategy)
+    injector.seq_sent = 0xFFFE  # the sequence number wraps at 16 bits
+    frames = [CanFrame(0x100 + i, bytes(range(i))) for i in range(5)]
+    for frame in frames:
+        injector.send_frame(frame)
+    seqs = [0xFFFE, 0xFFFF, 0, 1, 2]
+    assert [r.data for r in air.log] == [
+        RadioPacket(hop_channel(config, seq) if follow_hops else 9, seq, frame).to_bytes()
+        for seq, frame in zip(seqs, frames)]
 
 
 def test_single_channel_tap_hears_only_its_channel() -> None:
@@ -348,7 +378,7 @@ def test_single_channel_tap_hears_only_its_channel() -> None:
     n = 2_000
     expected = sum(1 for seq in range(n) if hop_channel(config, seq) == 3)
     for seq in range(n):
-        medium.transmit(encapsulate(JOY_FRAME, hop_channel(config, seq), seq))
+        medium.transmit(RadioPacket(hop_channel(config, seq), seq, JOY_FRAME))
     assert len(wide.log) == n
     assert len(narrow.log) == expected
 
@@ -361,7 +391,7 @@ def test_endpoint_rejects_wrong_channel() -> None:
     # seq 0 hops somewhere; transmit on a deliberately different channel
     right = hop_channel(config, 0)
     wrong = (right + 1) % 16
-    medium.transmit(encapsulate(JOY_FRAME, wrong, 0))
+    medium.transmit(RadioPacket(wrong, 0, JOY_FRAME))
     clock.run_until(1_000_000)
     assert got == []
     assert medium.stats.channel_rejected == 2  # both endpoints refused it
@@ -418,7 +448,7 @@ def test_endpoint_drops_corrupt_packets(decoded) -> None:
     clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig())
     got: list[CanFrame] = []
     bus_b.attach("sink", on_frame=got.append)
-    wire = bytearray(encapsulate(JOY_FRAME, 0, 0).to_bytes())
+    wire = bytearray(RadioPacket(0, 0, JOY_FRAME).to_bytes())
     wire[10] ^= 0x40
     medium.transmit(bytes(wire))
     clock.run_until(1_000_000)
@@ -452,7 +482,7 @@ def test_injected_packet_reaches_all_endpoints_but_not_sender(decoded, monkeypat
             self.delivered += 1
 
     sender = FakeSender()
-    medium.transmit(encapsulate(JOY_FRAME, 0, 0), sender=sender)
+    medium.transmit(RadioPacket(0, 0, JOY_FRAME), sender=sender)
     assert scheduled == [2000]  # one delivery event, after the latency, for both endpoints
     clock.run_until(1_000_000)
     assert len(got_a) == 1 and len(got_b) == 1
@@ -468,7 +498,7 @@ def test_loss_draw_is_seeded_and_endpoint_only() -> None:
         clock, bus_a, bus_b, medium = two_segment_medium(config, seed=seed)
         tap = medium.add_tap(Tap(name="air"))
         for seq in range(500):
-            medium.transmit(encapsulate(JOY_FRAME, 0, seq))
+            medium.transmit(RadioPacket(0, seq, JOY_FRAME))
         clock.run_until(10_000_000)
         return medium.stats.packets_lost, len(tap.log)
 

@@ -61,7 +61,7 @@ def test_clock_actions_may_schedule_more_work() -> None:
     def chain(n: int) -> None:
         seen.append(n)
         if n < 3:
-            clock.schedule_in(10, lambda: chain(n + 1))
+            clock.schedule(clock.now_us + 10, lambda: chain(n + 1))
 
     clock.schedule(0, lambda: chain(0))
     clock.run_until(100)
