@@ -197,12 +197,11 @@ class Mutation:
             )
         offset, rule, operand = m.groups()
         try:
-            offset, operand = int(offset), int(operand, 0)
+            return cls(byte_offset=int(offset), rule=rule, operand=int(operand, 0))
         except ValueError:
             raise ConfigurationError(
                 f"cannot parse mutation {shown(text)}; a decimal number has a leading zero or too many digits"
             ) from None
-        return cls(byte_offset=offset, rule=rule, operand=operand)
 
     def apply(self, data: bytes) -> bytes:
         if self.byte_offset >= len(data):

@@ -91,15 +91,15 @@ class ScenarioValidationError(StaveError):
         super().__init__("; ".join(self.errors))
 
 
-def shown(value, limit: int = 100) -> str:
-    """repr(value) for an error message: a str past limit characters as its start and its
-    length, an int with more digits than str() converts (say, from 0x hex) as its size."""
-    if isinstance(value, str) and len(value) > limit:
-        return f"{value[:limit]!r}... ({len(value)} characters)"
+def shown(value) -> str:
+    """repr(value) for an error message: a str past 100 characters as its start and length;
+    an int too long for str() (say, from 0x hex) as its size; another unprintable value as its type."""
+    if isinstance(value, str) and len(value) > 100:
+        return f"{value[:100]!r}... ({len(value)} characters)"
     try:
         return repr(value)
     except ValueError:
-        return f"<{value.bit_length()}-bit integer>"
+        return f"<{value.bit_length()}-bit integer>" if is_int(value) else f"<{type(value).__name__}>"
 
 
 def is_int(value) -> bool:

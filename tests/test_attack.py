@@ -647,7 +647,3 @@ def test_schedule_injection_repeat_needs_span_and_end() -> None:
     single = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")),))
     with pytest.raises(ConfigurationError):
         schedule_injection(clock, injector, single, 0, repeat=True, end_us=100)
-    pair = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")),
-                                   (10, CanFrame(JOY, b"\x02"))))
-    with pytest.raises(TypeError):
-        schedule_injection(clock, injector, pair, 0, repeat=True)  # no end

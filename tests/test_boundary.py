@@ -143,6 +143,13 @@ def test_integer_fields_take_exactly_the_integers_in_range(field, data) -> None:
         rejects(build, error, hi + 1)
 
 
+def test_integer_field_error_shows_a_value_too_long_to_print() -> None:
+    for value, text in ((16**5000, "<20001-bit integer>"), ([16**5000], "<list>")):
+        with pytest.raises(FrameError) as raised:
+            CanFrame(value, b"")
+        assert str(raised.value) == f"can_id {text} outside 0..536870911"
+
+
 @pytest.mark.parametrize("field", sorted(REAL_FIELDS))
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(data=st.data())
