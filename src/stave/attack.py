@@ -55,36 +55,26 @@ def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
         yield timestamp_us, can_id, data
 
 
-def channel_occupancy(capture: CaptureLog) -> list[tuple[int, int]]:
-    """(channel, packet count) sorted by count descending, channel ascending.
+def channel_occupancy(capture: CaptureLog, name: str) -> dict:
+    """The stave-occupancy/1 document of the capture called name: its radio
+    packets per channel, by count descending, channel ascending.
 
     Counts radio records only; CAN records have no channel.
     """
     counts = Counter(data[2] for _, can_id, data in capture.rows() if can_id < 0 and len(data) > 2)
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-
-
-def occupancy_report(capture: str, counts: list[tuple[int, int]]) -> dict:
-    """The stave-occupancy/1 document for a capture's per-channel counts."""
     return {
         "schema": OCCUPANCY_SCHEMA,
-        "capture": capture,
-        "channels": [{"channel": c, "count": n} for c, n in counts],
-        "total_packets": sum(n for _, n in counts),
+        "capture": name,
+        "channels": [{"channel": c, "count": n}
+                     for c, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))],
+        "total_packets": sum(counts.values()),
     }
 
 
 def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
-    """The payload of each frame in a capture, grouped by can_id in capture
-    order. The frames are _frame_rows', read here without its generator:
-    diff reads every record of both captures."""
+    """The payload of each frame in a capture, grouped by can_id in capture order."""
     groups: dict[int, list[bytes]] = {}
-    for _, can_id, data in capture.rows():
-        if can_id < 0:  # a radio record
-            try:
-                can_id, data = packet_frame(data)
-            except DecapsulationError:
-                continue
+    for _, can_id, data in _frame_rows(capture):
         group = groups.get(can_id)
         if group is None:
             groups[can_id] = [data]
@@ -227,6 +217,7 @@ class Mutation:
 
 TIMING_PRESERVE = "preserve"
 TIMING_FAST = "fast"
+TIMING_MODES = (TIMING_PRESERVE, TIMING_FAST)
 
 
 @dataclass(frozen=True)
@@ -274,8 +265,8 @@ def plan_replay(
     delay 0); ``fast`` collapses every delay to 0. An empty match yields
     an empty schedule and a warning, not an error.
     """
-    if timing_mode not in (TIMING_PRESERVE, TIMING_FAST):
-        raise ConfigurationError(f"timing mode {timing_mode!r} must be preserve or fast")
+    if timing_mode not in TIMING_MODES:
+        raise ConfigurationError(f"timing mode {shown(timing_mode)} must be preserve or fast")
     matched = [row for row in _frame_rows(capture) if match.matches(row[1])]
     if not matched:
         logger.warning("replay plan matched no frames (match=%s)", match)
@@ -390,9 +381,9 @@ def schedule_injection(
 ) -> None:
     """Arrange for the injector to send the schedule from start_us to end_us.
 
-    With ``repeat``, the schedule loops until ``end_us`` with an
-    inter-cycle gap equal to its mean inter-frame gap; that needs at
-    least two entries and a positive span (preserve timing).
+    With ``repeat``, a schedule with a positive span (two or more entries,
+    preserve timing) loops until ``end_us`` with an inter-cycle gap equal
+    to its mean inter-frame gap; any other schedule is sent once.
 
     One send is queued at a time: each send queues the next, so a long
     repeat keeps one pending event instead of one per send up to end_us.
@@ -400,11 +391,7 @@ def schedule_injection(
     queued at once, by this call.
     """
     cycle_us = None
-    if repeat:
-        if len(schedule.entries) < 2 or schedule.span_us <= 0:
-            raise ConfigurationError(
-                "repeat injection needs >= 2 schedule entries with preserved gaps"
-            )
+    if repeat and schedule.span_us > 0:
         gap = schedule.span_us // (len(schedule.entries) - 1)
         cycle_us = schedule.span_us + gap
     clock.schedule_series(

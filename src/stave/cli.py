@@ -16,8 +16,8 @@ import argparse
 import functools
 import sys
 
-from .attack import (MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE, channel_occupancy, diff_captures,
-                     occupancy_report, plan_replay)
+from .attack import (MessageMatch, Mutation, TIMING_MODES, TIMING_PRESERVE, channel_occupancy, diff_captures,
+                     plan_replay)
 from .capture import CaptureLog
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, shown
 from .runner import json_text, run_scenario
@@ -64,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="select frames by exact 29-bit identifier")
     p_plan.add_argument("--mutate", default=None, metavar="SPEC",
                         help='mutation such as "byte0=reflect(250)"')
-    p_plan.add_argument("--timing", choices=(TIMING_PRESERVE, TIMING_FAST),
-                        default=TIMING_PRESERVE)
+    p_plan.add_argument("--timing", choices=TIMING_MODES, default=TIMING_PRESERVE)
     p_plan.add_argument("--out", default=None, metavar="OUT.json",
                         help="write the schedule here instead of stdout")
     return parser
@@ -104,8 +103,7 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_occupancy(args) -> int:
-    counts = channel_occupancy(CaptureLog.load(args.capture))
-    _write_or_print(occupancy_report(args.capture, counts), args.report)
+    _write_or_print(channel_occupancy(CaptureLog.load(args.capture), args.capture), args.report)
     return 0
 
 

@@ -23,7 +23,6 @@ from .attack import (
     WiredInjector,
     channel_occupancy,
     diff_captures,
-    occupancy_report,
     plan_replay,
     schedule_injection,
 )
@@ -232,8 +231,7 @@ def _run_occupancy(bed: Testbed, spec: OccupancySpec, index: int) -> Callable[[]
     _keep_whole(bed, spec.capture)
 
     def run_occupancy():
-        counts = channel_occupancy(bed.captures[spec.capture])
-        bed.reports[spec.save] = occupancy_report(spec.capture, counts)
+        bed.reports[spec.save] = channel_occupancy(bed.captures[spec.capture], spec.capture)
 
     def summary():
         report = bed.reports[spec.save]
@@ -261,20 +259,14 @@ def _run_replay(bed: Testbed, spec: ReplaySpec, index: int) -> Callable[[], dict
 def _run_inject(bed: Testbed, spec: InjectSpec, index: int) -> Callable[[], dict]:
     # The injector node must exist before the clock starts so the bus
     # topology never mutates mid-run.
-    if spec.attachment.kind == "wired":
-        injector = WiredInjector(bed.buses[spec.attachment.segment], name=f"attacker{index}")
+    if spec.segment is None:
+        injector = RadioInjector(bed.medium, strategy=spec.strategy, inside_faraday=spec.inside_faraday)
     else:
-        injector = RadioInjector(bed.medium,
-                                 strategy=spec.attachment.strategy,
-                                 inside_faraday=spec.attachment.inside_faraday)
+        injector = WiredInjector(bed.buses[spec.segment], name=f"attacker{index}")
 
     def run_inject():
-        schedule = bed.schedules[spec.schedule]
-        # a plan with no span (under two frames) cannot loop: it is sent once, if at all
-        schedule_injection(
-            bed.clock, injector, schedule, spec.start_us,
-            repeat=spec.repeat and schedule.span_us > 0, end_us=bed.scenario.duration_us,
-        )
+        schedule_injection(bed.clock, injector, bed.schedules[spec.schedule], spec.start_us,
+                           repeat=spec.repeat, end_us=bed.scenario.duration_us)
 
     bed.clock.schedule(spec.start_us, run_inject)
     return lambda: {"type": "inject", "schedule": spec.schedule,

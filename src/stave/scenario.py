@@ -47,7 +47,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_PRESERVE
+from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_MODES, TIMING_PRESERVE
 from .bus import BusConfig
 from .capture import valid_interface
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real, shown
@@ -75,14 +75,6 @@ MAX_TIME_S = 86_400.0
 class TapSpec:
     name: str
     channels: tuple[int, ...] | None  # None: all-band
-    inside_faraday: bool = True
-
-
-@dataclass(frozen=True)
-class InjectAttachment:
-    kind: str  # wired | radio
-    segment: str | None = None
-    strategy: ChannelStrategy | None = None
     inside_faraday: bool = True
 
 
@@ -123,7 +115,9 @@ class ReplaySpec:
 class InjectSpec:
     start_us: int
     schedule: str
-    attachment: InjectAttachment
+    segment: str | None = None  # a wired injector's segment; None: a radio injector
+    strategy: ChannelStrategy | None = None  # radio only, as is inside_faraday
+    inside_faraday: bool = True
     repeat: bool = False
 
 
@@ -347,12 +341,14 @@ def _sniff_source(check: _Check, path: str, doc, tap_names: set[str]) -> str | N
     return None
 
 
-def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int) -> InjectAttachment | None:
+def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int) -> dict | None:
+    """The InjectSpec fields an inject attachment sets: a wired one's segment,
+    a radio one's strategy and inside_faraday."""
     doc = check.section(path, doc)
     kind = doc.get("kind")
     if kind == "wired":
         segment = _wired_segment(check, path, doc)
-        return InjectAttachment(kind="wired", segment=segment) if segment else None
+        return {"segment": segment} if segment else None
     if kind == "radio":
         check.expect_keys(path, doc, {"kind", "strategy", "inside_faraday"})
         strategy_doc = check.section(f"{path}.strategy", doc.get("strategy"), {"mode", "channel"})
@@ -371,7 +367,7 @@ def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int
         inside = check.boolean(f"{path}.inside_faraday", doc.get("inside_faraday"))
         if strategy is None:
             return None
-        return InjectAttachment(kind="radio", strategy=strategy, **_given(inside_faraday=inside))
+        return {"strategy": strategy, **_given(inside_faraday=inside)}
     check.add(f"{path}.kind", f"expected wired or radio, got {kind!r}")
     return None
 
@@ -483,7 +479,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
                 except ConfigurationError as exc:
                     check.add(f"{path}.mutate", str(exc))
             timing = item.get("timing", TIMING_PRESERVE)
-            if timing not in (TIMING_PRESERVE, TIMING_FAST):
+            if timing not in TIMING_MODES:
                 check.add(f"{path}.timing", f"expected preserve or fast, got {timing!r}")
                 timing = TIMING_PRESERVE
             save = fresh_save(path, item)
@@ -507,7 +503,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
                           f"schedule {schedule!r} has fast timing, so it has no gaps to repeat")
                 continue
             attacks.append(InjectSpec(start_us=start_us, schedule=schedule,
-                                      attachment=attachment, **_given(repeat=repeat)))
+                                      **attachment, **_given(repeat=repeat)))
     return tuple(attacks), capture_ready, report_names
 
 

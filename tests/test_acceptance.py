@@ -226,11 +226,11 @@ def test_criterion_6_frequency_hopping(report) -> None:
     flat_tap = flat_medium.add_tap(Tap("air"))
     for seq in range(2_000):
         flat_medium.transmit(RadioPacket(hop_channel(flat_config, seq), seq, frame))
-    occupancy = channel_occupancy(flat_tap.log)
+    occupancy = channel_occupancy(flat_tap.log, "air")["channels"]
 
     ok = (abs(fraction - 1 / 16) <= 0.02
           and len(wideband.log) == n
-          and occupancy == [(0, 2_000)])
+          and occupancy == [{"channel": 0, "count": 2_000}])
     report(6, ok,
            f"hopping: single-channel tap saw {fraction:.4f} of 10^5 packets "
            f"(want 1/16 = 0.0625 +/- 0.02), all-band tap saw {len(wideband.log)}; "

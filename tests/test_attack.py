@@ -72,7 +72,7 @@ def test_channel_occupancy_matches_counter() -> None:
         counts[channel] += 1
         log.append(CaptureRecord(timestamp_us=seq, interface="air",
                                  data=RadioPacket(channel, seq, frame).to_bytes()))
-    got = channel_occupancy(log)
+    got = [(entry["channel"], entry["count"]) for entry in channel_occupancy(log, "air")["channels"]]
     assert dict(got) == dict(counts)
     # sorted by descending count, channel number breaking ties
     assert got == sorted(got, key=lambda cn: (-cn[1], cn[0]))
@@ -80,7 +80,7 @@ def test_channel_occupancy_matches_counter() -> None:
 
 def test_occupancy_ignores_wired_records() -> None:
     log = can_log([(0, JOY, b"\x00")])
-    assert channel_occupancy(log) == []
+    assert channel_occupancy(log, "vehicle0")["channels"] == []
 
 
 # Radio records that fail verification, in every way decapsulate names:
@@ -200,7 +200,8 @@ def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> No
 
     radio = [record.data for record in post if record.can_id is None and len(record.data) >= 3]
     counts = Counter(data[2] for data in radio)
-    assert channel_occupancy(post) == sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    assert channel_occupancy(post, "post")["channels"] == [
+        {"channel": c, "count": n} for c, n in sorted(counts.items(), key=lambda item: (-item[1], item[0]))]
 
     mutation = Mutation.parse("byte0=add(1)")
     for match in (MessageMatch(pgn=pgn_of(JOY)), MessageMatch(can_id=STR)):
@@ -213,7 +214,7 @@ def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> No
 def _analyses(pre: CaptureLog, post: CaptureLog) -> tuple:
     plans = tuple(plan_replay(post, match, Mutation.parse("byte0=add(1)")).entries
                   for match in (MessageMatch(pgn=pgn_of(JOY)), MessageMatch(can_id=0)))
-    return diff_captures(pre, post), channel_occupancy(post), plans
+    return diff_captures(pre, post), channel_occupancy(post, "post")["channels"], plans
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -233,7 +234,7 @@ def test_analyses_agree_however_a_log_was_filled(seed: int) -> None:
     want = _analyses(pre, post)
     flagged = {entry["can_id"]: [byte["offset"] for byte in entry["bytes"]] for entry in want[0]["flagged"]}
     assert flagged["0x00000000"] == flagged[f"0x{MAX_CAN_ID:08X}"] == [1]
-    assert sum(count for _, count in want[1]) == len([r for r in post if r.can_id is None and len(r.data) > 2])
+    assert sum(entry["count"] for entry in want[1]) == len([r for r in post if r.can_id is None and len(r.data) > 2])
     assert want[2][0]
     assert want[2][1] == ((0, CanFrame(0, b"\x02\x03\x03")), (2000, CanFrame(0, b"\x02\x04\x03")))
 
@@ -641,9 +642,17 @@ def test_replay_schedule_delays_must_not_decrease() -> None:
             ReplaySchedule(entries=entries)
 
 
-def test_schedule_injection_repeat_needs_span_and_end() -> None:
+@pytest.mark.parametrize("delays", [(), (0,), (0, 0), (0, 0, 0)], ids=["empty", "single", "fast2", "fast3"])
+def test_repeat_of_a_schedule_without_span_sends_one_pass(delays: tuple[int, ...]) -> None:
     clock = SimClock()
     injector = _RecordingInjector(clock)
-    single = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")),))
-    with pytest.raises(ConfigurationError):
-        schedule_injection(clock, injector, single, 0, repeat=True, end_us=100)
+    schedule = ReplaySchedule(entries=tuple((d, CanFrame(JOY, bytes([i]))) for i, d in enumerate(delays)))
+    schedule_injection(clock, injector, schedule, 100, repeat=True, end_us=1_000_000)
+    clock.run_until(1_000_000)
+    assert injector.sent_at == [(100, bytes([i])) for i in range(len(delays))]
+    assert not clock._queue
+    # a two-entry preserve schedule still loops
+    pair = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")), (10, CanFrame(JOY, b"\x02"))))
+    schedule_injection(clock, injector, pair, 1_000_000, repeat=True, end_us=1_000_040)
+    clock.run_until(1_000_040)
+    assert [t for t, _ in injector.sent_at[len(delays):]] == [1_000_000, 1_000_010, 1_000_020, 1_000_030, 1_000_040]

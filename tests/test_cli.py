@@ -8,8 +8,9 @@ import sys
 import pytest
 from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
 
-from stave import CaptureLog, CaptureRecord
+from stave import CaptureLog, CaptureRecord, channel_occupancy
 from stave.cli import main
+from stave.runner import json_text
 
 
 @pytest.fixture
@@ -223,8 +224,11 @@ def test_occupancy_stdout_and_file(tmp_path, capsys) -> None:
     assert doc["total_packets"] > 0
 
     report = tmp_path / "occ.json"
-    assert main(["occupancy", str(run_out / "air.log"), "--report", str(report)]) == 0
-    assert json.loads(report.read_text(encoding="utf-8")) == doc | {"capture": str(run_out / "air.log")}
+    log = str(run_out / "air.log")
+    assert main(["occupancy", log, "--report", str(report)]) == 0
+    assert json.loads(report.read_text(encoding="utf-8")) == doc | {"capture": log}
+    # the command writes the library's document for the log, named by its path
+    assert report.read_text(encoding="utf-8") == json_text(channel_occupancy(CaptureLog.load(log), log))
 
 
 def test_occupancy_locates_bytes_that_are_not_utf8(tmp_path, capsys) -> None:

@@ -272,9 +272,21 @@ def test_inject_radio_attachment() -> None:
                        "inside_faraday": True},
     }])
     attack = scenario.attacks[1]
-    assert attack.attachment.strategy.channel == 3
-    assert attack.attachment.inside_faraday is True
+    assert attack.segment is None  # a radio injector
+    assert attack.strategy.channel == 3
+    assert attack.inside_faraday is True
     assert attack.repeat is True
+
+
+def test_inject_wired_attachment() -> None:
+    plan = {"type": "replay", "start_s": 0.5, "capture": "vehicle0",
+            "match": {"pgn": "0xFF10"}, "save": "sched"}
+    scenario = make_scenario(attacks=[plan, {
+        "type": "inject", "start_s": 0.5, "schedule": "sched",
+        "attachment": {"kind": "wired", "segment": "operator0"},
+    }])
+    attack = scenario.attacks[1]
+    assert (attack.segment, attack.strategy, attack.repeat) == ("operator0", None, False)
 
 
 def test_outputs_validation() -> None:
