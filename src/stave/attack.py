@@ -172,7 +172,7 @@ class Mutation:
     def __post_init__(self):
         check_int(ConfigurationError, "mutation byte offset", self.byte_offset, 0, 7)
         if self.rule not in ("reflect", "const", "add"):
-            raise ConfigurationError(f"unknown mutation rule {self.rule!r}")
+            raise ConfigurationError(f"unknown mutation rule {shown(self.rule)}")
         # add wraps modulo 256, so any integer is an operand
         lo, hi = (None, None) if self.rule == "add" else (0, 255)
         check_int(ConfigurationError, f"{self.rule} operand", self.operand, lo, hi)
@@ -303,7 +303,7 @@ class ChannelStrategy:
 
     def __post_init__(self):
         if self.mode not in ("fixed", "follow_hops"):
-            raise ConfigurationError(f"channel strategy {self.mode!r} must be fixed or follow_hops")
+            raise ConfigurationError(f"channel strategy {shown(self.mode)} must be fixed or follow_hops")
         check_int(ConfigurationError, "channel", self.channel, 0, 255)
 
     def channel_for(self, config: RadioConfig, seq: int) -> int:

@@ -22,6 +22,7 @@ from .errors import (
     ConfigurationError,
     SimulationError,
     check_int,
+    shown,
 )
 from .j1939 import CanFrame, _valid_frame
 from .sim import US_PER_SECOND, SimClock
@@ -75,7 +76,7 @@ def arbitrate(pending: Iterable[tuple[NodeHandle, CanFrame]]) -> tuple[NodeHandl
         raise ValueError("arbitrate() needs at least one pending frame")
     if runner is not None and runner[0].node_id != winner[0].node_id:
         raise ArbitrationCollisionError(
-            f"nodes {winner[0].name!r} and {runner[0].name!r} both transmitting id 0x{winner_id:08X}"
+            f"nodes {shown(winner[0].name)} and {shown(runner[0].name)} both transmitting id 0x{winner_id:08X}"
         )
     return winner
 
@@ -104,7 +105,7 @@ class CanBus:
         if self.clock.finished:
             raise SimulationError("simulation has ended; cannot attach nodes")
         if any(handle.name == name for handle in self._queues):
-            raise ConfigurationError(f"node name {name!r} already attached to {self.name}")
+            raise ConfigurationError(f"node name {shown(name)} already attached to {self.name}")
         handle = NodeHandle(node_id=len(self._queues), name=name)
         self._queues[handle] = deque()
         # the new node's frames reach every earlier listener; if it listens,
@@ -122,7 +123,7 @@ class CanBus:
             raise SimulationError("simulation has ended; frame rejected")
         queue = self._queues.get(handle)
         if queue is None:
-            raise ConfigurationError(f"unknown node handle {handle!r} on bus {self.name}")
+            raise ConfigurationError(f"unknown node handle {shown(handle)} on bus {self.name}")
         if not isinstance(frame, CanFrame):
             raise ConfigurationError(f"submit() wants a CanFrame, got {type(frame).__name__}")
         queue.append(frame)

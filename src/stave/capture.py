@@ -69,7 +69,7 @@ class CaptureRecord:
     def __post_init__(self):
         check_int(CaptureError, "timestamp_us", self.timestamp_us, 0, MAX_TIMESTAMP_US)
         if not valid_interface(self.interface):
-            raise CaptureError(f"interface {self.interface!r} must be non-empty without spaces")
+            raise CaptureError(f"interface {shown(self.interface)} must be non-empty without spaces")
         if type(self.data) is not bytes:
             object.__setattr__(self, "data", check_bytes(CaptureError, "data", self.data))
         if self.can_id is None:
@@ -100,7 +100,7 @@ def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
     deviation, numbered lineno when one is given."""
     text = line[:-1] if line.endswith("\n") else line
     if "\n" in text:
-        raise ParseError(f"malformed record {text!r}", lineno)
+        raise ParseError(f"malformed record {shown(text)}", lineno)
     return CaptureLog._parse(text + "\n", lineno)[0]
 
 

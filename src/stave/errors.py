@@ -92,14 +92,17 @@ class ScenarioValidationError(StaveError):
 
 
 def shown(value) -> str:
-    """repr(value) for an error message: a str past 100 characters as its start and length;
-    an int too long for str() (say, from 0x hex) as its size; another unprintable value as its type."""
-    if isinstance(value, str) and len(value) > 100:
-        return f"{value[:100]!r}... ({len(value)} characters)"
+    """repr(value) for an error message, the one way any message echoes a value: a str past
+    100 characters as the repr of its start and its length; another value whose repr passes
+    100 characters as that repr's start and length; an int too long for str() (say, from 0x
+    hex) as its size; another unprintable value as its type."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 100 else f"{value[:100]!r}... ({len(value)} characters)"
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         return f"<{value.bit_length()}-bit integer>" if is_int(value) else f"<{type(value).__name__}>"
+    return text if len(text) <= 100 else f"{text[:100]}... ({len(text)} characters)"
 
 
 def is_int(value) -> bool:
@@ -138,7 +141,7 @@ def check_real(error: type[StaveError], name: str, value, lo: float = -math.inf,
     if is_real(value) and lo <= value <= hi:
         return value
     bounds = "" if lo == -math.inf and hi == math.inf else f" in [{lo}, {hi}]"
-    raise error(f"{name} {value!r} is not a finite number{bounds}")
+    raise error(f"{name} {shown(value)} is not a finite number{bounds}")
 
 
 def check_bytes(error: type[StaveError], name: str, value) -> bytes:
@@ -146,7 +149,7 @@ def check_bytes(error: type[StaveError], name: str, value) -> bytes:
     naming the field and the value."""
     if isinstance(value, (bytes, bytearray)):
         return bytes(value)
-    raise error(f"{name} {value!r} must be bytes")
+    raise error(f"{name} {shown(value)} must be bytes")
 
 
 def check_bool(error: type[StaveError], name: str, value) -> bool:
@@ -154,4 +157,4 @@ def check_bool(error: type[StaveError], name: str, value) -> bool:
     field and the value."""
     if value is True or value is False:
         return value
-    raise error(f"{name} {value!r} must be True or False")
+    raise error(f"{name} {shown(value)} must be True or False")

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
-from .errors import ConfigurationError, ScenarioValidationError, check_int, is_int
+from .errors import ConfigurationError, ScenarioValidationError, check_int, is_int, shown
 from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id, pgn_of
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
@@ -103,7 +103,7 @@ class MessageCatalog:
         self._specs: dict[str, MessageSpec] = {}
         for spec in specs:
             if spec.name in self._specs:
-                raise ConfigurationError(f"duplicate catalog message {spec.name!r}")
+                raise ConfigurationError(f"duplicate catalog message {shown(spec.name)}")
             self._specs[spec.name] = spec
         seen_pgns: dict[int, str] = {}
         for spec in self._specs.values():
@@ -120,7 +120,7 @@ class MessageCatalog:
         specs = dict(self._specs)
         for name, fields in overrides.items():
             if name not in specs:
-                raise ConfigurationError(f"catalog override for unknown message {name!r}")
+                raise ConfigurationError(f"catalog override for unknown message {shown(name)}")
             unknown = set(fields) - CATALOG_FIELDS.keys()
             if unknown:
                 raise ConfigurationError(f"{name}: unknown catalog fields {sorted(unknown)}")
@@ -401,7 +401,7 @@ def check_cycle(message: str, cycle_ms: int | None) -> None:
     """Raise ConfigurationError when a catalog gives a message sent on demand
     only (ON_DEMAND) a cycle: no node would ever send on it."""
     if cycle_ms is not None and message in ON_DEMAND:
-        raise ConfigurationError(f"{message} is sent on demand only, so it takes no cycle, got {cycle_ms!r}")
+        raise ConfigurationError(f"{message} is sent on demand only, so it takes no cycle, got {shown(cycle_ms)}")
 
 
 class Fleet:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AddressError, FrameError, IdentifierError, SignalError, check_bool, check_bytes, check_int, check_real
+from .errors import (AddressError, FrameError, IdentifierError, SignalError, check_bool, check_bytes, check_int,
+                     check_real, shown)
 
 MAX_CAN_ID = (1 << 29) - 1
 MAX_PGN = (1 << 18) - 1
@@ -201,7 +202,7 @@ class ScaledSignal:
         # the signal ends at byte 7 at the latest
         check_int(SignalError, "byte_offset", self.byte_offset, 0, 8 - self.width_bytes)
         if check_real(SignalError, "scale", self.scale) <= 0:
-            raise SignalError(f"scale {self.scale!r} must be positive")
+            raise SignalError(f"scale {shown(self.scale)} must be positive")
         check_bool(SignalError, "signed", self.signed)
 
     @property
@@ -222,13 +223,16 @@ class ScaledSignal:
         a read-back differs from ``value`` by at most scale/2. A value
         that is not a finite number (see check_real) is a SignalError.
         """
-        raw = round(check_real(SignalError, "value", value) / self.scale)
         lo, hi = self.raw_bounds
+        try:
+            raw = round(check_real(SignalError, "value", value) / self.scale)
+        except OverflowError:  # value / scale is past the float range, and so past every raw range
+            raise SignalError(f"value {shown(value)} maps to a raw value outside {lo}..{hi}") from None
         if not lo <= raw <= hi:
-            raise SignalError(f"value {value!r} maps to raw {raw}, outside {lo}..{hi}")
+            raise SignalError(f"value {shown(value)} maps to raw {raw}, outside {lo}..{hi}")
         if raw == self.not_available_raw:
             raise SignalError(
-                f"value {value!r} maps to raw {raw}, the not-available sentinel"
+                f"value {shown(value)} maps to raw {raw}, the not-available sentinel"
             )
         return (raw & ((1 << (8 * self.width_bytes)) - 1)).to_bytes(self.width_bytes, "little")
 

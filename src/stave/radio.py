@@ -45,6 +45,7 @@ from .errors import (
     check_bool,
     check_int,
     check_real,
+    shown,
 )
 from .j1939 import MAX_CAN_ID, CanFrame
 from .sim import SimClock
@@ -187,17 +188,18 @@ class Tap(CapturePoint):
 
     def __post_init__(self):
         if not valid_interface(self.name):
-            raise ConfigurationError(f"tap name {self.name!r} must be non-empty without whitespace")
-        check_bool(ConfigurationError, f"tap {self.name!r} inside_faraday", self.inside_faraday)
+            raise ConfigurationError(f"tap name {shown(self.name)} must be non-empty without whitespace")
+        check_bool(ConfigurationError, f"tap {shown(self.name)} inside_faraday", self.inside_faraday)
         if self.channels is not None:
             try:
                 self.channels = frozenset(self.channels)
             except TypeError:
                 raise ConfigurationError(
-                    f"tap {self.name!r} channels {self.channels!r} must be a collection of channel numbers"
+                    f"tap {shown(self.name)} channels {shown(self.channels)} "
+                    "must be a collection of channel numbers"
                 ) from None
             if not self.channels:
-                raise ConfigurationError(f"tap {self.name!r} has an empty channel set")
+                raise ConfigurationError(f"tap {shown(self.name)} has an empty channel set")
         CapturePoint.__init__(self, self.name)
 
 
@@ -224,9 +226,9 @@ class RadioMedium:
 
     def add_tap(self, tap: Tap) -> Tap:
         if any(t.name == tap.name for t in self._taps):
-            raise ConfigurationError(f"tap name {tap.name!r} already registered")
+            raise ConfigurationError(f"tap name {shown(tap.name)} already registered")
         for channel in tap.channels or ():
-            check_int(ConfigurationError, f"tap {tap.name!r} channel", channel,
+            check_int(ConfigurationError, f"tap {shown(tap.name)} channel", channel,
                       0, self.config.num_channels - 1)
         self._taps.append(tap)
         return tap

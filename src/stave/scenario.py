@@ -199,7 +199,7 @@ class _Check:
             return default
         if not is_real(value):
             kind = "a finite number" if type(value) is float else "a number"
-            self.add(path, f"expected {kind}, got {value!r}")
+            self.add(path, f"expected {kind}, got {shown(value)}")
             return default
         if lo is not None and value < lo:
             self.add(path, f"must be >= {lo}, got {shown(value)}")
@@ -213,7 +213,7 @@ class _Check:
         if value is None:
             return default
         if not is_int(value):
-            self.add(path, f"expected an integer, got {value!r}")
+            self.add(path, f"expected an integer, got {shown(value)}")
             return default
         return self.number(path, value, lo=lo, hi=hi, default=default)
 
@@ -221,7 +221,7 @@ class _Check:
         if value is None:
             return default
         if not isinstance(value, bool):
-            self.add(path, f"expected a boolean, got {value!r}")
+            self.add(path, f"expected a boolean, got {shown(value)}")
             return default
         return value
 
@@ -229,7 +229,7 @@ class _Check:
         if value is None:
             return default
         if not isinstance(value, str) or not value:
-            self.add(path, f"expected a non-empty string, got {value!r}")
+            self.add(path, f"expected a non-empty string, got {shown(value)}")
             return default
         return value
 
@@ -260,14 +260,14 @@ def _relative_path(check: _Check, path: str, value) -> str | None:
     if text is None:
         return None
     if "\0" in text:  # no file system takes one in a name
-        check.add(path, f"must not contain a NUL character, got {text!r}")
+        check.add(path, f"must not contain a NUL character, got {shown(text)}")
         return None
     p = Path(text)
     if p.is_absolute() or ".." in p.parts:
-        check.add(path, f"must be a relative path without '..', got {text!r}")
+        check.add(path, f"must be a relative path without '..', got {shown(text)}")
         return None
     if not p.parts:
-        check.add(path, f"must name a file, got {text!r}")
+        check.add(path, f"must name a file, got {shown(text)}")
         return None
     return text
 
@@ -283,15 +283,15 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
         check.expect_keys(path, item, {"name", "channels", "inside_faraday"})
         name = check.string(f"{path}.name", item.get("name"))
         if name in SEGMENT_NAMES:
-            check.add(f"{path}.name", f"{name!r} shadows a built-in segment recorder")
+            check.add(f"{path}.name", f"{shown(name)} shadows a built-in segment recorder")
             name = None
         elif name is not None and not valid_interface(name):
             # the name is the interface column of the tap's capture log
-            check.add(f"{path}.name", f"tap name {name!r} must not contain whitespace")
+            check.add(f"{path}.name", f"tap name {shown(name)} must not contain whitespace")
             name = None
         if name is not None:
             if name in names:
-                check.add(f"{path}.name", f"duplicate tap name {name!r}")
+                check.add(f"{path}.name", f"duplicate tap name {shown(name)}")
             names.add(name)
         channels = item.get("channels", "all")
         parsed: tuple[int, ...] | None
@@ -306,7 +306,7 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
                     parsed.append(c)
             parsed = tuple(parsed)
         else:
-            check.add(f"{path}.channels", f'expected "all" or a non-empty channel list, got {channels!r}')
+            check.add(f"{path}.channels", f'expected "all" or a non-empty channel list, got {shown(channels)}')
             parsed = None
         inside = check.boolean(f"{path}.inside_faraday", item.get("inside_faraday"))
         if name is not None:
@@ -319,7 +319,7 @@ def _wired_segment(check: _Check, path: str, doc: dict) -> str | None:
     check.expect_keys(path, doc, {"kind", "segment"})
     segment = check.string(f"{path}.segment", doc.get("segment"))
     if segment is not None and segment not in SEGMENT_NAMES:
-        check.add(f"{path}.segment", f"unknown segment {segment!r}; expected one of {SEGMENT_NAMES}")
+        check.add(f"{path}.segment", f"unknown segment {shown(segment)}; expected one of {SEGMENT_NAMES}")
         return None
     return segment
 
@@ -334,10 +334,10 @@ def _sniff_source(check: _Check, path: str, doc, tap_names: set[str]) -> str | N
         check.expect_keys(path, doc, {"kind", "tap"})
         tap = check.string(f"{path}.tap", doc.get("tap"))
         if tap is not None and tap not in tap_names:
-            check.add(f"{path}.tap", f"tap {tap!r} is not declared in taps")
+            check.add(f"{path}.tap", f"tap {shown(tap)} is not declared in taps")
             return None
         return tap
-    check.add(f"{path}.kind", f"expected wired-tap or radio-tap, got {kind!r}")
+    check.add(f"{path}.kind", f"expected wired-tap or radio-tap, got {shown(kind)}")
     return None
 
 
@@ -368,7 +368,7 @@ def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int
         if strategy is None:
             return None
         return {"strategy": strategy, **_given(inside_faraday=inside)}
-    check.add(f"{path}.kind", f"expected wired or radio, got {kind!r}")
+    check.add(f"{path}.kind", f"expected wired or radio, got {shown(kind)}")
     return None
 
 
@@ -397,7 +397,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
     def fresh_save(path: str, item: dict) -> str | None:
         name = check.string(f"{path}.save", item.get("save"))
         if name in capture_ready or name in schedule_ready or name in report_names:
-            check.add(f"{path}.save", f"save name {name!r} is already taken")
+            check.add(f"{path}.save", f"save name {shown(name)} is already taken")
             return None
         return name
 
@@ -408,11 +408,11 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
         if name is None:
             return None
         if role == "schedule":
-            ready, unknown = schedule_ready, f"unknown replay schedule {name!r}"
-            late = f"schedule {name!r} is planned after this attack starts"
+            ready, unknown = schedule_ready, f"unknown replay schedule {shown(name)}"
+            late = f"schedule {shown(name)} is planned after this attack starts"
         else:
-            ready, unknown = capture_ready, f"unknown capture {name!r}"
-            late = f"capture {name!r} is not complete until after this attack starts"
+            ready, unknown = capture_ready, f"unknown capture {shown(name)}"
+            late = f"capture {shown(name)} is not complete until after this attack starts"
         if name not in ready:
             check.add(f"{path}.{role}", unknown)
             return None
@@ -428,7 +428,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
             continue
         kind = item.get("type")
         if kind not in ATTACK_TYPES:
-            check.add(f"{path}.type", f"unknown attack type {kind!r}; expected one of {ATTACK_TYPES}")
+            check.add(f"{path}.type", f"unknown attack type {shown(kind)}; expected one of {ATTACK_TYPES}")
             continue
         start_us = check.seconds(f"{path}.start_s", check.required(f"{path}.start_s", item.get("start_s")))
         if start_us is None:
@@ -480,7 +480,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
                     check.add(f"{path}.mutate", str(exc))
             timing = item.get("timing", TIMING_PRESERVE)
             if timing not in TIMING_MODES:
-                check.add(f"{path}.timing", f"expected preserve or fast, got {timing!r}")
+                check.add(f"{path}.timing", f"expected preserve or fast, got {shown(timing)}")
                 timing = TIMING_PRESERVE
             save = fresh_save(path, item)
             if capture is None or match is None or save is None:
@@ -500,7 +500,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
                 continue
             if repeat and schedule in fast_schedules:
                 check.add(f"{path}.repeat",
-                          f"schedule {schedule!r} has fast timing, so it has no gaps to repeat")
+                          f"schedule {shown(schedule)} has fast timing, so it has no gaps to repeat")
                 continue
             attacks.append(InjectSpec(start_us=start_us, schedule=schedule,
                                       **attachment, **_given(repeat=repeat)))
@@ -512,7 +512,7 @@ def _output_paths(check: _Check, outputs_doc: dict, section: str, known, noun: s
     paths = {}
     for name, rel in check.section(f"outputs.{section}", outputs_doc.get(section)).items():
         if name not in known:
-            check.add(f"outputs.{section}.{name}", f"unknown {noun} {name!r}")
+            check.add(f"outputs.{section}.{name}", f"unknown {noun} {shown(name)}")
             continue
         rel = _relative_path(check, f"outputs.{section}.{name}", rel)
         if rel is not None:
@@ -530,7 +530,7 @@ def validate_scenario(doc: dict) -> Scenario:
         "joystick_script", "taps", "attacks", "outputs",
     })
     if doc.get("schema") != SCENARIO_SCHEMA:
-        check.add("schema", f"expected {SCENARIO_SCHEMA!r}, got {doc.get('schema')!r}")
+        check.add("schema", f"expected {shown(SCENARIO_SCHEMA)}, got {shown(doc.get('schema'))}")
     seed = check.integer("seed", check.required("seed", doc.get("seed")), lo=0)
     duration_us = check.seconds("duration_s", check.required("duration_s", doc.get("duration_s")),
                                 lo=1e-6, default=1)
@@ -623,7 +623,7 @@ def validate_scenario(doc: dict) -> Scenario:
     for directory, directory_text in zip(paths, texts):
         for path, text in zip(paths, texts):
             if len(directory) < len(path) and path[:len(directory)] == directory:
-                check.add("outputs", f"output path {directory_text!r} is a directory of {text!r}")
+                check.add("outputs", f"output path {shown(directory_text)} is a directory of {shown(text)}")
     outputs = OutputSpec(summary=summary, captures=captures, reports=reports)
 
     if check.errors:

@@ -6,7 +6,9 @@ otherwise.
 
 The rule lives in stave.errors (check_int, check_real, check_bytes,
 check_bool); the guard test below keeps every other module from spelling
-an integer check of its own.
+an integer check of its own. Every message echoes a rejected value through
+stave.errors.shown, which keeps an echo short and printable; a second guard
+keeps any other code from echoing one with !r.
 """
 
 import ast
@@ -32,6 +34,7 @@ from stave import (
     MessageMatch,
     MessageSpec,
     Mutation,
+    ParseError,
     RadioConfig,
     RadioInjector,
     RadioMedium,
@@ -44,6 +47,8 @@ from stave import (
     SimClock,
     Tap,
     decode_id,
+    parse_record,
+    validate_scenario,
 )
 from stave.capture import MAX_TIMESTAMP_US
 from stave.j1939 import MAX_CAN_ID, MAX_PGN
@@ -150,6 +155,46 @@ def test_integer_field_error_shows_a_value_too_long_to_print() -> None:
         assert str(raised.value) == f"can_id {text} outside 0..536870911"
 
 
+# each rejects an int too long for str() in a field that is not an integer
+# one, with the constructor's own error
+HUGE = 16**5000
+TOO_LONG_TO_PRINT = {
+    "RadioConfig.hopping": (lambda: RadioConfig(hopping=HUGE), ConfigurationError,
+                            "hopping <20001-bit integer> must be True or False"),
+    "RadioConfig.loss_probability": (lambda: RadioConfig(loss_probability=HUGE), ConfigurationError,
+                                     "loss_probability <20001-bit integer> is not a finite number in [0.0, 1.0]"),
+    "CanFrame.data": (lambda: CanFrame(1, HUGE), FrameError, "data <20001-bit integer> must be bytes"),
+    "CaptureRecord.data": (lambda: CaptureRecord(0, "a", HUGE), CaptureError,
+                           "data <20001-bit integer> must be bytes"),
+    "Tap.inside_faraday": (lambda: Tap("a", inside_faraday=HUGE), ConfigurationError,
+                           "tap 'a' inside_faraday <20001-bit integer> must be True or False"),
+    "Tap.channels": (lambda: Tap("a", channels=HUGE), ConfigurationError,
+                     "tap 'a' channels <20001-bit integer> must be a collection of channel numbers"),
+    "ScaledSignal.scale": (lambda: ScaledSignal(0, 1, -HUGE), SignalError,
+                           "scale <20001-bit integer> must be positive"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(TOO_LONG_TO_PRINT))
+def test_constructor_error_shows_a_value_too_long_to_print(field) -> None:
+    build, error, message = TOO_LONG_TO_PRINT[field]
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_scenario_error_caps_a_long_value() -> None:
+    with pytest.raises(ScenarioValidationError) as raised:
+        validate_scenario({"schema": "stave-scenario/1", "seed": [0] * 100_000, "duration_s": 1.0})
+    assert raised.value.errors == [f"seed: expected an integer, got {'[' + '0, ' * 33}... (300000 characters)"]
+
+
+def test_capture_error_caps_a_long_record() -> None:
+    with pytest.raises(ParseError) as raised:
+        parse_record("x" * 300 + "\ny")
+    assert str(raised.value) == f"malformed record {'x' * 100!r}... (302 characters)"
+
+
 @pytest.mark.parametrize("field", sorted(REAL_FIELDS))
 @settings(max_examples=10, derandomize=True, deadline=None)
 @given(data=st.data())
@@ -209,7 +254,10 @@ def test_signal_encode_names_the_value_it_rejects() -> None:
             pump.encode(value)
         assert str(raised.value) == f"value {value!r} is not a finite number"
     for value, message in ((103.0, "value 103.0 maps to raw 258, outside 0..255"),
-                           (102.0, "value 102.0 maps to raw 255, the not-available sentinel")):
+                           (102.0, "value 102.0 maps to raw 255, the not-available sentinel"),
+                           # value / scale is past the float range
+                           (10**400, f"value 1{'0' * 99}... (401 characters) maps to a raw value outside 0..255"),
+                           (1e308, "value 1e+308 maps to a raw value outside 0..255")):
         with pytest.raises(SignalError) as raised:
             pump.encode(value)
         assert str(raised.value) == message
@@ -255,3 +303,28 @@ def test_only_errors_py_spells_an_integer_check() -> None:
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
              for line in integer_checks(path.read_text(encoding="utf-8"))]
     assert found == [], "use stave.errors.check_int or is_int instead"
+
+
+def repr_echoes(source: str) -> list[int]:
+    """Lines of f-string fields with a !r conversion, outside a function named shown."""
+    inside_shown = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "shown":
+            inside_shown.update(id(n) for n in ast.walk(node))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r") and id(node) not in inside_shown]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ('f"{x!r}"', [1]), ('f"a {x.y!r:>5} b"', [1]), ('f"{x!s} {x}"', []),
+    ('def shown(x):\n    return f"{x!r}"', []), ('def show(x):\n    return f"{x!r}"', [2]),
+])
+def test_guard_sees_a_repr_echo(source, lines) -> None:
+    assert repr_echoes(source) == lines
+
+
+def test_every_echo_goes_through_shown() -> None:
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in repr_echoes(path.read_text(encoding="utf-8"))]
+    assert found == [], "echo a value with stave.errors.shown instead of !r"
