@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -73,13 +73,9 @@ def channel_occupancy(capture: CaptureLog, name: str) -> dict:
 
 def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
     """The payload of each frame in a capture, grouped by can_id in capture order."""
-    groups: dict[int, list[bytes]] = {}
+    groups: dict[int, list[bytes]] = defaultdict(list)
     for _, can_id, data in _frame_rows(capture):
-        group = groups.get(can_id)
-        if group is None:
-            groups[can_id] = [data]
-        else:
-            group.append(data)
+        groups[can_id].append(data)
     return groups
 
 

@@ -642,17 +642,18 @@ def test_replay_schedule_delays_must_not_decrease() -> None:
             ReplaySchedule(entries=entries)
 
 
-@pytest.mark.parametrize("delays", [(), (0,), (0, 0), (0, 0, 0)], ids=["empty", "single", "fast2", "fast3"])
-def test_repeat_of_a_schedule_without_span_sends_one_pass(delays: tuple[int, ...]) -> None:
-    clock = SimClock()
-    injector = _RecordingInjector(clock)
-    schedule = ReplaySchedule(entries=tuple((d, CanFrame(JOY, bytes([i]))) for i, d in enumerate(delays)))
-    schedule_injection(clock, injector, schedule, 100, repeat=True, end_us=1_000_000)
-    clock.run_until(1_000_000)
-    assert injector.sent_at == [(100, bytes([i])) for i in range(len(delays))]
-    assert not clock._queue
+def test_schedule_injection_repeat_without_span_sends_one_pass() -> None:
+    # empty, one entry, and fast timing (every delay 0): no span to loop
+    for delays in ((), (0,), (0, 0), (0, 0, 0)):
+        clock = SimClock()
+        injector = _RecordingInjector(clock)
+        schedule = ReplaySchedule(entries=tuple((d, CanFrame(JOY, bytes([i]))) for i, d in enumerate(delays)))
+        schedule_injection(clock, injector, schedule, 100, repeat=True, end_us=1_000_000)
+        clock.run_until(1_000_000)
+        assert injector.sent_at == [(100, bytes([i])) for i in range(len(delays))]
+        assert not clock._queue
     # a two-entry preserve schedule still loops
     pair = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")), (10, CanFrame(JOY, b"\x02"))))
     schedule_injection(clock, injector, pair, 1_000_000, repeat=True, end_us=1_000_040)
     clock.run_until(1_000_040)
-    assert [t for t, _ in injector.sent_at[len(delays):]] == [1_000_000, 1_000_010, 1_000_020, 1_000_030, 1_000_040]
+    assert [t for t, _ in injector.sent_at[3:]] == [1_000_000, 1_000_010, 1_000_020, 1_000_030, 1_000_040]

@@ -110,12 +110,15 @@ INT_FIELDS = {
     "ReplaySchedule.delay": (lambda v: ReplaySchedule(((v, FRAME),)), ConfigurationError, 0, None),
 }
 
+# an int too long for str(): an error message shows its size
+HUGE = 16**5000
+
 # field -> (build, error class, values accepted, finite values rejected)
 REAL_FIELDS = {
     "RadioConfig.loss_probability": (lambda v: RadioConfig(loss_probability=v), ConfigurationError,
-                                     (0, 0.0, 0.5, 1.0, 1), (-5e-324, math.nextafter(1.0, 2.0))),
+                                     (0, 0.0, 0.5, 1.0, 1), (-5e-324, math.nextafter(1.0, 2.0), HUGE)),
     "ScaledSignal.scale": (lambda v: ScaledSignal(0, 1, v), SignalError,
-                           (5e-324, 0.05, 1, 1e300), (0, 0.0, -0.05)),
+                           (5e-324, 0.05, 1, 1e300), (0, 0.0, -0.05, -HUGE)),
     # raw 0..254 at 0.4 per bit; raw 255 is the not-available sentinel
     "ScaledSignal.encode value": (lambda v: ScaledSignal(0, 1, 0.4).encode(v), SignalError,
                                   (0, -0.0, 101.6, 1), (-0.4, 102.0, 103.0, 1e300)),
@@ -153,34 +156,6 @@ def test_integer_field_error_shows_a_value_too_long_to_print() -> None:
         with pytest.raises(FrameError) as raised:
             CanFrame(value, b"")
         assert str(raised.value) == f"can_id {text} outside 0..536870911"
-
-
-# each rejects an int too long for str() in a field that is not an integer
-# one, with the constructor's own error
-HUGE = 16**5000
-TOO_LONG_TO_PRINT = {
-    "RadioConfig.hopping": (lambda: RadioConfig(hopping=HUGE), ConfigurationError,
-                            "hopping <20001-bit integer> must be True or False"),
-    "RadioConfig.loss_probability": (lambda: RadioConfig(loss_probability=HUGE), ConfigurationError,
-                                     "loss_probability <20001-bit integer> is not a finite number in [0.0, 1.0]"),
-    "CanFrame.data": (lambda: CanFrame(1, HUGE), FrameError, "data <20001-bit integer> must be bytes"),
-    "CaptureRecord.data": (lambda: CaptureRecord(0, "a", HUGE), CaptureError,
-                           "data <20001-bit integer> must be bytes"),
-    "Tap.inside_faraday": (lambda: Tap("a", inside_faraday=HUGE), ConfigurationError,
-                           "tap 'a' inside_faraday <20001-bit integer> must be True or False"),
-    "Tap.channels": (lambda: Tap("a", channels=HUGE), ConfigurationError,
-                     "tap 'a' channels <20001-bit integer> must be a collection of channel numbers"),
-    "ScaledSignal.scale": (lambda: ScaledSignal(0, 1, -HUGE), SignalError,
-                           "scale <20001-bit integer> must be positive"),
-}
-
-
-@pytest.mark.parametrize("field", sorted(TOO_LONG_TO_PRINT))
-def test_constructor_error_shows_a_value_too_long_to_print(field) -> None:
-    build, error, message = TOO_LONG_TO_PRINT[field]
-    with pytest.raises(error) as raised:
-        build()
-    assert str(raised.value) == message
 
 
 def test_scenario_error_caps_a_long_value() -> None:
@@ -229,7 +204,7 @@ def test_bytes_fields_take_exactly_bytes_and_bytearrays(field) -> None:
         data = build(value).data
         assert type(data) is bytes and data == b"\x01\x02"
     # an int used to become that many zero bytes, a str a bare TypeError
-    for value in (3, 0, True, "ab", [1, 2], None, memoryview(b"\x01")):
+    for value in (3, 0, True, "ab", [1, 2], None, memoryview(b"\x01"), HUGE):
         rejects(build, error, value)
     with pytest.raises(error, match=r"^data 3 must be bytes$"):
         build(3)
@@ -241,7 +216,7 @@ def test_bool_fields_take_exactly_true_and_false(field) -> None:
     build(True)
     build(False)
     # a non-empty str used to read as True
-    for value in ("no", "", 0, 1, 1.0, None):
+    for value in ("no", "", 0, 1, 1.0, None, HUGE):
         rejects(build, error, value)
     with pytest.raises(error, match=r"'no' must be True or False$"):
         build("no")
@@ -266,6 +241,9 @@ def test_signal_encode_names_the_value_it_rejects() -> None:
 def test_tap_channels_must_be_a_collection() -> None:
     with pytest.raises(ConfigurationError, match=r"^tap 'air' channels 5 must be a collection of channel numbers$"):
         Tap("air", channels=5)
+    with pytest.raises(ConfigurationError,
+                       match=r"^tap 'air' channels <20001-bit integer> must be a collection of channel numbers$"):
+        Tap("air", channels=HUGE)
     with pytest.raises(ConfigurationError):
         Tap("air", channels=[[1]])
     assert Tap("air", channels=[1, 1, 2]).channels == frozenset({1, 2})
