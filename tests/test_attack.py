@@ -653,7 +653,9 @@ def test_schedule_injection_repeat_without_span_sends_one_pass() -> None:
         assert injector.sent_at == [(100, bytes([i])) for i in range(len(delays))]
         assert not clock._queue
     # a two-entry preserve schedule still loops
+    clock = SimClock()
+    injector = _RecordingInjector(clock)
     pair = ReplaySchedule(entries=((0, CanFrame(JOY, b"\x01")), (10, CanFrame(JOY, b"\x02"))))
-    schedule_injection(clock, injector, pair, 1_000_000, repeat=True, end_us=1_000_040)
-    clock.run_until(1_000_040)
-    assert [t for t, _ in injector.sent_at[3:]] == [1_000_000, 1_000_010, 1_000_020, 1_000_030, 1_000_040]
+    schedule_injection(clock, injector, pair, 100, repeat=True, end_us=140)
+    clock.run_until(140)
+    assert [t for t, _ in injector.sent_at] == [100, 110, 120, 130, 140]
