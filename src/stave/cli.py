@@ -20,7 +20,7 @@ from .attack import (MessageMatch, Mutation, TIMING_MODES, TIMING_PRESERVE, chan
                      plan_replay)
 from .capture import CaptureLog
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, shown
-from .runner import json_text, run_scenario
+from .runner import json_text, run_scenario, write_json
 from .scenario import load_scenario
 
 
@@ -71,21 +71,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_or_print(doc: dict, path: str | None) -> None:
-    text = json_text(doc)
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(doc))
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_json(path, doc)
 
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = scenario.with_seed(args.seed)
-    result = run_scenario(scenario, out_dir=args.out)
-    sys.stdout.write(json_text(result.summary))
-    for label, path in sorted(result.written.items()):
+    bed = run_scenario(scenario, out_dir=args.out)
+    sys.stdout.write(json_text(bed.summary))
+    for label, path in sorted(bed.written.items()):
         print(f"wrote {label}: {path}", file=sys.stderr)
     return 0
 

@@ -28,7 +28,7 @@ from .attack import (
 )
 from .bus import CanBus
 from .capture import CaptureLog, CapturePoint
-from .fleet import Fleet, VehicleObservables
+from .fleet import Fleet
 from .radio import RadioMedium, Tap
 from .scenario import (
     SEGMENT_NAMES,
@@ -104,7 +104,7 @@ class _Recorder(CapturePoint):
 
     def __init__(self, bus: CanBus):
         super().__init__(bus.name)
-        self.handle = bus.attach("recorder", on_frame=self._on_frame)
+        bus.attach("recorder", on_frame=self._on_frame)
 
     def _on_frame(self, frame) -> None:
         if self.sinks:
@@ -115,7 +115,7 @@ class _Recorder(CapturePoint):
 
 @dataclass
 class Testbed:
-    """A fully wired simulation, ready to run."""
+    """A fully wired simulation, ready to run; after run_scenario, the run."""
 
     scenario: Scenario
     clock: SimClock
@@ -125,20 +125,13 @@ class Testbed:
     # every recorder and tap, by log name; counts all it sees
     points: dict[str, CapturePoint]
     # the logs kept whole and each sniff save
-    captures: dict[str, CaptureLog]
+    captures: dict[str, CaptureLog] = field(default_factory=dict)
     reports: dict[str, dict] = field(default_factory=dict)
     schedules: dict[str, ReplaySchedule] = field(default_factory=dict)
     # one per attack, in list order: builds its summary entry after the run
     attack_summaries: list[Callable[[], dict]] = field(default_factory=list)
-
-
-def loss_rng(seed: int) -> random.Random:
-    """The radio loss stream for a scenario seed.
-
-    Seeded with a string so the stream is stable across processes and
-    platforms regardless of hash randomization.
-    """
-    return random.Random(f"{seed}/radio-loss")
+    summary: dict = field(default_factory=dict)
+    written: dict[str, Path] = field(default_factory=dict)
 
 
 def build_testbed(scenario: Scenario) -> Testbed:
@@ -147,7 +140,9 @@ def build_testbed(scenario: Scenario) -> Testbed:
     buses = {name: CanBus(clock, name, scenario.bus) for name in SEGMENT_NAMES}
     points: dict[str, CapturePoint] = {name: _Recorder(bus) for name, bus in buses.items()}
 
-    medium = RadioMedium(clock, scenario.radio, rng=loss_rng(scenario.seed))
+    # a string seed keeps the loss stream stable across processes and
+    # platforms regardless of hash randomization
+    medium = RadioMedium(clock, scenario.radio, rng=random.Random(f"{scenario.seed}/radio-loss"))
     for spec in scenario.taps:
         points[spec.name] = medium.add_tap(
             Tap(name=spec.name, channels=spec.channels, inside_faraday=spec.inside_faraday))
@@ -172,7 +167,6 @@ def build_testbed(scenario: Scenario) -> Testbed:
         medium=medium,
         fleet=fleet,
         points=points,
-        captures={},
     )
     # A run keeps the records it reads or writes and only counts the rest:
     # outputs and the run steps below ask for what they need.
@@ -282,39 +276,20 @@ _RUN_STEPS = {
 }
 
 
-@dataclass
-class SimulationResult:
-    scenario: Scenario
-    observables: VehicleObservables
-    captures: dict[str, CaptureLog]
-    reports: dict[str, dict]
-    summary: dict
-    written: dict[str, Path] = field(default_factory=dict)
+def _rounded(record, places: int) -> dict:
+    """A dataclass record's fields, each float rounded to places."""
+    return {key: round(value, places) if type(value) is float else value
+            for key, value in asdict(record).items()}
 
 
 def summarize(bed: Testbed) -> dict:
     """Deterministic end-of-run summary document."""
-    obs = bed.fleet.observables()
-    buses = {}
-    for bus in bed.buses.values():
-        stats = bus.stats
-        buses[bus.name] = {
-            "frames_delivered": stats.frames_delivered,
-            "bus_load": round(stats.bus_load, 9),
-        }
     return {
         "schema": SUMMARY_SCHEMA,
         "seed": bed.scenario.seed,
         "duration_s": seconds_from_us(bed.scenario.duration_us),
-        "observables": {
-            "wheel_angle_deg": round(obs.wheel_angle_deg, 6),
-            "steer_enabled": obs.steer_enabled,
-            "led_mask": obs.led_mask,
-            "pump_pct": round(obs.pump_pct, 6),
-            "engine_rpm": round(obs.engine_rpm, 6),
-            "machine_voltage": round(obs.machine_voltage, 6),
-        },
-        "buses": buses,
+        "observables": _rounded(bed.fleet.observables(), 6),
+        "buses": {bus.name: _rounded(bus.stats, 9) for bus in bed.buses.values()},
         "radio": asdict(bed.medium.stats),
         "captures": {name: point.seen for name, point in bed.points.items()}
                     | {name: len(log) for name, log in bed.captures.items() if name not in bed.points},
@@ -322,32 +297,31 @@ def summarize(bed: Testbed) -> dict:
     }
 
 
-def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> SimulationResult:
+def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> Testbed:
     """Run a validated scenario to its horizon; optionally write outputs.
 
-    Output paths from the scenario are resolved against out_dir; nothing
-    is written when out_dir is None.
+    Returns the testbed it ran, with its summary. Output paths from the
+    scenario are resolved against out_dir; nothing is written when out_dir
+    is None.
     """
     bed = build_testbed(scenario)
     bed.clock.run_until(scenario.duration_us)
     bed.clock.finish()
-    summary = summarize(bed)
-    result = SimulationResult(
-        scenario=scenario,
-        observables=bed.fleet.observables(),
-        captures=bed.captures,
-        reports=bed.reports,
-        summary=summary,
-    )
+    bed.summary = summarize(bed)
     if out_dir is not None:
-        result.written = write_outputs(result, out_dir)
-    return result
+        bed.written = write_outputs(bed, out_dir)
+    return bed
 
 
-def write_outputs(result: SimulationResult, out_dir: str | Path) -> dict[str, Path]:
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write a report or summary document as its json_text."""
+    Path(path).write_text(json_text(doc), encoding="utf-8", newline="\n")
+
+
+def write_outputs(bed: Testbed, out_dir: str | Path) -> dict[str, Path]:
     """Write the scenario's declared output files under out_dir."""
     base = Path(out_dir)
-    outputs = result.scenario.outputs
+    outputs = bed.scenario.outputs
     written: dict[str, Path] = {}
 
     def target(rel: str) -> Path:
@@ -357,14 +331,14 @@ def write_outputs(result: SimulationResult, out_dir: str | Path) -> dict[str, Pa
 
     if outputs.summary is not None:
         path = target(outputs.summary)
-        path.write_text(json_text(result.summary), encoding="utf-8", newline="\n")
+        write_json(path, bed.summary)
         written["summary"] = path
     for name, rel in outputs.captures.items():
         path = target(rel)
-        result.captures[name].save(path)
+        bed.captures[name].save(path)
         written[name] = path
     for name, rel in outputs.reports.items():
         path = target(rel)
-        path.write_text(json_text(result.reports[name]), encoding="utf-8", newline="\n")
+        write_json(path, bed.reports[name])
         written[name] = path
     return written

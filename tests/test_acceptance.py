@@ -314,7 +314,7 @@ def test_criterion_9_enable_gate(report) -> None:
             "joystick_script": script,
         })
         result = run_scenario(scenario)
-        if result.observables.wheel_angle_deg != 0.0:
+        if result.fleet.observables().wheel_angle_deg != 0.0:
             nonzero += 1
 
     ok = nonzero == 0
