@@ -28,6 +28,7 @@ from .attack import (
 )
 from .bus import CanBus
 from .capture import CaptureLog, CapturePoint
+from .errors import BaselineError, ConfigurationError
 from .fleet import Fleet
 from .radio import RadioMedium, Tap
 from .scenario import (
@@ -204,7 +205,10 @@ def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:
     _keep_whole(bed, spec.post)
 
     def run_diff():
-        bed.reports[spec.save] = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
+        try:
+            bed.reports[spec.save] = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
+        except BaselineError as exc:
+            raise BaselineError(f"attacks[{index}].pre: {exc}") from None
 
     def summary():
         report = bed.reports[spec.save]
@@ -241,7 +245,10 @@ def _run_replay(bed: Testbed, spec: ReplaySpec, index: int) -> Callable[[], dict
     _keep_whole(bed, spec.capture)
 
     def run_plan():
-        schedule = plan_replay(bed.captures[spec.capture], spec.match, spec.mutation, spec.timing)
+        try:
+            schedule = plan_replay(bed.captures[spec.capture], spec.match, spec.mutation, spec.timing)
+        except ConfigurationError as exc:  # the mutation does not fit a matched payload
+            raise ConfigurationError(f"attacks[{index}].mutate: {exc}") from None
         bed.schedules[spec.save] = schedule
         bed.reports[spec.save] = schedule.to_json_dict()
 

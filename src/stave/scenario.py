@@ -209,13 +209,13 @@ class _Check:
             return default
         return value
 
-    def integer(self, path: str, value, *, lo=None, hi=None, default=None):
+    def integer(self, path: str, value, *, lo=None, hi=None):
         if value is None:
-            return default
+            return None
         if not is_int(value):
             self.add(path, f"expected an integer, got {shown(value)}")
-            return default
-        return self.number(path, value, lo=lo, hi=hi, default=default)
+            return None
+        return self.number(path, value, lo=lo, hi=hi)
 
     def boolean(self, path: str, value, *, default=None):
         if value is None:
@@ -225,18 +225,18 @@ class _Check:
             return default
         return value
 
-    def string(self, path: str, value, *, default=None):
+    def string(self, path: str, value):
         if value is None:
-            return default
+            return None
         if not isinstance(value, str) or not value:
             self.add(path, f"expected a non-empty string, got {shown(value)}")
-            return default
+            return None
         return value
 
-    def seconds(self, path: str, value, *, lo=0.0, default=None) -> int | None:
+    def seconds(self, path: str, value, *, lo=0.0) -> int | None:
         """A time in seconds, at most MAX_TIME_S, as integer microseconds."""
         seconds = self.number(path, value, lo=lo, hi=MAX_TIME_S)
-        return default if seconds is None else us_from_seconds(seconds)
+        return None if seconds is None else us_from_seconds(seconds)
 
 
 def _hex(value):
@@ -386,7 +386,9 @@ def _validate_match(check: _Check, path: str, doc) -> MessageMatch | None:
     return MessageMatch(pgn=value) if value is not None else None
 
 
-def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str], num_channels: int):
+def _validate_attacks(check: _Check, doc, duration_us: int | None, tap_names: set[str], num_channels: int):
+    # duration_us is None when the document's duration is invalid; then no
+    # attack time is compared with it, so its one error is the only one
     attacks: list[AttackSpec] = []
     # name -> time from which the named capture or schedule may be consumed
     capture_ready: dict[str, int] = {name: 0 for name in (*SEGMENT_NAMES, *tap_names)}
@@ -433,7 +435,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
         start_us = check.seconds(f"{path}.start_s", check.required(f"{path}.start_s", item.get("start_s")))
         if start_us is None:
             continue
-        if start_us >= duration_us:
+        if duration_us is not None and start_us >= duration_us:
             check.add(f"{path}.start_s",
                       f"attack starts at {item['start_s']} s, at or past the scenario duration")
             continue
@@ -444,7 +446,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int, tap_names: set[str],
                                       check.required(f"{path}.duration_s", item.get("duration_s")))
             if window_us is None:
                 continue
-            if start_us + window_us > duration_us:
+            if duration_us is not None and start_us + window_us > duration_us:
                 check.add(f"{path}.duration_s", "sniff window runs past the scenario duration")
                 continue
             source = _sniff_source(check, f"{path}.attachment", item.get("attachment"), tap_names)
@@ -532,8 +534,7 @@ def validate_scenario(doc: dict) -> Scenario:
     if doc.get("schema") != SCENARIO_SCHEMA:
         check.add("schema", f"expected {shown(SCENARIO_SCHEMA)}, got {shown(doc.get('schema'))}")
     seed = check.integer("seed", check.required("seed", doc.get("seed")), lo=0)
-    duration_us = check.seconds("duration_s", check.required("duration_s", doc.get("duration_s")),
-                                lo=1e-6, default=1)
+    duration_us = check.seconds("duration_s", check.required("duration_s", doc.get("duration_s")), lo=1e-6)
 
     bus_doc = check.section("bus", doc.get("bus"), {"bitrate", "frame_overhead_bits"})
     bus = BusConfig(**_given(

@@ -73,6 +73,8 @@ MALFORMED_SECTIONS = [
     ({"attacks": [{**REPLAY, "match": {"pgn": "0xFF10"}, "mutate": f"byte0=add({'9' * 5000})"}]},
      f"attacks[0].mutate: cannot parse mutation {'byte0=add(' + '9' * 90!r}... (5011 characters); "
      "a decimal number has a leading zero or too many digits"),
+    # an invalid duration is not compared with any attack time
+    ({"duration_s": "x", "attacks": [{**SNIFF, "start_s": 0.5}]}, "duration_s: expected a number, got 'x'"),
 ]
 
 

@@ -8,7 +8,8 @@ The rule lives in stave.errors (check_int, check_real, check_bytes,
 check_bool); the guard test below keeps every other module from spelling
 an integer check of its own. Every message echoes a rejected value through
 stave.errors.shown, which keeps an echo short and printable; a second guard
-keeps any other code from echoing one with !r.
+keeps any other code from echoing one with !r. A third keeps every JSON
+document file going through stave.runner.write_json.
 """
 
 import ast
@@ -306,3 +307,34 @@ def test_every_echo_goes_through_shown() -> None:
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in repr_echoes(path.read_text(encoding="utf-8"))]
     assert found == [], "echo a value with stave.errors.shown instead of !r"
+
+
+def json_text_calls(source: str) -> list[int]:
+    """Lines of json_text calls outside a function named write_json that are
+    not the whole argument of sys.stdout.write."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "write_json":
+            allowed.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.stdout.write":
+            allowed.update(id(arg) for arg in node.args)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "json_text"
+            and id(node) not in allowed]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("path.write_text(json_text(doc))", [1]), ("text = json_text(doc)", [1]),
+    ("sys.stdout.write(json_text(doc))", []), ("sys.stderr.write(json_text(doc))", [1]),
+    ("def write_json(path, doc):\n    path.write_text(json_text(doc))", []),
+    ("def dump(path, doc):\n    path.write_text(json_text(doc))", [2]),
+])
+def test_guard_sees_a_json_text_call(source, lines) -> None:
+    assert json_text_calls(source) == lines
+
+
+def test_json_files_are_written_by_write_json() -> None:
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             for line in json_text_calls(path.read_text(encoding="utf-8"))]
+    assert found == [], "write a JSON document with stave.runner.write_json"

@@ -161,6 +161,19 @@ BAD_VALUES = {
     # hex converts at any length, but the value has too many digits to print
     "5000-hex-digit-match-pgn": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0x" + "F" * 5000],
                                  "match pgn <20000-bit integer> outside 0..262143"),
+    # valid scenarios whose attacks fail on what the run captured
+    "diff-of-an-empty-baseline": (b'{"schema": "stave-scenario/1", "seed": 1, "duration_s": 1.0, '
+                                  b'"attacks": [{"type": "diff", "start_s": 0.0, "pre": "vehicle0", '
+                                  b'"post": "operator0", "save": "d"}]}',
+                                  ["run", "FILE", "--out", "out"],
+                                  "attacks[0].pre: baseline capture holds no frames; cannot establish constants"),
+    "reflect-below-the-captured-value": (b'{"schema": "stave-scenario/1", "seed": 1, "duration_s": 1.0, '
+                                         b'"attacks": [{"type": "replay", "start_s": 0.5, "capture": "vehicle0", '
+                                         b'"match": {"pgn": "0xFF10"}, "mutate": "byte0=reflect(10)", '
+                                         b'"save": "p"}]}',
+                                         ["run", "FILE", "--out", "out"],
+                                         "attacks[0].mutate: reflect(10) saw byte value 125; "
+                                         "reflection max must bound the matched traffic"),
 }
 
 
@@ -171,7 +184,7 @@ def test_bad_value_is_one_located_error(tmp_path, capsys, monkeypatch, name) -> 
     (tmp_path / "input").write_bytes(raw)
     assert main([arg.replace("FILE", "input") for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
-    assert not (tmp_path / "out").exists()  # rejected before anything ran
+    assert not (tmp_path / "out").exists()  # nothing was written
 
 
 def test_diff_writes_report(tmp_path, capsys) -> None:

@@ -3,13 +3,15 @@
 import enum
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import load_fixture, make_scenario
 
-from stave import CaptureLog, CaptureRecord, build_testbed, run_scenario, summarize, validate_scenario
+from stave import (BusStats, CaptureLog, CaptureRecord, VehicleObservables, build_testbed, run_scenario, summarize,
+                   validate_scenario)
 from stave.runner import json_text, write_outputs
 
 JOY = 0x0CFF1028
@@ -280,7 +282,7 @@ def test_an_occupancy_of_a_tap_keeps_its_whole_log(appended) -> None:
 def test_summarize_rounds_observables() -> None:
     scenario = make_scenario(
         duration_s=2.0,
-        fleet={"steer_enable": True},
+        fleet={"steer_enable": True, "engine_rpm": 800},
         joystick_script=[{"t_s": 0.0, "x": 25}],
     )
     bed = build_testbed(scenario)
@@ -291,6 +293,12 @@ def test_summarize_rounds_observables() -> None:
     assert summary["observables"]["wheel_angle_deg"] == round(obs.wheel_angle_deg, 6)
     assert summary["observables"]["steer_enabled"] is True
     assert summary["observables"]["wheel_angle_deg"] < -10
+    # an int stays an int: rounding touches floats only
+    assert '"engine_rpm": 800,' in json_text(summary)
+    # each block is its layer's record, field for field
+    assert set(summary["observables"]) == {f.name for f in fields(VehicleObservables)}
+    for block in summary["buses"].values():
+        assert set(block) == {f.name for f in fields(BusStats)}
 
 
 def test_write_outputs_is_relative_to_out_dir(tmp_path) -> None:
