@@ -131,6 +131,7 @@ class Testbed:
     schedules: dict[str, ReplaySchedule] = field(default_factory=dict)
     # one per attack, in list order: builds its summary entry after the run
     attack_summaries: list[Callable[[], dict]] = field(default_factory=list)
+    # filled in by run_scenario
     summary: dict = field(default_factory=dict)
     written: dict[str, Path] = field(default_factory=dict)
 
