@@ -133,6 +133,10 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> dict:
     }
 
 
+# each MessageMatch selector with its range (inclusive)
+MATCH_FIELDS = {"can_id": (0, MAX_CAN_ID), "pgn": (0, MAX_PGN)}
+
+
 @dataclass(frozen=True)
 class MessageMatch:
     """Select frames by exact identifier or by parameter group."""
@@ -143,9 +147,9 @@ class MessageMatch:
     def __post_init__(self):
         if (self.can_id is None) == (self.pgn is None):
             raise ConfigurationError("match needs exactly one of can_id or pgn")
-        for name, value, hi in (("can_id", self.can_id, MAX_CAN_ID), ("pgn", self.pgn, MAX_PGN)):
-            if value is not None:
-                check_int(ConfigurationError, f"match {name}", value, 0, hi)
+        for key, (lo, hi) in MATCH_FIELDS.items():
+            if getattr(self, key) is not None:
+                check_int(ConfigurationError, f"match {key}", getattr(self, key), lo, hi)
 
     def matches(self, can_id: int) -> bool:
         """Whether a frame with this identifier is selected."""

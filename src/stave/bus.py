@@ -27,6 +27,9 @@ from .errors import (
 from .j1939 import CanFrame, _valid_frame
 from .sim import US_PER_SECOND, SimClock
 
+# each BusConfig field with its range (inclusive; None is unbounded)
+BUS_FIELDS = {"bitrate": (1, None), "frame_overhead_bits": (1, None)}
+
 
 @dataclass(frozen=True)
 class BusConfig:
@@ -34,8 +37,8 @@ class BusConfig:
     frame_overhead_bits: int = 67
 
     def __post_init__(self):
-        check_int(ConfigurationError, "bitrate", self.bitrate, 1)
-        check_int(ConfigurationError, "frame_overhead_bits", self.frame_overhead_bits, 1)
+        for key, (lo, hi) in BUS_FIELDS.items():
+            check_int(ConfigurationError, key, getattr(self, key), lo, hi)
 
     def frame_time_us(self, dlc: int) -> int:
         bits = self.frame_overhead_bits + 8 * dlc

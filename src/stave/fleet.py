@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
-from .errors import ConfigurationError, ScenarioValidationError, check_int, is_int, shown
+from .errors import ConfigurationError, check_int, shown
 from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id, pgn_of
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
@@ -134,6 +134,10 @@ class MessageCatalog:
         return iter(self._specs.values())
 
 
+# the ScriptEntry inputs with their ranges (inclusive)
+SCRIPT_FIELDS = {"x": (0, JOYSTICK_MAX), "y": (0, JOYSTICK_MAX), "button": (0, 1)}
+
+
 @dataclass(frozen=True)
 class ScriptEntry:
     t_us: int
@@ -146,21 +150,11 @@ class JoystickScript:
     """Step timeline of operator inputs; the last entry at or before t holds."""
 
     def __init__(self, entries: tuple[ScriptEntry, ...] = ()):
-        errors = []
-        last_t = -1
+        last_t = -1  # each entry's time is later than the one before it
         for i, entry in enumerate(entries):
-            where = f"entry {i}"
-            for key, hi in (("t_us", None), ("x", JOYSTICK_MAX), ("y", JOYSTICK_MAX), ("button", 1)):
-                try:
-                    check_int(ConfigurationError, f"{where}: {key}", getattr(entry, key), 0, hi)
-                except ConfigurationError as exc:
-                    errors.append(str(exc))
-            if is_int(entry.t_us):
-                if entry.t_us <= last_t:
-                    errors.append(f"{where}: t {entry.t_us} us does not increase (previous {last_t} us)")
-                last_t = max(last_t, entry.t_us)
-        if errors:
-            raise ScenarioValidationError([f"joystick_script {e}" for e in errors])
+            last_t = check_int(ConfigurationError, f"script entry {i} t_us", entry.t_us, last_t + 1)
+            for key, (lo, hi) in SCRIPT_FIELDS.items():
+                check_int(ConfigurationError, f"script entry {i} {key}", getattr(entry, key), lo, hi)
         self.entries = tuple(entries)
         # the entry times, increasing, and the value from each entry on; the
         # value before the first entry is center, center, button 0

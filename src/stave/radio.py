@@ -68,6 +68,9 @@ def crc16_ccitt_false(data: bytes) -> int:
 
 MASK64 = (1 << 64) - 1  # the hop seed's range and the mixer's modulus
 _GOLDEN = 0x9E3779B97F4A7C15
+# the RadioConfig fields bounded on both sides, with their ranges (inclusive);
+# latency_us is only bounded below, and a scenario's latency_s by its time limit
+RADIO_FIELDS = {"num_channels": (1, 256), "hop_seed": (0, MASK64), "loss_probability": (0.0, 1.0)}
 
 
 def _mix64(x: int) -> int:
@@ -93,12 +96,17 @@ class RadioConfig:
     faraday_mode: bool = False
 
     def __post_init__(self):
-        check_int(ConfigurationError, "num_channels", self.num_channels, 1, 256)
-        check_int(ConfigurationError, "hop_seed", self.hop_seed, 0, MASK64)
-        check_real(ConfigurationError, "loss_probability", self.loss_probability, 0.0, 1.0)
+        for key, (lo, hi) in RADIO_FIELDS.items():
+            check = check_real if key == "loss_probability" else check_int
+            check(ConfigurationError, key, getattr(self, key), lo, hi)
         check_int(ConfigurationError, "latency_us", self.latency_us, 0)
         check_bool(ConfigurationError, "hopping", self.hopping)
         check_bool(ConfigurationError, "faraday_mode", self.faraday_mode)
+
+    @property
+    def channel_range(self) -> tuple[int, int]:
+        """The lowest and the highest channel of the link (inclusive)."""
+        return 0, self.num_channels - 1
 
 
 def hop_channel(config: RadioConfig, seq: int) -> int:
@@ -228,8 +236,7 @@ class RadioMedium:
         if any(t.name == tap.name for t in self._taps):
             raise ConfigurationError(f"tap name {shown(tap.name)} already registered")
         for channel in tap.channels or ():
-            check_int(ConfigurationError, f"tap {shown(tap.name)} channel", channel,
-                      0, self.config.num_channels - 1)
+            check_int(ConfigurationError, f"tap {shown(tap.name)} channel", channel, *self.config.channel_range)
         self._taps.append(tap)
         return tap
 

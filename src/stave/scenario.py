@@ -47,13 +47,14 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .attack import ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_MODES, TIMING_PRESERVE
-from .bus import BusConfig
+from .attack import (MATCH_FIELDS, ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_MODES,
+                     TIMING_PRESERVE)
+from .bus import BUS_FIELDS, BusConfig
 from .capture import valid_interface
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real, shown
-from .fleet import CATALOG_FIELDS, PLANT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry, check_cycle
-from .j1939 import MAX_CAN_ID, MAX_PGN
-from .radio import MASK64, RadioConfig
+from .fleet import (CATALOG_FIELDS, PLANT_FIELDS, SCRIPT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry,
+                    check_cycle)
+from .radio import RADIO_FIELDS, RadioConfig
 from .sim import us_from_seconds
 
 SCENARIO_SCHEMA = "stave-scenario/1"
@@ -69,6 +70,7 @@ ATTACK_FIELDS = {
 ATTACK_TYPES = tuple(ATTACK_FIELDS)
 # one simulated day; the longest run anywhere in the repo or its benchmark is 600 s
 MAX_TIME_S = 86_400.0
+SEED_RANGE = (0, None)  # a document's seed and with_seed's (inclusive; None is unbounded)
 
 
 @dataclass(frozen=True)
@@ -149,8 +151,7 @@ class Scenario:
     def with_seed(self, seed: int) -> "Scenario":
         """The same scenario with another seed, checked as a document's seed is."""
         check = _Check()
-        check.integer("seed", seed, lo=0)
-        if check.errors:
+        if check.integer("seed", check.required("seed", seed), *SEED_RANGE) is None:
             raise ScenarioValidationError(check.errors)
         return replace(self, seed=seed)
 
@@ -194,7 +195,7 @@ class _Check:
             return []
         return value
 
-    def number(self, path: str, value, *, lo=None, hi=None, default=None):
+    def number(self, path: str, value, lo=None, hi=None, *, default=None):
         if value is None:
             return default
         if not is_real(value):
@@ -209,7 +210,7 @@ class _Check:
             return default
         return value
 
-    def integer(self, path: str, value, *, lo=None, hi=None):
+    def integer(self, path: str, value, lo=None, hi=None):
         if value is None:
             return None
         if not is_int(value):
@@ -272,7 +273,7 @@ def _relative_path(check: _Check, path: str, value) -> str | None:
     return text
 
 
-def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]:
+def _validate_taps(check: _Check, doc, channel_range: tuple[int, int]) -> tuple[TapSpec, ...]:
     taps = []
     names = set()
     for i, item in enumerate(check.items("taps", doc)):
@@ -301,7 +302,7 @@ def _validate_taps(check: _Check, doc, num_channels: int) -> tuple[TapSpec, ...]
             parsed = []
             for j, c in enumerate(channels):
                 where = f"{path}.channels[{j}]"
-                c = check.integer(where, _hex(check.required(where, c)), lo=0, hi=num_channels - 1)
+                c = check.integer(where, _hex(check.required(where, c)), *channel_range)
                 if c is not None:
                     parsed.append(c)
             parsed = tuple(parsed)
@@ -341,7 +342,7 @@ def _sniff_source(check: _Check, path: str, doc, tap_names: set[str]) -> str | N
     return None
 
 
-def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int) -> dict | None:
+def _validate_inject_attachment(check: _Check, path: str, doc, channel_range: tuple[int, int]) -> dict | None:
     """The InjectSpec fields an inject attachment sets: a wired one's segment,
     a radio one's strategy and inside_faraday."""
     doc = check.section(path, doc)
@@ -357,8 +358,8 @@ def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int
         channel = strategy_doc.get("channel", ChannelStrategy.channel)
         # no endpoint listens past the last channel, so a fixed channel there
         # would lose every packet; follow_hops ignores the channel
-        channel = check.integer(where, _hex(check.required(where, channel)),
-                                lo=0, hi=num_channels - 1 if mode == "fixed" else None)
+        lo, hi = channel_range
+        channel = check.integer(where, _hex(check.required(where, channel)), lo, hi if mode == "fixed" else None)
         strategy = None
         try:
             strategy = ChannelStrategy(mode=mode, **_given(channel=channel))
@@ -373,20 +374,18 @@ def _validate_inject_attachment(check: _Check, path: str, doc, num_channels: int
 
 
 def _validate_match(check: _Check, path: str, doc) -> MessageMatch | None:
-    doc = check.section(path, doc, {"can_id", "pgn"})
-    can_id = doc.get("can_id")
-    pgn = doc.get("pgn")
-    if (can_id is None) == (pgn is None):
+    doc = check.section(path, doc, MATCH_FIELDS.keys())
+    given = [key for key in MATCH_FIELDS if doc.get(key) is not None]
+    if len(given) != 1:
         check.add(path, "exactly one of can_id or pgn must be given")
         return None
-    if can_id is not None:
-        value = check.integer(f"{path}.can_id", _hex(can_id), lo=0, hi=MAX_CAN_ID)
-        return MessageMatch(can_id=value) if value is not None else None
-    value = check.integer(f"{path}.pgn", _hex(pgn), lo=0, hi=MAX_PGN)
-    return MessageMatch(pgn=value) if value is not None else None
+    key = given[0]
+    value = check.integer(f"{path}.{key}", _hex(doc[key]), *MATCH_FIELDS[key])
+    return MessageMatch(**{key: value}) if value is not None else None
 
 
-def _validate_attacks(check: _Check, doc, duration_us: int | None, tap_names: set[str], num_channels: int):
+def _validate_attacks(check: _Check, doc, duration_us: int | None, tap_names: set[str],
+                      channel_range: tuple[int, int]):
     # duration_us is None when the document's duration is invalid; then no
     # attack time is compared with it, so its one error is the only one
     attacks: list[AttackSpec] = []
@@ -496,7 +495,7 @@ def _validate_attacks(check: _Check, doc, duration_us: int | None, tap_names: se
         else:  # inject
             schedule = reference(path, item, "schedule", start_us)
             attachment = _validate_inject_attachment(check, f"{path}.attachment", item.get("attachment"),
-                                                     num_channels)
+                                                     channel_range)
             repeat = check.boolean(f"{path}.repeat", item.get("repeat"))
             if schedule is None or attachment is None:
                 continue
@@ -533,25 +532,21 @@ def validate_scenario(doc: dict) -> Scenario:
     })
     if doc.get("schema") != SCENARIO_SCHEMA:
         check.add("schema", f"expected {shown(SCENARIO_SCHEMA)}, got {shown(doc.get('schema'))}")
-    seed = check.integer("seed", check.required("seed", doc.get("seed")), lo=0)
+    seed = check.integer("seed", check.required("seed", doc.get("seed")), *SEED_RANGE)
     duration_us = check.seconds("duration_s", check.required("duration_s", doc.get("duration_s")), lo=1e-6)
 
-    bus_doc = check.section("bus", doc.get("bus"), {"bitrate", "frame_overhead_bits"})
-    bus = BusConfig(**_given(
-        bitrate=check.integer("bus.bitrate", bus_doc.get("bitrate"), lo=1),
-        frame_overhead_bits=check.integer("bus.frame_overhead_bits", bus_doc.get("frame_overhead_bits"),
-                                          lo=1),
-    ))
+    bus_doc = check.section("bus", doc.get("bus"), BUS_FIELDS.keys())
+    bus = BusConfig(**_given(**{key: check.integer(f"bus.{key}", bus_doc.get(key), lo, hi)
+                                for key, (lo, hi) in BUS_FIELDS.items()}))
 
-    radio_doc = check.section("radio", doc.get("radio"), {
-        "num_channels", "hopping", "hop_seed", "loss_probability", "latency_s", "faraday_mode",
-    })
+    radio_doc = check.section("radio", doc.get("radio"), {*RADIO_FIELDS, "hopping", "latency_s", "faraday_mode"})
     radio = RadioConfig(**_given(
-        num_channels=check.integer("radio.num_channels", radio_doc.get("num_channels"), lo=1, hi=256),
+        num_channels=check.integer("radio.num_channels", radio_doc.get("num_channels"),
+                                   *RADIO_FIELDS["num_channels"]),
         hopping=check.boolean("radio.hopping", radio_doc.get("hopping")),
-        hop_seed=check.integer("radio.hop_seed", radio_doc.get("hop_seed"), lo=0, hi=MASK64),
+        hop_seed=check.integer("radio.hop_seed", radio_doc.get("hop_seed"), *RADIO_FIELDS["hop_seed"]),
         loss_probability=check.number("radio.loss_probability", radio_doc.get("loss_probability"),
-                                      lo=0.0, hi=1.0),
+                                      *RADIO_FIELDS["loss_probability"]),
         latency_us=check.seconds("radio.latency_s", radio_doc.get("latency_s")),
         faraday_mode=check.boolean("radio.faraday_mode", radio_doc.get("faraday_mode")),
     ))
@@ -561,8 +556,7 @@ def validate_scenario(doc: dict) -> Scenario:
     steer_enable = check.boolean("fleet.steer_enable", fleet_doc.get("steer_enable"), default=False)
     plant = {}
     for key, default in (("engine_rpm", 800.0), ("machine_voltage", 12.6)):
-        lo, hi = PLANT_FIELDS[key]
-        plant[key] = check.number(f"fleet.{key}", fleet_doc.get(key), lo=lo, hi=hi, default=default)
+        plant[key] = check.number(f"fleet.{key}", fleet_doc.get(key), *PLANT_FIELDS[key], default=default)
     catalog = MessageCatalog()
     overrides = {}
     for name, fields in check.section("fleet.catalog", fleet_doc.get("catalog")).items():
@@ -571,7 +565,6 @@ def validate_scenario(doc: dict) -> Scenario:
         for key, value in check.section(path, fields, CATALOG_FIELDS.keys()).items():
             if key not in CATALOG_FIELDS:
                 continue
-            lo, hi = CATALOG_FIELDS[key]
             if key == "cycle_ms":
                 try:
                     check_cycle(name, value)
@@ -580,38 +573,37 @@ def validate_scenario(doc: dict) -> Scenario:
                     continue
             # a null cycle_ms ("not broadcast on a cycle") passes; any other null is absent
             if (key == "cycle_ms" and value is None
-                    or check.integer(f"{path}.{key}", value, lo=lo, hi=hi) is not None):
+                    or check.integer(f"{path}.{key}", value, *CATALOG_FIELDS[key]) is not None):
                 overrides[name][key] = value
     try:
         catalog = catalog.with_overrides(overrides)
     except StaveError as exc:
         check.add("fleet.catalog", str(exc))
 
-    script = JoystickScript()
-    script_doc = check.items("joystick_script", doc.get("joystick_script"))
     entries = []
-    for i, item in enumerate(script_doc):
+    last_us, last_s = -1, None  # the largest valid entry time so far, and its document value
+    for i, item in enumerate(check.items("joystick_script", doc.get("joystick_script"))):
         path = f"joystick_script[{i}]"
         if not isinstance(item, dict):
             check.add(path, "expected an object")
             continue
-        check.expect_keys(path, item, {"t_s", "x", "y", "button"})
+        check.expect_keys(path, item, {"t_s", *SCRIPT_FIELDS})
         t_us = check.seconds(f"{path}.t_s", check.required(f"{path}.t_s", item.get("t_s")))
-        if t_us is not None:
-            # ScriptEntry's defaults stand for absent fields; a null one is checked
-            inputs = {key: item[key] for key in ("x", "y", "button") if key in item}
-            entries.append(ScriptEntry(t_us, **inputs))
-    if len(entries) == len(script_doc):  # entry i of the script is joystick_script[i]
-        try:
-            script = JoystickScript(tuple(entries))
-        except ScenarioValidationError as exc:
-            check.errors.extend(exc.errors)
+        if t_us is not None and t_us <= last_us:
+            check.add(f"{path}.t_s", f"must increase, got {shown(item['t_s'])} after {shown(last_s)}")
+        elif t_us is not None:
+            last_us, last_s = t_us, item["t_s"]
+        # ScriptEntry's defaults stand for absent fields; a null one is an error
+        inputs = {key: check.integer(f"{path}.{key}", check.required(f"{path}.{key}", item[key]),
+                                     *SCRIPT_FIELDS[key])
+                  for key in SCRIPT_FIELDS if key in item}
+        entries.append(ScriptEntry(t_us, **inputs))
 
-    taps = _validate_taps(check, doc.get("taps"), radio.num_channels)
+    taps = _validate_taps(check, doc.get("taps"), radio.channel_range)
     tap_names = {t.name for t in taps}
 
     attacks, capture_ready, report_names = _validate_attacks(
-        check, doc.get("attacks"), duration_us, tap_names, radio.num_channels)
+        check, doc.get("attacks"), duration_us, tap_names, radio.channel_range)
 
     outputs_doc = check.section("outputs", doc.get("outputs"), {"summary", "captures", "reports"})
     summary = _relative_path(check, "outputs.summary", outputs_doc.get("summary"))
@@ -636,7 +628,7 @@ def validate_scenario(doc: dict) -> Scenario:
         radio=radio,
         catalog=catalog,
         steer_enable=steer_enable,
-        script=script,
+        script=JoystickScript(tuple(entries)),
         taps=taps,
         attacks=attacks,
         outputs=outputs,

@@ -30,7 +30,7 @@ MALFORMED_SECTIONS = [
     ({"fleet": {"catalog": {"JOY1": {"cycle_ms": True}}}},
      "fleet.catalog.JOY1.cycle_ms: expected an integer, got True"),
     ({"joystick_script": [{"t_s": 0.0, "button": True}]},
-     "joystick_script entry 0: button True must be 0 or 1"),
+     "joystick_script[0].button: expected an integer, got True"),
     *((fields(v), f"{path}: must be <= 86400.0, got {v!r}")
       for path, fields in TIME_FIELDS.items() for v in (1e300, 1e308)),
     ({"attacks": [SNIFF,

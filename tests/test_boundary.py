@@ -98,7 +98,7 @@ INT_FIELDS = {
        for key, lo, hi in (("pgn", 0, MAX_PGN), ("source_address", 0, 255), ("priority", 0, 7),
                            ("cycle_ms", 1, None))},
     **{f"JoystickScript.{key}": (lambda v, key=key: JoystickScript((ScriptEntry(**{"t_us": 0, key: v}),)),
-                                 ScenarioValidationError, 0, hi)
+                                 ConfigurationError, 0, hi)
        for key, hi in (("t_us", None), ("x", 250), ("y", 250), ("button", 1))},
     "MessageMatch.can_id": (lambda v: MessageMatch(can_id=v), ConfigurationError, 0, MAX_CAN_ID),
     "MessageMatch.pgn": (lambda v: MessageMatch(pgn=v), ConfigurationError, 0, MAX_PGN),

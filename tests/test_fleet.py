@@ -354,12 +354,13 @@ def test_script_validation_collects_all_errors() -> None:
                 {"t_s": 0.6, "x": True, "button": True},
             ],
         })
-    text = "; ".join(err.value.errors)
-    assert "x 300" in text
-    assert "y -2" in text
-    assert "does not increase" in text
-    assert "x True" in text
-    assert "button True" in text
+    assert err.value.errors == [
+        "joystick_script[0].x: must be <= 250, got 300",
+        "joystick_script[1].t_s: must increase, got 0.5 after 0.5",
+        "joystick_script[1].y: must be >= 0, got -2",
+        "joystick_script[2].x: expected an integer, got True",
+        "joystick_script[2].button: expected an integer, got True",
+    ]
 
 
 PLANT_SIGNALS = {"engine_rpm": ENGINE_SPEED_SIGNAL, "machine_voltage": VOLTAGE_SIGNAL}
