@@ -80,7 +80,10 @@ def _write_or_print(doc: dict, path: str | None) -> None:
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+        try:
+            scenario = scenario.with_seed(args.seed)
+        except ScenarioValidationError as exc:  # located at the document's seed, which the flag replaces
+            raise ScenarioValidationError([f"--{error}" for error in exc.errors]) from None
     bed = run_scenario(scenario, out_dir=args.out)
     sys.stdout.write(json_text(bed.summary))
     for label, path in sorted(bed.written.items()):
@@ -105,26 +108,23 @@ def _cmd_occupancy(args) -> int:
     return 0
 
 
-def _flag_int(flag: str, text: str) -> int:
-    """A numeric flag's value, decimal or 0x hex."""
+def _flag(flag: str, build, text: str):
+    """build(text), where a number in text is decimal or 0x hex; any error names the flag."""
     try:
-        return int(text, 0)
-    except ValueError:
+        return build(text)
+    except ValueError:  # from int()
         raise ConfigurationError(f"{flag}: expected an integer, got {shown(text)}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from None
 
 
 def _cmd_replay_plan(args) -> int:
     log = CaptureLog.load(args.capture)
     if args.match_pgn is not None:
-        match = MessageMatch(pgn=_flag_int("--match-pgn", args.match_pgn))
+        match = _flag("--match-pgn", lambda text: MessageMatch(pgn=int(text, 0)), args.match_pgn)
     else:
-        match = MessageMatch(can_id=_flag_int("--match-id", args.match_id))
-    mutation = None
-    if args.mutate is not None:
-        try:
-            mutation = Mutation.parse(args.mutate)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"--mutate: {exc}") from None
+        match = _flag("--match-id", lambda text: MessageMatch(can_id=int(text, 0)), args.match_id)
+    mutation = None if args.mutate is None else _flag("--mutate", Mutation.parse, args.mutate)
     schedule = plan_replay(log, match, mutation, args.timing)
     _write_or_print(schedule.to_json_dict(), args.out)
     return 0

@@ -11,6 +11,8 @@ seed.
 
 from __future__ import annotations
 
+import errno
+import os
 import random
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -36,6 +38,7 @@ from .scenario import (
     DiffSpec,
     InjectSpec,
     OccupancySpec,
+    OutputSpec,
     ReplaySpec,
     Scenario,
     SniffSpec,
@@ -312,6 +315,11 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> Testb
     scenario are resolved against out_dir; nothing is written when out_dir
     is None.
     """
+    # a scenario that declares outputs fails before its run, not after it,
+    # when out_dir is a file: no output could be written under it
+    if out_dir is not None and scenario.outputs != OutputSpec():
+        if Path(out_dir).exists() and not Path(out_dir).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
     bed = build_testbed(scenario)
     bed.clock.run_until(scenario.duration_us)
     bed.clock.finish()

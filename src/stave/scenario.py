@@ -594,9 +594,11 @@ def validate_scenario(doc: dict) -> Scenario:
         elif t_us is not None:
             last_us, last_s = t_us, item["t_s"]
         # ScriptEntry's defaults stand for absent fields; a null one is an error
-        inputs = {key: check.integer(f"{path}.{key}", check.required(f"{path}.{key}", item[key]),
-                                     *SCRIPT_FIELDS[key])
-                  for key in SCRIPT_FIELDS if key in item}
+        inputs = {}
+        for key, (lo, hi) in SCRIPT_FIELDS.items():
+            if key in item:
+                where = f"{path}.{key}"
+                inputs[key] = check.integer(where, check.required(where, item[key]), lo, hi)
         entries.append(ScriptEntry(t_us, **inputs))
 
     taps = _validate_taps(check, doc.get("taps"), radio.channel_range)

@@ -75,6 +75,11 @@ MALFORMED_SECTIONS = [
      "a decimal number has a leading zero or too many digits"),
     # an invalid duration is not compared with any attack time
     ({"duration_s": "x", "attacks": [{**SNIFF, "start_s": 0.5}]}, "duration_s: expected a number, got 'x'"),
+    # script times are compared in the document's seconds, at the entry's own path
+    ({"joystick_script": [{"t_s": 1.0}, {"t_s": 0.5}]}, "joystick_script[1].t_s: must increase, got 0.5 after 1.0"),
+    # a null script input is an error; an absent one takes ScriptEntry's default
+    *(({"joystick_script": [{"t_s": 0.0, key: None}]}, f"joystick_script[0].{key}: required")
+      for key in ("x", "y", "button")),
 ]
 
 

@@ -9,7 +9,9 @@ check_bool); the guard test below keeps every other module from spelling
 an integer check of its own. Every message echoes a rejected value through
 stave.errors.shown, which keeps an echo short and printable; a second guard
 keeps any other code from echoing one with !r. A third keeps every JSON
-document file going through stave.runner.write_json.
+document file going through stave.runner.write_json. A fourth keeps
+scenario validation from writing a limit of its own for a field that a
+constructor bounds: both read the type's range table.
 """
 
 import ast
@@ -338,3 +340,57 @@ def test_json_files_are_written_by_write_json() -> None:
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
              for line in json_text_calls(path.read_text(encoding="utf-8"))]
     assert found == [], "write a JSON document with stave.runner.write_json"
+
+
+def literal_bounds(source: str) -> list[str]:
+    """Each lo or hi bound given to a _Check method (integer, number, seconds) that
+    holds a numeric literal, or a module-level name bound to one, as
+    "<method>(<path>, <bound>)"."""
+    tree = ast.parse(source)
+
+    def numbers(node) -> bool:
+        return any(isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in ast.walk(node))
+
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign) and numbers(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+    def literal(node) -> bool:
+        return numbers(node) or any(isinstance(n, ast.Name) and n.id in constants for n in ast.walk(node))
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("integer", "number", "seconds"):
+            bounds = [ast.unparse(arg) for arg in node.args[2:] if literal(arg)]
+            bounds += [f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords
+                       if k.arg in ("lo", "hi") and literal(k.value)]
+            found += [f"{node.func.attr}({ast.unparse(node.args[0])}, {bound})" for bound in bounds]
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ('check.integer("bus.bitrate", v, lo=1)', ["integer('bus.bitrate', lo=1)"]),
+    ('check.integer(p, v, 0, n - 1)', ["integer(p, 0)", "integer(p, n - 1)"]),
+    ('check.number(p, v, hi=-0.5, default=3)', ["number(p, hi=-0.5)"]),
+    ('LIMIT = 7\ncheck.integer(p, v, *(0, LIMIT))', ["integer(p, *(0, LIMIT))"]),
+    ('RANGE = (0, None)\ncheck.integer(p, v, *RANGE)', ["integer(p, *RANGE)"]),
+    ('check.integer(p, v, *BUS_FIELDS[key])', []), ('check.number(p, v, lo, hi, default=800.0)', []),
+    ('check.integer(p, v, *radio.channel_range)', []), ('check.boolean(p, v, default=False)', []),
+])
+def test_guard_sees_a_literal_bound(source, found) -> None:
+    assert literal_bounds(source) == found
+
+
+# the only literal bounds scenario.py may give _Check: limits of the document
+# alone, which no constructor checks
+SCENARIO_OWN_BOUNDS = {
+    "number(path, hi=MAX_TIME_S)": "a document time is at most one simulated day; constructors take microseconds",
+    "seconds('duration_s', lo=1e-06)": "a run lasts at least one microsecond tick; no constructor takes a duration",
+    "integer('seed', *SEED_RANGE)": "the seed is a document field that with_seed replaces; no constructor takes one",
+}
+
+
+def test_scenario_takes_every_shared_limit_from_its_table() -> None:
+    found = literal_bounds((SRC / "scenario.py").read_text(encoding="utf-8"))
+    assert [bound for bound in found if bound not in SCENARIO_OWN_BOUNDS] == [], \
+        "read the bound from the config type's table (BUS_FIELDS, RADIO_FIELDS, MATCH_FIELDS, ...)"

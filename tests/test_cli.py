@@ -8,7 +8,7 @@ import sys
 import pytest
 from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
 
-from stave import CaptureLog, CaptureRecord, channel_occupancy
+from stave import CaptureLog, CaptureRecord, SimClock, channel_occupancy
 from stave.cli import main
 from stave.runner import json_text
 
@@ -56,8 +56,29 @@ def test_run_seed_flag_overrides_file(tmp_path, scenario_path, capsys) -> None:
 
 def test_run_seed_flag_is_checked_like_the_file_seed(tmp_path, scenario_path, capsys) -> None:
     assert main(["run", str(scenario_path), "--seed", "-7", "--out", str(tmp_path / "a")]) == 2
-    assert capsys.readouterr().err == "error: seed: must be >= 0, got -7\n"
+    assert capsys.readouterr().err == "error: --seed: must be >= 0, got -7\n"
     assert not (tmp_path / "a").exists()
+
+
+def test_run_out_file_fails_before_the_clock_runs(tmp_path, scenario_path, capsys, monkeypatch) -> None:
+    ran = []
+    monkeypatch.setattr(SimClock, "run_until", lambda clock, t_us: ran.append(t_us))
+    out = tmp_path / "file"
+    out.write_text("x")
+    assert main(["run", str(scenario_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {str(out)!r}\n"
+    assert ran == []
+    assert out.read_text() == "x"
+
+
+def test_run_out_file_is_no_error_for_a_scenario_without_outputs(tmp_path, capsys) -> None:
+    path = tmp_path / "quiet.json"
+    path.write_text(json.dumps({"schema": "stave-scenario/1", "seed": 7, "duration_s": 0.1}))
+    out = tmp_path / "file"
+    out.write_text("x")
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "quiet.json"]
 
 
 def test_run_missing_file_is_io_error(tmp_path, capsys) -> None:
@@ -160,7 +181,7 @@ BAD_VALUES = {
                             f"--match-id: expected an integer, got {'1' * 100!r}... (5000 characters)"),
     # hex converts at any length, but the value has too many digits to print
     "5000-hex-digit-match-pgn": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0x" + "F" * 5000],
-                                 "match pgn <20000-bit integer> outside 0..262143"),
+                                 "--match-pgn: match pgn <20000-bit integer> outside 0..262143"),
     # valid scenarios whose attacks fail on what the run captured
     "diff-of-an-empty-baseline": (b'{"schema": "stave-scenario/1", "seed": 1, "duration_s": 1.0, '
                                   b'"attacks": [{"type": "diff", "start_s": 0.0, "pre": "vehicle0", '
@@ -281,10 +302,10 @@ def test_replay_plan_rejects_bad_hex(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
     # out of range: a pgn has 18 bits and an identifier 29
     for flag, value, error in (
-        ("--match-pgn", "0x40000", "match pgn 262144 outside 0..262143"),
-        ("--match-pgn", "-5", "match pgn -5 outside 0..262143"),
-        ("--match-id", "-1", "match can_id -1 outside 0..536870911"),
-        ("--match-id", "0x20000000", "match can_id 536870912 outside 0..536870911"),
+        ("--match-pgn", "0x40000", "--match-pgn: match pgn 262144 outside 0..262143"),
+        ("--match-pgn", "-5", "--match-pgn: match pgn -5 outside 0..262143"),
+        ("--match-id", "-1", "--match-id: match can_id -1 outside 0..536870911"),
+        ("--match-id", "0x20000000", "--match-id: match can_id 536870912 outside 0..536870911"),
     ):
         assert main(["replay-plan", str(cap), flag, value]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"

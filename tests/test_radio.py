@@ -33,6 +33,8 @@ from stave import (
     decapsulate,
     hop_channel,
 )
+from stave.j1939 import MAX_CAN_ID
+from stave.radio import packet_frame
 
 
 def crc_oracle(data: bytes) -> int:
@@ -102,6 +104,11 @@ def test_roundtrip_random_packets() -> None:
         packet = decapsulate(RadioPacket(channel, seq, frame).to_bytes())
         assert (packet.channel, packet.seq) == (channel, seq)
         assert (packet.frame.can_id, packet.frame.data) == (frame.can_id, frame.data)
+
+
+def test_packet_frame_carries_the_largest_identifier() -> None:
+    wire = RadioPacket(0, 0, CanFrame(MAX_CAN_ID, b"\x01\x02")).to_bytes()
+    assert packet_frame(wire) == (MAX_CAN_ID, b"\x01\x02")
 
 
 def test_decapsulate_too_short() -> None:
@@ -457,6 +464,18 @@ def test_endpoint_drops_corrupt_packets(decoded) -> None:
     assert medium.stats.endpoint_delivered == 0
     # raw bytes are decoded once for both endpoints that heard them
     assert decoded == [bytes(wire)]
+
+
+def test_two_byte_packet_reaches_taps_and_is_dropped_by_endpoints() -> None:
+    clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig())
+    tap = medium.add_tap(Tap(name="air"))
+    narrow = medium.add_tap(Tap(name="narrow", channels={0}))
+    medium.transmit(b"\xa5\x5a")
+    clock.run_until(1_000_000)
+    # an all-band tap keeps it; it has no channel byte for a channel filter
+    assert [record.data for record in tap.log] == [b"\xa5\x5a"]
+    assert len(narrow.log) == 0
+    assert medium.stats.crc_dropped == 2
 
 
 def test_injected_packet_reaches_all_endpoints_but_not_sender(decoded, monkeypatch) -> None:

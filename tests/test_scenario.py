@@ -39,6 +39,15 @@ def test_with_seed_swaps_only_the_seed() -> None:
     assert scenario.seed == 0
 
 
+@pytest.mark.parametrize(("seed", "error"), [(-7, "seed: must be >= 0, got -7"), (None, "seed: required"),
+                                             (True, "seed: expected an integer, got True")])
+def test_with_seed_checks_the_seed_as_a_document_does(seed, error) -> None:
+    with pytest.raises(ScenarioValidationError) as info:
+        make_scenario().with_seed(seed)
+    assert info.value.errors == [error]
+    assert errors_for(seed=seed) == [error]
+
+
 def test_missing_required_fields_are_both_reported() -> None:
     with pytest.raises(ScenarioValidationError) as info:
         validate_scenario({"schema": "stave-scenario/1"})
@@ -125,6 +134,22 @@ def test_joystick_script_errors_bubble_up() -> None:
     ])
     joined = "\n".join(errors)
     assert "x" in joined and "increase" in joined
+
+
+def test_one_bad_script_time_hides_no_other_script_error() -> None:
+    assert errors_for(joystick_script=[{"t_s": "x", "y": 999}, {"t_s": 1.0, "x": 999}]) == [
+        "joystick_script[0].t_s: expected a number, got 'x'",
+        "joystick_script[0].y: must be <= 250, got 999",
+        "joystick_script[1].x: must be <= 250, got 999",
+    ]
+
+
+def test_script_times_are_compared_with_the_largest_earlier_valid_time() -> None:
+    assert errors_for(joystick_script=[{"t_s": 1.0}, {"t_s": 0.5}, {"t_s": "x"}, {"t_s": 0.7}, {"t_s": 2.0}]) == [
+        "joystick_script[1].t_s: must increase, got 0.5 after 1.0",
+        "joystick_script[2].t_s: expected a number, got 'x'",
+        "joystick_script[3].t_s: must increase, got 0.7 after 1.0",
+    ]
 
 
 def test_tap_rules() -> None:

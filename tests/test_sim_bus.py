@@ -336,6 +336,11 @@ def test_bus_load_single_frame() -> None:
     assert stats.bus_load == pytest.approx(524 / 1_000_000)
 
 
+def test_bus_load_is_zero_before_the_clock_moves() -> None:
+    clock, bus = _bus()
+    assert (bus.stats.frames_delivered, bus.stats.bus_load) == (0, 0.0)
+
+
 def test_bus_load_saturates_under_backlog() -> None:
     clock, bus = _bus()
     a = bus.attach("a")
