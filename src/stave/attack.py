@@ -72,10 +72,12 @@ def channel_occupancy(capture: CaptureLog, name: str) -> dict:
 
 
 def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
-    """The payload of each frame in a capture, grouped by can_id in capture order."""
+    """The payload of each frame in a capture, grouped by can_id in capture
+    order; a payload equal to the last of its group is that same object."""
     groups: dict[int, list[bytes]] = defaultdict(list)
     for _, can_id, data in _frame_rows(capture):
-        groups[can_id].append(data)
+        group = groups[can_id]
+        group.append(group[-1] if group and group[-1] == data else data)
     return groups
 
 
@@ -239,18 +241,15 @@ class ReplaySchedule:
         return self.entries[-1][0] - self.entries[0][0] if len(self.entries) > 1 else 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "stave-replay/1",
-            "timing": self.timing_mode,
-            "entries": [
-                {
-                    "delay_s": seconds_from_us(delay),
-                    "can_id": f"0x{frame.can_id:08X}",
-                    "data": frame.data.hex().upper(),
-                }
-                for delay, frame in self.entries
-            ],
-        }
+        """The stave-replay/1 document; entries of one frame object share its strings."""
+        entries = []
+        frame = None
+        for delay, entry_frame in self.entries:
+            if entry_frame is not frame:
+                frame = entry_frame
+                can_id, data = f"0x{frame.can_id:08X}", frame.data.hex().upper()
+            entries.append({"delay_s": seconds_from_us(delay), "can_id": can_id, "data": data})
+        return {"schema": "stave-replay/1", "timing": self.timing_mode, "entries": entries}
 
 
 def plan_replay(
@@ -267,19 +266,33 @@ def plan_replay(
     """
     if timing_mode not in TIMING_MODES:
         raise ConfigurationError(f"timing mode {shown(timing_mode)} must be preserve or fast")
-    matched = [row for row in _frame_rows(capture) if match.matches(row[1])]
-    if not matched:
-        logger.warning("replay plan matched no frames (match=%s)", match)
-        return ReplaySchedule(entries=(), timing_mode=timing_mode)
-    t0 = matched[0][0]
+    selected: dict[int, bool] = {}  # match.matches of each distinct identifier
     entries = []
-    for ts, can_id, data in matched:
-        if mutation is not None:
-            data = mutation.apply(data)
-        delay = ts - t0 if timing_mode == TIMING_PRESERVE else 0
-        # the log checked can_id and data when it was parsed or built, and a
-        # mutation keeps the payload's length
-        entries.append((delay, _valid_frame(can_id, data, 0)))
+    t0 = None
+    # the last entry's frame and the captured payload it was built from;
+    # an equal frame after it reuses it
+    frame = captured = None
+    for ts, can_id, data in capture.rows():
+        if can_id < 0:  # a radio record: its frame, skipped when the packet fails, as in _frame_rows
+            try:
+                can_id, data = packet_frame(data)
+            except DecapsulationError:
+                continue
+        hit = selected.get(can_id)
+        if hit is None:
+            hit = selected[can_id] = match.matches(can_id)
+        if not hit:
+            continue
+        if t0 is None:
+            t0 = ts
+        if data != captured or can_id != frame.can_id:  # captured is None only before the first entry
+            captured = data
+            # the log checked can_id and data when it was parsed or built, and
+            # a mutation keeps the payload's length
+            frame = _valid_frame(can_id, data if mutation is None else mutation.apply(data), 0)
+        entries.append((ts - t0 if timing_mode == TIMING_PRESERVE else 0, frame))
+    if not entries:
+        logger.warning("replay plan matched no frames (match=%s)", match)
     return ReplaySchedule(entries=tuple(entries), timing_mode=timing_mode)
 
 

@@ -44,6 +44,10 @@ _LINE_RE = re.compile(
 RADIO_ID = -1
 # the latest stamp a log's 64-bit stamps column holds
 MAX_TIMESTAMP_US = 2**63 - 1
+# how many CAN identifiers a parse remembers the latest payload of, so that
+# equal payloads share one object; a vehicle bus carries a few hundred, and
+# a log of ever-new identifiers pays for no more than this many entries
+SHARED_IDS = 2048
 
 
 def valid_interface(name) -> bool:
@@ -199,11 +203,16 @@ class CaptureLog:
         columns. lineno numbers text's first line in errors; None: no numbers.
 
         One grammar match per line reads the fields, so no per-line record,
-        string list or tuple list is built.
+        string list or tuple list is built. Equal values share one object: a
+        line keeps the previous line's interface when it is equal, and a CAN
+        payload the last payload of its identifier when that is equal (for
+        the first SHARED_IDS identifiers).
         """
         log = cls()
         stamps, ids, interfaces, payloads = log._stamps, log._ids, log._interfaces, log._payloads
         previous = 0
+        iface = None
+        last_payload: dict[int, bytes] = {}  # the latest payload of up to SHARED_IDS identifiers
         match = _LINE_RE.match
         fromhex = bytes.fromhex
         pos, end = 0, len(text)
@@ -219,8 +228,15 @@ class CaptureLog:
                     can_id = int(can_hex, 16)
                     if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > 16:
                         break
+                    data = fromhex(digits)
+                    kept = last_payload.get(can_id)
+                    if kept == data:
+                        data = kept
+                    elif kept is not None or len(last_payload) < SHARED_IDS:
+                        last_payload[can_id] = data
                 elif packet is not None and not len(packet) % 2:
-                    can_id, digits = RADIO_ID, packet
+                    # radio packets differ in seq and CRC, so only frames repeat
+                    can_id, data = RADIO_ID, fromhex(packet)
                 else:
                     break
                 stamp = int(seconds + fraction)
@@ -229,10 +245,12 @@ class CaptureLog:
                         f"line {_line_at(text, pos, lineno)}: timestamp goes backwards "
                         f"({stamp} us after {previous} us)"
                     )
+                if interface != iface:
+                    iface = interface
                 stamps.append(stamp)
                 ids.append(can_id)
-                interfaces.append(interface)
-                payloads.append(fromhex(digits))
+                interfaces.append(iface)
+                payloads.append(data)
                 previous = stamp
                 pos = m.end()
             else:

@@ -253,10 +253,14 @@ class _Node:
 
             self.clock.schedule(self.clock.now_us + cycle_us, fire)
 
+    last_payload = None  # the payload of the latest broadcast
+
     def broadcast(self, data: bytes) -> None:
+        if data != self.last_payload:  # else send the equal latest one, so logs share it
+            self.last_payload = data
         # the identifier comes from the validated catalog and every payload
         # here is 8 bytes, so the frame is valid without re-checking it
-        self.bus.submit(self.handle, _valid_frame(self.can_id, data, 0))
+        self.bus.submit(self.handle, _valid_frame(self.can_id, self.last_payload, 0))
 
 
 class JoystickNode(_Node):

@@ -315,11 +315,8 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> Testb
     scenario are resolved against out_dir; nothing is written when out_dir
     is None.
     """
-    # a scenario that declares outputs fails before its run, not after it,
-    # when out_dir is a file: no output could be written under it
-    if out_dir is not None and scenario.outputs != OutputSpec():
-        if Path(out_dir).exists() and not Path(out_dir).is_dir():
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out_dir))
+    if out_dir is not None:
+        _check_output_paths(Path(out_dir), scenario.outputs)
     bed = build_testbed(scenario)
     bed.clock.run_until(scenario.duration_us)
     bed.clock.finish()
@@ -327,6 +324,20 @@ def run_scenario(scenario: Scenario, out_dir: str | Path | None = None) -> Testb
     if out_dir is not None:
         bed.written = write_outputs(bed, out_dir)
     return bed
+
+
+def _check_output_paths(base: Path, outputs: OutputSpec) -> None:
+    """Raise, before the run rather than after it, an OSError for an output
+    write_outputs could not write: a directory a declared output goes in
+    (base included) exists as a file, or the output exists as a directory."""
+    for rel in (outputs.summary, *outputs.captures.values(), *outputs.reports.values()):
+        if rel is None:
+            continue
+        for directory in reversed([base / parent for parent in Path(rel).parents]):
+            if directory.exists() and not directory.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(directory))
+        if (base / rel).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(base / rel))
 
 
 def write_json(path: str | Path, doc: dict) -> None:

@@ -62,6 +62,25 @@ def test_plan_replay_mixes_wired_and_radio() -> None:
     assert schedule.entries == ((0, frame), (10, frame))
 
 
+def test_plan_shares_the_frames_of_consecutive_equal_matches() -> None:
+    # fresh, equal payload objects in turns; the pgn match spans two senders
+    other = JOY | 0xFE
+    rows = [(0, JOY, b"\x10\x01"), (1, JOY, b"\x10\x01"), (2, JOY, b"\x10\x01"), (3, other, b"\x10\x01"),
+            (4, other, b"\x20\x01"), (5, other, b"\x20\x01"), (6, STR, b"\x20\x01"), (7, other, b"\x20\x01")]
+    log = can_log([(ts * 1000, can_id, bytes(bytearray(data))) for ts, can_id, data in rows])
+    plan = plan_replay(log, MessageMatch(pgn=pgn_of(JOY)), Mutation.parse("byte0=add(1)"))
+    frames = [frame for _, frame in plan.entries]
+    assert [(frame.can_id, frame.data) for frame in frames] == [
+        (can_id, bytes((data[0] + 1,)) + data[1:]) for _, can_id, data in rows if can_id != STR]
+    assert [frame is frames[0] for frame in frames[:4]] == [True, True, True, False]
+    assert frames[4] is frames[5] is frames[6]
+    doc = plan.to_json_dict()
+    assert doc["entries"][0]["data"] is doc["entries"][2]["data"]
+    distinct = ReplaySchedule(tuple((delay, CanFrame(frame.can_id, bytes(bytearray(frame.data))))
+                                    for delay, frame in plan.entries))
+    assert doc == distinct.to_json_dict()
+
+
 def test_channel_occupancy_matches_counter() -> None:
     rng = random.Random(6)
     log = CaptureLog()
@@ -231,9 +250,18 @@ def test_analyses_agree_however_a_log_was_filled(seed: int) -> None:
         for ts, can_id, payload in ((300_000, 0, payloads[0]), (301_000, MAX_CAN_ID, payloads[0]),
                                      (302_000, 0, payloads[1]), (303_000, MAX_CAN_ID, payloads[1])):
             log.append(CaptureRecord(ts, "vehicle0", payload, can_id))
+    # then repeated payloads, interleaved across two identifiers and two
+    # interfaces, with equal values in fresh objects: only JOY2's byte 1 changes
+    joy2, str2 = JOY | 0xFE, STR | 0xFE
+    for log, joy2_payloads in ((pre, (b"\x10\x20",) * 6), (post, (b"\x10\x21",) * 3 + (b"\x10\x22",) * 3)):
+        for i, joy2_payload in enumerate(joy2_payloads):
+            interface = ("vehicle0", "operator0")[i % 2]
+            log.append(CaptureRecord(304_000 + 2000 * i, interface, bytes(bytearray(joy2_payload)), joy2))
+            log.append(CaptureRecord(305_000 + 2000 * i, ("operator0", "vehicle0")[i % 2], b"\x30\x30", str2))
     want = _analyses(pre, post)
     flagged = {entry["can_id"]: [byte["offset"] for byte in entry["bytes"]] for entry in want[0]["flagged"]}
-    assert flagged["0x00000000"] == flagged[f"0x{MAX_CAN_ID:08X}"] == [1]
+    assert flagged["0x00000000"] == flagged[f"0x{MAX_CAN_ID:08X}"] == flagged[f"0x{joy2:08X}"] == [1]
+    assert f"0x{str2:08X}" not in flagged
     assert sum(entry["count"] for entry in want[1]) == len([r for r in post if r.can_id is None and len(r.data) > 2])
     assert want[2][0]
     assert want[2][1] == ((0, CanFrame(0, b"\x02\x03\x03")), (2000, CanFrame(0, b"\x02\x04\x03")))
@@ -245,7 +273,13 @@ def test_analyses_agree_however_a_log_was_filled(seed: int) -> None:
         return point.log
 
     assert _analyses(observed(pre), observed(post)) == want
-    assert _analyses(CaptureLog.from_text(pre.to_text()), CaptureLog.from_text(post.to_text())) == want
+    parsed = [CaptureLog.from_text(log.to_text()) for log in (pre, post)]
+    assert _analyses(*parsed) == want
+    # a parsed log shares equal values and never unequal ones: its records,
+    # interfaces included, equal the log's it was written from
+    assert [list(log) for log in parsed] == [list(pre), list(post)]
+    assert [len({id(data) for _, can_id, data in parsed[1].rows() if can_id == shared})
+            for shared in (joy2, str2)] == [2, 1]
 
 
 # Differential analysis

@@ -7,6 +7,7 @@ Line formats under test:
 
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import MAX_TIMESTAMP_US, RADIO_ID, CapturePoint, valid_interface
+from stave.capture import MAX_TIMESTAMP_US, RADIO_ID, SHARED_IDS, CapturePoint, valid_interface
 from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
@@ -377,6 +378,45 @@ def test_text_roundtrip_is_byte_identical(tmp_path) -> None:
     raw = path.read_bytes()
     assert CaptureLog.load(path).to_text().encode() == raw
     assert b"\r" not in raw
+
+
+CAN_LINE = "(0.050524) vehicle0 0CFF1028#197D00FFFFFFFFFF\n"
+
+
+def test_parse_holds_a_repeated_payload_and_interface_once() -> None:
+    log = CaptureLog.from_text(CAN_LINE * 2000)
+    assert len({id(data) for _, _, data in log.rows()}) == 1
+    assert len({id(record.interface) for record in log}) == 1
+
+
+def test_a_log_of_repeated_payloads_holds_at_most_half_the_bytes_of_distinct_ones() -> None:
+    def held(text: str) -> int:
+        """Bytes the parsed log of text holds, traced in this process."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = CaptureLog.from_text(text)
+            bytes_held = tracemalloc.get_traced_memory()[0] - before
+            assert len(log) == 2000
+            return bytes_held
+        finally:
+            tracemalloc.stop()
+
+    distinct = "".join(f"(0.050524) vehicle0 0CFF1028#{i:016X}\n" for i in range(2000))
+    assert held(CAN_LINE * 2000) <= held(distinct) / 2
+
+
+def test_parse_keeps_every_value_past_the_shared_identifiers() -> None:
+    # the latest payload is remembered for the first SHARED_IDS identifiers
+    # only; a later identifier's equal payloads are equal objects of their own
+    ids = range(SHARED_IDS + 8)
+    text = "".join(f"(0.000001) vehicle0 {can_id:08X}#{can_id:04X}\n" for can_id in ids) * 2
+    log = CaptureLog.from_text(text)
+    assert log.to_text() == text
+    rows = list(log.rows())
+    first, second = rows[:len(ids)], rows[len(ids):]
+    assert [a[2] is b[2] for a, b in zip(first, second)] == [True] * SHARED_IDS + [False] * 8
+    assert [a[2] for a in first] == [b[2] for b in second]
 
 
 def test_record_validation() -> None:

@@ -71,6 +71,28 @@ def test_run_out_file_fails_before_the_clock_runs(tmp_path, scenario_path, capsy
     assert out.read_text() == "x"
 
 
+@pytest.mark.parametrize("blocked, kind, errno_text", [
+    ("out", "file", "[Errno 20] Not a directory"),  # the directory both outputs go in
+    ("out/summary.json", "dir", "[Errno 21] Is a directory"),  # an output itself
+])
+def test_run_blocked_output_path_fails_before_the_clock_runs(tmp_path, scenario_path, capsys, monkeypatch,
+                                                             blocked, kind, errno_text) -> None:
+    ran = []
+    monkeypatch.setattr(SimClock, "run_until", lambda clock, t_us: ran.append(t_us))
+    out = tmp_path / "results"
+    path = out / blocked
+    if kind == "file":
+        path.parent.mkdir(parents=True)
+        path.write_text("x")
+    else:
+        path.mkdir(parents=True)
+    assert main(["run", str(scenario_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {errno_text}: {str(path)!r}\n"
+    assert ran == []
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == sorted(
+        {"out", blocked})  # nothing was written
+
+
 def test_run_out_file_is_no_error_for_a_scenario_without_outputs(tmp_path, capsys) -> None:
     path = tmp_path / "quiet.json"
     path.write_text(json.dumps({"schema": "stave-scenario/1", "seed": 7, "duration_s": 0.1}))

@@ -17,6 +17,16 @@ from stave.runner import json_text, write_outputs
 JOY = 0x0CFF1028
 
 
+def test_a_kept_recorder_log_holds_each_repeated_payload_once() -> None:
+    # every fleet node sends a payload equal to its latest as that object
+    log = run_scenario(make_scenario(duration_s=2.0, outputs={"captures": {"vehicle0": "v.log"}})).captures["vehicle0"]
+    payloads = {}
+    for _, can_id, data in log.rows():
+        payloads.setdefault(can_id, []).append(data)
+    engine = payloads[0x0CF00400]  # EEC1, a fixed engine speed
+    assert len(engine) > 1 and len({id(data) for data in engine}) == 1
+
+
 def test_summary_shape_and_consistency() -> None:
     result = run_scenario(make_scenario(duration_s=2.0, outputs={"captures": {"operator0": "operator0.log"}}))
     summary = result.summary
