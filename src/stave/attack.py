@@ -25,13 +25,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bus import CanBus, NodeHandle
-from .capture import CaptureLog
+from .capture import RADIO_ID, CaptureLog
 from .errors import BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int, shown
-from .j1939 import MAX_CAN_ID, MAX_PGN, CanFrame, _valid_frame, pgn_of
+from .j1939 import MAX_CAN_ID, MAX_DLC, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
-from .radio import RadioConfig, RadioMedium, _valid_packet, hop_channel, packet_frame
+from .radio import MAX_CHANNEL, SEQ_MASK, RadioConfig, RadioMedium, _valid_packet, hop_channel, packet_frame
 # Not called here: the analyses verify packets with packet_frame. The name stays
 # bound because perfbench/tracer.py patches decapsulate at this lookup site.
 from .radio import decapsulate  # noqa: F401
@@ -46,8 +46,9 @@ OCCUPANCY_SCHEMA = "stave-occupancy/1"
 def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
     """(timestamp_us, can_id, data) of each frame in a capture: a CAN record's
     own, a radio record's through packet_frame, which skips failed packets."""
+    radio = RADIO_ID
     for timestamp_us, can_id, data in capture.rows():
-        if can_id < 0:  # a radio record
+        if can_id == radio:
             try:
                 can_id, data = packet_frame(data)
             except DecapsulationError:
@@ -61,7 +62,8 @@ def channel_occupancy(capture: CaptureLog, name: str) -> dict:
 
     Counts radio records only; CAN records have no channel.
     """
-    counts = Counter(data[2] for _, can_id, data in capture.rows() if can_id < 0 and len(data) > 2)
+    radio = RADIO_ID
+    counts = Counter(data[2] for _, can_id, data in capture.rows() if can_id == radio and len(data) > 2)
     return {
         "schema": OCCUPANCY_SCHEMA,
         "capture": name,
@@ -172,7 +174,7 @@ class Mutation:
     operand: int
 
     def __post_init__(self):
-        check_int(ConfigurationError, "mutation byte offset", self.byte_offset, 0, 7)
+        check_int(ConfigurationError, "mutation byte offset", self.byte_offset, 0, MAX_DLC - 1)
         if self.rule not in ("reflect", "const", "add"):
             raise ConfigurationError(f"unknown mutation rule {shown(self.rule)}")
         # add wraps modulo 256, so any integer is an operand
@@ -272,12 +274,7 @@ def plan_replay(
     # the last entry's frame and the captured payload it was built from;
     # an equal frame after it reuses it
     frame = captured = None
-    for ts, can_id, data in capture.rows():
-        if can_id < 0:  # a radio record: its frame, skipped when the packet fails, as in _frame_rows
-            try:
-                can_id, data = packet_frame(data)
-            except DecapsulationError:
-                continue
+    for ts, can_id, data in _frame_rows(capture):
         hit = selected.get(can_id)
         if hit is None:
             hit = selected[can_id] = match.matches(can_id)
@@ -317,7 +314,7 @@ class ChannelStrategy:
     def __post_init__(self):
         if self.mode not in ("fixed", "follow_hops"):
             raise ConfigurationError(f"channel strategy {shown(self.mode)} must be fixed or follow_hops")
-        check_int(ConfigurationError, "channel", self.channel, 0, 255)
+        check_int(ConfigurationError, "channel", self.channel, 0, MAX_CHANNEL)
 
     def channel_for(self, config: RadioConfig, seq: int) -> int:
         if self.mode == "follow_hops":
@@ -359,9 +356,9 @@ class RadioInjector:
         self.stats.delivered += 1
 
     def send_frame(self, frame: CanFrame) -> None:
-        seq = self.seq_sent & 0xFFFF
+        seq = self.seq_sent & SEQ_MASK
         self.seq_sent += 1
-        # channel_for gives a channel in 0..255 and seq is masked to 16 bits
+        # channel_for gives a channel in 0..MAX_CHANNEL, and seq is masked
         channel = self.strategy.channel_for(self.medium.config, seq)
         self.stats.sent += 1
         self.medium.transmit(_valid_packet(channel, seq, frame), sender=self)

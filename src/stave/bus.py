@@ -24,7 +24,7 @@ from .errors import (
     check_int,
     shown,
 )
-from .j1939 import CanFrame, _valid_frame
+from .j1939 import MAX_DLC, CanFrame, _valid_frame
 from .sim import US_PER_SECOND, SimClock
 
 # each BusConfig field with its range (inclusive; None is unbounded)
@@ -99,7 +99,7 @@ class CanBus:
         self._waiting = 0  # frames in all queues together
         self._claimed = False  # an arbitration is queued or a frame is on the wire
         self._on_wire: tuple[NodeHandle, CanFrame] | None = None  # (sender, frame)
-        self._frame_us = [self.config.frame_time_us(dlc) for dlc in range(9)]  # by dlc
+        self._frame_us = [self.config.frame_time_us(dlc) for dlc in range(MAX_DLC + 1)]  # by dlc
         self._frames_delivered = 0
         self._busy_us = 0
 

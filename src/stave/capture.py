@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .errors import CaptureError, MonotonicityError, ParseError, check_bytes, check_int, shown
-from .j1939 import MAX_CAN_ID
+from .j1939 import MAX_CAN_ID, MAX_DLC
 
 # The grammar of one line, LF included. Groups: seconds, fraction,
 # interface, then a CAN record's identifier and payload digits or a radio
@@ -81,8 +81,8 @@ class CaptureRecord:
                 raise CaptureError("radio record needs packet bytes")
         else:
             check_int(CaptureError, "can record can_id", self.can_id, 0, MAX_CAN_ID)
-            if len(self.data) > 8:
-                raise CaptureError("can record payload exceeds 8 bytes")
+            if len(self.data) > MAX_DLC:
+                raise CaptureError(f"can record payload exceeds {MAX_DLC} bytes")
 
 
 def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> str:
@@ -215,6 +215,7 @@ class CaptureLog:
         last_payload: dict[int, bytes] = {}  # the latest payload of up to SHARED_IDS identifiers
         match = _LINE_RE.match
         fromhex = bytes.fromhex
+        max_digits = 2 * MAX_DLC
         pos, end = 0, len(text)
         # every break leaves the loop at a line the grammar or a limit refused,
         # and so does a stamp past MAX_TIMESTAMP_US, overflowing its column
@@ -226,7 +227,7 @@ class CaptureLog:
                 seconds, fraction, interface, can_hex, digits, packet = m.groups()
                 if can_hex is not None:
                     can_id = int(can_hex, 16)
-                    if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > 16:
+                    if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > max_digits:
                         break
                     data = fromhex(digits)
                     kept = last_payload.get(can_id)

@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
 from .errors import ConfigurationError, check_int, shown
-from .j1939 import MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id, pgn_of
+from .j1939 import (ADDRESS_FIELDS, MAX_DLC, MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id,
+                     pgn_of)
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -58,8 +59,8 @@ PLANT_FIELDS = {"engine_rpm": (0.0, 8031.875), "machine_voltage": (0.0, 3276.7)}
 # (inclusive; None is unbounded)
 CATALOG_FIELDS = {
     "pgn": (0, MAX_PGN),
-    "source_address": (0, 255),
-    "priority": (0, 7),
+    "source_address": ADDRESS_FIELDS["source_address"],
+    "priority": ADDRESS_FIELDS["priority"],
     "cycle_ms": (1, None),
 }
 
@@ -220,7 +221,7 @@ class VehicleObservables:
     machine_voltage: float
 
 
-def _pad(defined: bytes, total: int = 8) -> bytes:
+def _pad(defined: bytes, total: int = MAX_DLC) -> bytes:
     return defined + b"\xff" * (total - len(defined))
 
 
@@ -259,7 +260,7 @@ class _Node:
         if data != self.last_payload:  # else send the equal latest one, so logs share it
             self.last_payload = data
         # the identifier comes from the validated catalog and every payload
-        # here is 8 bytes, so the frame is valid without re-checking it
+        # here is _pad's MAX_DLC bytes, so the frame is valid without re-checking it
         self.bus.submit(self.handle, _valid_frame(self.can_id, self.last_payload, 0))
 
 

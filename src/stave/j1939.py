@@ -28,6 +28,7 @@ from .errors import (AddressError, FrameError, IdentifierError, SignalError, che
 MAX_CAN_ID = (1 << 29) - 1
 MAX_PGN = (1 << 18) - 1
 PDU2_THRESHOLD = 240
+MAX_DLC = 8  # the most payload bytes a CAN 2.0B frame carries
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class CanFrame:
         check_int(FrameError, "can_id", self.can_id, 0, MAX_CAN_ID)
         if type(self.data) is not bytes:
             object.__setattr__(self, "data", check_bytes(FrameError, "data", self.data))
-        if len(self.data) > 8:
-            raise FrameError(f"payload of {len(self.data)} bytes exceeds dlc 8")
+        if len(self.data) > MAX_DLC:
+            raise FrameError(f"payload of {len(self.data)} bytes exceeds dlc {MAX_DLC}")
         check_int(FrameError, "timestamp_us", self.timestamp_us, 0)
 
     @property
@@ -72,6 +73,11 @@ def _valid_frame(can_id: int, data: bytes, timestamp_us: int) -> CanFrame:
     return frame
 
 
+# each J1939Address field with its range (inclusive), from its width in the identifier
+ADDRESS_FIELDS = {"priority": (0, 7), "pdu_format": (0, 255), "pdu_specific": (0, 255), "source_address": (0, 255),
+                  "edp": (0, 1), "dp": (0, 1)}
+
+
 @dataclass(frozen=True)
 class J1939Address:
     """Decomposed form of a 29-bit identifier.
@@ -88,16 +94,8 @@ class J1939Address:
     dp: int = 0
 
     def __post_init__(self):
-        checks = (
-            ("priority", self.priority, 7),
-            ("pdu_format", self.pdu_format, 255),
-            ("pdu_specific", self.pdu_specific, 255),
-            ("source_address", self.source_address, 255),
-            ("edp", self.edp, 1),
-            ("dp", self.dp, 1),
-        )
-        for name, value, hi in checks:
-            check_int(AddressError, name, value, 0, hi)
+        for key, (lo, hi) in ADDRESS_FIELDS.items():
+            check_int(AddressError, key, getattr(self, key), lo, hi)
 
     @property
     def pgn(self) -> int:
@@ -135,7 +133,7 @@ class J1939Address:
                 raise AddressError(f"PDU1 pgn 0x{pgn:05X} must have a zero low byte")
             if destination is None:
                 raise AddressError(f"pgn 0x{pgn:05X} is destination-addressed; destination required")
-            ps = check_int(AddressError, "destination", destination, 0, 255)
+            ps = check_int(AddressError, "destination", destination, *ADDRESS_FIELDS["pdu_specific"])
         else:
             if destination is not None:
                 raise AddressError(f"pgn 0x{pgn:05X} is broadcast; destination must not be supplied")
@@ -199,8 +197,8 @@ class ScaledSignal:
 
     def __post_init__(self):
         check_int(SignalError, "width_bytes", self.width_bytes, 1, 2)
-        # the signal ends at byte 7 at the latest
-        check_int(SignalError, "byte_offset", self.byte_offset, 0, 8 - self.width_bytes)
+        # the signal ends at the last payload byte at the latest
+        check_int(SignalError, "byte_offset", self.byte_offset, 0, MAX_DLC - self.width_bytes)
         if check_real(SignalError, "scale", self.scale) <= 0:
             raise SignalError(f"scale {shown(self.scale)} must be positive")
         check_bool(SignalError, "signed", self.signed)

@@ -47,12 +47,14 @@ from .errors import (
     check_real,
     shown,
 )
-from .j1939 import MAX_CAN_ID, CanFrame
+from .j1939 import MAX_CAN_ID, MAX_DLC, CanFrame
 from .sim import SimClock
 
 SYNC = b"\xa5\x5a"
 FLAG_EXTENDED_ID = 0x01
 MIN_PACKET_SIZE = 14  # dlc 0
+MAX_CHANNEL = 255  # the channel byte's range is 0..MAX_CHANNEL
+SEQ_MASK = 0xFFFF  # seq is 16 bits: senders count modulo 2**16
 # bytes 2 .. 11: channel, seq, flags, len, can_id, dlc
 _HEADER = struct.Struct(">BHBBIB")
 
@@ -70,7 +72,7 @@ MASK64 = (1 << 64) - 1  # the hop seed's range and the mixer's modulus
 _GOLDEN = 0x9E3779B97F4A7C15
 # the RadioConfig fields bounded on both sides, with their ranges (inclusive);
 # latency_us is only bounded below, and a scenario's latency_s by its time limit
-RADIO_FIELDS = {"num_channels": (1, 256), "hop_seed": (0, MASK64), "loss_probability": (0.0, 1.0)}
+RADIO_FIELDS = {"num_channels": (1, MAX_CHANNEL + 1), "hop_seed": (0, MASK64), "loss_probability": (0.0, 1.0)}
 
 
 def _mix64(x: int) -> int:
@@ -128,8 +130,8 @@ class RadioPacket:
     frame: CanFrame
 
     def __post_init__(self):
-        check_int(ConfigurationError, "channel", self.channel, 0, 255)
-        check_int(ConfigurationError, "seq", self.seq, 0, 0xFFFF)
+        check_int(ConfigurationError, "channel", self.channel, 0, MAX_CHANNEL)
+        check_int(ConfigurationError, "seq", self.seq, 0, SEQ_MASK)
 
     def to_bytes(self) -> bytes:
         frame = self.frame
@@ -174,7 +176,7 @@ def packet_frame(buf: bytes) -> tuple[int, bytes]:
     _, _, flags, length, can_id, dlc = _HEADER.unpack_from(buf, 2)
     if length != size - 9:
         raise LengthError(f"len byte {length} disagrees with a {size}-byte packet")
-    if dlc != length - 5 or dlc > 8:
+    if dlc != length - 5 or dlc > MAX_DLC:
         raise LengthError(f"dlc {dlc} inconsistent with len byte {length}")
     if flags != FLAG_EXTENDED_ID:
         raise FramingError(f"unsupported flags byte 0x{flags:02X}")
@@ -323,8 +325,8 @@ class BridgeEndpoint:
         self.handle: NodeHandle = bus.attach(name, self._on_bus_frame)
 
     def _on_bus_frame(self, frame: CanFrame) -> None:
-        seq = self.seq_sent & 0xFFFF
+        seq = self.seq_sent & SEQ_MASK
         self.seq_sent += 1
-        # hop_channel is below num_channels <= 256 and seq is masked to 16 bits
+        # hop_channel is below num_channels <= MAX_CHANNEL + 1, and seq is masked
         packet = _valid_packet(hop_channel(self.medium.config, seq), seq, frame)
         self.medium.transmit(packet, sender=self)

@@ -111,10 +111,7 @@ class _Recorder(CapturePoint):
         bus.attach("recorder", on_frame=self._on_frame)
 
     def _on_frame(self, frame) -> None:
-        if self.sinks:
-            self.observe(frame.timestamp_us, frame.data, frame.can_id)
-        else:  # no log keeps this segment: count only
-            self.seen += 1
+        self.observe(frame.timestamp_us, frame.data, frame.can_id)
 
 
 @dataclass
