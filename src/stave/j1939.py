@@ -73,9 +73,11 @@ def _valid_frame(can_id: int, data: bytes, timestamp_us: int) -> CanFrame:
     return frame
 
 
-# each J1939Address field with its range (inclusive), from its width in the identifier
+# each J1939Address field with its range (inclusive): 0 up to all ones over its width, which is its mask
 ADDRESS_FIELDS = {"priority": (0, 7), "pdu_format": (0, 255), "pdu_specific": (0, 255), "source_address": (0, 255),
                   "edp": (0, 1), "dp": (0, 1)}
+# each field's lowest bit in the 29-bit identifier (see the layout above)
+_ID_SHIFTS = {"priority": 26, "edp": 25, "dp": 24, "pdu_format": 16, "pdu_specific": 8, "source_address": 0}
 
 
 @dataclass(frozen=True)
@@ -151,14 +153,7 @@ class J1939Address:
 def decode_id(can_id: int) -> J1939Address:
     """Slice a 29-bit identifier into its address fields."""
     check_int(IdentifierError, "identifier", can_id, 0, MAX_CAN_ID)
-    return J1939Address(
-        priority=(can_id >> 26) & 0x7,
-        edp=(can_id >> 25) & 0x1,
-        dp=(can_id >> 24) & 0x1,
-        pdu_format=(can_id >> 16) & 0xFF,
-        pdu_specific=(can_id >> 8) & 0xFF,
-        source_address=can_id & 0xFF,
-    )
+    return J1939Address(**{key: can_id >> shift & ADDRESS_FIELDS[key][1] for key, shift in _ID_SHIFTS.items()})
 
 
 def pgn_of(can_id: int) -> int:
@@ -170,14 +165,7 @@ def pgn_of(can_id: int) -> int:
 
 def encode_id(address: J1939Address) -> int:
     """Pack address fields back into a 29-bit identifier."""
-    return (
-        (address.priority << 26)
-        | (address.edp << 25)
-        | (address.dp << 24)
-        | (address.pdu_format << 16)
-        | (address.pdu_specific << 8)
-        | address.source_address
-    )
+    return sum(getattr(address, key) << shift for key, shift in _ID_SHIFTS.items())
 
 
 @dataclass(frozen=True)
@@ -232,7 +220,7 @@ class ScaledSignal:
             raise SignalError(
                 f"value {shown(value)} maps to raw {raw}, the not-available sentinel"
             )
-        return (raw & ((1 << (8 * self.width_bytes)) - 1)).to_bytes(self.width_bytes, "little")
+        return raw.to_bytes(self.width_bytes, "little", signed=self.signed)
 
 
 def read_signal(frame: CanFrame, signal: ScaledSignal) -> float | None:
@@ -243,11 +231,7 @@ def read_signal(frame: CanFrame, signal: ScaledSignal) -> float | None:
         raise SignalError(
             f"signal bytes {signal.byte_offset}..{end - 1} outside dlc {frame.dlc}"
         )
-    raw = int.from_bytes(frame.data[signal.byte_offset:end], "little")
-    if signal.not_available_raw is not None and raw == signal.not_available_raw:
+    raw = int.from_bytes(frame.data[signal.byte_offset:end], "little", signed=signal.signed)
+    if raw == signal.not_available_raw:  # a signed signal has none
         return None
-    if signal.signed:
-        bits = 8 * signal.width_bytes
-        if raw >= 1 << (bits - 1):
-            raw -= 1 << bits
     return raw * signal.scale
