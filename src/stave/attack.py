@@ -26,7 +26,8 @@ from typing import Iterator
 
 from .bus import CanBus, NodeHandle
 from .capture import RADIO_ID, CaptureLog
-from .errors import BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int, shown
+from .errors import (INT_TEXT, BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int, int_text,
+                     shown)
 from .j1939 import MAX_CAN_ID, MAX_DLC, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
@@ -162,7 +163,7 @@ class MessageMatch:
         return pgn_of(can_id) == self.pgn
 
 
-_MUTATION_RE = re.compile(r"^byte([0-9]+)=(reflect|const|add)\((-?(?:0[xX][0-9a-fA-F]+|[0-9]+))\)$")
+_MUTATION_RE = re.compile(rf"^byte([0-9]+)=(reflect|const|add)\(({INT_TEXT})\)$")
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ class Mutation:
             )
         offset, rule, operand = m.groups()
         try:
-            return cls(byte_offset=int(offset), rule=rule, operand=int(operand, 0))
+            return cls(byte_offset=int(offset), rule=rule, operand=int_text(operand))
         except ValueError:
             raise ConfigurationError(
                 f"cannot parse mutation {shown(text)}; a decimal number has a leading zero or too many digits"

@@ -19,7 +19,7 @@ import sys
 from .attack import (MessageMatch, Mutation, TIMING_MODES, TIMING_PRESERVE, channel_occupancy, diff_captures,
                      plan_replay)
 from .capture import CaptureLog
-from .errors import ConfigurationError, ScenarioValidationError, StaveError, shown
+from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, shown
 from .runner import json_text, run_scenario, write_json
 from .scenario import load_scenario
 
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and write its outputs")
     p_run.add_argument("scenario", help="scenario JSON file")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", default=None, metavar="N",
                        help="override the scenario seed (flag wins over file)")
     p_run.add_argument("--out", default=".", metavar="DIR",
                        help="directory for declared outputs (default: current directory)")
@@ -81,7 +81,7 @@ def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         try:
-            scenario = scenario.with_seed(args.seed)
+            scenario = scenario.with_seed(_flag("--seed", int_text, args.seed))
         except ScenarioValidationError as exc:  # located at the document's seed, which the flag replaces
             raise ScenarioValidationError([f"--{error}" for error in exc.errors]) from None
     bed = run_scenario(scenario, out_dir=args.out)
@@ -109,10 +109,10 @@ def _cmd_occupancy(args) -> int:
 
 
 def _flag(flag: str, build, text: str):
-    """build(text), where a number in text is decimal or 0x hex; any error names the flag."""
+    """build(text), where a number in text is read by errors.int_text; any error names the flag."""
     try:
         return build(text)
-    except ValueError:  # from int()
+    except ValueError:  # from int_text
         raise ConfigurationError(f"{flag}: expected an integer, got {shown(text)}") from None
     except ConfigurationError as exc:
         raise ConfigurationError(f"{flag}: {exc}") from None
@@ -121,9 +121,9 @@ def _flag(flag: str, build, text: str):
 def _cmd_replay_plan(args) -> int:
     log = CaptureLog.load(args.capture)
     if args.match_pgn is not None:
-        match = _flag("--match-pgn", lambda text: MessageMatch(pgn=int(text, 0)), args.match_pgn)
+        match = _flag("--match-pgn", lambda text: MessageMatch(pgn=int_text(text)), args.match_pgn)
     else:
-        match = _flag("--match-id", lambda text: MessageMatch(can_id=int(text, 0)), args.match_id)
+        match = _flag("--match-id", lambda text: MessageMatch(can_id=int_text(text)), args.match_id)
     mutation = None if args.mutate is None else _flag("--mutate", Mutation.parse, args.mutate)
     schedule = plan_replay(log, match, mutation, args.timing)
     _write_or_print(schedule.to_json_dict(), args.out)

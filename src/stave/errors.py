@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the one rule for each
+"""Exception types shared across the package, the one rule for each
 kind of field of every public constructor: integer, real number, bytes
-and bool."""
+and bool, and the one grammar of an integer written as text."""
 
 import math
+import re
 
 
 class StaveError(Exception):
@@ -113,6 +114,17 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """Whether value is a finite real number: an int or a finite float, not a bool."""
     return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+# an integer as text (a flag, a scenario hex field, a mutation operand): optional minus, ASCII decimal or 0x hex
+INT_TEXT = r"-?(?:0[xX][0-9a-fA-F]+|[0-9]+)"
+
+
+def int_text(text: str) -> int:
+    """The integer text writes in INT_TEXT's grammar; ValueError if it does not, or if int() refuses it."""
+    if re.fullmatch(INT_TEXT, text) is None:
+        raise ValueError(f"not an integer: {shown(text)}")
+    return int(text, 0)
 
 
 def check_int(error: type[StaveError], name: str, value, lo: int | None = None,

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 
 from .bus import CanBus, NodeHandle
 from .errors import ConfigurationError, check_int, shown
-from .j1939 import (ADDRESS_FIELDS, MAX_DLC, MAX_PGN, CanFrame, J1939Address, ScaledSignal, _valid_frame, encode_id,
-                     pgn_of)
+from .j1939 import (ADDRESS_FIELDS, MAX_DLC, MAX_PGN, PDU2_THRESHOLD, CanFrame, J1939Address, ScaledSignal,
+                     _valid_frame, encode_id, pgn_of)
 # Not called here: the ECUs read a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
@@ -114,7 +114,7 @@ class MessageCatalog:
                     f"both use pgn 0x{spec.pgn:04X}"
                 )
             seen_pgns[spec.pgn] = spec.name
-            spec.can_id  # a destination-addressed (PDU1) pgn has no broadcast id
+            check_broadcast(spec.name, spec.pgn)
 
     def with_overrides(self, overrides: dict[str, dict]) -> "MessageCatalog":
         """New catalog with per-message field overrides applied."""
@@ -221,8 +221,8 @@ class VehicleObservables:
     machine_voltage: float
 
 
-def _pad(defined: bytes, total: int = MAX_DLC) -> bytes:
-    return defined + b"\xff" * (total - len(defined))
+def _pad(defined: bytes) -> bytes:
+    return defined + b"\xff" * (MAX_DLC - len(defined))
 
 
 class _Node:
@@ -401,6 +401,12 @@ def check_cycle(message: str, cycle_ms: int | None) -> None:
     only (ON_DEMAND) a cycle: no node would ever send on it."""
     if cycle_ms is not None and message in ON_DEMAND:
         raise ConfigurationError(f"{message} is sent on demand only, so it takes no cycle, got {shown(cycle_ms)}")
+
+
+def check_broadcast(message: str, pgn: int) -> None:
+    """Raise ConfigurationError when a catalog gives a message a PDU1 pgn: catalog messages have no destination."""
+    if (pgn >> 8) & 0xFF < PDU2_THRESHOLD:
+        raise ConfigurationError(f"{message} needs a broadcast pgn (PDU format >= 240), got 0x{pgn:05X}")
 
 
 class Fleet:

@@ -51,9 +51,9 @@ from .attack import (MATCH_FIELDS, ChannelStrategy, MessageMatch, Mutation, TIMI
                      TIMING_PRESERVE)
 from .bus import BUS_FIELDS, BusConfig
 from .capture import valid_interface
-from .errors import ConfigurationError, ScenarioValidationError, StaveError, is_int, is_real, shown
+from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, is_int, is_real, shown
 from .fleet import (CATALOG_FIELDS, PLANT_FIELDS, SCRIPT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry,
-                    check_cycle)
+                    check_broadcast, check_cycle)
 from .radio import RADIO_FIELDS, RadioConfig
 from .sim import us_from_seconds
 
@@ -241,10 +241,10 @@ class _Check:
 
 
 def _hex(value):
-    """A string such as "0xFF10" as its integer; any other value as it is."""
+    """A string such as "0xFF10" as its integer (errors.int_text); any other value as it is."""
     if isinstance(value, str):
         try:
-            return int(value, 0)
+            return int_text(value)
         except ValueError:
             pass
     return value
@@ -563,18 +563,19 @@ def validate_scenario(doc: dict) -> Scenario:
         path = f"fleet.catalog.{name}"
         overrides[name] = {}
         for key, value in check.section(path, fields, CATALOG_FIELDS.keys()).items():
-            if key not in CATALOG_FIELDS:
-                continue
-            if key == "cycle_ms":
-                try:
-                    check_cycle(name, value)
-                except ConfigurationError as exc:
-                    check.add(f"{path}.{key}", str(exc))
-                    continue
             # a null cycle_ms ("not broadcast on a cycle") passes; any other null is absent
-            if (key == "cycle_ms" and value is None
-                    or check.integer(f"{path}.{key}", value, *CATALOG_FIELDS[key]) is not None):
-                overrides[name][key] = value
+            if key not in CATALOG_FIELDS or not (key == "cycle_ms" and value is None) \
+                    and check.integer(f"{path}.{key}", value, *CATALOG_FIELDS[key]) is None:
+                continue
+            try:  # then the message's own rule for the field; a rejected value is left out of the overrides
+                if key == "cycle_ms":
+                    check_cycle(name, value)
+                elif key == "pgn":
+                    check_broadcast(name, value)
+            except ConfigurationError as exc:
+                check.add(f"{path}.{key}", str(exc))
+                continue
+            overrides[name][key] = value
     try:
         catalog = catalog.with_overrides(overrides)
     except StaveError as exc:

@@ -36,6 +36,7 @@ from stave import (
     schedule_injection,
 )
 from stave.capture import CapturePoint
+from stave.errors import int_text
 from stave.j1939 import MAX_CAN_ID
 
 
@@ -389,6 +390,20 @@ def test_mutation_touches_only_its_byte() -> None:
 def test_mutation_parse_rejects(text: str) -> None:
     with pytest.raises(ConfigurationError):
         Mutation.parse(text)
+
+
+@pytest.mark.parametrize("operand", ["7", "-7", "0x1F", "-0X1f", "07", "0x", "\u0663", "0b11", "0o3", "1_0", "+3",
+                                     " 3"])
+def test_mutation_operand_takes_the_one_integer_grammar(operand: str) -> None:
+    try:
+        want = int_text(operand)
+    except ValueError:
+        want = None
+    try:
+        got = Mutation.parse(f"byte0=add({operand})").operand
+    except ConfigurationError:
+        got = None
+    assert got == want
 
 
 # digit runs: short ones that mix in non-ASCII digits, and ASCII ones around

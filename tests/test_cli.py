@@ -54,6 +54,11 @@ def test_run_seed_flag_overrides_file(tmp_path, scenario_path, capsys) -> None:
     assert json.loads(capsys.readouterr().out)["seed"] == 99
 
 
+def test_run_seed_flag_takes_hex(tmp_path, scenario_path, capsys) -> None:
+    main(["run", str(scenario_path), "--seed", "0x63", "--out", str(tmp_path / "a")])
+    assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+
 def test_run_seed_flag_is_checked_like_the_file_seed(tmp_path, scenario_path, capsys) -> None:
     assert main(["run", str(scenario_path), "--seed", "-7", "--out", str(tmp_path / "a")]) == 2
     assert capsys.readouterr().err == "error: --seed: must be >= 0, got -7\n"
@@ -184,6 +189,7 @@ def test_unreadable_input_file_is_one_located_error(tmp_path, capsys, monkeypatc
 # a scenario or capture file, a command on it (FILE: the file) and the one
 # error line it prints, naming the field or the flag at fault
 CAPTURE = b"(0.000000) vehicle0 0CFF1028#01\n"
+SCENARIO = b'{"schema": "stave-scenario/1", "seed": 0, "duration_s": 0.1}'
 BAD_VALUES = {
     "nul-in-output-path": (b'{"schema": "stave-scenario/1", "seed": 0, "duration_s": 0.1, '
                            b'"outputs": {"summary": "a\\u0000b.json"}}',
@@ -199,6 +205,12 @@ BAD_VALUES = {
                                    "(5011 characters); a decimal number has a leading zero or too many digits"),
     "bad-hex-match-pgn": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "0xZZ"],
                           "--match-pgn: expected an integer, got '0xZZ'"),
+    # flags take the one integer grammar (errors.int_text): ASCII decimal or 0x hex
+    "non-ascii-match-pgn": (CAPTURE, ["replay-plan", "FILE", "--match-pgn", "\u0666\u0665\u0662\u0669\u0666"],
+                            "--match-pgn: expected an integer, got '\u0666\u0665\u0662\u0669\u0666'"),
+    "non-ascii-seed": (SCENARIO, ["run", "FILE", "--seed", "\u0663", "--out", "out"],
+                       "--seed: expected an integer, got '\u0663'"),
+    "text-seed": (SCENARIO, ["run", "FILE", "--seed", "x", "--out", "out"], "--seed: expected an integer, got 'x'"),
     "5000-digit-match-id": (CAPTURE, ["replay-plan", "FILE", "--match-id", "1" * 5000],
                             f"--match-id: expected an integer, got {'1' * 100!r}... (5000 characters)"),
     # hex converts at any length, but the value has too many digits to print

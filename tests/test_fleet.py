@@ -56,6 +56,12 @@ def test_catalog_rejects_pgn_collisions() -> None:
         MessageCatalog().with_overrides({"JOY1": {"pgn": 0xFF11}})
 
 
+def test_catalog_rejects_a_destination_addressed_pgn() -> None:
+    with pytest.raises(ConfigurationError) as raised:
+        MessageCatalog().with_overrides({"JOY1": {"pgn": 0xEF00}})
+    assert str(raised.value) == "JOY1 needs a broadcast pgn (PDU format >= 240), got 0x0EF00"
+
+
 def test_catalog_override_cycle() -> None:
     catalog = MessageCatalog().with_overrides({"JOY1": {"cycle_ms": 20}})
     assert catalog["JOY1"].cycle_ms == 20

@@ -3,7 +3,7 @@
 import copy
 
 import pytest
-from conftest import MALFORMED_SECTIONS, SCENARIOS_DIR, TIME_FIELDS, load_fixture, make_scenario
+from conftest import MALFORMED_SECTIONS, REPLAY, SCENARIOS_DIR, TIME_FIELDS, load_fixture, make_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +112,22 @@ def test_fleet_catalog_errors_carry_paths() -> None:
                       "fleet.catalog.PWR1.pgn: must be <= 262143, got 262144",
                       "fleet.catalog.PWR1.priority: must be <= 7, got 8",
                       "fleet.catalog.STR1.cycle_ms: must be >= 1, got 0"]
+    # a catalog message is broadcast and has no destination, so a PDU1 pgn is the field's fault
+    errors = errors_for(fleet={"catalog": {"JOY1": {"pgn": 0xEF00}, "PWR1": {"pgn": 0xEF01}}})
+    assert errors == ["fleet.catalog.JOY1.pgn: JOY1 needs a broadcast pgn (PDU format >= 240), got 0x0EF00",
+                      "fleet.catalog.PWR1.pgn: PWR1 needs a broadcast pgn (PDU format >= 240), got 0x0EF01"]
+
+
+# strings that int(text, 0) reads but the one integer grammar (errors.int_text) does
+# not: non-ASCII digits, 0b and 0o prefixes, a space, a plus sign and underscores
+@pytest.mark.parametrize("sections, path, text", [
+    *(({"taps": [{"name": "air", "channels": [text]}]}, "taps[0].channels[0]", text)
+      for text in ("\u0663", "0b11", "0o3", " 3", "+3")),
+    *(({"attacks": [{**REPLAY, "match": {"pgn": text}}]}, "attacks[0].match.pgn", text)
+      for text in ("0x_FF10", "6_5296")),
+])
+def test_hex_fields_take_the_one_integer_grammar(sections, path, text) -> None:
+    assert errors_for(**sections) == [f"{path}: expected an integer, got {text!r}"]
 
 
 def test_null_catalog_fields_keep_the_catalog_default() -> None:
