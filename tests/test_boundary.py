@@ -343,9 +343,10 @@ def test_json_files_are_written_by_write_json() -> None:
 
 
 def literal_bounds(source: str) -> list[str]:
-    """Each lo or hi bound given to a _Check method (integer, number, seconds) that
-    holds a numeric literal, or a module-level name bound to one, as
-    "<method>(<path>, <bound>)"."""
+    """Each literal bound in source, as "<function>(<name or path>, <bound>)": a lo or hi
+    given to a _Check method (integer, number, seconds) that holds a numeric literal, or a
+    module-level name bound to one; and a lo or hi given to check_int or check_real that is
+    a bare numeric literal other than 0."""
     tree = ast.parse(source)
 
     def numbers(node) -> bool:
@@ -357,6 +358,16 @@ def literal_bounds(source: str) -> list[str]:
     def literal(node) -> bool:
         return numbers(node) or any(isinstance(n, ast.Name) and n.id in constants for n in ast.walk(node))
 
+    def bare(node) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value != 0
+
+    def spread(args) -> list:
+        """args with each *(a, b) written out as a, b."""
+        return [e for a in args for e in (a.value.elts if isinstance(a, ast.Starred)
+                                          and isinstance(a.value, ast.Tuple) else [a])]
+
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
@@ -365,6 +376,13 @@ def literal_bounds(source: str) -> list[str]:
             bounds += [f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords
                        if k.arg in ("lo", "hi") and literal(k.value)]
             found += [f"{node.func.attr}({ast.unparse(node.args[0])}, {bound})" for bound in bounds]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("check_int", "check_real"):
+            # after the error type, the name and the value
+            bounds = [ast.unparse(arg) for arg in spread(node.args[3:]) if bare(arg)]
+            bounds += [f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords
+                       if k.arg in ("lo", "hi") and bare(k.value)]
+            found += [f"{node.func.id}({ast.unparse(node.args[1])}, {bound})" for bound in bounds]
     return found
 
 
@@ -381,6 +399,20 @@ def test_guard_sees_a_literal_bound(source, found) -> None:
     assert literal_bounds(source) == found
 
 
+@pytest.mark.parametrize("source, found", [
+    ('check_int(E, "channel", v, 0, 255)', ["check_int('channel', 255)"]),
+    ('check_int(E, "dlc", v, 1, 0x8)', ["check_int('dlc', 1)", "check_int('dlc', 8)"]),
+    ('check_real(E, "p", v, hi=1.0)', ["check_real('p', hi=1.0)"]),
+    ('check_int(E, "n", v, -1)', ["check_int('n', -1)"]), ('check_int(E, "n", v, *(0, 7))', ["check_int('n', 7)"]),
+    ('check_int(E, "t", v, 0)', []), ('check_int(E, "seq", v, 0, SEQ_MASK)', []),
+    ('check_int(E, "offset", v, 0, MAX_DLC - 1)', []), ('check_int(E, "t", v, last_t + 1)', []),
+    ('check_int(E, k, v, *ADDRESS_FIELDS[k])', []), ('check_int(E, k, v, lo, hi)', []),
+    ('LIMIT = 7\ncheck_int(E, "n", v, 0, LIMIT)', []),
+])
+def test_guard_sees_a_literal_constructor_bound(source, found) -> None:
+    assert literal_bounds(source) == found
+
+
 # the only literal bounds scenario.py may give _Check: limits of the document
 # alone, which no constructor checks
 SCENARIO_OWN_BOUNDS = {
@@ -388,9 +420,18 @@ SCENARIO_OWN_BOUNDS = {
     "seconds('duration_s', lo=1e-06)": "a run lasts at least one microsecond tick; no constructor takes a duration",
     "integer('seed', *SEED_RANGE)": "the seed is a document field that with_seed replaces; no constructor takes one",
 }
+# the only bare literal bounds a check_int or check_real call in src/stave may hold:
+# limits of one type alone, which no format or other type shares
+CONSTRUCTOR_OWN_BOUNDS = {
+    "check_int('width_bytes', 1)": "ScaledSignal's own rule: a signal field is one or two bytes wide",
+    "check_int('width_bytes', 2)": "ScaledSignal's own rule: a signal field is one or two bytes wide",
+    "check_int('led command', 255)": "DisplayNode's own rule: an LED command is one bitmask byte",
+}
 
 
-def test_scenario_takes_every_shared_limit_from_its_table() -> None:
-    found = literal_bounds((SRC / "scenario.py").read_text(encoding="utf-8"))
-    assert [bound for bound in found if bound not in SCENARIO_OWN_BOUNDS] == [], \
-        "read the bound from the config type's table (BUS_FIELDS, RADIO_FIELDS, MATCH_FIELDS, ...)"
+def test_every_limit_in_src_is_read_from_its_home() -> None:
+    found = [bound for path in sorted(SRC.glob("*.py")) for bound in literal_bounds(path.read_text(encoding="utf-8"))
+             if bound not in SCENARIO_OWN_BOUNDS and bound not in CONSTRUCTOR_OWN_BOUNDS]
+    assert found == [], \
+        "read the bound from its type's table (BUS_FIELDS, RADIO_FIELDS, ADDRESS_FIELDS, ...) or its format's " \
+        "named limit (MAX_DLC, MAX_CHANNEL, SEQ_MASK, ...)"

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
+from test_golden import ALL_ATTACK_TYPES
 
-from stave import CaptureLog, CaptureRecord, SimClock, channel_occupancy
+from stave import CaptureLog, CaptureRecord, SimClock, channel_occupancy, run_scenario, validate_scenario
 from stave.cli import main
 from stave.runner import json_text
 
@@ -327,6 +328,29 @@ def test_replay_plan_roundtrip(tmp_path, capsys) -> None:
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["entries"]) == 1
     assert doc["entries"][0]["data"] == "00" * 8
+
+
+def test_in_run_reports_equal_the_offline_analyses_of_the_saved_logs(tmp_path, capsys) -> None:
+    run_scenario(validate_scenario(ALL_ATTACK_TYPES), tmp_path)
+    saved = tmp_path / "all"
+    offline = tmp_path / "offline"
+    offline.mkdir()
+    assert main(["diff", str(saved / "pre.log"), str(saved / "post.log"), "--report", str(offline / "d.json")]) == 0
+    assert main(["replay-plan", str(saved / "pre.log"), "--match-pgn", "0xFF10", "--mutate", "byte0=reflect(250)",
+                 "--out", str(offline / "sched.json")]) == 0
+    assert main(["replay-plan", str(saved / "aircap.log"), "--match-id", "0x0CFF1028", "--timing", "fast",
+                 "--out", str(offline / "burst.json")]) == 0
+    for name in ("d", "sched", "burst"):
+        assert (offline / f"{name}.json").read_bytes() == (saved / f"{name}.json").read_bytes(), name
+    # an in-run occupancy report names its capture by the save name, and the
+    # narrow one ran at 2.5 s, before the end of the log the run saved
+    aircap = CaptureLog.load(saved / "aircap.log")
+    assert json_text(channel_occupancy(aircap, "aircap")) == (saved / "occ.json").read_text(encoding="utf-8")
+    narrow = CaptureLog()
+    for record in CaptureLog.load(saved / "narrow.log"):
+        if record.timestamp_us < 2_500_000:
+            narrow.append(record)
+    assert json_text(channel_occupancy(narrow, "narrow")) == (saved / "occ_narrow.json").read_text(encoding="utf-8")
 
 
 def test_replay_plan_rejects_bad_hex(tmp_path, capsys) -> None:
