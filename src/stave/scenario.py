@@ -564,8 +564,8 @@ def validate_scenario(doc: dict) -> Scenario:
         overrides[name] = {}
         for key, value in check.section(path, fields, CATALOG_FIELDS.keys()).items():
             # a null cycle_ms ("not broadcast on a cycle") passes; any other null is absent
-            if key not in CATALOG_FIELDS or not (key == "cycle_ms" and value is None) \
-                    and check.integer(f"{path}.{key}", value, *CATALOG_FIELDS[key]) is None:
+            if key not in CATALOG_FIELDS or (not (key == "cycle_ms" and value is None)
+                                             and check.integer(f"{path}.{key}", value, *CATALOG_FIELDS[key]) is None):
                 continue
             try:  # then the message's own rule for the field; a rejected value is left out of the overrides
                 if key == "cycle_ms":
