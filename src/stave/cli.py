@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario and write its outputs")
     p_run.add_argument("scenario", help="scenario JSON file")
-    p_run.add_argument("--seed", default=None, metavar="N",
+    p_run.add_argument("--seed", default=None,
                        help="override the scenario seed (flag wins over file)")
     p_run.add_argument("--out", default=".", metavar="DIR",
                        help="directory for declared outputs (default: current directory)")

@@ -330,7 +330,7 @@ def test_replay_plan_roundtrip(tmp_path, capsys) -> None:
     assert doc["entries"][0]["data"] == "00" * 8
 
 
-def test_in_run_reports_equal_the_offline_analyses_of_the_saved_logs(tmp_path, capsys) -> None:
+def test_in_run_reports_equal_the_offline_analyses_of_the_saved_logs(tmp_path) -> None:
     run_scenario(validate_scenario(ALL_ATTACK_TYPES), tmp_path)
     saved = tmp_path / "all"
     offline = tmp_path / "offline"
