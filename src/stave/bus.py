@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from .capture import CapturePoint
 from .errors import (
     ArbitrationCollisionError,
     ConfigurationError,
@@ -100,7 +101,8 @@ class CanBus:
         self._claimed = False  # an arbitration is queued or a frame is on the wire
         self._on_wire: tuple[NodeHandle, CanFrame] | None = None  # (sender, frame)
         self._frame_us = [self.config.frame_time_us(dlc) for dlc in range(MAX_DLC + 1)]  # by dlc
-        self._frames_delivered = 0
+        # counts every delivered frame; keeps the ones a caller asks it to
+        self.capture = CapturePoint(name)
         self._busy_us = 0
 
     def attach(self, name: str, on_frame: Callable[[CanFrame], None] | None = None) -> NodeHandle:
@@ -148,7 +150,7 @@ class CanBus:
         now = self.clock.now_us
         self._claimed = False
         self._busy_us += self._frame_us[len(frame.data)]
-        self._frames_delivered += 1
+        self.capture.observe(now, frame.data, frame.can_id)
         # the frame passed submit's checks and now is never negative
         delivered = _valid_frame(frame.can_id, frame.data, now)
         for callback in self._fanout[sender.node_id]:
@@ -167,4 +169,4 @@ class CanBus:
     def stats(self) -> BusStats:
         elapsed = self.clock.now_us
         load = self._busy_us / elapsed if elapsed > 0 else 0.0
-        return BusStats(frames_delivered=self._frames_delivered, bus_load=load)
+        return BusStats(frames_delivered=self.capture.seen, bus_load=load)

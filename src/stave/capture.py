@@ -20,6 +20,7 @@ into its columns with it, and parse_record reads one line.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from array import array
 from dataclasses import dataclass
@@ -166,9 +167,8 @@ class CaptureLog:
     def __iter__(self) -> Iterator[CaptureRecord]:
         return map(_stored_record, self._stamps, self._interfaces, self._ids, self._payloads)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
+    def __getitem__(self, index: int) -> CaptureRecord:
+        index = operator.index(index)  # a log takes no slice: TypeError
         return _stored_record(self._stamps[index], self._interfaces[index],
                               self._ids[index], self._payloads[index])
 
@@ -295,21 +295,19 @@ def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) 
 
 
 class CapturePoint:
-    """A place that observes traffic: a segment recorder or a radio tap.
+    """A place that observes traffic: a bus segment or a radio tap.
 
     It counts every record it sees and hands each one to the logs that
     keep it. ``sinks`` holds (log, start_us, end_us) entries: a log keeps
     the records with start_us <= timestamp_us < end_us. A new point keeps
-    everything in ``log``; a run keeps only what it reads or writes.
-    A segment recorder observes CAN records and a tap radio records.
+    nothing; a run asks it to keep only what the run reads or writes.
+    A segment observes CAN records and a tap radio records.
     """
 
     def __init__(self, interface: str):
         self.interface = interface
-        self.log = CaptureLog()
         self.seen = 0
         self.sinks: list[tuple[CaptureLog, int, float]] = []
-        self.keep(self.log)
 
     def keep(self, log: CaptureLog, start_us: int = 0, end_us: float = math.inf) -> None:
         """Also append the records seen in [start_us, end_us) to log."""

@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
             raise ScenarioValidationError([f"--{error}" for error in exc.errors]) from None
     bed = run_scenario(scenario, out_dir=args.out)
     sys.stdout.write(json_text(bed.summary))
-    for label, path in sorted(bed.written.items()):
+    for label, path in sorted(bed.written):
         print(f"wrote {label}: {path}", file=sys.stderr)
     return 0
 

@@ -98,9 +98,9 @@ class RadioConfig:
     faraday_mode: bool = False
 
     def __post_init__(self):
-        for key, (lo, hi) in RADIO_FIELDS.items():
-            check = check_real if key == "loss_probability" else check_int
-            check(ConfigurationError, key, getattr(self, key), lo, hi)
+        check_int(ConfigurationError, "num_channels", self.num_channels, *RADIO_FIELDS["num_channels"])
+        check_int(ConfigurationError, "hop_seed", self.hop_seed, *RADIO_FIELDS["hop_seed"])
+        check_real(ConfigurationError, "loss_probability", self.loss_probability, *RADIO_FIELDS["loss_probability"])
         check_int(ConfigurationError, "latency_us", self.latency_us, 0)
         check_bool(ConfigurationError, "hopping", self.hopping)
         check_bool(ConfigurationError, "faraday_mode", self.faraday_mode)
@@ -185,9 +185,10 @@ def packet_frame(buf: bytes) -> tuple[int, bytes]:
     return can_id, buf[12:-2]
 
 
-@dataclass(eq=False)
-class Tap(CapturePoint):
-    """Passive radio observer with a channel filter.
+@dataclass(frozen=True)
+class Tap:
+    """The settings of a passive radio observer: its name (its log's
+    interface), its channel filter and its side of the shield.
 
     ``channels`` is a set of channel indices, or None for all-band.
     """
@@ -202,7 +203,7 @@ class Tap(CapturePoint):
         check_bool(ConfigurationError, f"tap {shown(self.name)} inside_faraday", self.inside_faraday)
         if self.channels is not None:
             try:
-                self.channels = frozenset(self.channels)
+                object.__setattr__(self, "channels", frozenset(self.channels))
             except TypeError:
                 raise ConfigurationError(
                     f"tap {shown(self.name)} channels {shown(self.channels)} "
@@ -210,7 +211,6 @@ class Tap(CapturePoint):
                 ) from None
             if not self.channels:
                 raise ConfigurationError(f"tap {shown(self.name)} has an empty channel set")
-        CapturePoint.__init__(self, self.name)
 
 
 @dataclass
@@ -231,16 +231,18 @@ class RadioMedium:
         self.config = config or RadioConfig()
         self._rng = rng if rng is not None else random.Random(0)
         self._endpoints: list[BridgeEndpoint] = []
-        self._taps: list[Tap] = []
+        self._taps: list[tuple[Tap, CapturePoint]] = []
         self.stats = RadioStats()
 
-    def add_tap(self, tap: Tap) -> Tap:
-        if any(t.name == tap.name for t in self._taps):
+    def add_tap(self, tap: Tap) -> CapturePoint:
+        """Listen with tap; returns the point that counts and keeps what it hears."""
+        if any(t.name == tap.name for t, _ in self._taps):
             raise ConfigurationError(f"tap name {shown(tap.name)} already registered")
         for channel in tap.channels or ():
             check_int(ConfigurationError, f"tap {shown(tap.name)} channel", channel, *self.config.channel_range)
-        self._taps.append(tap)
-        return tap
+        point = CapturePoint(tap.name)
+        self._taps.append((tap, point))
+        return point
 
     def create_endpoint(self, bus: CanBus, name: str) -> "BridgeEndpoint":
         endpoint = BridgeEndpoint(self, bus, name)
@@ -269,12 +271,12 @@ class RadioMedium:
         sender_inside = getattr(sender, "inside_faraday", True)
         now = self.clock.now_us
         faraday, loss = self.config.faraday_mode, self.config.loss_probability
-        for tap in self._taps:
+        for tap, point in self._taps:
             if faraday and tap.inside_faraday != sender_inside:
                 continue
             if tap.channels is not None and channel not in tap.channels:
                 continue
-            tap.observe(now, wire)
+            point.observe(now, wire)
         if faraday and not sender_inside:
             return
         reached = []

@@ -2,11 +2,11 @@
 
 The wiring is fixed so that equal scenarios produce byte-identical
 outputs: two CAN segments ("operator0" carrying joystick and display,
-"vehicle0" carrying the five vehicle ECUs), a passive recorder on each
-segment, a radio medium bridging the segments through two endpoints,
-any declared taps, the vehicle itself, and finally the attack timeline.
-The only randomness is the radio loss draw, seeded from the scenario
-seed.
+"vehicle0" carrying the five vehicle ECUs), each counting and capturing
+its own traffic, a radio medium bridging the segments through two
+endpoints, any declared taps, the vehicle itself, and finally the attack
+timeline. The only randomness is the radio loss draw, seeded from the
+scenario seed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bus import CanBus
 from .capture import CaptureLog, CapturePoint
 from .errors import BaselineError, ConfigurationError
 from .fleet import Fleet
-from .radio import RadioMedium, Tap
+from .radio import RadioMedium
 from .scenario import (
     SEGMENT_NAMES,
     DiffSpec,
@@ -103,17 +103,6 @@ def json_text(doc: dict) -> str:
     return _render(doc, "") + "\n"
 
 
-class _Recorder(CapturePoint):
-    """Passive bus node that observes every delivered frame."""
-
-    def __init__(self, bus: CanBus):
-        super().__init__(bus.name)
-        bus.attach("recorder", on_frame=self._on_frame)
-
-    def _on_frame(self, frame) -> None:
-        self.observe(frame.timestamp_us, frame.data, frame.can_id)
-
-
 @dataclass
 class Testbed:
     """A fully wired simulation, ready to run; after run_scenario, the run."""
@@ -123,7 +112,7 @@ class Testbed:
     buses: dict[str, CanBus]
     medium: RadioMedium
     fleet: Fleet
-    # every recorder and tap, by log name; counts all it sees
+    # every segment's and tap's capture point, by log name; counts all it sees
     points: dict[str, CapturePoint]
     # the logs kept whole and each sniff save
     captures: dict[str, CaptureLog] = field(default_factory=dict)
@@ -133,21 +122,21 @@ class Testbed:
     attack_summaries: list[Callable[[], dict]] = field(default_factory=list)
     # filled in by run_scenario
     summary: dict = field(default_factory=dict)
-    written: dict[str, Path] = field(default_factory=dict)
+    # (label, path) of each output file
+    written: list[tuple[str, Path]] = field(default_factory=list)
 
 
 def build_testbed(scenario: Scenario) -> Testbed:
     """Construct buses, radio, vehicle, and attack timeline for a scenario."""
     clock = SimClock()
     buses = {name: CanBus(clock, name, scenario.bus) for name in SEGMENT_NAMES}
-    points: dict[str, CapturePoint] = {name: _Recorder(bus) for name, bus in buses.items()}
+    points: dict[str, CapturePoint] = {name: bus.capture for name, bus in buses.items()}
 
     # a string seed keeps the loss stream stable across processes and
     # platforms regardless of hash randomization
     medium = RadioMedium(clock, scenario.radio, rng=random.Random(f"{scenario.seed}/radio-loss"))
-    for spec in scenario.taps:
-        points[spec.name] = medium.add_tap(
-            Tap(name=spec.name, channels=spec.channels, inside_faraday=spec.inside_faraday))
+    for tap in scenario.taps:
+        points[tap.name] = medium.add_tap(tap)
     medium.create_endpoint(buses["operator0"], "bridge_op")
     medium.create_endpoint(buses["vehicle0"], "bridge_veh")
 
@@ -172,8 +161,6 @@ def build_testbed(scenario: Scenario) -> Testbed:
     )
     # A run keeps the records it reads or writes and only counts the rest:
     # outputs and the run steps below ask for what they need.
-    for point in points.values():
-        point.sinks.clear()
     for name in scenario.outputs.captures:
         _keep_whole(bed, name)
     # list order breaks same-instant ties between attack events
@@ -183,11 +170,11 @@ def build_testbed(scenario: Scenario) -> Testbed:
 
 
 def _keep_whole(bed: Testbed, name: str) -> None:
-    """Keep every record of a recorder's or tap's log (a sniff save is kept anyway)."""
+    """Keep every record a segment or tap sees (a sniff save is kept anyway)."""
     point = bed.points.get(name)
     if point is not None and name not in bed.captures:
-        point.keep(point.log)
-        bed.captures[name] = point.log
+        point.keep(log := CaptureLog())
+        bed.captures[name] = log
 
 
 # One run step per attack type: say which logs the attack reads, queue its
@@ -342,11 +329,13 @@ def write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_text(json_text(doc), encoding="utf-8", newline="\n")
 
 
-def write_outputs(bed: Testbed, out_dir: str | Path) -> dict[str, Path]:
-    """Write the scenario's declared output files under out_dir."""
+def write_outputs(bed: Testbed, out_dir: str | Path) -> list[tuple[str, Path]]:
+    """Write the scenario's declared output files under out_dir; returns
+    (label, path) of each, where a label is "summary" or a capture's or
+    report's name, so two files may share one."""
     base = Path(out_dir)
     outputs = bed.scenario.outputs
-    written: dict[str, Path] = {}
+    written: list[tuple[str, Path]] = []
 
     def target(rel: str) -> Path:
         path = base / rel
@@ -356,13 +345,13 @@ def write_outputs(bed: Testbed, out_dir: str | Path) -> dict[str, Path]:
     if outputs.summary is not None:
         path = target(outputs.summary)
         write_json(path, bed.summary)
-        written["summary"] = path
+        written.append(("summary", path))
     for name, rel in outputs.captures.items():
         path = target(rel)
         bed.captures[name].save(path)
-        written[name] = path
+        written.append((name, path))
     for name, rel in outputs.reports.items():
         path = target(rel)
         write_json(path, bed.reports[name])
-        written[name] = path
+        written.append((name, path))
     return written

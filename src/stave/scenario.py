@@ -54,7 +54,7 @@ from .capture import valid_interface
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, is_int, is_real, shown
 from .fleet import (CATALOG_FIELDS, PLANT_FIELDS, SCRIPT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry,
                     check_broadcast, check_cycle)
-from .radio import RADIO_FIELDS, RadioConfig
+from .radio import RADIO_FIELDS, RadioConfig, Tap
 from .sim import us_from_seconds
 
 SCENARIO_SCHEMA = "stave-scenario/1"
@@ -71,13 +71,6 @@ ATTACK_TYPES = tuple(ATTACK_FIELDS)
 # one simulated day; the longest run anywhere in the repo or its benchmark is 600 s
 MAX_TIME_S = 86_400.0
 SEED_RANGE = (0, None)  # a document's seed and with_seed's (inclusive; None is unbounded)
-
-
-@dataclass(frozen=True)
-class TapSpec:
-    name: str
-    channels: tuple[int, ...] | None  # None: all-band
-    inside_faraday: bool = True
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ class Scenario:
     engine_rpm: float
     machine_voltage: float
     script: JoystickScript
-    taps: tuple[TapSpec, ...]
+    taps: tuple[Tap, ...]
     attacks: tuple[AttackSpec, ...]
     outputs: OutputSpec
 
@@ -273,11 +266,14 @@ def _relative_path(check: _Check, path: str, value) -> str | None:
     return text
 
 
-def _validate_taps(check: _Check, doc, channel_range: tuple[int, int]) -> tuple[TapSpec, ...]:
+def _validate_taps(check: _Check, doc, channel_range: tuple[int, int]) -> tuple[tuple[Tap, ...], set[str]]:
+    """The valid taps, and every valid name a tap declares: a name still
+    resolves as a reference when its tap has another error."""
     taps = []
     names = set()
     for i, item in enumerate(check.items("taps", doc)):
         path = f"taps[{i}]"
+        errors = len(check.errors)
         if not isinstance(item, dict):
             check.add(path, "expected an object")
             continue
@@ -310,9 +306,9 @@ def _validate_taps(check: _Check, doc, channel_range: tuple[int, int]) -> tuple[
             check.add(f"{path}.channels", f'expected "all" or a non-empty channel list, got {shown(channels)}')
             parsed = None
         inside = check.boolean(f"{path}.inside_faraday", item.get("inside_faraday"))
-        if name is not None:
-            taps.append(TapSpec(name=name, channels=parsed, **_given(inside_faraday=inside)))
-    return tuple(taps)
+        if name is not None and len(check.errors) == errors:
+            taps.append(Tap(name=name, channels=parsed, **_given(inside_faraday=inside)))
+    return tuple(taps), names
 
 
 def _wired_segment(check: _Check, path: str, doc: dict) -> str | None:
@@ -602,8 +598,7 @@ def validate_scenario(doc: dict) -> Scenario:
                 inputs[key] = check.integer(where, check.required(where, item[key]), lo, hi)
         entries.append(ScriptEntry(t_us, **inputs))
 
-    taps = _validate_taps(check, doc.get("taps"), radio.channel_range)
-    tap_names = {t.name for t in taps}
+    taps, tap_names = _validate_taps(check, doc.get("taps"), radio.channel_range)
 
     attacks, capture_ready, report_names = _validate_attacks(
         check, doc.get("attacks"), duration_us, tap_names, radio.channel_range)

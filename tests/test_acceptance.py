@@ -17,6 +17,7 @@ from conftest import SCENARIOS_DIR
 from stave import (
     ArbitrationCollisionError,
     CanFrame,
+    CaptureLog,
     DecapsulationError,
     FramingError,
     NodeHandle,
@@ -212,28 +213,28 @@ def test_criterion_5_faraday_isolation(report) -> None:
 def test_criterion_6_frequency_hopping(report) -> None:
     config = RadioConfig(num_channels=16, hopping=True, hop_seed=7)
     medium = RadioMedium(SimClock(), config, rng=random.Random(0))
-    eavesdropper = medium.add_tap(Tap("ears", channels={5}))
-    wideband = medium.add_tap(Tap("air"))
+    medium.add_tap(Tap("ears", channels={5})).keep(eavesdropper := CaptureLog())
+    medium.add_tap(Tap("air")).keep(wideband := CaptureLog())
     frame = CanFrame(0x0CFF1028, bytes((25, 125, 0, 255, 255, 255, 255, 255)))
     n = 100_000
     for seq in range(n):
         seq &= 0xFFFF
         medium.transmit(RadioPacket(hop_channel(config, seq), seq, frame))
-    fraction = len(eavesdropper.log) / n
+    fraction = len(eavesdropper) / n
 
     flat_config = RadioConfig(num_channels=16, hopping=False)
     flat_medium = RadioMedium(SimClock(), flat_config, rng=random.Random(0))
-    flat_tap = flat_medium.add_tap(Tap("air"))
+    flat_medium.add_tap(Tap("air")).keep(flat_tap := CaptureLog())
     for seq in range(2_000):
         flat_medium.transmit(RadioPacket(hop_channel(flat_config, seq), seq, frame))
-    occupancy = channel_occupancy(flat_tap.log, "air")["channels"]
+    occupancy = channel_occupancy(flat_tap, "air")["channels"]
 
     ok = (abs(fraction - 1 / 16) <= 0.02
-          and len(wideband.log) == n
+          and len(wideband) == n
           and occupancy == [{"channel": 0, "count": 2_000}])
     report(6, ok,
            f"hopping: single-channel tap saw {fraction:.4f} of 10^5 packets "
-           f"(want 1/16 = 0.0625 +/- 0.02), all-band tap saw {len(wideband.log)}; "
+           f"(want 1/16 = 0.0625 +/- 0.02), all-band tap saw {len(wideband)}; "
            f"hopping off: occupancy peaks only at {occupancy}")
 
 

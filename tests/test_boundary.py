@@ -345,9 +345,19 @@ def test_json_files_are_written_by_write_json() -> None:
 def literal_bounds(source: str) -> list[str]:
     """Each literal bound in source, as "<function>(<name or path>, <bound>)": a lo or hi
     given to a _Check method (integer, number, seconds) that holds a numeric literal, or a
-    module-level name bound to one; and a lo or hi given to check_int or check_real that is
-    a bare numeric literal other than 0."""
+    module-level name bound to one; and a lo or hi given to check_int or check_real, or to a
+    name bound to either, that is a bare numeric literal other than 0."""
     tree = ast.parse(source)
+
+    def a_check(node) -> bool:
+        """Whether node is check_int or check_real, or a conditional choosing between them."""
+        if isinstance(node, ast.IfExp):
+            return a_check(node.body) or a_check(node.orelse)
+        return isinstance(node, ast.Name) and node.id in ("check_int", "check_real")
+
+    checks = {"check_int", "check_real"} | {target.id for node in ast.walk(tree)
+                                             if isinstance(node, ast.Assign) and a_check(node.value)
+                                             for target in node.targets if isinstance(target, ast.Name)}
 
     def numbers(node) -> bool:
         return any(isinstance(n, ast.Constant) and type(n.value) in (int, float) for n in ast.walk(node))
@@ -376,8 +386,7 @@ def literal_bounds(source: str) -> list[str]:
             bounds += [f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords
                        if k.arg in ("lo", "hi") and literal(k.value)]
             found += [f"{node.func.attr}({ast.unparse(node.args[0])}, {bound})" for bound in bounds]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in ("check_int", "check_real"):
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in checks:
             # after the error type, the name and the value
             bounds = [ast.unparse(arg) for arg in spread(node.args[3:]) if bare(arg)]
             bounds += [f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords
@@ -408,6 +417,9 @@ def test_guard_sees_a_literal_bound(source, found) -> None:
     ('check_int(E, "offset", v, 0, MAX_DLC - 1)', []), ('check_int(E, "t", v, last_t + 1)', []),
     ('check_int(E, k, v, *ADDRESS_FIELDS[k])', []), ('check_int(E, k, v, lo, hi)', []),
     ('LIMIT = 7\ncheck_int(E, "n", v, 0, LIMIT)', []),
+    ('check = check_real if k else check_int\ncheck(E, k, v, 0, 255)', ["check(k, 255)"]),
+    ('def f():\n    bounded = check_int\n    bounded(E, "n", v, hi=9)', ["bounded('n', hi=9)"]),
+    ('n = check_int(E, "n", v, 0)\nn(E, "m", v, 255)', []),
 ])
 def test_guard_sees_a_literal_constructor_bound(source, found) -> None:
     assert literal_bounds(source) == found

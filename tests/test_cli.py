@@ -50,6 +50,18 @@ def test_run_prints_summary_and_writes_outputs(tmp_path, scenario_path, capsys) 
     CaptureLog.load(out / "out" / "vehicle0.log")
 
 
+def test_run_reports_every_file_it_wrote(tmp_path, capsys) -> None:
+    # a capture may share its name with the summary's label; both files are reported
+    doc = {"schema": "stave-scenario/1", "seed": 1, "duration_s": 0.5, "taps": [{"name": "summary"}],
+           "outputs": {"summary": "s.json", "captures": {"summary": "t.log"}}}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"wrote summary: {out / 's.json'}",
+                                                    f"wrote summary: {out / 't.log'}"]
+
+
 def test_run_seed_flag_overrides_file(tmp_path, scenario_path, capsys) -> None:
     main(["run", str(scenario_path), "--seed", "99", "--out", str(tmp_path / "a")])
     assert json.loads(capsys.readouterr().out)["seed"] == 99

@@ -17,6 +17,7 @@ from stave import (
     BusConfig,
     CanBus,
     CanFrame,
+    CaptureLog,
     ChannelStrategy,
     ConfigurationError,
     DecapsulationError,
@@ -312,22 +313,22 @@ def test_bridge_does_not_echo_frames_back() -> None:
 def test_taps_observe_at_transmit_instant_without_loss() -> None:
     config = RadioConfig(loss_probability=1.0)
     clock, bus_a, bus_b, medium = two_segment_medium(config)
-    tap = medium.add_tap(Tap(name="air"))
+    medium.add_tap(Tap(name="air")).keep(tap := CaptureLog())
     got: list[CanFrame] = []
     sender = bus_a.attach("ecu")
     bus_b.attach("sink", on_frame=got.append)
     bus_a.submit(sender, JOY_FRAME)
     clock.run_until(1_000_000)
     assert got == []                       # total loss blocks the endpoint path
-    assert len(tap.log) == 1               # the ideal observer still hears it
-    assert tap.log[0].timestamp_us == 524  # transmit instant, no latency
+    assert len(tap) == 1                   # the ideal observer still hears it
+    assert tap[0].timestamp_us == 524      # transmit instant, no latency
     assert medium.stats.packets_lost == 1
 
 
 def test_faraday_blocks_cross_side_taps_and_endpoints() -> None:
     clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig(faraday_mode=True))
-    inside = medium.add_tap(Tap(name="inside", inside_faraday=True))
-    outside = medium.add_tap(Tap(name="outside", inside_faraday=False))
+    medium.add_tap(Tap(name="inside", inside_faraday=True)).keep(inside := CaptureLog())
+    medium.add_tap(Tap(name="outside", inside_faraday=False)).keep(outside := CaptureLog())
     got_a: list[CanFrame] = []
     got_b: list[CanFrame] = []
     sender = bus_a.attach("ecu", on_frame=got_a.append)
@@ -335,13 +336,13 @@ def test_faraday_blocks_cross_side_taps_and_endpoints() -> None:
     # the bridges are inside the shield: only the inside tap hears them
     bus_a.submit(sender, JOY_FRAME)
     clock.run_until(1_000_000)
-    assert (len(inside.log), len(outside.log)) == (1, 0)
+    assert (len(inside), len(outside)) == (1, 0)
     assert (len(got_a), len(got_b)) == (0, 1)
     # an outside injector on the hop channel reaches no endpoint and no inside tap
     injector = RadioInjector(medium, inside_faraday=False)
     injector.send_frame(JOY_FRAME)
     clock.run_until(2_000_000)
-    assert (len(inside.log), len(outside.log)) == (1, 1)
+    assert (len(inside), len(outside)) == (1, 1)
     assert (len(got_a), len(got_b)) == (0, 1)
     assert (injector.stats.sent, injector.stats.delivered) == (1, 0)
     assert medium.stats.endpoint_delivered == 1
@@ -363,7 +364,7 @@ def test_injector_packets_equal_checked_packets(follow_hops) -> None:
     config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
     clock = SimClock()
     medium = RadioMedium(clock, config)
-    air = medium.add_tap(Tap(name="air"))
+    medium.add_tap(Tap(name="air")).keep(air := CaptureLog())
     strategy = ChannelStrategy("follow_hops") if follow_hops else ChannelStrategy("fixed", 9)
     injector = RadioInjector(medium, strategy)
     injector.seq_sent = 0xFFFE  # the sequence number wraps at 16 bits
@@ -371,7 +372,7 @@ def test_injector_packets_equal_checked_packets(follow_hops) -> None:
     for frame in frames:
         injector.send_frame(frame)
     seqs = [0xFFFE, 0xFFFF, 0, 1, 2]
-    assert [r.data for r in air.log] == [
+    assert [r.data for r in air] == [
         RadioPacket(hop_channel(config, seq) if follow_hops else 9, seq, frame).to_bytes()
         for seq, frame in zip(seqs, frames)]
 
@@ -380,14 +381,20 @@ def test_single_channel_tap_hears_only_its_channel() -> None:
     config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
     clock = SimClock()
     medium = RadioMedium(clock, config)
-    narrow = medium.add_tap(Tap(name="narrow", channels=frozenset({3})))
-    wide = medium.add_tap(Tap(name="wide"))
+    medium.add_tap(Tap(name="narrow", channels=frozenset({3}))).keep(narrow := CaptureLog())
+    medium.add_tap(Tap(name="wide")).keep(wide := CaptureLog())
+    late = medium.add_tap(Tap(name="late"))
     n = 2_000
     expected = sum(1 for seq in range(n) if hop_channel(config, seq) == 3)
     for seq in range(n):
+        if seq == n // 2:
+            # a tap's point counts from the start but keeps nothing until asked
+            assert (late.seen, late.sinks) == (n // 2, [])
+            late.keep(late_log := CaptureLog())
         medium.transmit(RadioPacket(hop_channel(config, seq), seq, JOY_FRAME))
-    assert len(wide.log) == n
-    assert len(narrow.log) == expected
+    assert len(wide) == n
+    assert len(narrow) == expected
+    assert (late.seen, len(late_log)) == (n, n - n // 2)
 
 
 def test_endpoint_rejects_wrong_channel() -> None:
@@ -416,7 +423,7 @@ def test_endpoint_rejects_wrong_channel() -> None:
 def test_bridge_packets_ride_the_hop_sequence() -> None:
     config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
     clock, bus_a, bus_b, medium = two_segment_medium(config)
-    air = medium.add_tap(Tap(name="air"))
+    medium.add_tap(Tap(name="air")).keep(air := CaptureLog())
     got_a: list[CanFrame] = []
     got_b: list[CanFrame] = []
     ecu_a = bus_a.attach("ecu_a", on_frame=got_a.append)
@@ -430,7 +437,7 @@ def test_bridge_packets_ride_the_hop_sequence() -> None:
     assert [f.can_id for f in got_b] == [0x100 + i for i in range(40)]
     assert [f.can_id for f in got_a] == [0x200 + i for i in range(40)]
     # each bridge numbers its own packets from 0 and sends each on its hop channel
-    packets = [decapsulate(record.data) for record in air.log]
+    packets = [decapsulate(record.data) for record in air]
     for prefix in (0x100, 0x200):
         own = [p for p in packets if p.frame.can_id & 0xF00 == prefix]
         assert [p.seq for p in own] == list(range(40))
@@ -468,13 +475,13 @@ def test_endpoint_drops_corrupt_packets(decoded) -> None:
 
 def test_two_byte_packet_reaches_taps_and_is_dropped_by_endpoints() -> None:
     clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig())
-    tap = medium.add_tap(Tap(name="air"))
-    narrow = medium.add_tap(Tap(name="narrow", channels={0}))
+    medium.add_tap(Tap(name="air")).keep(tap := CaptureLog())
+    medium.add_tap(Tap(name="narrow", channels={0})).keep(narrow := CaptureLog())
     medium.transmit(b"\xa5\x5a")
     clock.run_until(1_000_000)
     # an all-band tap keeps it; it has no channel byte for a channel filter
-    assert [record.data for record in tap.log] == [b"\xa5\x5a"]
-    assert len(narrow.log) == 0
+    assert [record.data for record in tap] == [b"\xa5\x5a"]
+    assert len(narrow) == 0
     assert medium.stats.crc_dropped == 2
 
 
@@ -515,11 +522,11 @@ def test_loss_draw_is_seeded_and_endpoint_only() -> None:
     def run(seed: int) -> tuple[int, int]:
         config = RadioConfig(loss_probability=0.3)
         clock, bus_a, bus_b, medium = two_segment_medium(config, seed=seed)
-        tap = medium.add_tap(Tap(name="air"))
+        medium.add_tap(Tap(name="air")).keep(tap := CaptureLog())
         for seq in range(500):
             medium.transmit(RadioPacket(0, seq, JOY_FRAME))
         clock.run_until(10_000_000)
-        return medium.stats.packets_lost, len(tap.log)
+        return medium.stats.packets_lost, len(tap)
 
     lost_a, heard_a = run(seed=1)
     lost_b, heard_b = run(seed=1)

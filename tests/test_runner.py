@@ -42,11 +42,14 @@ def test_summary_shape_and_consistency() -> None:
     assert radio["packets_sent"] == radio["endpoint_delivered"] > 0
     assert radio["packets_lost"] == radio["channel_rejected"] == radio["crc_dropped"] == 0
     assert summary["captures"]["operator0"] == len(result.captures["operator0"])
-    # a recorder sees every delivered frame, whether a log keeps its segment
+    # a segment counts every delivered frame, whether a log keeps it
     # (operator0) or it only counts (vehicle0)
     assert "vehicle0" not in result.captures
+    assert result.buses["vehicle0"].capture.sinks == []
     for seg in ("operator0", "vehicle0"):
         assert summary["captures"][seg] == summary["buses"][seg]["frames_delivered"]
+    # and no node on the segment does the observing
+    assert all(handle.name != "recorder" for bus in result.buses.values() for handle in bus._queues)
     assert summary["attacks"] == []
     assert summary["observables"]["wheel_angle_deg"] == 0.0
 
@@ -163,7 +166,7 @@ def test_repeat_of_an_empty_plan_runs_to_the_horizon(tmp_path) -> None:
         {"type": "replay", "save": "plan", "entries": 0},
         {"type": "inject", "schedule": "plan", "sent": 0, "delivered": 0},
     ]
-    assert set(result.written) == {"summary"}
+    assert [label for label, _ in result.written] == ["summary"]
 
 
 def test_write_outputs_creates_declared_tree(tmp_path) -> None:
@@ -181,7 +184,9 @@ def test_write_outputs_creates_declared_tree(tmp_path) -> None:
         },
     )
     result = run_scenario(scenario, out_dir=tmp_path)
-    assert set(result.written) == {"summary", "cap", "vehicle0", "occ"}
+    assert result.written == [("summary", tmp_path / "run" / "summary.json"), ("cap", tmp_path / "run" / "cap.log"),
+                              ("vehicle0", tmp_path / "run" / "vehicle0.log"),
+                              ("occ", tmp_path / "run" / "reports" / "occ.json")]
     summary_path = tmp_path / "run" / "summary.json"
     assert summary_path.read_text(encoding="utf-8") == json_text(result.summary)
     parsed = CaptureLog.load(tmp_path / "run" / "cap.log")
@@ -207,7 +212,7 @@ def test_a_sniff_save_is_a_capture_from_build_time() -> None:
 def test_no_out_dir_writes_nothing(tmp_path) -> None:
     before = sorted(tmp_path.iterdir())
     result = run_scenario(make_scenario(duration_s=1.0))
-    assert result.written == {}
+    assert result.written == []
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -315,5 +320,5 @@ def test_write_outputs_is_relative_to_out_dir(tmp_path) -> None:
     scenario = make_scenario(duration_s=1.0, outputs={"summary": "a/b/c/s.json"})
     result = run_scenario(scenario)
     written = write_outputs(result, tmp_path / "root")
-    assert written["summary"] == tmp_path / "root" / "a" / "b" / "c" / "s.json"
-    assert written["summary"].is_file()
+    assert written == [("summary", tmp_path / "root" / "a" / "b" / "c" / "s.json")]
+    assert written[0][1].is_file()

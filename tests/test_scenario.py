@@ -7,7 +7,7 @@ from conftest import MALFORMED_SECTIONS, REPLAY, SCENARIOS_DIR, TIME_FIELDS, loa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stave import MessageCatalog, ScenarioValidationError, load_scenario, validate_scenario
+from stave import MessageCatalog, ScenarioValidationError, Tap, load_scenario, validate_scenario
 from stave.scenario import MAX_TIME_S
 
 
@@ -176,19 +176,23 @@ def test_tap_rules() -> None:
         {"name": "narrow", "channels": [16]},
         {"name": "odd", "channels": "some"},
         {"name": "a b"},
-    ])
+    ], attacks=[sniff(0.0, "cap", tap="narrow")])
     joined = "\n".join(errors)
     assert "shadows a built-in" in joined
     assert "duplicate tap name" in joined
     assert "taps[3].channels" in joined  # 16 is out of range for 16 channels
+    assert "attacks[0]" not in joined  # a tap with a bad channel is still declared
     assert "taps[4].channels" in joined
     # a tap's name is the interface column of its capture log
     assert "taps[5].name: tap name 'a b' must not contain whitespace" in errors
 
 
 def test_tap_channels_all_is_none() -> None:
-    scenario = make_scenario(taps=[{"name": "air", "channels": "all"}])
+    scenario = make_scenario(taps=[{"name": "air", "channels": "all"},
+                                   {"name": "quad", "channels": [5, "0x0", 5], "inside_faraday": False}])
     assert scenario.taps[0].channels is None
+    # a scenario holds the taps a run listens with
+    assert scenario.taps[1] == Tap("quad", frozenset({0, 5}), inside_faraday=False)
 
 
 def sniff(start_s: float, save: str, *, duration_s: float = 0.5, tap: str | None = None) -> dict:
