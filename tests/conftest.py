@@ -80,6 +80,15 @@ MALFORMED_SECTIONS = [
     # a null script input is an error; an absent one takes ScriptEntry's default
     *(({"joystick_script": [{"t_s": 0.0, key: None}]}, f"joystick_script[0].{key}: required")
       for key in ("x", "y", "button")),
+    # a valid save name is declared even when its attack has another error, so a
+    # later reference to it adds no error of its own
+    ({"attacks": [{**SNIFF, "attachment": {"kind": "wired-tap", "segment": "canX"}},
+                  {"type": "diff", "start_s": 0.5, "pre": "cap", "post": "cap", "save": "d"}]},
+     "attacks[0].attachment.segment: unknown segment 'canX'; expected one of ('operator0', 'vehicle0')"),
+    ({"attacks": [{**REPLAY, "match": {}},
+                  {"type": "inject", "start_s": 1.0, "schedule": "plan",
+                   "attachment": {"kind": "wired", "segment": "vehicle0"}}]},
+     "attacks[0].match: exactly one of can_id or pgn must be given"),
 ]
 
 

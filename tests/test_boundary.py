@@ -345,8 +345,10 @@ def test_json_files_are_written_by_write_json() -> None:
 def literal_bounds(source: str) -> list[str]:
     """Each literal bound in source, as "<function>(<name or path>, <bound>)": a lo or hi
     given to a _Check method (integer, number, seconds) that holds a numeric literal, or a
-    module-level name bound to one; and a lo or hi given to check_int or check_real, or to a
-    name bound to either, that is a bare numeric literal other than 0."""
+    module-level name bound to one; the bounds of a Field that hold one, named by the field's
+    key when the Field is a value in a dict display, else by its kind; and a lo or hi given
+    to check_int or check_real, or to a name bound to either, that is a bare numeric literal
+    other than 0."""
     tree = ast.parse(source)
 
     def a_check(node) -> bool:
@@ -378,9 +380,18 @@ def literal_bounds(source: str) -> list[str]:
         return [e for a in args for e in (a.value.elts if isinstance(a, ast.Starred)
                                           and isinstance(a.value, ast.Tuple) else [a])]
 
+    # each dict display value -> its key
+    keys = {id(value): key for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key, value in zip(node.keys, node.values) if key is not None}
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Field":
+            # Field(kind, bounds=(), required=False)
+            kind = (node.args[:1] + [k.value for k in node.keywords if k.arg == "kind"])[0]
+            bounds = node.args[1:2] + [k.value for k in node.keywords if k.arg == "bounds"]
+            name = ast.unparse(keys.get(id(node), kind))
+            found += [f"Field({name}, {ast.unparse(bound)})" for bound in bounds if literal(bound)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                 and node.func.attr in ("integer", "number", "seconds"):
             bounds = [ast.unparse(arg) for arg in node.args[2:] if literal(arg)]
             bounds += [f"{k.arg}={ast.unparse(k.value)}" for k in node.keywords
@@ -403,6 +414,14 @@ def literal_bounds(source: str) -> list[str]:
     ('RANGE = (0, None)\ncheck.integer(p, v, *RANGE)', ["integer(p, *RANGE)"]),
     ('check.integer(p, v, *BUS_FIELDS[key])', []), ('check.number(p, v, lo, hi, default=800.0)', []),
     ('check.integer(p, v, *radio.channel_range)', []), ('check.boolean(p, v, default=False)', []),
+    # a bound written in a field table
+    ('Field("integer", (1, 256))', ["Field('integer', (1, 256))"]),
+    ('T = {"n": Field("integer", bounds=(0, 7), required=True)}', ["Field('n', (0, 7))"]),
+    ('LIMIT = 7\nT = {"n": Field("integer", (0, LIMIT))}', ["Field('n', (0, LIMIT))"]),
+    ('RANGE = (0, None)\nT = {"seed": Field("integer", RANGE)}', ["Field('seed', RANGE)"]),
+    ('T = {"bitrate": Field("integer", BUS_FIELDS["bitrate"])}', []), ('Field("boolean")', []),
+    ('T = {k: Field("integer", bounds) for k, bounds in BUS_FIELDS.items()}', []),
+    ('Field(kind="seconds", bounds=(1e-6,))', ["Field('seconds', (1e-06,))"]),
 ])
 def test_guard_sees_a_literal_bound(source, found) -> None:
     assert literal_bounds(source) == found
@@ -425,12 +444,12 @@ def test_guard_sees_a_literal_constructor_bound(source, found) -> None:
     assert literal_bounds(source) == found
 
 
-# the only literal bounds scenario.py may give _Check: limits of the document
-# alone, which no constructor checks
+# the only literal bounds scenario.py may give _Check or write in a Field: limits
+# of the document alone, which no constructor checks
 SCENARIO_OWN_BOUNDS = {
     "number(path, hi=MAX_TIME_S)": "a document time is at most one simulated day; constructors take microseconds",
-    "seconds('duration_s', lo=1e-06)": "a run lasts at least one microsecond tick; no constructor takes a duration",
-    "integer('seed', *SEED_RANGE)": "the seed is a document field that with_seed replaces; no constructor takes one",
+    "Field('duration_s', (1e-06,))": "a run lasts at least one microsecond tick; no constructor takes a duration",
+    "Field('seed', SEED_RANGE)": "the seed is a document field that with_seed replaces; no constructor takes one",
 }
 # the only bare literal bounds a check_int or check_real call in src/stave may hold:
 # limits of one type alone, which no format or other type shares

@@ -6,9 +6,10 @@ import pytest
 from conftest import MALFORMED_SECTIONS, REPLAY, SCENARIOS_DIR, TIME_FIELDS, load_fixture, make_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import ALL_ATTACK_TYPES
 
 from stave import MessageCatalog, ScenarioValidationError, Tap, load_scenario, validate_scenario
-from stave.scenario import MAX_TIME_S
+from stave.scenario import ATTACHMENTS, ATTACKS, MAX_TIME_S, START, TAP_DOC, TOP_FIELDS
 
 
 def errors_for(**sections) -> list[str]:
@@ -379,6 +380,45 @@ def test_duration_runs_up_to_one_day() -> None:
     assert errors_for(duration_s=86_400.000001) == ["duration_s: must be <= 86400.0, got 86400.000001"]
 
 
+def required_paths(doc: dict) -> list[tuple]:
+    """The key/index path of each required field of doc's sections, as the scenario's tables list them."""
+    tables = [((), TOP_FIELDS)] + [(("taps", i), TAP_DOC) for i in range(len(doc.get("taps", [])))]
+    for i, attack in enumerate(doc.get("attacks", [])):
+        tables.append((("attacks", i), {**START, **ATTACKS[attack["type"]][1]}))
+        tables.append((("attacks", i, "attachment"), ATTACHMENTS.get(attack.get("attachment", {}).get("kind"), {})))
+    return [(*path, key) for path, table in tables for key, field in table.items() if field.required]
+
+
+def located(path: tuple) -> str:
+    """An error's field path: ("attacks", 8, "schedule") is attacks[8].schedule."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
+def test_every_name_field_is_required() -> None:
+    names = {path[-1] for path in required_paths(ALL_ATTACK_TYPES) if path[0] == "attacks"}
+    assert names >= {"save", "capture", "pre", "post", "schedule", "segment", "tap"}
+    assert ("taps", 0, "name") in required_paths(ALL_ATTACK_TYPES)
+
+
+@pytest.mark.parametrize("name", ["<all-attack-types>", *sorted(p.name for p in SCENARIOS_DIR.glob("*.json"))])
+def test_a_required_field_absent_or_null_is_an_error(name: str) -> None:
+    # an attack or tap whose required field is absent or null is reported, never left out of the run
+    doc = ALL_ATTACK_TYPES if name == "<all-attack-types>" else load_fixture(name)
+    for path in required_paths(doc):
+        for remove in (True, False):
+            faulted = copy.deepcopy(doc)
+            parent = faulted
+            for key in path[:-1]:
+                parent = parent[key]
+            if remove:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = None
+            with pytest.raises(ScenarioValidationError) as info:
+                validate_scenario(faulted)
+            assert f"{located(path)}: required" in info.value.errors, (path, remove)
+
+
 def test_null_required_fields_are_missing() -> None:
     errors = errors_for(seed=None, duration_s=None, attacks=[{"type": "diff", "start_s": None}])
     assert errors == ["seed: required", "duration_s: required", "attacks[0].start_s: required"]
@@ -481,5 +521,8 @@ def test_any_json_value_anywhere_is_a_scenario_or_a_validation_error(subtree, va
         scenario = validate_scenario(doc)
     except ScenarioValidationError:
         return
+    # an accepted document runs every attack and tap it lists
+    assert len(scenario.attacks) == len(doc.get("attacks") or [])
+    assert len(scenario.taps) == len(doc.get("taps") or [])
     for time_us in (scenario.duration_us, *(attack.start_us for attack in scenario.attacks)):
         assert type(time_us) is int and time_us <= MAX_TIME_S * 1e6
