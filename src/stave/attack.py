@@ -13,7 +13,8 @@ Mutation mini-language (one byte per mutation):
 
 Captures fed to analysis may contain wired CAN records, radio records,
 or a mix; radio records are decapsulated and contribute their embedded
-frames (packets that fail verification are skipped).
+frames (packets that fail verification are skipped). A schedule is
+injected on a bus or, by a radio.RadioInjector, on the air.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ from typing import Iterator
 
 from .bus import CanBus, NodeHandle
 from .capture import RADIO_ID, CaptureLog
-from .errors import (INT_TEXT, BaselineError, ConfigurationError, DecapsulationError, check_bool, check_int, int_text,
-                     shown)
+from .errors import INT_TEXT, BaselineError, ConfigurationError, DecapsulationError, check_int, int_text, shown
 from .j1939 import MAX_CAN_ID, MAX_DLC, MAX_PGN, CanFrame, _valid_frame, pgn_of
 # Not called here: matching reads a frame's pgn with pgn_of. The name stays
 # bound because perfbench/tracer.py counts decode_id calls at this lookup site.
 from .j1939 import decode_id  # noqa: F401
-from .radio import MAX_CHANNEL, SEQ_MASK, RadioConfig, RadioMedium, _valid_packet, hop_channel, packet_frame
+from .radio import CHANNEL_OFFSET, InjectionStats, packet_frame
 # Not called here: the analyses verify packets with packet_frame. The name stays
 # bound because perfbench/tracer.py patches decapsulate at this lookup site.
 from .radio import decapsulate  # noqa: F401
@@ -63,8 +63,8 @@ def channel_occupancy(capture: CaptureLog, name: str) -> dict:
 
     Counts radio records only; CAN records have no channel.
     """
-    radio = RADIO_ID
-    counts = Counter(data[2] for _, can_id, data in capture.rows() if can_id == radio and len(data) > 2)
+    radio, channel = RADIO_ID, CHANNEL_OFFSET
+    counts = Counter(data[channel] for _, can_id, data in capture.rows() if can_id == radio and len(data) > channel)
     return {
         "schema": OCCUPANCY_SCHEMA,
         "capture": name,
@@ -294,35 +294,6 @@ def plan_replay(
     return ReplaySchedule(entries=tuple(entries), timing_mode=timing_mode)
 
 
-@dataclass
-class InjectionStats:
-    sent: int = 0
-    delivered: int = 0
-
-
-@dataclass(frozen=True)
-class ChannelStrategy:
-    """How a radio injector picks its transmit channel.
-
-    ``fixed`` pins one channel; ``follow_hops`` computes the hop channel
-    for each of the injector's own sequence numbers, which requires
-    knowing the hop seed (granted through the radio config).
-    """
-
-    mode: str = "fixed"
-    channel: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "follow_hops"):
-            raise ConfigurationError(f"channel strategy {shown(self.mode)} must be fixed or follow_hops")
-        check_int(ConfigurationError, "channel", self.channel, 0, MAX_CHANNEL)
-
-    def channel_for(self, config: RadioConfig, seq: int) -> int:
-        if self.mode == "follow_hops":
-            return hop_channel(config, seq)
-        return self.channel
-
-
 class WiredInjector:
     """Attacker node physically attached to a bus segment."""
 
@@ -335,34 +306,6 @@ class WiredInjector:
         self.bus.submit(self.handle, frame)
         self.stats.sent += 1
         self.stats.delivered += 1  # a healthy bus accepts every queued frame
-
-
-class RadioInjector:
-    """Attacker radio transmitting forged packets into the medium.
-
-    ``delivered`` counts packets accepted and re-emitted by at least one
-    bridge endpoint (channel mismatch, loss, and the faraday barrier all
-    prevent delivery).
-    """
-
-    def __init__(self, medium: RadioMedium, strategy: ChannelStrategy | None = None,
-                 inside_faraday: bool = True):
-        self.medium = medium
-        self.strategy = strategy or ChannelStrategy()
-        self.inside_faraday = check_bool(ConfigurationError, "injector inside_faraday", inside_faraday)
-        self.seq_sent = 0
-        self.stats = InjectionStats()
-
-    def on_packet_delivered(self) -> None:
-        self.stats.delivered += 1
-
-    def send_frame(self, frame: CanFrame) -> None:
-        seq = self.seq_sent & SEQ_MASK
-        self.seq_sent += 1
-        # channel_for gives a channel in 0..MAX_CHANNEL, and seq is masked
-        channel = self.strategy.channel_for(self.medium.config, seq)
-        self.stats.sent += 1
-        self.medium.transmit(_valid_packet(channel, seq, frame), sender=self)
 
 
 def _send_times(schedule: ReplaySchedule, start_us: int, cycle_us: int | None, end_us: int):

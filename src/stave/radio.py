@@ -20,11 +20,13 @@ The medium is a broadcast channel with a fixed propagation latency and
 an optional per-packet loss draw (the only stochastic element, seeded).
 Taps are ideal observers: they see packets at the transmit instant,
 filtered by listened channels and, in faraday mode, by being on the
-same side of the shield as the transmitter. Bridge endpoints are inside
-the shield. Endpoints accept a packet only when its channel matches the
-hop sequence position for its seq, then re-emit the embedded frame onto
-their own bus segment; there is no authentication, so a well-formed
-packet on the right channel is indistinguishable from a legitimate one.
+same side of the shield as the transmitter. Endpoints accept a packet
+only when its channel matches the hop sequence position for its seq,
+then re-emit the embedded frame onto their own bus segment. Every
+transmitter is a RadioInjector, which numbers, channels and builds its
+packets; a bridge endpoint is one inside the shield that follows the
+hops. There is no authentication, so a well-formed packet on the right
+channel is indistinguishable from a legitimate one.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ SYNC = b"\xa5\x5a"
 FLAG_EXTENDED_ID = 0x01
 MIN_PACKET_SIZE = 14  # dlc 0
 MAX_CHANNEL = 255  # the channel byte's range is 0..MAX_CHANNEL
+CHANNEL_OFFSET = 2  # the channel byte's offset in a packet
 SEQ_MASK = 0xFFFF  # seq is 16 bits: senders count modulo 2**16
 # bytes 2 .. 11: channel, seq, flags, len, can_id, dlc
 _HEADER = struct.Struct(">BHBBIB")
@@ -153,7 +156,7 @@ def decapsulate(buf: bytes) -> RadioPacket:
     """Parse and verify one radio packet (see packet_frame)."""
     buf = bytes(buf)
     can_id, data = packet_frame(buf)
-    return RadioPacket(channel=buf[2], seq=int.from_bytes(buf[3:5], "big"), frame=CanFrame(can_id, data))
+    return RadioPacket(channel=buf[CHANNEL_OFFSET], seq=int.from_bytes(buf[3:5], "big"), frame=CanFrame(can_id, data))
 
 
 def packet_frame(buf: bytes) -> tuple[int, bytes]:
@@ -249,26 +252,23 @@ class RadioMedium:
         self._endpoints.append(endpoint)
         return endpoint
 
-    def transmit(self, packet: RadioPacket | bytes, sender=None) -> None:
-        """Put one packet on the air.
+    def transmit(self, packet: RadioPacket | bytes, sender: RadioInjector | None = None) -> None:
+        """Put one packet on the air; sender is the radio that built it,
+        None for a packet from nowhere, which is inside the shield.
 
         Taps get a copy now (transmit instant). Every endpoint other than
         the sender that an independent loss draw lets through hears the
         packet in one event, after the propagation latency; in faraday mode
         a sender outside the shield reaches none. Raw bytes are decoded
-        once, in that event. A bridge endpoint's own packets are on the hop
-        channel by construction, so only other senders' packets are checked
-        against the hop sequence.
+        once, in that event.
         """
         if isinstance(packet, RadioPacket):
             wire = packet.to_bytes()
-            on_hop = isinstance(sender, BridgeEndpoint)
         else:
             wire = packet = bytes(packet)
-            on_hop = False
         self.stats.packets_sent += 1
-        channel = wire[2] if len(wire) > 2 else None
-        sender_inside = getattr(sender, "inside_faraday", True)
+        channel = wire[CHANNEL_OFFSET] if len(wire) > CHANNEL_OFFSET else None
+        sender_inside = True if sender is None else sender.inside_faraday
         now = self.clock.now_us
         faraday, loss = self.config.faraday_mode, self.config.loss_probability
         for tap, point in self._taps:
@@ -288,47 +288,97 @@ class RadioMedium:
                 continue
             reached.append(endpoint)
         if reached:
-            self.clock.schedule(now + self.config.latency_us,
-                                lambda: self._deliver(packet, reached, sender, on_hop))
+            self.clock.schedule(now + self.config.latency_us, lambda: self._deliver(packet, reached, sender))
 
-    def _deliver(self, packet: RadioPacket | bytes, endpoints: list[BridgeEndpoint], sender,
-                 on_hop: bool) -> None:
+    def _deliver(self, packet: RadioPacket | bytes, endpoints: list[BridgeEndpoint],
+                 sender: RadioInjector | None) -> None:
         """Hand one packet to every endpoint it reached, in endpoint order;
-        on_hop: the packet is known to be on its seq's hop channel."""
-        if not isinstance(packet, RadioPacket):
+        a follow_hops sender built its packet on its seq's hop channel, so
+        only other packets are checked against the hop sequence."""
+        if isinstance(packet, RadioPacket):
+            on_hop = sender is not None and sender.strategy.mode == "follow_hops"
+        else:
             try:
                 packet = decapsulate(packet)
             except DecapsulationError:
                 self.stats.crc_dropped += len(endpoints)
                 return
+            on_hop = False
         if not on_hop and packet.channel != hop_channel(self.config, packet.seq):
             self.stats.channel_rejected += len(endpoints)
             return
         self.stats.endpoint_delivered += len(endpoints)
-        notify = getattr(sender, "on_packet_delivered", None)
-        if notify is not None:
-            notify()
+        if sender is not None:
+            sender.stats.delivered += 1
         for endpoint in endpoints:
             endpoint.bus.submit(endpoint.handle, packet.frame)
 
 
-class BridgeEndpoint:
-    """One half of the wireless CAN bridge, attached to a bus segment.
+@dataclass
+class InjectionStats:
+    sent: int = 0
+    delivered: int = 0
 
-    Every frame heard on the segment is encapsulated and transmitted
-    with the next sequence number on the hop channel for that seq; every
-    acceptable packet heard on the air is re-emitted onto the segment.
+
+@dataclass(frozen=True)
+class ChannelStrategy:
+    """How a radio picks its transmit channel.
+
+    ``fixed`` pins one channel; ``follow_hops`` computes the hop channel
+    for each of the radio's own sequence numbers, which requires knowing
+    the hop seed (granted through the radio config).
+    """
+
+    mode: str = "fixed"
+    channel: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("fixed", "follow_hops"):
+            raise ConfigurationError(f"channel strategy {shown(self.mode)} must be fixed or follow_hops")
+        check_int(ConfigurationError, "channel", self.channel, 0, MAX_CHANNEL)
+
+    def channel_for(self, config: RadioConfig, seq: int) -> int:
+        if self.mode == "follow_hops":
+            return hop_channel(config, seq)
+        return self.channel
+
+
+class RadioInjector:
+    """A radio sending each frame in a packet with its next sequence
+    number, on the channel its strategy picks for that seq.
+
+    ``delivered`` counts packets accepted and re-emitted by at least one
+    bridge endpoint (channel mismatch, loss, and the faraday barrier all
+    prevent delivery).
+    """
+
+    def __init__(self, medium: RadioMedium, strategy: ChannelStrategy | None = None,
+                 inside_faraday: bool = True):
+        self.medium = medium
+        self.strategy = ChannelStrategy() if strategy is None else strategy
+        if not isinstance(self.strategy, ChannelStrategy):
+            raise ConfigurationError(f"injector strategy {shown(strategy)} must be a ChannelStrategy")
+        self.inside_faraday = check_bool(ConfigurationError, "injector inside_faraday", inside_faraday)
+        self.seq_sent = 0
+        self.stats = InjectionStats()
+
+    def send_frame(self, frame: CanFrame) -> None:
+        seq = self.seq_sent & SEQ_MASK
+        self.seq_sent += 1
+        # channel_for gives a channel in 0..MAX_CHANNEL, and seq is masked
+        channel = self.strategy.channel_for(self.medium.config, seq)
+        self.stats.sent += 1
+        self.medium.transmit(_valid_packet(channel, seq, frame), sender=self)
+
+
+class BridgeEndpoint(RadioInjector):
+    """One half of the wireless CAN bridge: a radio injector inside the
+    shield that follows the hops and sends every frame heard on its bus
+    segment; every acceptable packet heard on the air is re-emitted onto
+    the segment.
     """
 
     def __init__(self, medium: RadioMedium, bus: CanBus, name: str):
-        self.medium = medium
+        super().__init__(medium, ChannelStrategy("follow_hops"))
         self.bus = bus
-        self.seq_sent = 0
-        self.handle: NodeHandle = bus.attach(name, self._on_bus_frame)
-
-    def _on_bus_frame(self, frame: CanFrame) -> None:
-        seq = self.seq_sent & SEQ_MASK
-        self.seq_sent += 1
-        # hop_channel is below num_channels <= MAX_CHANNEL + 1, and seq is masked
-        packet = _valid_packet(hop_channel(self.medium.config, seq), seq, frame)
-        self.medium.transmit(packet, sender=self)
+        self.handle: NodeHandle = bus.attach(name, self.send_frame)

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Callable
 
 from .attack import (
-    RadioInjector,
     ReplaySchedule,
     WiredInjector,
     channel_occupancy,
@@ -32,7 +31,7 @@ from .bus import CanBus
 from .capture import CaptureLog, CapturePoint
 from .errors import BaselineError, ConfigurationError
 from .fleet import Fleet
-from .radio import RadioMedium
+from .radio import RadioInjector, RadioMedium
 from .scenario import (
     SEGMENT_NAMES,
     DiffSpec,

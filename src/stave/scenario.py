@@ -49,14 +49,13 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .attack import (MATCH_FIELDS, ChannelStrategy, MessageMatch, Mutation, TIMING_FAST, TIMING_MODES,
-                     TIMING_PRESERVE)
+from .attack import MATCH_FIELDS, MessageMatch, Mutation, TIMING_FAST, TIMING_MODES, TIMING_PRESERVE
 from .bus import BUS_FIELDS, BusConfig
 from .capture import valid_interface
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, is_int, is_real, shown
 from .fleet import (CATALOG_FIELDS, PLANT_FIELDS, SCRIPT_FIELDS, JoystickScript, MessageCatalog, ScriptEntry,
                     check_broadcast, check_cycle)
-from .radio import RADIO_FIELDS, RadioConfig, Tap
+from .radio import RADIO_FIELDS, ChannelStrategy, RadioConfig, Tap
 from .sim import us_from_seconds
 
 SCENARIO_SCHEMA = "stave-scenario/1"

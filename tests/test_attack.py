@@ -428,6 +428,13 @@ def test_mutation_parse_returns_a_mutation_or_a_configuration_error(text: str) -
     assert text.strip().isascii()
 
 
+def test_mutation_rejects_an_unknown_rule() -> None:
+    # the parser only builds the three rules; a direct construction reaches the guard
+    with pytest.raises(ConfigurationError) as raised:
+        Mutation(0, "xor", 1)
+    assert str(raised.value) == "unknown mutation rule 'xor'"
+
+
 def test_mutation_reflect_range_guard() -> None:
     mutation = Mutation.parse("byte0=reflect(250)")
     with pytest.raises(ConfigurationError):

@@ -11,7 +11,8 @@ stave.errors.shown, which keeps an echo short and printable; a second guard
 keeps any other code from echoing one with !r. A third keeps every JSON
 document file going through stave.runner.write_json. A fourth keeps
 scenario validation from writing a limit of its own for a field that a
-constructor bounds: both read the type's range table.
+constructor bounds: both read the type's range table. A fifth keeps how a
+radio numbers, channels and builds its packets inside stave.radio.
 """
 
 import ast
@@ -466,3 +467,35 @@ def test_every_limit_in_src_is_read_from_its_home() -> None:
     assert found == [], \
         "read the bound from its type's table (BUS_FIELDS, RADIO_FIELDS, ADDRESS_FIELDS, ...) or its format's " \
         "named limit (MAX_DLC, MAX_CHANNEL, SEQ_MASK, ...)"
+
+
+RADIO_DECISIONS = {"_valid_packet", "hop_channel", "SEQ_MASK"}
+
+
+def radio_decisions(source: str) -> list[int]:
+    """Lines that read _valid_packet, hop_channel or SEQ_MASK: by its name, by an alias
+    it was imported as, or as an attribute."""
+    tree = ast.parse(source)
+    aliases = {alias.asname: alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.asname}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and aliases.get(node.id, node.id) in RADIO_DECISIONS
+            or isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in RADIO_DECISIONS]
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("hop_channel(config, seq)", [1]), ("radio.hop_channel(config, seq)", [1]), ("_valid_packet(c, s, f)", [1]),
+    ("seq = n & SEQ_MASK", [1]), ("pick = hop_channel", [1]),
+    ("from .radio import hop_channel as pick\npick(config, seq)", [2]),
+    ("from .radio import SEQ_MASK, hop_channel", []), ("SEQ_MASK = 0xFFFF", []),
+    ("def hop_channel(config, seq):\n    return 0", []), ("strategy.channel_for(config, seq)", []),
+])
+def test_guard_sees_a_radio_decision(source, lines) -> None:
+    assert radio_decisions(source) == lines
+
+
+def test_only_radio_py_numbers_channels_and_builds_packets() -> None:
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) if path.name != "radio.py"
+             for line in radio_decisions(path.read_text(encoding="utf-8"))]
+    assert found == [], "send packets through a stave.radio.RadioInjector"

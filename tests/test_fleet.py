@@ -56,6 +56,13 @@ def test_catalog_rejects_pgn_collisions() -> None:
         MessageCatalog().with_overrides({"JOY1": {"pgn": 0xFF11}})
 
 
+def test_catalog_rejects_a_duplicate_message_name() -> None:
+    joy = MessageCatalog()["JOY1"]
+    with pytest.raises(ConfigurationError) as raised:
+        MessageCatalog([joy, joy])
+    assert str(raised.value) == "duplicate catalog message 'JOY1'"
+
+
 def test_catalog_rejects_a_destination_addressed_pgn() -> None:
     with pytest.raises(ConfigurationError) as raised:
         MessageCatalog().with_overrides({"JOY1": {"pgn": 0xEF00}})

@@ -59,3 +59,29 @@ def test_tracer_sees_offline_diff_and_occupancy(tmp_path, capsys) -> None:
     diff_calls, _, _, diffed_records = tracer.stat("attack.diff")
     assert (diff_calls, diffed_records) == (1, len(pre) + len(post))
     assert tracer.stat("attack.occupancy")[0] == 1
+
+
+def test_tracer_names_the_bridge_listener_and_radio_delivery() -> None:
+    # a bridge endpoint is a radio injector whose send_frame listens to its segment:
+    # its listener spans and the medium's delivery events keep the radio layer's names
+    scenario = make_scenario(
+        duration_s=3.0,
+        attacks=[
+            {"type": "replay", "start_s": 1.0, "capture": "vehicle0",
+             "match": {"pgn": "0xFF10"}, "save": "sched"},
+            {"type": "inject", "start_s": 1.0, "schedule": "sched",
+             "attachment": {"kind": "radio", "strategy": {"mode": "follow_hops"}}},
+        ],
+    )
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        bed = run_scenario(scenario)
+    finally:
+        tracer.uninstall()
+    injected = bed.summary["attacks"][1]["sent"]
+    assert injected > 0
+    assert tracer.stat("radio.on_frame")[0] == bed.medium.stats.packets_sent - injected
+    # no loss, and every packet reaches an endpoint: one delivery event each
+    assert tracer.stat("radio.event")[0] == bed.medium.stats.packets_sent
+    assert tracer.stat("attack.on_frame")[0] == 0

@@ -35,7 +35,7 @@ from stave import (
     hop_channel,
 )
 from stave.j1939 import MAX_CAN_ID
-from stave.radio import packet_frame
+from stave.radio import MASK64, packet_frame
 
 
 def crc_oracle(data: bytes) -> int:
@@ -377,6 +377,36 @@ def test_injector_packets_equal_checked_packets(follow_hops) -> None:
         for seq, frame in zip(seqs, frames)]
 
 
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(hopping=st.booleans(), hop_seed=st.integers(0, MASK64), num_channels=st.integers(1, 256),
+       seq=st.integers(0, 0x2FFFF), can_id=st.integers(0, MAX_CAN_ID), data=st.binary(max_size=8))
+def test_bridge_and_follow_hops_injector_send_the_same_packet(hopping, hop_seed, num_channels, seq, can_id,
+                                                              data) -> None:
+    clock = SimClock()
+    bus = CanBus(clock, "a", BusConfig())
+    medium = RadioMedium(clock, RadioConfig(num_channels=num_channels, hopping=hopping, hop_seed=hop_seed))
+    medium.add_tap(Tap(name="air")).keep(air := CaptureLog())
+    bridge = medium.create_endpoint(bus, "bridge")
+    injector = RadioInjector(medium, ChannelStrategy("follow_hops"))
+    bridge.seq_sent = injector.seq_sent = seq
+    frame = CanFrame(can_id, data)
+    bus.submit(bus.attach("ecu"), frame)  # the bridge sends what its segment carries
+    clock.run_until(1_000_000)
+    injector.send_frame(frame)
+    assert len(air) == 2
+    assert air[0].data == air[1].data
+
+
+@pytest.mark.parametrize("strategy, text", [
+    ("follow_hops", "'follow_hops'"), (ChannelStrategy, "<class 'stave.radio.ChannelStrategy'>"), (0, "0"), ("", "''"),
+])
+def test_injector_strategy_must_be_a_channel_strategy(strategy, text) -> None:
+    # rejected when built, not at the first send inside a clock event
+    with pytest.raises(ConfigurationError) as raised:
+        RadioInjector(RadioMedium(SimClock()), strategy)
+    assert str(raised.value) == f"injector strategy {text} must be a ChannelStrategy"
+
+
 def test_single_channel_tap_hears_only_its_channel() -> None:
     config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
     clock = SimClock()
@@ -500,22 +530,15 @@ def test_injected_packet_reaches_all_endpoints_but_not_sender(decoded, monkeypat
     bus_a.attach("sink_a", on_frame=got_a.append)
     bus_b.attach("sink_b", on_frame=got_b.append)
 
-    class FakeSender:
-        inside_faraday = True
-        delivered = 0
-
-        def on_packet_delivered(self) -> None:
-            self.delivered += 1
-
-    sender = FakeSender()
-    medium.transmit(RadioPacket(0, 0, JOY_FRAME), sender=sender)
+    injector = RadioInjector(medium, ChannelStrategy("fixed", 0))
+    injector.send_frame(JOY_FRAME)
     assert scheduled == [2000]  # one delivery event, after the latency, for both endpoints
     clock.run_until(1_000_000)
     assert len(got_a) == 1 and len(got_b) == 1
     assert [(f.can_id, f.data) for f in got_a + got_b] == [(JOY_FRAME.can_id, JOY_FRAME.data)] * 2
     assert decoded == []  # the packet object itself is delivered, never re-decoded
-    # one notification per packet even though two endpoints accepted it
-    assert sender.delivered == 1
+    # one delivery per packet even though two endpoints accepted it
+    assert (injector.stats.sent, injector.stats.delivered) == (1, 1)
 
 
 def test_loss_draw_is_seeded_and_endpoint_only() -> None:
