@@ -3,6 +3,8 @@
 perfbench/tracer.py wraps module globals such as runner.plan_replay and
 runner.schedule_injection; the runner must look them up through those
 globals at call time, or the per-layer attack metrics silently read 0.
+The tracer names a listener or an event after the module that defined it,
+so the bridge's listener and the medium's deliveries must stay in radio.py.
 """
 
 import importlib.util
@@ -32,12 +34,21 @@ def test_tracer_sees_replay_planning_and_injection() -> None:
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        run_scenario(scenario)
+        bed = run_scenario(scenario)
     finally:
         tracer.uninstall()
     plan_calls, _, _, planned_records = tracer.stat("attack.plan")
     assert plan_calls == 1 and planned_records > 0
     assert tracer.stat("attack.inject_schedule")[0] == 1
+    # a bridge endpoint is a radio injector whose send_frame listens to its segment:
+    # its listener spans and the medium's delivery events keep the radio layer's names
+    radio, inject = bed.medium.stats, bed.summary["attacks"][1]
+    assert inject["delivered"] > 0
+    assert tracer.stat("radio.on_frame")[0] == radio.packets_sent - inject["sent"]
+    assert tracer.stat("attack.on_frame")[0] == 0
+    # no loss and no rejection: one delivery event per delivered bridge packet, which
+    # reaches the other endpoint, and per delivered injected packet, which reaches both
+    assert tracer.stat("radio.event")[0] == radio.endpoint_delivered - inject["delivered"]
 
 
 def test_tracer_sees_offline_diff_and_occupancy(tmp_path, capsys) -> None:
@@ -60,28 +71,3 @@ def test_tracer_sees_offline_diff_and_occupancy(tmp_path, capsys) -> None:
     assert (diff_calls, diffed_records) == (1, len(pre) + len(post))
     assert tracer.stat("attack.occupancy")[0] == 1
 
-
-def test_tracer_names_the_bridge_listener_and_radio_delivery() -> None:
-    # a bridge endpoint is a radio injector whose send_frame listens to its segment:
-    # its listener spans and the medium's delivery events keep the radio layer's names
-    scenario = make_scenario(
-        duration_s=3.0,
-        attacks=[
-            {"type": "replay", "start_s": 1.0, "capture": "vehicle0",
-             "match": {"pgn": "0xFF10"}, "save": "sched"},
-            {"type": "inject", "start_s": 1.0, "schedule": "sched",
-             "attachment": {"kind": "radio", "strategy": {"mode": "follow_hops"}}},
-        ],
-    )
-    tracer = load_tracer().Tracer()
-    tracer.install()
-    try:
-        bed = run_scenario(scenario)
-    finally:
-        tracer.uninstall()
-    injected = bed.summary["attacks"][1]["sent"]
-    assert injected > 0
-    assert tracer.stat("radio.on_frame")[0] == bed.medium.stats.packets_sent - injected
-    # no loss, and every packet reaches an endpoint: one delivery event each
-    assert tracer.stat("radio.event")[0] == bed.medium.stats.packets_sent
-    assert tracer.stat("attack.on_frame")[0] == 0
