@@ -34,12 +34,13 @@ that reaches every knob of the simulation:
     }
 
 Every section except schema, seed, and duration_s is optional and
-defaults sensibly. Capture sources usable by attacks and outputs are
-the built-in segment recorders ("vehicle0", "operator0"), declared tap
-names, and earlier sniff saves. Validation checks structure and
-cross-references and reports every problem at once, each message
-prefixed with its field path. Each section lists its fields once, as a
-table of Field entries (TOP_FIELDS, ATTACKS, ...) that _Check.fields reads.
+defaults sensibly. Each declared name has one role: captures are the
+segment recorders ("vehicle0", "operator0"), taps and sniff saves;
+reports are diff, occupancy and replay saves; schedules are replay
+saves. Validation checks structure and cross-references and reports
+every problem at once, each message prefixed with its field path. Each
+section lists its fields once, as a table of Field entries (TOP_FIELDS,
+ATTACKS, ...) that _Check.fields reads.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ SCENARIO_SCHEMA = "stave-scenario/1"
 SEGMENT_NAMES = ("operator0", "vehicle0")
 # one simulated day; the longest run anywhere in the repo or its benchmark is 600 s
 MAX_TIME_S = 86_400.0
-SEED_RANGE = (0, None)  # a document's seed and with_seed's (inclusive; None is unbounded)
+SEED_RANGE = RADIO_FIELDS["hop_seed"]  # a document's seed and with_seed's (inclusive), as the hop seed's
 
 
 @dataclass(frozen=True)
@@ -168,28 +169,41 @@ RADIO_DOC = {
 FLEET_DOC = {"steer_enable": Field("boolean"), **{key: Field("number", bounds) for key, bounds in PLANT_FIELDS.items()},
              "catalog": Field("catalog")}
 TAP_DOC = {"name": Field("tap_name", required=True), "channels": Field("channels"), "inside_faraday": Field("boolean")}
-OUTPUT_DOC = {"summary": Field("relative_path"), "captures": Field("output_paths", ("capture",)),
-              "reports": Field("output_paths", ("report",))}
+# the role of each declared name: a built-in segment recorder, a tap, or the type of the
+# attack that saved it, a replay planned with fast timing (no gaps to repeat) having its own
+CAPTURE_ROLES = ("segment", "tap", "sniff")
+FAST_REPLAY = "fast replay"
+SCHEDULE_ROLES = ("replay", FAST_REPLAY)
+REPORT_ROLES = ("diff", "occupancy", *SCHEDULE_ROLES)
+OUTPUT_DOC = {"summary": Field("relative_path"), "captures": Field("output_paths", (CAPTURE_ROLES, "capture")),
+              "reports": Field("output_paths", (REPORT_ROLES, "report"))}
 # read first: an attack that starts outside the run reads no further
 START = {"start_s": Field("start", required=True)}
-CAPTURE = Field("capture", required=True)
+# a reference's bounds: the roles it accepts, its message for a name of none of them,
+# and its message for a name not ready by the attack's start
+CAPTURE = Field("reference", (CAPTURE_ROLES, "unknown capture {}",
+                              "capture {} is not complete until after this attack starts"), required=True)
 SAVE = Field("save", required=True)
-WIRED = {"segment": Field("segment", required=True)}
-# attachment kind -> the fields it takes besides kind (inject_attachment reads a radio one's)
-ATTACHMENTS = {"wired-tap": WIRED, "radio-tap": {"tap": Field("tap", required=True)}, "wired": WIRED}
+WIRED = {"segment": Field("reference", (("segment",), f"unknown segment {{}}; expected one of {SEGMENT_NAMES}"),
+                          required=True)}
+# attachment kind -> the fields it takes besides kind
+ATTACHMENTS = {"wired-tap": WIRED, "wired": WIRED,
+               "radio-tap": {"tap": Field("reference", (("tap",), "tap {} is not declared in taps"), required=True)},
+               "radio": {"strategy": Field("strategy"), "inside_faraday": Field("boolean")}}
 # attack type -> (a builder of its spec from the fields read, keyed as in the document;
 # the fields its object takes besides type and start_s)
 ATTACKS = {
-    "sniff": (lambda attachment, **read: SniffSpec(source=attachment, **read),
-              {"duration_s": Field("window", required=True), "attachment": Field("sniff_source", required=True),
-               "save": SAVE}),
+    "sniff": (lambda attachment, **read: SniffSpec(source=next(iter(attachment.values())), **read),
+              {"duration_s": Field("window", required=True),
+               "attachment": Field("attachment", ("wired-tap", "radio-tap"), required=True), "save": SAVE}),
     "diff": (DiffSpec, {"pre": CAPTURE, "post": CAPTURE, "save": SAVE}),
     "replay": (lambda mutate=None, **read: ReplaySpec(mutation=mutate, **read),
                {"capture": CAPTURE, "match": Field("match", required=True), "mutate": Field("mutation"),
                 "timing": Field("timing"), "save": SAVE}),
     "inject": (lambda attachment, **read: InjectSpec(**attachment, **read),
-               {"schedule": Field("schedule", required=True),
-                "attachment": Field("inject_attachment", required=True), "repeat": Field("boolean")}),
+               {"schedule": Field("reference", (SCHEDULE_ROLES, "unknown replay schedule {}",
+                                                "schedule {} is planned after this attack starts"), required=True),
+                "attachment": Field("attachment", ("wired", "radio"), required=True), "repeat": Field("boolean")}),
     "occupancy": (OccupancySpec, {"capture": CAPTURE, "save": SAVE}),
 }
 ATTACK_TYPES = tuple(ATTACKS)
@@ -213,12 +227,8 @@ class _Check:
 
     def __init__(self):
         self.errors: list[str] = []
-        self.tap_names: set[str] = set()
-        # name -> time from which the named capture or schedule may be consumed
-        self.capture_ready: dict[str, int] = dict.fromkeys(SEGMENT_NAMES, 0)
-        self.schedule_ready: dict[str, int] = {}
-        self.fast_schedules: set[str] = set()  # planned with fast timing: no gaps to repeat
-        self.report_names: set[str] = set()  # every schedule is one too
+        # each declared name -> (its role, the time from which it may be consumed)
+        self.names: dict[str, tuple[str, int]] = dict.fromkeys(SEGMENT_NAMES, ("segment", 0))
 
     def add(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
@@ -421,11 +431,10 @@ class _Check:
             # the name is the interface column of the tap's capture log
             self.add(path, f"tap name {shown(name)} must not contain whitespace")
             return None
-        if name in self.tap_names:
+        if name in self.names:  # read before any attack: a segment or an earlier tap
             self.add(path, f"duplicate tap name {shown(name)}")
         elif name is not None:
-            self.tap_names.add(name)
-            self.capture_ready[name] = 0
+            self.names[name] = ("tap", 0)
         return name
 
     def channels(self, path: str, value) -> tuple[int, ...] | None:
@@ -454,16 +463,12 @@ class _Check:
             self.expect_keys(where, item, {"type", *START, *table})
             errors = len(self.errors)
             values = self.fields(where, item, table)
-            save = values.get("save")
-            if kind == "sniff" and save is not None and values["duration_us"] is not None:
-                self.capture_ready[save] = self.start_us + values["duration_us"]
-            elif kind != "sniff" and save is not None:
-                self.report_names.add(save)
-                if kind == "replay":
-                    self.schedule_ready[save] = self.start_us
-                    if values["timing"] == TIMING_FAST:
-                        self.fast_schedules.add(save)
-            if kind == "inject" and values["repeat"] and values["schedule"] in self.fast_schedules:
+            # a save is ready when its attack starts, a sniff's when its window ends
+            save, window_us = values.get("save"), values.get("duration_us", 0)
+            if save is not None and window_us is not None:  # a sniff without a valid window declares nothing
+                role = FAST_REPLAY if values.get("timing") == TIMING_FAST else kind
+                self.names[save] = (role, self.start_us + window_us)
+            if kind == "inject" and values["repeat"] and self.names.get(values["schedule"], ("",))[0] == FAST_REPLAY:
                 self.add(f"{where}.repeat",
                          f"schedule {shown(values['schedule'])} has fast timing, so it has no gaps to repeat")
             if len(self.errors) == errors:
@@ -487,82 +492,48 @@ class _Check:
 
     def save(self, path: str, value) -> str | None:
         name = self.string(path, value)
-        if name in self.capture_ready or name in self.report_names:
+        if name in self.names:
             self.add(path, f"save name {shown(name)} is already taken")
             return None
         return name
 
-    def capture(self, path: str, value) -> str | None:
-        return self.reference(path, value, self.capture_ready, "unknown capture",
-                              "capture {} is not complete until after this attack starts")
-
-    def schedule(self, path: str, value) -> str | None:
-        return self.reference(path, value, self.schedule_ready, "unknown replay schedule",
-                              "schedule {} is planned after this attack starts")
-
-    def reference(self, path: str, value, ready: dict[str, int], unknown: str, late: str) -> str | None:
-        """The name, if it is in ready and ready by the attack's start."""
+    def reference(self, path: str, value, roles: tuple[str, ...], unknown: str, late: str = "") -> str | None:
+        """The name, if it is declared in one of roles and ready by the attack's start."""
         name = self.string(path, value)
-        if name is not None and name not in ready:
-            self.add(path, f"{unknown} {shown(name)}")
-        elif name is not None and ready[name] > self.start_us:
+        role, ready_us = self.names.get(name, ("", 0))
+        if name is not None and role not in roles:
+            self.add(path, unknown.format(shown(name)))
+        elif name is not None and ready_us > self.start_us:
             self.add(path, late.format(shown(name)))
         else:
             return name
         return None
 
-    def segment(self, path: str, value) -> str | None:
-        segment = self.string(path, value)
-        if segment is not None and segment not in SEGMENT_NAMES:
-            self.add(path, f"unknown segment {shown(segment)}; expected one of {SEGMENT_NAMES}")
-            return None
-        return segment
-
-    def tap(self, path: str, value) -> str | None:
-        tap = self.string(path, value)
-        if tap is not None and tap not in self.tap_names:
-            self.add(path, f"tap {shown(tap)} is not declared in taps")
-            return None
-        return tap
-
-    def sniff_source(self, path: str, value) -> str | None:
-        """The log a sniff attachment reads: a wired-tap's segment or a radio-tap's tap."""
+    def attachment(self, path: str, value, *kinds: str) -> dict | None:
+        """The spec fields an attachment of one of kinds sets, as ATTACHMENTS lists them."""
         doc = self.section(path, value)
         kind = doc.get("kind")
-        if kind not in ("wired-tap", "radio-tap"):
-            self.add(f"{path}.kind", f"expected wired-tap or radio-tap, got {shown(kind)}")
+        if kind not in kinds:  # a tuple, which a list-valued kind is compared with, not hashed
+            self.add(f"{path}.kind", f"expected {' or '.join(kinds)}, got {shown(kind)}")
             return None
         self.expect_keys(path, doc, {"kind", *ATTACHMENTS[kind]})
-        (source,) = self.fields(path, doc, ATTACHMENTS[kind]).values()
-        return source
+        return _given(**self.fields(path, doc, ATTACHMENTS[kind]))
 
-    def inject_attachment(self, path: str, value) -> dict | None:
-        """The InjectSpec fields an inject attachment sets: a wired one's segment,
-        a radio one's strategy and inside_faraday."""
-        doc = self.section(path, value)
-        kind = doc.get("kind")
-        if kind == "wired":
-            self.expect_keys(path, doc, {"kind", *WIRED})
-            return self.fields(path, doc, WIRED)
-        if kind == "radio":
-            self.expect_keys(path, doc, {"kind", "strategy", "inside_faraday"})
-            strategy_doc = self.section(f"{path}.strategy", doc.get("strategy"), {"mode", "channel"})
-            mode = strategy_doc.get("mode", ChannelStrategy.mode)
-            where = f"{path}.strategy.channel"
-            channel = strategy_doc.get("channel", ChannelStrategy.channel)
-            # no endpoint listens past the last channel, so a fixed channel there
-            # would lose every packet; follow_hops ignores the channel
-            lo, hi = self.channel_range
-            channel = self.hex(where, self.required(where, channel), lo, hi if mode == "fixed" else None)
-            strategy = None
-            try:
-                strategy = ChannelStrategy(mode=mode, **_given(channel=channel))
-            except ConfigurationError as exc:
-                self.add(f"{path}.strategy", str(exc))
-            return {"strategy": strategy, **_given(inside_faraday=self.boolean(f"{path}.inside_faraday",
-                                                                             doc.get("inside_faraday")))}
-        self.add(f"{path}.kind", f"expected wired or radio, got {shown(kind)}")
-        return None
+    def strategy(self, path: str, value) -> ChannelStrategy | None:
+        """A radio injector's channel strategy: an absent mode is fixed, an absent channel 0."""
+        doc = self.section(path, value, {"mode", "channel"})
+        mode = doc.get("mode", ChannelStrategy.mode)
+        where = f"{path}.channel"
+        # no endpoint listens past the last channel, so a fixed channel there
+        # would lose every packet; follow_hops ignores the channel
+        lo, hi = self.channel_range
+        channel = self.hex(where, self.required(where, doc.get("channel", ChannelStrategy.channel)),
+                           lo, hi if mode == "fixed" else None)
+        try:
+            return ChannelStrategy(mode=mode, **_given(channel=channel))
+        except ConfigurationError as exc:
+            self.add(path, str(exc))
+            return None
 
     def match(self, path: str, value) -> MessageMatch | None:
         doc = self.section(path, value, MATCH_FIELDS.keys())
@@ -601,12 +572,11 @@ class _Check:
                     self.add(path, f"output path {shown(directory_text)} is a directory of {shown(text)}")
         return outputs
 
-    def output_paths(self, path: str, value, noun: str) -> dict[str, str]:
+    def output_paths(self, path: str, value, roles: tuple[str, ...], noun: str) -> dict[str, str]:
         """A declared capture's or report's name -> relative output path."""
-        known = self.capture_ready if noun == "capture" else self.report_names
         paths = {}
         for name, rel in self.section(path, value).items():
-            if name not in known:
+            if self.names.get(name, ("",))[0] not in roles:
                 self.add(f"{path}.{name}", f"unknown {noun} {shown(name)}")
                 continue
             rel = self.relative_path(f"{path}.{name}", rel)

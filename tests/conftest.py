@@ -89,6 +89,21 @@ MALFORMED_SECTIONS = [
                   {"type": "inject", "start_s": 1.0, "schedule": "plan",
                    "attachment": {"kind": "wired", "segment": "vehicle0"}}]},
      "attacks[0].match: exactly one of can_id or pgn must be given"),
+    # each name is used only as its role allows: a sniff save is a capture, not a report,
+    # and a diff save is a report, not a capture
+    ({"attacks": [SNIFF], "outputs": {"reports": {"cap": "cap.json"}}}, "outputs.reports.cap: unknown report 'cap'"),
+    ({"attacks": [SNIFF, {"type": "diff", "start_s": 0.5, "pre": "cap", "post": "cap", "save": "d"},
+                  {"type": "occupancy", "start_s": 0.5, "capture": "d", "save": "o"}]},
+     "attacks[2].capture: unknown capture 'd'"),
+    # a sniff without a valid window declares nothing, so its name is free
+    ({"attacks": [{**SNIFF, "duration_s": 5.0}, {**REPLAY, "match": {"pgn": "0xFF10"}, "save": "cap"}]},
+     "attacks[0].duration_s: sniff window runs past the scenario duration"),
+    ({"taps": [{"name": "air"}], "attacks": [{**REPLAY, "match": {"pgn": "0xFF10"}, "save": "air"}]},
+     "attacks[0].save: save name 'air' is already taken"),
+    # a capture may be consumed from the microsecond its sniff window ends, not before
+    ({"attacks": [SNIFF, {"type": "occupancy", "start_s": 0.499999, "capture": "cap", "save": "early"},
+                  {"type": "occupancy", "start_s": 0.5, "capture": "cap", "save": "on-time"}]},
+     "attacks[1].capture: capture 'cap' is not complete until after this attack starts"),
 ]
 
 

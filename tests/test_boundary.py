@@ -450,7 +450,6 @@ def test_guard_sees_a_literal_constructor_bound(source, found) -> None:
 SCENARIO_OWN_BOUNDS = {
     "number(path, hi=MAX_TIME_S)": "a document time is at most one simulated day; constructors take microseconds",
     "Field('duration_s', (1e-06,))": "a run lasts at least one microsecond tick; no constructor takes a duration",
-    "Field('seed', SEED_RANGE)": "the seed is a document field that with_seed replaces; no constructor takes one",
 }
 # the only bare literal bounds a check_int or check_real call in src/stave may hold:
 # limits of one type alone, which no format or other type shares

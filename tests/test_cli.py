@@ -224,6 +224,9 @@ BAD_VALUES = {
     "non-ascii-seed": (SCENARIO, ["run", "FILE", "--seed", "\u0663", "--out", "out"],
                        "--seed: expected an integer, got '\u0663'"),
     "text-seed": (SCENARIO, ["run", "FILE", "--seed", "x", "--out", "out"], "--seed: expected an integer, got 'x'"),
+    # the seed takes the hop seed's range, so the run's loss stream can be seeded from its text
+    "16000-bit-seed": (SCENARIO, ["run", "FILE", "--seed", "0x" + "F" * 4000, "--out", "out"],
+                       "--seed: must be <= 18446744073709551615, got <16000-bit integer>"),
     "5000-digit-match-id": (CAPTURE, ["replay-plan", "FILE", "--match-id", "1" * 5000],
                             f"--match-id: expected an integer, got {'1' * 100!r}... (5000 characters)"),
     # hex converts at any length, but the value has too many digits to print
@@ -253,6 +256,17 @@ def test_bad_value_is_one_located_error(tmp_path, capsys, monkeypatch, name) -> 
     assert main([arg.replace("FILE", "input") for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "out").exists()  # nothing was written
+
+
+@pytest.mark.parametrize("argv", [["run", "PATH"], ["validate", "PATH"], ["diff", "PATH", "PATH", "--report", "r"],
+                                  ["occupancy", "PATH"], ["replay-plan", "PATH", "--match-pgn", "0xFF10"]],
+                         ids=lambda argv: argv[0])
+def test_a_path_no_file_system_takes_is_one_error(tmp_path, capsys, monkeypatch, argv) -> None:
+    # open() rejects a NUL byte with a ValueError, which no command turns into a StaveError
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.replace("PATH", "a\x00b") for arg in argv]) == 2
+    assert capsys.readouterr().err == "error: embedded null byte\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_diff_writes_report(tmp_path, capsys) -> None:

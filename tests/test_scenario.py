@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from test_golden import ALL_ATTACK_TYPES
 
 from stave import MessageCatalog, ScenarioValidationError, Tap, load_scenario, validate_scenario
-from stave.scenario import ATTACHMENTS, ATTACKS, MAX_TIME_S, START, TAP_DOC, TOP_FIELDS
+from stave.scenario import ATTACHMENTS, ATTACKS, MAX_TIME_S, SEGMENT_NAMES, START, TAP_DOC, TOP_FIELDS
 
 
 def errors_for(**sections) -> list[str]:
@@ -495,20 +495,33 @@ def _subtree_paths(node, path=()):
 
 FIXTURES = {p.name: load_fixture(p.name) for p in sorted(SCENARIOS_DIR.glob("*.json"))}
 SUBTREES = [(name, path) for name, doc in FIXTURES.items() for path in _subtree_paths(doc)]
-JSON_VALUES = st.recursive(
-    st.one_of(
+
+
+def json_values(names: list[str]):
+    """Any JSON value; a string or key is sometimes one of names, since random text
+    almost never equals a name the document declares."""
+    text = st.text(max_size=6) | st.sampled_from(names)
+    leaves = st.one_of(
         st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(2**64), 10**400]),
-        st.floats(), st.sampled_from([1e308, -1e308, 1e300, 86_400.5]), st.text(max_size=6),
-    ),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6,
-)
+        st.floats(), st.sampled_from([1e308, -1e308, 1e300, 86_400.5]), text,
+    )
+    return st.recursive(
+        leaves, lambda children: st.lists(children, max_size=3) | st.dictionaries(text, children, max_size=3),
+        max_leaves=6,
+    )
+
+
+# each fixture's values: its names are the segment recorders, its taps and its saves
+JSON_VALUES = {name: json_values([*SEGMENT_NAMES, *(tap["name"] for tap in doc.get("taps", [])),
+                                  *(attack["save"] for attack in doc.get("attacks", []) if "save" in attack)])
+               for name, doc in FIXTURES.items()}
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(st.sampled_from(SUBTREES), JSON_VALUES)
-def test_any_json_value_anywhere_is_a_scenario_or_a_validation_error(subtree, value) -> None:
+@given(st.sampled_from(SUBTREES), st.data())
+def test_any_json_value_anywhere_is_a_scenario_or_a_validation_error(subtree, data) -> None:
     name, path = subtree
+    value = data.draw(JSON_VALUES[name])
     doc = copy.deepcopy(FIXTURES[name])
     if path:
         parent = doc
