@@ -163,7 +163,14 @@ class MessageMatch:
         return pgn_of(can_id) == self.pgn
 
 
-_MUTATION_RE = re.compile(rf"^byte([0-9]+)=(reflect|const|add)\(({INT_TEXT})\)$")
+# each mutation rule -> (its operand's range, inclusive, None unbounded; the new byte
+# value from the old one and the operand); add wraps modulo 256, so any integer is an operand
+_MUTATION_RULES = {
+    "reflect": ((0, 255), lambda value, operand: operand - value),
+    "const": ((0, 255), lambda value, operand: operand),
+    "add": ((None, None), lambda value, operand: (value + operand) % 256),
+}
+_MUTATION_RE = re.compile(rf"^byte([0-9]+)=({'|'.join(_MUTATION_RULES)})\(({INT_TEXT})\)$")
 
 
 @dataclass(frozen=True)
@@ -171,16 +178,14 @@ class Mutation:
     """Single-byte payload transform applied during replay planning."""
 
     byte_offset: int
-    rule: str  # reflect | const | add
+    rule: str  # a key of _MUTATION_RULES
     operand: int
 
     def __post_init__(self):
         check_int(ConfigurationError, "mutation byte offset", self.byte_offset, 0, MAX_DLC - 1)
-        if self.rule not in ("reflect", "const", "add"):
+        if self.rule not in tuple(_MUTATION_RULES):  # a tuple, which a list-valued rule is compared with, not hashed
             raise ConfigurationError(f"unknown mutation rule {shown(self.rule)}")
-        # add wraps modulo 256, so any integer is an operand
-        lo, hi = (None, None) if self.rule == "add" else (0, 255)
-        check_int(ConfigurationError, f"{self.rule} operand", self.operand, lo, hi)
+        check_int(ConfigurationError, f"{self.rule} operand", self.operand, *_MUTATION_RULES[self.rule][0])
 
     @classmethod
     def parse(cls, text: str) -> "Mutation":
@@ -204,19 +209,13 @@ class Mutation:
                 f"mutation targets byte {self.byte_offset} of a {len(data)}-byte payload"
             )
         value = data[self.byte_offset]
-        if self.rule == "reflect":
-            if value > self.operand:
-                raise ConfigurationError(
-                    f"reflect({self.operand}) saw byte value {value}; "
-                    "reflection max must bound the matched traffic"
-                )
-            new = self.operand - value
-        elif self.rule == "const":
-            new = self.operand
-        else:
-            new = (value + self.operand) % 256
+        if self.rule == "reflect" and value > self.operand:
+            raise ConfigurationError(
+                f"reflect({self.operand}) saw byte value {value}; "
+                "reflection max must bound the matched traffic"
+            )
         out = bytearray(data)
-        out[self.byte_offset] = new
+        out[self.byte_offset] = _MUTATION_RULES[self.rule][1](value, self.operand)
         return bytes(out)
 
 

@@ -150,7 +150,7 @@ class CanBus:
         now = self.clock.now_us
         self._claimed = False
         self._busy_us += self._frame_us[len(frame.data)]
-        self.capture.observe(now, frame.data, frame.can_id)
+        self.capture.observe(now, frame.can_id, frame.data)
         # the frame passed submit's checks and now is never negative
         delivered = _valid_frame(frame.can_id, frame.data, now)
         for callback in self._fanout[sender.node_id]:

@@ -94,10 +94,14 @@ def _format_row(timestamp_us: int, interface: str, can_id: int, data: bytes) -> 
     return f"({ts}) {interface} {can_id:08X}#{data.hex().upper()}\n"
 
 
+def _row(record: CaptureRecord) -> tuple[int, str, int, bytes]:
+    """A record's fields in the order of a log's columns, a radio record's can_id as RADIO_ID."""
+    return record.timestamp_us, record.interface, RADIO_ID if record.can_id is None else record.can_id, record.data
+
+
 def serialize_record(record: CaptureRecord) -> str:
     """Render one record as its log line, newline terminated."""
-    can_id = RADIO_ID if record.can_id is None else record.can_id
-    return _format_row(record.timestamp_us, record.interface, can_id, record.data)
+    return _format_row(*_row(record))
 
 
 def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
@@ -148,16 +152,16 @@ class CaptureLog:
         self._payloads: list[bytes] = []
 
     def append(self, record: CaptureRecord) -> None:
-        self._append_row(record.timestamp_us, record.interface, record.data, record.can_id)
+        self._append_row(*_row(record))
 
-    def _append_row(self, timestamp_us: int, interface: str, data: bytes, can_id: int | None) -> None:
-        """Append the record with these fields, already known to be valid
-        (can_id None: a radio record), without building it."""
+    def _append_row(self, timestamp_us: int, interface: str, can_id: int, data: bytes) -> None:
+        """Append the row of the record with these fields, already known to be
+        valid (can_id RADIO_ID: a radio record), without building it."""
         stamps = self._stamps
         if stamps and timestamp_us < stamps[-1]:
             raise MonotonicityError(f"timestamp {timestamp_us} us is before previous {stamps[-1]} us")
         stamps.append(timestamp_us)
-        self._ids.append(RADIO_ID if can_id is None else can_id)
+        self._ids.append(can_id)
         self._interfaces.append(interface)
         self._payloads.append(data)
 
@@ -313,10 +317,10 @@ class CapturePoint:
         """Also append the records seen in [start_us, end_us) to log."""
         self.sinks.append((log, start_us, end_us))
 
-    def observe(self, timestamp_us: int, data: bytes, can_id: int | None = None) -> None:
+    def observe(self, timestamp_us: int, can_id: int, data: bytes) -> None:
         """Count one valid observation and append it to every sink that keeps
-        it; can_id None: a radio record."""
+        it; can_id RADIO_ID: a radio record."""
         self.seen += 1
         for log, start_us, end_us in self.sinks:
             if start_us <= timestamp_us < end_us:
-                log._append_row(timestamp_us, self.interface, data, can_id)
+                log._append_row(timestamp_us, self.interface, can_id, data)

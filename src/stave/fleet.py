@@ -221,10 +221,6 @@ class VehicleObservables:
     machine_voltage: float
 
 
-def _pad(defined: bytes) -> bytes:
-    return defined + b"\xff" * (MAX_DLC - len(defined))
-
-
 class _Node:
     """A fleet node, which sends one catalog message. It attaches to its bus
     and then, when the catalog gives its message a cycle, ticks at t = cycle
@@ -257,10 +253,13 @@ class _Node:
     last_payload = None  # the payload of the latest broadcast
 
     def broadcast(self, data: bytes) -> None:
+        """Send the node's message with data, padded with 0xFF to MAX_DLC
+        bytes as every fleet frame is."""
+        data = data.ljust(MAX_DLC, b"\xff")
         if data != self.last_payload:  # else send the equal latest one, so logs share it
             self.last_payload = data
-        # the identifier comes from the validated catalog and every payload
-        # here is _pad's MAX_DLC bytes, so the frame is valid without re-checking it
+        # the identifier comes from the validated catalog and the payload is
+        # MAX_DLC bytes, so the frame is valid without re-checking it
         self.bus.submit(self.handle, _valid_frame(self.can_id, self.last_payload, 0))
 
 
@@ -271,7 +270,7 @@ class JoystickNode(_Node):
 
     def tick(self):
         x, y, button = self.fleet.script.value_at(self.clock.now_us)
-        self.broadcast(_pad(bytes((x, y, button & 1))))
+        self.broadcast(bytes((x, y, button)))
 
 
 class DisplayNode(_Node):
@@ -281,7 +280,7 @@ class DisplayNode(_Node):
 
     def send_led_command(self, mask: int) -> None:
         check_int(ConfigurationError, "led command", mask, 0, 0xFF)
-        self.broadcast(_pad(bytes((mask,))))
+        self.broadcast(bytes((mask,)))
 
 
 class PowerEcu(_Node):
@@ -296,7 +295,7 @@ class PowerEcu(_Node):
         self.voltage_bytes = VOLTAGE_SIGNAL.encode(machine_voltage)
 
     def tick(self):
-        self.broadcast(_pad(self.voltage_bytes + bytes((1 if self.steer_enable else 0,))))
+        self.broadcast(self.voltage_bytes + bytes((1 if self.steer_enable else 0,)))
 
 
 class SteeringEcu(_Node):
@@ -333,7 +332,7 @@ class SteeringEcu(_Node):
             self.angle_deg, target, self.spec.cycle_ms / 1000,
             steer_enable=self.steer_enable, joystick_age_s=age_s,
         )
-        self.broadcast(_pad(WHEEL_ANGLE_SIGNAL.encode(self.angle_deg)))
+        self.broadcast(WHEEL_ANGLE_SIGNAL.encode(self.angle_deg))
 
 
 class HydraulicsEcu(_Node):
@@ -355,7 +354,7 @@ class HydraulicsEcu(_Node):
         return self.pump_raw * PUMP_SIGNAL.scale
 
     def tick(self):
-        self.broadcast(_pad(bytes((self.pump_raw,))))
+        self.broadcast(bytes((self.pump_raw,)))
 
 
 class EngineEcu(_Node):
@@ -366,7 +365,7 @@ class EngineEcu(_Node):
     def __init__(self, fleet, bus, engine_rpm: float):
         super().__init__(fleet, bus)
         self.engine_rpm = engine_rpm
-        self.payload = _pad(b"\xff" * ENGINE_SPEED_SIGNAL.byte_offset + ENGINE_SPEED_SIGNAL.encode(engine_rpm))
+        self.payload = b"\xff" * ENGINE_SPEED_SIGNAL.byte_offset + ENGINE_SPEED_SIGNAL.encode(engine_rpm)
 
     def tick(self):
         self.broadcast(self.payload)
@@ -389,7 +388,7 @@ class ImplementEcu(_Node):
                 self.tick()
 
     def tick(self):
-        self.broadcast(_pad(bytes((self.led_mask,))))
+        self.broadcast(bytes((self.led_mask,)))
 
 
 # the messages whose node has no tick, so that no node sends them on a cycle

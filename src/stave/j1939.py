@@ -101,10 +101,7 @@ class J1939Address:
 
     @property
     def pgn(self) -> int:
-        pgn = (self.edp << 17) | (self.dp << 16) | (self.pdu_format << 8)
-        if self.pdu_format >= PDU2_THRESHOLD:
-            pgn |= self.pdu_specific
-        return pgn
+        return pgn_of(encode_id(self))
 
     @property
     def destination_address(self) -> int | None:
@@ -157,8 +154,8 @@ def decode_id(can_id: int) -> J1939Address:
 
 
 def pgn_of(can_id: int) -> int:
-    """The pgn of a valid 29-bit identifier: ``decode_id(can_id).pgn``
-    computed on the integer alone."""
+    """The pgn of a valid 29-bit identifier: its edp, dp, pdu format and,
+    for a PDU2 (broadcast) format, its pdu specific byte as group extension."""
     pgn = (can_id >> 8) & 0x3FFFF  # edp, dp, pf, ps
     return pgn if (pgn >> 8) & 0xFF >= PDU2_THRESHOLD else pgn & 0x3FF00
 

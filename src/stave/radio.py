@@ -37,7 +37,7 @@ import struct
 from dataclasses import dataclass
 
 from .bus import CanBus, NodeHandle
-from .capture import CapturePoint, valid_interface
+from .capture import RADIO_ID, CapturePoint, valid_interface
 from .errors import (
     ConfigurationError,
     DecapsulationError,
@@ -276,7 +276,7 @@ class RadioMedium:
                 continue
             if tap.channels is not None and channel not in tap.channels:
                 continue
-            point.observe(now, wire)
+            point.observe(now, RADIO_ID, wire)
         if faraday and not sender_inside:
             return
         reached = []
@@ -359,15 +359,14 @@ class RadioInjector:
         if not isinstance(self.strategy, ChannelStrategy):
             raise ConfigurationError(f"injector strategy {shown(strategy)} must be a ChannelStrategy")
         self.inside_faraday = check_bool(ConfigurationError, "injector inside_faraday", inside_faraday)
-        self.seq_sent = 0
         self.stats = InjectionStats()
 
     def send_frame(self, frame: CanFrame) -> None:
-        seq = self.seq_sent & SEQ_MASK
-        self.seq_sent += 1
+        # the packets are numbered from 0, by the count sent before this one
+        seq = self.stats.sent & SEQ_MASK
+        self.stats.sent += 1
         # channel_for gives a channel in 0..MAX_CHANNEL, and seq is masked
         channel = self.strategy.channel_for(self.medium.config, seq)
-        self.stats.sent += 1
         self.medium.transmit(_valid_packet(channel, seq, frame), sender=self)
 
 

@@ -270,8 +270,8 @@ def test_analyses_agree_however_a_log_was_filled(seed: int) -> None:
     def observed(log: CaptureLog) -> CaptureLog:
         point = CapturePoint("any")
         point.keep(kept := CaptureLog())
-        for record in log:
-            point.observe(record.timestamp_us, record.data, record.can_id)
+        for timestamp_us, can_id, data in log.rows():
+            point.observe(timestamp_us, can_id, data)
         return kept
 
     assert _analyses(observed(pre), observed(post)) == want

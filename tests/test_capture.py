@@ -350,7 +350,7 @@ def test_capture_point_keeps_half_open_window() -> None:
     window = CaptureLog()
     point.keep(window, 100, 300)  # [100, 300)
     for ts in (99, 100, 200, 300):
-        point.observe(ts, b"\x00", 0x100)
+        point.observe(ts, 0x100, b"\x00")
     assert [r.timestamp_us for r in window] == [100, 200]
     assert [r.timestamp_us for r in whole] == [99, 100, 200, 300]
     assert point.seen == 4

@@ -427,7 +427,7 @@ def _in_process(argv, capsys) -> tuple:
 
 def _in_new_process(argv) -> tuple:
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from stave.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        [sys.executable, "-m", "stave.cli", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
     return proc.returncode, proc.stdout, proc.stderr

@@ -396,12 +396,13 @@ def test_every_plant_value_in_range_encodes(data) -> None:
     steer_enable = data.draw(st.booleans(), label="steer_enable")
     fleet = plant_fleet(steer_enable, **plant)
     # the fleet encodes its plant values once, at construction: EEC1 is the
-    # speed in an all-0xFF payload, PWR1 the voltage before the steer-enable byte
+    # speed in an all-0xFF payload, PWR1 the voltage before the steer-enable
+    # byte; broadcast pads each payload with 0xFF to 8 bytes
     sent = []
     for node in (fleet.engine, fleet.power):
         node.broadcast = sent.append
         node.tick()
-    engine, power = (CanFrame(0, data) for data in sent)
+    engine, power = (CanFrame(0, data.ljust(8, b"\xff")) for data in sent)
     # read back exactly: the raw value is the nearest integer of value / scale
     for frame, signal, value in ((engine, ENGINE_SPEED_SIGNAL, plant["engine_rpm"]),
                                  (power, VOLTAGE_SIGNAL, plant["machine_voltage"])):

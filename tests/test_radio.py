@@ -367,7 +367,7 @@ def test_injector_packets_equal_checked_packets(follow_hops) -> None:
     medium.add_tap(Tap(name="air")).keep(air := CaptureLog())
     strategy = ChannelStrategy("follow_hops") if follow_hops else ChannelStrategy("fixed", 9)
     injector = RadioInjector(medium, strategy)
-    injector.seq_sent = 0xFFFE  # the sequence number wraps at 16 bits
+    injector.stats.sent = 0xFFFE  # the sequence number wraps at 16 bits
     frames = [CanFrame(0x100 + i, bytes(range(i))) for i in range(5)]
     for frame in frames:
         injector.send_frame(frame)
@@ -388,7 +388,7 @@ def test_bridge_and_follow_hops_injector_send_the_same_packet(hopping, hop_seed,
     medium.add_tap(Tap(name="air")).keep(air := CaptureLog())
     bridge = medium.create_endpoint(bus, "bridge")
     injector = RadioInjector(medium, ChannelStrategy("follow_hops"))
-    bridge.seq_sent = injector.seq_sent = seq
+    bridge.stats.sent = injector.stats.sent = seq
     frame = CanFrame(can_id, data)
     bus.submit(bus.attach("ecu"), frame)  # the bridge sends what its segment carries
     clock.run_until(1_000_000)

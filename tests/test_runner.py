@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import load_fixture, make_scenario
+from test_golden import ALL_ATTACK_TYPES
 
 from stave import (BusStats, CaptureLog, CaptureRecord, VehicleObservables, build_testbed, run_scenario, summarize,
                    validate_scenario)
+from stave.capture import RADIO_ID
 from stave.runner import json_text, write_outputs
 
 JOY = 0x0CFF1028
@@ -226,6 +228,20 @@ def test_same_seed_reproduces_everything() -> None:
     assert a.reports == b.reports
 
 
+def test_a_shorter_run_is_a_prefix_of_a_longer_one() -> None:
+    # no rule looks ahead to the horizon: cut at a shorter duration, every kept
+    # log holds the longer run's rows up to that duration, and no other
+    longest = run_scenario(validate_scenario(ALL_ATTACK_TYPES))
+    assert len(longest.captures) == 7
+    for duration_s in (2.95, 2.6):
+        shorter = run_scenario(validate_scenario({**ALL_ATTACK_TYPES, "duration_s": duration_s}))
+        horizon_us = round(duration_s * 1_000_000)
+        assert shorter.captures.keys() == longest.captures.keys()
+        assert len(shorter.captures["vehicle0"]) < len(longest.captures["vehicle0"])
+        for name, log in shorter.captures.items():
+            assert list(log) == [r for r in longest.captures[name] if r.timestamp_us <= horizon_us], name
+
+
 def test_seed_changes_only_the_loss_stream() -> None:
     doc = load_fixture("lossy_hopping.json")
     doc["outputs"]["captures"]["vehicle0"] = "lossy/vehicle0.log"
@@ -250,9 +266,10 @@ def appended(monkeypatch) -> dict[int, list]:
     seen: dict[int, list] = {}
     append_row = CaptureLog._append_row
 
-    def spy(log, timestamp_us, interface, data, can_id):
-        seen.setdefault(id(log), []).append(CaptureRecord(timestamp_us, interface, data, can_id))
-        append_row(log, timestamp_us, interface, data, can_id)
+    def spy(log, timestamp_us, interface, can_id, data):
+        record = CaptureRecord(timestamp_us, interface, data, None if can_id == RADIO_ID else can_id)
+        seen.setdefault(id(log), []).append(record)
+        append_row(log, timestamp_us, interface, can_id, data)
 
     monkeypatch.setattr(CaptureLog, "_append_row", spy)
     return seen

@@ -1,6 +1,7 @@
 """Scenario document validation."""
 
 import copy
+import re
 
 import pytest
 from conftest import MALFORMED_SECTIONS, REPLAY, SCENARIOS_DIR, TIME_FIELDS, load_fixture, make_scenario
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden import ALL_ATTACK_TYPES
 
-from stave import MessageCatalog, ScenarioValidationError, Tap, load_scenario, validate_scenario
+from stave import MessageCatalog, Scenario, ScenarioValidationError, Tap, load_scenario, validate_scenario
+from stave.errors import shown
 from stave.scenario import ATTACHMENTS, ATTACKS, MAX_TIME_S, SEGMENT_NAMES, START, TAP_DOC, TOP_FIELDS
+from stave.sim import us_from_seconds
 
 
 def errors_for(**sections) -> list[str]:
@@ -493,8 +496,16 @@ def _subtree_paths(node, path=()):
         yield from _subtree_paths(child, (*path, key))
 
 
-FIXTURES = {p.name: load_fixture(p.name) for p in sorted(SCENARIOS_DIR.glob("*.json"))}
+# every attack type and both sniff attachments are in ALL_ATTACK_TYPES alone
+FIXTURES = {"<all-attack-types>": ALL_ATTACK_TYPES,
+            **{p.name: load_fixture(p.name) for p in sorted(SCENARIOS_DIR.glob("*.json"))}}
 SUBTREES = [(name, path) for name, doc in FIXTURES.items() for path in _subtree_paths(doc)]
+
+
+def declared_names(doc: dict) -> list[str]:
+    """The names doc declares: the segment recorders, its taps and its saves."""
+    return [*SEGMENT_NAMES, *(tap["name"] for tap in doc.get("taps", [])),
+            *(attack["save"] for attack in doc.get("attacks", []) if "save" in attack)]
 
 
 def json_values(names: list[str]):
@@ -511,10 +522,79 @@ def json_values(names: list[str]):
     )
 
 
-# each fixture's values: its names are the segment recorders, its taps and its saves
-JSON_VALUES = {name: json_values([*SEGMENT_NAMES, *(tap["name"] for tap in doc.get("taps", [])),
-                                  *(attack["save"] for attack in doc.get("attacks", []) if "save" in attack)])
-               for name, doc in FIXTURES.items()}
+JSON_VALUES = {name: json_values(declared_names(doc)) for name, doc in FIXTURES.items()}
+
+# the name rules, stated apart from the validator. A reference: the roles of the names
+# it accepts (a replay planned with fast timing is a replay here), its error for a name
+# of another role and its error for a name not ready by its attack's start
+CAPTURE = (("segment", "tap", "sniff"), "unknown capture {}",
+           "capture {} is not complete until after this attack starts")
+SCHEDULE = (("replay",), "unknown replay schedule {}", "schedule {} is planned after this attack starts")
+# each attack type's references; every type but inject saves a name
+REFERENCES = {"sniff": {}, "diff": {"pre": CAPTURE, "post": CAPTURE}, "occupancy": {"capture": CAPTURE},
+              "replay": {"capture": CAPTURE}, "inject": {"schedule": SCHEDULE}}
+OUTPUT_NAMES = {"captures": (CAPTURE[0], "capture"), "reports": (("diff", "occupancy", "replay"), "report")}
+NAME_ERROR = re.compile(r": (unknown (capture|replay schedule|report) |(capture|schedule) .* is (not complete until|"
+                        r"planned) after this attack starts$|save name .* is already taken$)")
+
+
+def name_rule_errors(doc, errors: list[str]) -> set[str]:
+    """The errors the name rules give doc, read from the document itself:
+    - each capture, pre and post names a segment, a tap, or a sniff save whose
+      window has closed by its attack's start;
+    - each schedule names a replay save planned by then;
+    - each key of outputs.captures is a segment, tap or sniff save, and each of
+      outputs.reports a diff, occupancy or replay save;
+    - no save takes the name of a segment, a tap or an earlier save.
+    A name is declared only as validation read it: a tap whose name, an attack
+    whose type or start, and a sniff whose window it refused (errors) declare nothing."""
+    if not isinstance(doc, dict):
+        return set()
+    refused = {error.split(": ", 1)[0] for error in errors}
+    names = dict.fromkeys(SEGMENT_NAMES, ("segment", 0))  # name -> (role, ready_us)
+    found = set()
+    taps, attacks, outputs = (doc.get(key) for key in ("taps", "attacks", "outputs"))
+    for i, tap in enumerate(taps if isinstance(taps, list) else []):
+        if isinstance(tap, dict) and f"taps[{i}].name" not in refused:
+            names[tap["name"]] = ("tap", 0)
+    for i, attack in enumerate(attacks if isinstance(attacks, list) else []):
+        where = f"attacks[{i}]"
+        if not isinstance(attack, dict) or {f"{where}.type", f"{where}.start_s"} & refused:
+            continue
+        kind, start_us = attack["type"], us_from_seconds(attack["start_s"])
+        for key, (roles, unknown, late) in REFERENCES[kind].items():
+            name = attack.get(key)
+            if isinstance(name, str) and name:
+                role, ready_us = names.get(name, ("", 0))
+                if role not in roles:
+                    found.add(f"{where}.{key}: {unknown.format(shown(name))}")
+                elif ready_us > start_us:
+                    found.add(f"{where}.{key}: {late.format(shown(name))}")
+        save = attack.get("save")
+        if kind != "inject" and isinstance(save, str) and save:
+            if save in names:
+                found.add(f"{where}.save: save name {shown(save)} is already taken")
+            elif kind != "sniff":
+                names[save] = (kind, start_us)
+            elif f"{where}.duration_s" not in refused:
+                names[save] = (kind, start_us + us_from_seconds(attack["duration_s"]))
+    for section, (roles, noun) in OUTPUT_NAMES.items():
+        paths = outputs.get(section) if isinstance(outputs, dict) else None
+        for name in paths if isinstance(paths, dict) else ():
+            if names.get(name, ("",))[0] not in roles:
+                found.add(f"outputs.{section}.{name}: unknown {noun} {shown(name)}")
+    return found
+
+
+def assert_name_rules(doc) -> Scenario | None:
+    """doc's scenario, or None when it is refused; either way validation reports
+    exactly the name-rule errors name_rule_errors finds in the document."""
+    try:
+        scenario, errors = validate_scenario(doc), []
+    except ScenarioValidationError as exc:
+        scenario, errors = None, exc.errors
+    assert {error for error in errors if NAME_ERROR.search(error)} == name_rule_errors(doc, errors)
+    return scenario
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -530,12 +610,56 @@ def test_any_json_value_anywhere_is_a_scenario_or_a_validation_error(subtree, da
         parent[path[-1]] = value
     else:
         doc = value
-    try:
-        scenario = validate_scenario(doc)
-    except ScenarioValidationError:
+    scenario = assert_name_rules(doc)
+    if scenario is None:
         return
     # an accepted document runs every attack and tap it lists
     assert len(scenario.attacks) == len(doc.get("attacks") or [])
     assert len(scenario.taps) == len(doc.get("taps") or [])
     for time_us in (scenario.duration_us, *(attack.start_us for attack in scenario.attacks)):
         assert type(time_us) is int and time_us <= MAX_TIME_S * 1e6
+
+
+def _renamed(node, old: str, new: str):
+    """node with each string old as new."""
+    if isinstance(node, dict):
+        return {key: _renamed(value, old, new) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_renamed(value, old, new) for value in node]
+    return new if node == old else node
+
+
+def name_and_time_edits(doc: dict):
+    """doc with one name or time changed to one that the name rules tell apart:
+    - a reference or save set to a declared name;
+    - a start or sniff window set to 1 µs before, at or after a time from which
+      a name is ready, an attack's start or the run's end;
+    - a key of outputs.captures or outputs.reports renamed to a declared name;
+    - a tap or save renamed to another declared name wherever it appears."""
+    names = declared_names(doc)
+    attacks, outputs = doc.get("attacks", []), doc["outputs"]
+    starts = [us_from_seconds(attack["start_s"]) for attack in attacks]
+    ready = [start + us_from_seconds(attack.get("duration_s", 0)) for start, attack in zip(starts, attacks)]
+    times = sorted({(t + d) / 1_000_000 for t in (*starts, *ready, us_from_seconds(doc["duration_s"]))
+                    for d in (-1, 0, 1)})
+    for i, attack in enumerate(attacks):
+        for key, values in (("save", names), ("capture", names), ("pre", names), ("post", names),
+                            ("schedule", names), ("start_s", times), ("duration_s", times)):
+            for value in values if key in attack else ():
+                yield {**doc, "attacks": [*attacks[:i], {**attack, key: value}, *attacks[i + 1:]]}
+    for section, paths in outputs.items():
+        for key in paths if isinstance(paths, dict) else ():
+            for name in (name for name in names if name not in paths):
+                yield {**doc, "outputs": {**outputs, section: {name if k == key else k: v for k, v in paths.items()}}}
+    for old in names[len(SEGMENT_NAMES):]:
+        for new in names:
+            edited = _renamed(doc, old, new)
+            edited["outputs"] = {section: {new if key == old else key: path for key, path in paths.items()}
+                                 if isinstance(paths, dict) else paths for section, paths in edited["outputs"].items()}
+            yield edited
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_every_name_and_time_edit_keeps_the_name_rules(name: str) -> None:
+    for doc in name_and_time_edits(FIXTURES[name]):
+        assert_name_rules(doc)
