@@ -74,13 +74,13 @@ def channel_occupancy(capture: CaptureLog, name: str) -> dict:
     }
 
 
-def _payloads_by_id(capture: CaptureLog) -> dict[int, list[bytes]]:
-    """The payload of each frame in a capture, grouped by can_id in capture
-    order; a payload equal to the last of its group is that same object."""
-    groups: dict[int, list[bytes]] = defaultdict(list)
+def _payloads_by_id(capture: CaptureLog) -> dict[int, dict[bytes, int]]:
+    """Each can_id's distinct frame payloads in a capture, each with its
+    frame count; the counts of a group sum to its identifier's frames."""
+    groups: dict[int, dict[bytes, int]] = defaultdict(dict)
     for _, can_id, data in _frame_rows(capture):
         group = groups[can_id]
-        group.append(group[-1] if group and group[-1] == data else data)
+        group[data] = group.get(data, 0) + 1
     return groups
 
 
@@ -94,6 +94,10 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> dict:
     order. Ids present on one side only are listed. Message rates (count /
     capture span) are compared where both spans are positive; a max/min
     ratio above 1.5 is reported.
+
+    The byte columns are read from each id's distinct payloads only: a
+    column's value set, and so every finding, is the same over those as
+    over every frame.
     """
     pre_groups = _payloads_by_id(pre)
     if not pre_groups:
@@ -124,8 +128,8 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> dict:
     post_span = post.span_us
     if pre_span > 0 and post_span > 0:
         for can_id in shared:
-            pre_hz = len(pre_groups[can_id]) * 1e6 / pre_span
-            post_hz = len(post_groups[can_id]) * 1e6 / post_span
+            pre_hz = sum(pre_groups[can_id].values()) * 1e6 / pre_span
+            post_hz = sum(post_groups[can_id].values()) * 1e6 / post_span
             if max(pre_hz, post_hz) / min(pre_hz, post_hz) > RATE_CHANGE_RATIO:
                 rate_changes.append({"can_id": f"0x{can_id:08X}", "pre_hz": pre_hz, "post_hz": post_hz})
 

@@ -15,6 +15,12 @@ re-serializes byte-identically, and timestamps must be monotone
 non-decreasing within a file and at most MAX_TIMESTAMP_US. One line
 grammar serves both parsers: CaptureLog.from_text reads a log straight
 into its columns with it, and parse_record reads one line.
+
+CaptureLog.load reads a file in blocks of whole lines, each parsed into
+the log as it is read, so a load holds the log and one block, never the
+whole file's bytes or text. A file's first fault is reported in this
+order: a byte that is not UTF-8 (anywhere in the file), then a last line
+without its LF, then the first faulty line.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import CaptureError, MonotonicityError, ParseError, check_bytes, check_int, shown
 from .j1939 import MAX_CAN_ID, MAX_DLC
@@ -49,6 +55,9 @@ MAX_TIMESTAMP_US = 2**63 - 1
 # equal payloads share one object; a vehicle bus carries a few hundred, and
 # a log of ever-new identifiers pays for no more than this many entries
 SHARED_IDS = 2048
+# how many bytes CaptureLog.load reads at a time before it completes the
+# block to the next LF; a load holds one block's bytes and text beside the log
+_BLOCK = 4096
 
 
 def valid_interface(name) -> bool:
@@ -110,7 +119,7 @@ def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
     text = line[:-1] if line.endswith("\n") else line
     if "\n" in text:
         raise ParseError(f"malformed record {shown(text)}", lineno)
-    return CaptureLog._parse(text + "\n", lineno)[0]
+    return CaptureLog._parse([text + "\n"], lineno)[0]
 
 
 def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError:
@@ -198,19 +207,21 @@ class CaptureLog:
     def from_text(cls, text: str) -> "CaptureLog":
         """Parse log text: LF-terminated lines, split at LF only."""
         if text and not text.endswith("\n"):
-            raise ParseError("last line lacks its LF terminator", text.count("\n") + 1)
-        return cls._parse(text, 1)
+            raise _unterminated(text.count("\n") + 1)
+        return cls._parse([text], 1)
 
     @classmethod
-    def _parse(cls, text: str, lineno: int | None) -> "CaptureLog":
-        """The log of text, whole LF-terminated lines, read straight into the
-        columns. lineno numbers text's first line in errors; None: no numbers.
+    def _parse(cls, blocks: Iterable[str], lineno: int | None) -> "CaptureLog":
+        """The log of blocks of whole LF-terminated lines, one after another,
+        read straight into the columns. lineno numbers the first block's first
+        line in errors; None: no numbers.
 
         One grammar match per line reads the fields, so no per-line record,
         string list or tuple list is built. Equal values share one object: a
         line keeps the previous line's interface when it is equal, and a CAN
         payload the last payload of its identifier when that is equal (for
-        the first SHARED_IDS identifiers).
+        the first SHARED_IDS identifiers). The stamp order, the interface and
+        the payloads carry over from one block to the next.
         """
         log = cls()
         stamps, ids, interfaces, payloads = log._stamps, log._ids, log._interfaces, log._payloads
@@ -220,49 +231,51 @@ class CaptureLog:
         match = _LINE_RE.match
         fromhex = bytes.fromhex
         max_digits = 2 * MAX_DLC
-        pos, end = 0, len(text)
-        # every break leaves the loop at a line the grammar or a limit refused,
-        # and so does a stamp past MAX_TIMESTAMP_US, overflowing its column
-        try:
-            while pos < end:
-                m = match(text, pos)
-                if m is None:
-                    break
-                seconds, fraction, interface, can_hex, digits, packet = m.groups()
-                if can_hex is not None:
-                    can_id = int(can_hex, 16)
-                    if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > max_digits:
+        for text in blocks:
+            pos, end = 0, len(text)
+            # every break leaves the loop at a line the grammar or a limit refused,
+            # and so does a stamp past MAX_TIMESTAMP_US, overflowing its column
+            try:
+                while pos < end:
+                    m = match(text, pos)
+                    if m is None:
                         break
-                    data = fromhex(digits)
-                    kept = last_payload.get(can_id)
-                    if kept == data:
-                        data = kept
-                    elif kept is not None or len(last_payload) < SHARED_IDS:
-                        last_payload[can_id] = data
-                elif packet is not None and not len(packet) % 2:
-                    # radio packets differ in seq and CRC, so only frames repeat
-                    can_id, data = RADIO_ID, fromhex(packet)
+                    seconds, fraction, interface, can_hex, digits, packet = m.groups()
+                    if can_hex is not None:
+                        can_id = int(can_hex, 16)
+                        if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > max_digits:
+                            break
+                        data = fromhex(digits)
+                        kept = last_payload.get(can_id)
+                        if kept == data:
+                            data = kept
+                        elif kept is not None or len(last_payload) < SHARED_IDS:
+                            last_payload[can_id] = data
+                    elif packet is not None and not len(packet) % 2:
+                        # radio packets differ in seq and CRC, so only frames repeat
+                        can_id, data = RADIO_ID, fromhex(packet)
+                    else:
+                        break
+                    stamp = int(seconds + fraction)
+                    if stamp < previous:
+                        raise MonotonicityError(
+                            f"line {_line_after(lineno, len(stamps))}: timestamp goes backwards "
+                            f"({stamp} us after {previous} us)"
+                        )
+                    if interface != iface:
+                        iface = interface
+                    stamps.append(stamp)
+                    ids.append(can_id)
+                    interfaces.append(iface)
+                    payloads.append(data)
+                    previous = stamp
+                    pos = m.end()
                 else:
-                    break
-                stamp = int(seconds + fraction)
-                if stamp < previous:
-                    raise MonotonicityError(
-                        f"line {_line_at(text, pos, lineno)}: timestamp goes backwards "
-                        f"({stamp} us after {previous} us)"
-                    )
-                if interface != iface:
-                    iface = interface
-                stamps.append(stamp)
-                ids.append(can_id)
-                interfaces.append(iface)
-                payloads.append(data)
-                previous = stamp
-                pos = m.end()
-            else:
-                return log
-        except OverflowError:
-            pass
-        raise _rejected_line(text, pos, m, _line_at(text, pos, lineno))
+                    continue
+            except OverflowError:
+                pass
+            raise _rejected_line(text, pos, m, _line_after(lineno, len(stamps)))
+        return log
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -270,21 +283,61 @@ class CaptureLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "CaptureLog":
-        return cls.from_text(_decode(Path(path).read_bytes()))
+        """Parse a log file block by block, holding one block beside the log."""
+        with open(path, "rb") as fh:
+            blocks = _file_blocks(fh)
+            try:
+                return cls._parse(blocks, 1)
+            except CaptureError as exc:
+                fault = exc
+            # a byte that is not UTF-8 or a missing final LF later in the file
+            # is reported before a faulty line
+            for _ in blocks:
+                pass
+            raise fault
 
 
-def _line_at(text: str, pos: int, lineno: int | None) -> int | None:
-    """The number of the line at text[pos:], when text's first is lineno."""
-    return None if lineno is None else lineno + text.count("\n", 0, pos)
+def _line_after(lineno: int | None, parsed: int) -> int | None:
+    """The number of the line after the first parsed lines, each one record,
+    when the first is lineno."""
+    return None if lineno is None else lineno + parsed
 
 
-def _decode(raw: bytes) -> str:
-    """A log file's text; bytes that are not UTF-8 are a ParseError on their line."""
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}",
-                         raw.count(b"\n", 0, exc.start) + 1) from None
+def _unterminated(lineno: int) -> ParseError:
+    """The ParseError of a log whose last line, line lineno, lacks its LF."""
+    return ParseError("last line lacks its LF terminator", lineno)
+
+
+def _file_blocks(fh) -> Iterator[str]:
+    """The blocks of whole lines of a log file open for binary reading, each
+    _BLOCK bytes completed to the next LF, decoded. A block splits no UTF-8
+    sequence, as none holds an LF byte. Bytes that are not UTF-8 are a
+    ParseError on their line, and so is a last line without its LF: only
+    these errors count the lines before them, reading the file again."""
+    offset = 0
+    while block := fh.read(_BLOCK):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason} at byte {offset + exc.start}",
+                             _line_of_byte(fh, offset + exc.start)) from None
+        offset += len(block)
+        if not text.endswith("\n"):  # the file's end
+            raise _unterminated(_line_of_byte(fh, offset))
+        yield text
+
+
+def _line_of_byte(fh, offset: int) -> int:
+    """The number of the line holding byte offset of a file open for binary
+    reading, counted from its start a block at a time."""
+    fh.seek(0)
+    lineno = 1
+    while offset > 0 and (block := fh.read(min(offset, _BLOCK))):
+        lineno += block.count(b"\n")
+        offset -= len(block)
+    return lineno
 
 
 def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) -> CaptureRecord:

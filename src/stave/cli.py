@@ -118,15 +118,20 @@ def _flag(flag: str, build, text: str):
         raise ConfigurationError(f"{flag}: {exc}") from None
 
 
-def _cmd_replay_plan(args) -> int:
+def _replay_plan_doc(args) -> dict:
+    """The stave-replay/1 document of the command's capture and flags; the
+    log and the schedule are dropped when it returns, before it is written."""
     log = CaptureLog.load(args.capture)
     if args.match_pgn is not None:
         match = _flag("--match-pgn", lambda text: MessageMatch(pgn=int_text(text)), args.match_pgn)
     else:
         match = _flag("--match-id", lambda text: MessageMatch(can_id=int_text(text)), args.match_id)
     mutation = None if args.mutate is None else _flag("--mutate", Mutation.parse, args.mutate)
-    schedule = plan_replay(log, match, mutation, args.timing)
-    _write_or_print(schedule.to_json_dict(), args.out)
+    return plan_replay(log, match, mutation, args.timing).to_json_dict()
+
+
+def _cmd_replay_plan(args) -> int:
+    _write_or_print(_replay_plan_doc(args), args.out)
     return 0
 
 

@@ -1,7 +1,8 @@
 """Differential analysis, mutation, replay, and injection."""
 
 import random
-from collections import Counter
+import tracemalloc
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +339,45 @@ def test_diff_rate_within_ratio_not_flagged() -> None:
     pre = can_log([(t, STR, b"\x00") for t in range(0, 1_000_001, 100_000)])
     post = can_log([(t, STR, b"\x00") for t in range(0, 1_000_001, 125_000)])
     assert diff_captures(pre, post)["rate_changes"] == []
+
+
+# CAN logs of three identifiers with positive spans, payloads of 0 to 3 bytes
+# from three values, so that columns are often constant and groups repeat payloads
+_DIFF_LOGS = st.lists(
+    st.tuples(st.sampled_from([0x100, 0x101, JOY]), st.lists(st.sampled_from([0, 1, 255]), max_size=3).map(bytes)),
+    min_size=2, max_size=30,
+).map(lambda rows: can_log([(1000 * i, can_id, data) for i, (can_id, data) in enumerate(rows)]))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_DIFF_LOGS, _DIFF_LOGS)
+def test_diff_of_distinct_payloads_equals_the_diff_of_every_frame(pre: CaptureLog, post: CaptureLog) -> None:
+    assert diff_captures(pre, post) == reference_diff(pre, post)
+
+
+def test_diff_builds_little_beside_its_two_logs() -> None:
+    # 12,000 frames a side over four identifiers and eight distinct payloads:
+    # transposing every frame's payload would build more than the logs hold
+    def log_of(varied: bool) -> CaptureLog:
+        return CaptureLog.from_text("".join(
+            f"(0.{4 * i + k:06d}) vehicle0 {can_id:08X}#{i % 7 if varied and k == 0 else 16:02X}7D00FFFFFFFFFF\n"
+            for i in range(3000) for k, can_id in enumerate((JOY, STR, 0x0CFE6CEE, 0x18F00400))
+        ))
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pre, post = log_of(False), log_of(True)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        report = diff_captures(pre, post)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(entry["can_id"], entry["bytes"][0]["post_distinct"]) for entry in report["flagged"]] == [
+        (f"0x{JOY:08X}", 7)]
+    assert peak - base < held / 10
 
 
 def test_diff_empty_baseline_is_an_error() -> None:

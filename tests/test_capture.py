@@ -10,7 +10,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stave import (
@@ -22,7 +22,9 @@ from stave import (
     parse_record,
     serialize_record,
 )
-from stave.capture import MAX_TIMESTAMP_US, RADIO_ID, SHARED_IDS, CapturePoint, valid_interface
+from stave import capture
+from stave.capture import (_LINE_RE, MAX_TIMESTAMP_US, RADIO_ID, SHARED_IDS, CapturePoint, _rejected_line,
+                           valid_interface)
 from stave.j1939 import MAX_CAN_ID, CanFrame
 
 
@@ -314,6 +316,59 @@ def test_load_reports_bytes_that_are_not_utf8_on_their_line(tmp_path) -> None:
     assert "not UTF-8" in str(err.value)
 
 
+def test_rejected_line_refuses_to_explain_a_valid_line() -> None:
+    # the parse hands _rejected_line only the lines it refused; a valid one
+    # has no error to report, and saying so beats raising a wrong one
+    with pytest.raises(AssertionError, match="line 3 holds a valid record"):
+        _rejected_line(CAN_LINE, 0, _LINE_RE.match(CAN_LINE), 3)
+
+
+def reference_load(raw: bytes) -> CaptureLog:
+    """CaptureLog.load as one decode of the whole file and from_text."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}",
+                         raw.count(b"\n", 0, exc.start) + 1) from None
+    return CaptureLog.from_text(text)
+
+
+# sequences that are not UTF-8: a stray continuation, a lead byte cut short
+# (by an LF, a space or the file's end), a surrogate and a code point past U+10FFFF
+_NOT_UTF8 = [b"\x80", b"\xff", b"\xe9", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+_FILE_LINES = st.tuples(st.one_of(_ANY_LINES, _NEAR_LINES), st.sampled_from(["\n"] * 6 + ["", "\r\n"]))
+# files of up to six parts, each a line five times as often as a sequence that is not UTF-8
+_FILE_BYTES = st.lists(
+    st.one_of(*[_FILE_LINES.map(lambda parts: "".join(parts).encode())] * 5, st.sampled_from(_NOT_UTF8)),
+    max_size=6,
+).map(b"".join)
+MANY_LINES = f"{LINE}\n" * 200
+
+
+@pytest.mark.parametrize("block", [1, 7, 64, capture._BLOCK])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(raw=_FILE_BYTES)
+# a read that ends inside a character: at byte 63 or 4095 of a line longer
+# than any block, and at byte 0 or 6 of a line for 1- and 7-byte blocks
+@example(raw=("(0.000001) " + "\u00e9" * 3000 + " 00000100#AA\n").encode())
+@example(raw=f"{LINE}\n\u00e9\n{LINE}\n".encode())
+@example(raw=f"{LINE}\nabcdef\u00e9\n".encode())
+# time goes backwards at the first line of the second 4 KiB (and 64 B) block
+@example(raw=("(0.000002) can0 00000100#AA\n" * 147 + "(0.000001) can0 00000100#AA\n").encode())
+# CRLF line ends, and a missing final LF after a faulty line and many blocks
+@example(raw=f"{LINE}\r\n{LINE}\r\n".encode())
+@example(raw=f"garbage\n{MANY_LINES}{LINE}".encode())
+# a faulty line, then a byte that is not UTF-8 many blocks later: the byte wins
+@example(raw=f"garbage\n{MANY_LINES}".encode() + b"(0.000002) can\xe90 00000100#AA\n")
+@example(raw=f"(0.000002) can0 00000100#AA\n{LINE}\n{MANY_LINES}".encode() + b"\xff")
+def test_load_agrees_with_decoding_the_whole_file_at_any_block_size(block, raw, tmp_path_factory) -> None:
+    path = tmp_path_factory.mktemp("blocks") / "log.txt"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capture, "_BLOCK", block)
+        assert _outcome(CaptureLog.load, path) == _outcome(reference_load, raw)
+
+
 def test_parse_error_carries_line_number() -> None:
     with pytest.raises(ParseError) as err:
         parse_record("nope", lineno=7)
@@ -388,6 +443,37 @@ def test_parse_holds_a_repeated_payload_and_interface_once() -> None:
     log = CaptureLog.from_text(CAN_LINE * 2000)
     assert len({id(data) for _, _, data in log.rows()}) == 1
     assert len({id(record.interface) for record in log}) == 1
+
+
+def test_load_holds_a_repeated_payload_and_interface_once_across_blocks(tmp_path) -> None:
+    path = tmp_path / "repeated.log"
+    path.write_text(CAN_LINE * 2000, encoding="utf-8")
+    assert path.stat().st_size > 20 * capture._BLOCK
+    log = CaptureLog.load(path)
+    assert len(log) == 2000
+    assert len({id(data) for _, _, data in log.rows()}) == 1
+    assert len({id(record.interface) for record in log}) == 1
+
+
+def test_load_peaks_a_small_fraction_of_the_file_above_the_log(tmp_path) -> None:
+    # 5,000 distinct records, 230 kB: a load that read the whole file, or
+    # decoded it whole, would hold at least its size on top of the log
+    path = tmp_path / "distinct.log"
+    path.write_text("".join(f"(0.{i:06d}) vehicle0 0CFF1028#{i:016X}\n" for i in range(5000)),
+                    encoding="utf-8")
+    size = path.stat().st_size
+    assert size >= 200_000
+    CaptureLog.load(path)  # a first load sets up what every later one shares
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = CaptureLog.load(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 5000
+    assert peak - held < size / 8
+    assert held - before > size  # the log itself is not what the bound leaves out
 
 
 def test_a_log_of_repeated_payloads_holds_at_most_half_the_bytes_of_distinct_ones() -> None:

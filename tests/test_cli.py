@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
 from test_golden import ALL_ATTACK_TYPES
 
-from stave import CaptureLog, CaptureRecord, SimClock, channel_occupancy, run_scenario, validate_scenario
+from stave import CaptureLog, CaptureRecord, SimClock, channel_occupancy, cli, run_scenario, validate_scenario
 from stave.cli import main
 from stave.runner import json_text
 
@@ -354,6 +355,29 @@ def test_replay_plan_roundtrip(tmp_path, capsys) -> None:
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["entries"]) == 1
     assert doc["entries"][0]["data"] == "00" * 8
+
+
+def test_replay_plan_drops_its_log_and_schedule_before_writing(tmp_path, monkeypatch) -> None:
+    cap = tmp_path / "cap.log"
+    write_log(cap, [(t, 0x0CFF1028, bytes((t % 250, 125))) for t in range(0, 100_000, 1000)])
+    plan_replay, write_json = cli.plan_replay, cli.write_json
+    refs, alive = [], []
+
+    def plan_spy(log, *rest):
+        schedule = plan_replay(log, *rest)
+        refs.extend((weakref.ref(log), weakref.ref(schedule)))
+        return schedule
+
+    def write_spy(path, doc):
+        alive.extend(ref() is not None for ref in refs)
+        write_json(path, doc)
+
+    monkeypatch.setattr(cli, "plan_replay", plan_spy)
+    monkeypatch.setattr(cli, "write_json", write_spy)
+    out = tmp_path / "sched.json"
+    assert main(["replay-plan", str(cap), "--match-pgn", "0xFF10", "--out", str(out)]) == 0
+    assert alive == [False, False]
+    assert len(json.loads(out.read_text(encoding="utf-8"))["entries"]) == 100
 
 
 def test_in_run_reports_equal_the_offline_analyses_of_the_saved_logs(tmp_path) -> None:
