@@ -11,9 +11,10 @@ Mutation mini-language (one byte per mutation):
     byte<K>=const(<value>)   byte' = value        (value decimal or 0x hex)
     byte<K>=add(<n>)         byte' = (byte + n) mod 256
 
-Captures fed to analysis may contain wired CAN records, radio records,
-or a mix; radio records are decapsulated and contribute their embedded
-frames (packets that fail verification are skipped). A schedule is
+An analysis folds a capture's rows(): a CaptureLog's, or a CaptureFile's
+as the file is parsed. Captures may contain wired CAN records, radio
+records, or a mix; radio records are decapsulated and contribute their
+embedded frames (packets that fail verification are skipped). A schedule is
 injected on a bus or, by a radio.RadioInjector, on the air.
 """
 
@@ -42,22 +43,10 @@ logger = logging.getLogger(__name__)
 
 RATE_CHANGE_RATIO = 1.5
 OCCUPANCY_SCHEMA = "stave-occupancy/1"
+REPLAY_SCHEMA = "stave-replay/1"
 
 
-def _frame_rows(capture: CaptureLog) -> Iterator[tuple[int, int, bytes]]:
-    """(timestamp_us, can_id, data) of each frame in a capture: a CAN record's
-    own, a radio record's through packet_frame, which skips failed packets."""
-    radio = RADIO_ID
-    for timestamp_us, can_id, data in capture.rows():
-        if can_id == radio:
-            try:
-                can_id, data = packet_frame(data)
-            except DecapsulationError:
-                continue
-        yield timestamp_us, can_id, data
-
-
-def channel_occupancy(capture: CaptureLog, name: str) -> dict:
+def channel_occupancy(capture, name: str) -> dict:
     """The stave-occupancy/1 document of the capture called name: its radio
     packets per channel, by count descending, channel ascending.
 
@@ -74,19 +63,36 @@ def channel_occupancy(capture: CaptureLog, name: str) -> dict:
     }
 
 
-def _payloads_by_id(capture: CaptureLog) -> dict[int, dict[bytes, int]]:
-    """Each can_id's distinct frame payloads in a capture, each with its
-    frame count; the counts of a group sum to its identifier's frames."""
-    groups: dict[int, dict[bytes, int]] = defaultdict(dict)
-    for _, can_id, data in _frame_rows(capture):
-        group = groups[can_id]
-        group[data] = group.get(data, 0) + 1
-    return groups
+class FrameTally:
+    """A capture's rows folded into what a diff reads: each can_id's distinct
+    frame payloads with their frame counts, and the span of its stamps.
+    len() is the number of records read, failed packets included."""
+
+    def __init__(self, capture):
+        self.groups = groups = defaultdict(dict)
+        first = last = None
+        failed = 0
+        for last, can_id, data in capture.rows():  # after the loop, last is the last record's stamp
+            if first is None:
+                first = last
+            if can_id == RADIO_ID:
+                try:
+                    can_id, data = packet_frame(data)
+                except DecapsulationError:
+                    failed += 1
+                    continue
+            group = groups[can_id]
+            group[data] = group.get(data, 0) + 1
+        self.span_us = 0 if first is None else last - first
+        self._records = failed + sum(sum(group.values()) for group in groups.values())
+
+    def __len__(self) -> int:
+        return self._records
 
 
-def diff_captures(pre: CaptureLog, post: CaptureLog) -> dict:
+def diff_captures(pre: FrameTally, post: FrameTally) -> dict:
     """Locate signal bytes by differencing a baseline against an active
-    capture: the stave-diff/1 document.
+    capture, each given as its FrameTally: the stave-diff/1 document.
 
     A byte offset of an id present in both captures is flagged iff it is
     constant across all baseline frames and takes >= 2 distinct values in
@@ -99,10 +105,10 @@ def diff_captures(pre: CaptureLog, post: CaptureLog) -> dict:
     column's value set, and so every finding, is the same over those as
     over every frame.
     """
-    pre_groups = _payloads_by_id(pre)
+    pre_groups = pre.groups
     if not pre_groups:
         raise BaselineError("baseline capture holds no frames; cannot establish constants")
-    post_groups = _payloads_by_id(post)
+    post_groups = post.groups
 
     shared = sorted(set(pre_groups) & set(post_groups))
     flagged = []
@@ -246,16 +252,18 @@ class ReplaySchedule:
     def span_us(self) -> int:
         return self.entries[-1][0] - self.entries[0][0] if len(self.entries) > 1 else 0
 
-    def to_json_dict(self) -> dict:
-        """The stave-replay/1 document; entries of one frame object share its strings."""
-        entries = []
+    def json_entries(self) -> Iterator[dict]:
+        """The stave-replay/1 document's entries, one at a time; entries of one frame share its strings."""
         frame = None
         for delay, entry_frame in self.entries:
             if entry_frame is not frame:
                 frame = entry_frame
                 can_id, data = f"0x{frame.can_id:08X}", frame.data.hex().upper()
-            entries.append({"delay_s": seconds_from_us(delay), "can_id": can_id, "data": data})
-        return {"schema": "stave-replay/1", "timing": self.timing_mode, "entries": entries}
+            yield {"delay_s": seconds_from_us(delay), "can_id": can_id, "data": data}
+
+    def to_json_dict(self) -> dict:
+        """The stave-replay/1 document."""
+        return {"schema": REPLAY_SCHEMA, "timing": self.timing_mode, "entries": list(self.json_entries())}
 
 
 def plan_replay(
@@ -278,7 +286,12 @@ def plan_replay(
     # the last entry's frame and the captured payload it was built from;
     # an equal frame after it reuses it
     frame = captured = None
-    for ts, can_id, data in _frame_rows(capture):
+    for ts, can_id, data in capture.rows():
+        if can_id == RADIO_ID:  # a radio record's frame, as FrameTally reads it
+            try:
+                can_id, data = packet_frame(data)
+            except DecapsulationError:
+                continue
         hit = selected.get(can_id)
         if hit is None:
             hit = selected[can_id] = match.matches(can_id)

@@ -12,15 +12,15 @@ Two line kinds:
 uppercase with no separators; a dlc-0 frame has nothing after ``#``.
 Parsing is the strict inverse of serialization: a parsed log
 re-serializes byte-identically, and timestamps must be monotone
-non-decreasing within a file and at most MAX_TIMESTAMP_US. One line
-grammar serves both parsers: CaptureLog.from_text reads a log straight
-into its columns with it, and parse_record reads one line.
+non-decreasing within a file and at most MAX_TIMESTAMP_US. One parse
+loop reads text into rows: CaptureLog.from_text and load append them all.
 
-CaptureLog.load reads a file in blocks of whole lines, each parsed into
-the log as it is read, so a load holds the log and one block, never the
-whole file's bytes or text. A file's first fault is reported in this
-order: a byte that is not UTF-8 (anywhere in the file), then a last line
-without its LF, then the first faulty line.
+A file is read in blocks of whole lines, each parsed as it is read, so
+a load holds the log and one block, and CaptureFile.rows() one block,
+never the whole file. A file's first fault is reported in this order: a
+byte that is not UTF-8 (anywhere in the file), then a last line without
+its LF, then the first faulty line, so a fold over a file's rows ends in
+that error before it has a result.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ MAX_TIMESTAMP_US = 2**63 - 1
 # equal payloads share one object; a vehicle bus carries a few hundred, and
 # a log of ever-new identifiers pays for no more than this many entries
 SHARED_IDS = 2048
-# how many bytes CaptureLog.load reads at a time before it completes the
-# block to the next LF; a load holds one block's bytes and text beside the log
+# how many bytes a file's parse reads at a time before it completes the block
+# to the next LF; it holds one block's bytes and text beside what it builds
 _BLOCK = 4096
 
 
@@ -119,12 +119,12 @@ def parse_record(line: str, lineno: int | None = None) -> CaptureRecord:
     text = line[:-1] if line.endswith("\n") else line
     if "\n" in text:
         raise ParseError(f"malformed record {shown(text)}", lineno)
-    return CaptureLog._parse([text + "\n"], lineno)[0]
+    return _stored_record(*next(_parse_rows([text + "\n"], lineno)))
 
 
-def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError:
-    """The ParseError for the line at text[pos:] that _parse refused; match
-    is the line's grammar match, None when the grammar refused it."""
+def _rejected_line(text: str, pos: int, match, lineno: int | None, previous: int) -> CaptureError:
+    """The error for the line at text[pos:] that _parse_rows refused after one stamped
+    previous; match is the line's grammar match, None when the grammar refused it."""
     if match is None:
         line = text[pos:text.index("\n", pos)]
         return ParseError(f"malformed record {shown(line)}", lineno)
@@ -138,12 +138,74 @@ def _rejected_line(text: str, pos: int, match, lineno: int | None) -> ParseError
     # a syntactically valid line carrying impossible values, such as a stamp
     # past MAX_TIMESTAMP_US, an identifier past 29 bits or a payload past 8
     # bytes: the record says which
+    stamp = int(seconds + fraction)
     try:
-        CaptureRecord(int(seconds + fraction), interface, bytes.fromhex(digits),
-                      None if can_hex is None else int(can_hex, 16))
+        CaptureRecord(stamp, interface, bytes.fromhex(digits), None if can_hex is None else int(can_hex, 16))
     except CaptureError as exc:
         return ParseError(str(exc), lineno)
+    if stamp < previous:
+        return MonotonicityError(f"line {lineno}: timestamp goes backwards ({stamp} us after {previous} us)")
     raise AssertionError(f"line {lineno} holds a valid record")
+
+
+def _parse_rows(blocks: Iterable[str], lineno: int | None) -> Iterator[tuple[int, str, int, bytes]]:
+    """The rows (timestamp_us, interface, can_id, data) of blocks of whole
+    LF-terminated lines, one after another. lineno numbers the first
+    block's first line in errors; None: no numbers.
+
+    One grammar match per line reads the fields. Equal values share one
+    object: a row keeps the previous row's interface when it is equal, and
+    a CAN payload the last payload of its identifier when that is equal
+    (for the first SHARED_IDS identifiers), across blocks. A faulty line
+    raises once every later block is read, so the blocks' own faults come first.
+    """
+    blocks = iter(blocks)
+    previous = parsed = 0  # the last stamp; the lines of the blocks before this one
+    iface = None
+    last_payload: dict[int, bytes] = {}  # the latest payload of up to SHARED_IDS identifiers
+    match = _LINE_RE.match
+    fromhex = bytes.fromhex
+    max_digits = 2 * MAX_DLC
+    for text in blocks:
+        pos, end = 0, len(text)
+        # every break leaves the loop at a line the grammar or a limit refused
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                break
+            seconds, fraction, interface, can_hex, digits, packet = m.groups()
+            if can_hex is not None:
+                can_id = int(can_hex, 16)
+                if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > max_digits:
+                    break
+                data = fromhex(digits)
+                kept = last_payload.get(can_id)
+                if kept == data:
+                    data = kept
+                elif kept is not None or len(last_payload) < SHARED_IDS:
+                    last_payload[can_id] = data
+            elif packet is not None and not len(packet) % 2:
+                # radio packets differ in seq and CRC, so only frames repeat
+                can_id, data = RADIO_ID, fromhex(packet)
+            else:
+                break
+            stamp = int(seconds + fraction)
+            if not previous <= stamp <= MAX_TIMESTAMP_US:
+                break
+            if interface != iface:
+                iface = interface
+            yield stamp, iface, can_id, data
+            previous = stamp
+            pos = m.end()
+        else:
+            parsed += text.count("\n")
+            continue
+        if lineno is not None:
+            lineno += parsed + text.count("\n", 0, pos)
+        fault = _rejected_line(text, pos, m, lineno, previous)
+        for _ in blocks:  # a byte that is not UTF-8 or a missing final LF later on is reported first
+            pass
+        raise fault
 
 
 class CaptureLog:
@@ -191,12 +253,6 @@ class CaptureLog:
         RADIO_ID (-1), below every CAN identifier."""
         return zip(self._stamps, self._ids, self._payloads)
 
-    @property
-    def span_us(self) -> int:
-        """Time between first and last record; 0 for fewer than 2 records."""
-        stamps = self._stamps
-        return stamps[-1] - stamps[0] if len(stamps) > 1 else 0
-
     def _lines(self) -> Iterator[str]:
         return map(_format_row, self._stamps, self._interfaces, self._ids, self._payloads)
 
@@ -208,73 +264,18 @@ class CaptureLog:
         """Parse log text: LF-terminated lines, split at LF only."""
         if text and not text.endswith("\n"):
             raise _unterminated(text.count("\n") + 1)
-        return cls._parse([text], 1)
+        return cls._of_rows(_parse_rows([text], 1))
 
     @classmethod
-    def _parse(cls, blocks: Iterable[str], lineno: int | None) -> "CaptureLog":
-        """The log of blocks of whole LF-terminated lines, one after another,
-        read straight into the columns. lineno numbers the first block's first
-        line in errors; None: no numbers.
-
-        One grammar match per line reads the fields, so no per-line record,
-        string list or tuple list is built. Equal values share one object: a
-        line keeps the previous line's interface when it is equal, and a CAN
-        payload the last payload of its identifier when that is equal (for
-        the first SHARED_IDS identifiers). The stamp order, the interface and
-        the payloads carry over from one block to the next.
-        """
+    def _of_rows(cls, rows: Iterable[tuple[int, str, int, bytes]]) -> "CaptureLog":
+        """The log of every row _parse_rows yields, appended straight to the columns."""
         log = cls()
         stamps, ids, interfaces, payloads = log._stamps, log._ids, log._interfaces, log._payloads
-        previous = 0
-        iface = None
-        last_payload: dict[int, bytes] = {}  # the latest payload of up to SHARED_IDS identifiers
-        match = _LINE_RE.match
-        fromhex = bytes.fromhex
-        max_digits = 2 * MAX_DLC
-        for text in blocks:
-            pos, end = 0, len(text)
-            # every break leaves the loop at a line the grammar or a limit refused,
-            # and so does a stamp past MAX_TIMESTAMP_US, overflowing its column
-            try:
-                while pos < end:
-                    m = match(text, pos)
-                    if m is None:
-                        break
-                    seconds, fraction, interface, can_hex, digits, packet = m.groups()
-                    if can_hex is not None:
-                        can_id = int(can_hex, 16)
-                        if len(digits) % 2 or can_id > MAX_CAN_ID or len(digits) > max_digits:
-                            break
-                        data = fromhex(digits)
-                        kept = last_payload.get(can_id)
-                        if kept == data:
-                            data = kept
-                        elif kept is not None or len(last_payload) < SHARED_IDS:
-                            last_payload[can_id] = data
-                    elif packet is not None and not len(packet) % 2:
-                        # radio packets differ in seq and CRC, so only frames repeat
-                        can_id, data = RADIO_ID, fromhex(packet)
-                    else:
-                        break
-                    stamp = int(seconds + fraction)
-                    if stamp < previous:
-                        raise MonotonicityError(
-                            f"line {_line_after(lineno, len(stamps))}: timestamp goes backwards "
-                            f"({stamp} us after {previous} us)"
-                        )
-                    if interface != iface:
-                        iface = interface
-                    stamps.append(stamp)
-                    ids.append(can_id)
-                    interfaces.append(iface)
-                    payloads.append(data)
-                    previous = stamp
-                    pos = m.end()
-                else:
-                    continue
-            except OverflowError:
-                pass
-            raise _rejected_line(text, pos, m, _line_after(lineno, len(stamps)))
+        for stamp, interface, can_id, data in rows:
+            stamps.append(stamp)
+            ids.append(can_id)
+            interfaces.append(interface)
+            payloads.append(data)
         return log
 
     def save(self, path: str | Path) -> None:
@@ -284,23 +285,19 @@ class CaptureLog:
     @classmethod
     def load(cls, path: str | Path) -> "CaptureLog":
         """Parse a log file block by block, holding one block beside the log."""
-        with open(path, "rb") as fh:
-            blocks = _file_blocks(fh)
-            try:
-                return cls._parse(blocks, 1)
-            except CaptureError as exc:
-                fault = exc
-            # a byte that is not UTF-8 or a missing final LF later in the file
-            # is reported before a faulty line
-            for _ in blocks:
-                pass
-            raise fault
+        return cls._of_rows(_parse_rows(_file_blocks(path), 1))
 
 
-def _line_after(lineno: int | None, parsed: int) -> int | None:
-    """The number of the line after the first parsed lines, each one record,
-    when the first is lineno."""
-    return None if lineno is None else lineno + parsed
+class CaptureFile:
+    """A log file read as rows, like a CaptureLog's: each rows() call parses
+    it anew, a block at a time, so a fold over them never holds the log."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+
+    def rows(self) -> Iterator[tuple[int, int, bytes]]:
+        """(timestamp_us, can_id, data) of each record, as CaptureLog.rows() gives them."""
+        return map(operator.itemgetter(0, 2, 3), _parse_rows(_file_blocks(self.path), 1))
 
 
 def _unterminated(lineno: int) -> ParseError:
@@ -308,25 +305,26 @@ def _unterminated(lineno: int) -> ParseError:
     return ParseError("last line lacks its LF terminator", lineno)
 
 
-def _file_blocks(fh) -> Iterator[str]:
-    """The blocks of whole lines of a log file open for binary reading, each
-    _BLOCK bytes completed to the next LF, decoded. A block splits no UTF-8
-    sequence, as none holds an LF byte. Bytes that are not UTF-8 are a
-    ParseError on their line, and so is a last line without its LF: only
-    these errors count the lines before them, reading the file again."""
-    offset = 0
-    while block := fh.read(_BLOCK):
-        if not block.endswith(b"\n"):
-            block += fh.readline()
-        try:
-            text = block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8: {exc.reason} at byte {offset + exc.start}",
-                             _line_of_byte(fh, offset + exc.start)) from None
-        offset += len(block)
-        if not text.endswith("\n"):  # the file's end
-            raise _unterminated(_line_of_byte(fh, offset))
-        yield text
+def _file_blocks(path: str | Path) -> Iterator[str]:
+    """The blocks of whole lines of a log file, each _BLOCK bytes completed
+    to the next LF, decoded. A block splits no UTF-8 sequence, as none
+    holds an LF byte. Bytes that are not UTF-8 are a ParseError on their
+    line, and so is a last line without its LF: only these errors count
+    the lines before them, reading the file again."""
+    with open(path, "rb") as fh:
+        offset = 0
+        while block := fh.read(_BLOCK):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8: {exc.reason} at byte {offset + exc.start}",
+                                 _line_of_byte(fh, offset + exc.start)) from None
+            offset += len(block)
+            if not text.endswith("\n"):  # the file's end
+                raise _unterminated(_line_of_byte(fh, offset))
+            yield text
 
 
 def _line_of_byte(fh, offset: int) -> int:

@@ -16,9 +16,9 @@ import argparse
 import functools
 import sys
 
-from .attack import (MessageMatch, Mutation, TIMING_MODES, TIMING_PRESERVE, channel_occupancy, diff_captures,
-                     plan_replay)
-from .capture import CaptureLog
+from .attack import (REPLAY_SCHEMA, TIMING_MODES, TIMING_PRESERVE, FrameTally, MessageMatch, Mutation,
+                     channel_occupancy, diff_captures, plan_replay)
+from .capture import CaptureFile, CaptureLog
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, shown
 from .runner import json_text, run_scenario, write_json
 from .scenario import load_scenario
@@ -70,13 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_or_print(doc: dict, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(json_text(doc))
-    else:
-        write_json(path, doc)
-
-
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
@@ -98,13 +91,13 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    _write_or_print(diff_captures(CaptureLog.load(args.pre), CaptureLog.load(args.post)), args.report)
+    write_json(args.report, diff_captures(FrameTally(CaptureFile(args.pre)), FrameTally(CaptureFile(args.post))))
     print(f"wrote report: {args.report}", file=sys.stderr)
     return 0
 
 
 def _cmd_occupancy(args) -> int:
-    _write_or_print(channel_occupancy(CaptureLog.load(args.capture), args.capture), args.report)
+    write_json(args.report, channel_occupancy(CaptureFile(args.capture), args.capture))
     return 0
 
 
@@ -118,20 +111,17 @@ def _flag(flag: str, build, text: str):
         raise ConfigurationError(f"{flag}: {exc}") from None
 
 
-def _replay_plan_doc(args) -> dict:
-    """The stave-replay/1 document of the command's capture and flags; the
-    log and the schedule are dropped when it returns, before it is written."""
+def _cmd_replay_plan(args) -> int:
     log = CaptureLog.load(args.capture)
     if args.match_pgn is not None:
         match = _flag("--match-pgn", lambda text: MessageMatch(pgn=int_text(text)), args.match_pgn)
     else:
         match = _flag("--match-id", lambda text: MessageMatch(can_id=int_text(text)), args.match_id)
     mutation = None if args.mutate is None else _flag("--mutate", Mutation.parse, args.mutate)
-    return plan_replay(log, match, mutation, args.timing).to_json_dict()
-
-
-def _cmd_replay_plan(args) -> int:
-    _write_or_print(_replay_plan_doc(args), args.out)
+    schedule = plan_replay(log, match, mutation, args.timing)
+    del log  # the schedule is written an entry at a time, without the log
+    doc = {"schema": REPLAY_SCHEMA, "timing": schedule.timing_mode}
+    write_json(args.out, doc, "entries", schedule.json_entries())
     return 0
 
 

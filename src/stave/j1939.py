@@ -76,8 +76,9 @@ def _valid_frame(can_id: int, data: bytes, timestamp_us: int) -> CanFrame:
 # each J1939Address field with its range (inclusive): 0 up to all ones over its width, which is its mask
 ADDRESS_FIELDS = {"priority": (0, 7), "pdu_format": (0, 255), "pdu_specific": (0, 255), "source_address": (0, 255),
                   "edp": (0, 1), "dp": (0, 1)}
-# each field's lowest bit in the 29-bit identifier (see the layout above)
-_ID_SHIFTS = {"priority": 26, "edp": 25, "dp": 24, "pdu_format": 16, "pdu_specific": 8, "source_address": 0}
+# each field with its lowest bit in the 29-bit identifier (see the layout above) and its mask
+_ID_FIELDS = tuple((key, shift, ADDRESS_FIELDS[key][1]) for key, shift in (
+    ("priority", 26), ("edp", 25), ("dp", 24), ("pdu_format", 16), ("pdu_specific", 8), ("source_address", 0)))
 
 
 @dataclass(frozen=True)
@@ -148,9 +149,13 @@ class J1939Address:
 
 
 def decode_id(can_id: int) -> J1939Address:
-    """Slice a 29-bit identifier into its address fields."""
+    """Slice a 29-bit identifier into its address fields. The masks bound
+    every field, so the address is built without checking them again."""
     check_int(IdentifierError, "identifier", can_id, 0, MAX_CAN_ID)
-    return J1939Address(**{key: can_id >> shift & ADDRESS_FIELDS[key][1] for key, shift in _ID_SHIFTS.items()})
+    address = object.__new__(J1939Address)
+    for key, shift, mask in _ID_FIELDS:
+        object.__setattr__(address, key, can_id >> shift & mask)
+    return address
 
 
 def pgn_of(can_id: int) -> int:
@@ -162,7 +167,7 @@ def pgn_of(can_id: int) -> int:
 
 def encode_id(address: J1939Address) -> int:
     """Pack address fields back into a 29-bit identifier."""
-    return sum(getattr(address, key) << shift for key, shift in _ID_SHIFTS.items())
+    return sum(getattr(address, key) << shift for key, shift, _ in _ID_FIELDS)
 
 
 @dataclass(frozen=True)

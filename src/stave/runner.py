@@ -14,12 +14,15 @@ from __future__ import annotations
 import errno
 import os
 import random
+import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .attack import (
+    FrameTally,
     ReplaySchedule,
     WiredInjector,
     channel_occupancy,
@@ -193,7 +196,8 @@ def _run_diff(bed: Testbed, spec: DiffSpec, index: int) -> Callable[[], dict]:
 
     def run_diff():
         try:
-            bed.reports[spec.save] = diff_captures(bed.captures[spec.pre], bed.captures[spec.post])
+            bed.reports[spec.save] = diff_captures(FrameTally(bed.captures[spec.pre]),
+                                                   FrameTally(bed.captures[spec.post]))
         except BaselineError as exc:
             raise BaselineError(f"attacks[{index}].pre: {exc}") from None
 
@@ -323,9 +327,22 @@ def _check_output_paths(base: Path, outputs: OutputSpec) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(base / rel))
 
 
-def write_json(path: str | Path, doc: dict) -> None:
-    """Write a report or summary document as its json_text."""
-    Path(path).write_text(json_text(doc), encoding="utf-8", newline="\n")
+def write_json(path: str | Path | None, doc: dict, key: str | None = None, items: Iterable = ()) -> None:
+    """Write a report or summary document as its json_text, to stdout when
+    path is None. Given a key, the list at doc's top-level key is items,
+    written an item at a time: neither that list nor the whole text is built."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if key is None:
+            fh.write(json_text(doc))
+            return
+        opening = f"\n  {encode_basestring_ascii(key)}: ["  # no other line starts with two spaces and a quote
+        head, tail = json_text({**doc, key: []}).split(opening + "]", 1)
+        fh.write(head + opening)
+        separator = "\n    "
+        for item in items:
+            fh.write(separator + _render(item, "    "))
+            separator = ",\n    "
+        fh.write(("]" if separator == "\n    " else "\n  ]") + tail)
 
 
 def write_outputs(bed: Testbed, out_dir: str | Path) -> list[tuple[str, Path]]:

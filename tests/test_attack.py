@@ -18,6 +18,7 @@ from stave import (
     ChannelStrategy,
     ConfigurationError,
     DecapsulationError,
+    FrameTally,
     MessageMatch,
     Mutation,
     RadioConfig,
@@ -48,6 +49,11 @@ def can_log(entries: list[tuple[int, int, bytes]]) -> CaptureLog:
         log.append(CaptureRecord(timestamp_us=ts, interface="vehicle0",
                                  data=data, can_id=can_id))
     return log
+
+
+def diff(pre: CaptureLog, post: CaptureLog) -> dict:
+    """diff_captures of two logs' tallies."""
+    return diff_captures(FrameTally(pre), FrameTally(post))
 
 
 JOY = 0x0CFF1028
@@ -198,10 +204,11 @@ def reference_diff(pre: CaptureLog, post: CaptureLog) -> dict:
                               "post_min": min(post_values), "post_max": max(post_values)})
         if found:
             flagged.append({"can_id": f"0x{can_id:08X}", "bytes": found})
+    pre_span, post_span = ([ts for ts, _, _ in log.rows()] for log in (pre, post))
     rates = []
     for can_id in shared:
-        pre_hz = len(pre_groups[can_id]) * 1e6 / pre.span_us
-        post_hz = len(post_groups[can_id]) * 1e6 / post.span_us
+        pre_hz = len(pre_groups[can_id]) * 1e6 / (pre_span[-1] - pre_span[0])
+        post_hz = len(post_groups[can_id]) * 1e6 / (post_span[-1] - post_span[0])
         if max(pre_hz, post_hz) / min(pre_hz, post_hz) > 1.5:
             rates.append({"can_id": f"0x{can_id:08X}", "pre_hz": pre_hz, "post_hz": post_hz})
     return {
@@ -217,7 +224,7 @@ def reference_diff(pre: CaptureLog, post: CaptureLog) -> dict:
 def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> None:
     rng = random.Random(seed)
     pre, post = mixed_capture(rng, active=False), mixed_capture(rng, active=True)
-    assert diff_captures(pre, post) == reference_diff(pre, post)
+    assert diff(pre, post) == reference_diff(pre, post)
 
     radio = [record.data for record in post if record.can_id is None and len(record.data) >= 3]
     counts = Counter(data[2] for data in radio)
@@ -235,7 +242,7 @@ def test_analyses_skip_corrupted_radio_records_like_decapsulate(seed: int) -> No
 def _analyses(pre: CaptureLog, post: CaptureLog) -> tuple:
     plans = tuple(plan_replay(post, match, Mutation.parse("byte0=add(1)")).entries
                   for match in (MessageMatch(pgn=pgn_of(JOY)), MessageMatch(can_id=0)))
-    return diff_captures(pre, post), channel_occupancy(post, "post")["channels"], plans
+    return diff(pre, post), channel_occupancy(post, "post")["channels"], plans
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -294,7 +301,7 @@ def test_diff_flags_only_constant_to_changing_bytes() -> None:
         (t, JOY, bytes((x, 125, 0)))
         for t, x in zip(range(0, 1000, 100), [25, 25, 225, 225, 90, 90, 25, 225, 90, 25])
     ])
-    report = diff_captures(pre, post)
+    report = diff(pre, post)
     assert [flagged["can_id"] for flagged in report["flagged"]] == [f"0x{JOY:08X}"]
     (entry,) = report["flagged"][0]["bytes"]
     assert entry["offset"] == 0
@@ -307,19 +314,19 @@ def test_diff_requires_two_distinct_post_values() -> None:
     pre = can_log([(t, JOY, bytes((125,))) for t in range(0, 500, 100)])
     post = can_log([(t, JOY, bytes((25,))) for t in range(0, 500, 100)])
     # one constant replaced by another constant is not a moving byte
-    assert diff_captures(pre, post)["flagged"] == []
+    assert diff(pre, post)["flagged"] == []
 
 
 def test_diff_ignores_bytes_that_vary_in_baseline() -> None:
     pre = can_log([(t, JOY, bytes((125 + (t // 100) % 2,))) for t in range(0, 500, 100)])
     post = can_log([(t, JOY, bytes((t % 7,))) for t in range(0, 500, 100)])
-    assert diff_captures(pre, post)["flagged"] == []
+    assert diff(pre, post)["flagged"] == []
 
 
 def test_diff_reports_ids_unique_to_each_side() -> None:
     pre = can_log([(0, JOY, b"\x01"), (100, 0x111, b"\x02")])
     post = can_log([(0, JOY, b"\x01"), (100, 0x222, b"\x02")])
-    report = diff_captures(pre, post)
+    report = diff(pre, post)
     assert report["ids_only_in_pre"] == ["0x00000111"]
     assert report["ids_only_in_post"] == ["0x00000222"]
 
@@ -328,7 +335,7 @@ def test_diff_rate_change_ratio() -> None:
     # same id at 10 Hz in pre, 2 Hz in post over equal 1 s spans
     pre = can_log([(t, STR, b"\x00\x00") for t in range(0, 1_000_001, 100_000)])
     post = can_log([(t, STR, b"\x00\x00") for t in range(0, 1_000_001, 500_000)])
-    report = diff_captures(pre, post)
+    report = diff(pre, post)
     (rate,) = report["rate_changes"]
     assert rate["can_id"] == f"0x{STR:08X}"
     assert rate["pre_hz"] == pytest.approx(11 / 1.0)
@@ -338,7 +345,7 @@ def test_diff_rate_change_ratio() -> None:
 def test_diff_rate_within_ratio_not_flagged() -> None:
     pre = can_log([(t, STR, b"\x00") for t in range(0, 1_000_001, 100_000)])
     post = can_log([(t, STR, b"\x00") for t in range(0, 1_000_001, 125_000)])
-    assert diff_captures(pre, post)["rate_changes"] == []
+    assert diff(pre, post)["rate_changes"] == []
 
 
 # CAN logs of three identifiers with positive spans, payloads of 0 to 3 bytes
@@ -352,7 +359,7 @@ _DIFF_LOGS = st.lists(
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(_DIFF_LOGS, _DIFF_LOGS)
 def test_diff_of_distinct_payloads_equals_the_diff_of_every_frame(pre: CaptureLog, post: CaptureLog) -> None:
-    assert diff_captures(pre, post) == reference_diff(pre, post)
+    assert diff(pre, post) == reference_diff(pre, post)
 
 
 def test_diff_builds_little_beside_its_two_logs() -> None:
@@ -371,7 +378,7 @@ def test_diff_builds_little_beside_its_two_logs() -> None:
         held = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        report = diff_captures(pre, post)
+        report = diff(pre, post)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,16 +387,33 @@ def test_diff_builds_little_beside_its_two_logs() -> None:
     assert peak - base < held / 10
 
 
+def test_a_tally_counts_every_record_and_spans_every_stamp() -> None:
+    # failed packets are no frames, yet they are records read and they stamp the span
+    frame = CanFrame(JOY, b"\x01\x02")
+    good = RadioPacket(0, 1, frame).to_bytes()
+    log = CaptureLog()
+    for ts, data, can_id in ((100, b"\xa5\x5a\x00", None), (200, frame.data, JOY), (300, good, None),
+                             (400, good[:-1] + bytes((good[-1] ^ 1,)), None)):
+        log.append(CaptureRecord(ts, "any", data, can_id))
+    tally = FrameTally(log)
+    assert (len(tally), tally.span_us, tally.groups) == (4, 300, {JOY: {frame.data: 2}})
+    # no record, or one, spans no time
+    log = CaptureLog()
+    assert (len(FrameTally(log)), FrameTally(log).span_us, FrameTally(log).groups) == (0, 0, {})
+    log.append(CaptureRecord(700, "any", frame.data, JOY))
+    assert (len(FrameTally(log)), FrameTally(log).span_us) == (1, 0)
+
+
 def test_diff_empty_baseline_is_an_error() -> None:
     post = can_log([(0, JOY, b"\x01")])
     with pytest.raises(BaselineError):
-        diff_captures(CaptureLog(), post)
+        diff(CaptureLog(), post)
 
 
 def test_diff_json_shape() -> None:
     pre = can_log([(t, JOY, bytes((125,))) for t in range(0, 300, 100)])
     post = can_log([(t, JOY, bytes((v,))) for t, v in ((0, 1), (100, 2), (200, 3))])
-    doc = diff_captures(pre, post)
+    doc = diff(pre, post)
     assert doc["schema"] == "stave-diff/1"
     assert doc["flagged"][0]["can_id"] == "0x0CFF1028"
     assert doc["flagged"][0]["bytes"][0]["offset"] == 0

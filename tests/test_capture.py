@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from stave import (
     CaptureError,
+    CaptureFile,
     CaptureLog,
     CaptureRecord,
+    FrameTally,
     MonotonicityError,
     ParseError,
     parse_record,
@@ -320,7 +322,7 @@ def test_rejected_line_refuses_to_explain_a_valid_line() -> None:
     # the parse hands _rejected_line only the lines it refused; a valid one
     # has no error to report, and saying so beats raising a wrong one
     with pytest.raises(AssertionError, match="line 3 holds a valid record"):
-        _rejected_line(CAN_LINE, 0, _LINE_RE.match(CAN_LINE), 3)
+        _rejected_line(CAN_LINE, 0, _LINE_RE.match(CAN_LINE), 3, 0)
 
 
 def reference_load(raw: bytes) -> CaptureLog:
@@ -369,6 +371,20 @@ def test_load_agrees_with_decoding_the_whole_file_at_any_block_size(block, raw, 
         assert _outcome(CaptureLog.load, path) == _outcome(reference_load, raw)
 
 
+@pytest.mark.parametrize("block", [1, 64])
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(raw=_FILE_BYTES)
+@example(raw=f"garbage\n{MANY_LINES}{LINE}".encode())
+@example(raw=f"garbage\n{MANY_LINES}".encode() + b"(0.000002) can\xe90 00000100#AA\n")
+def test_a_capture_file_streams_the_rows_and_errors_of_load(block, raw, tmp_path_factory) -> None:
+    path = tmp_path_factory.mktemp("stream") / "log.txt"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(capture, "_BLOCK", block)
+        rows = CaptureFile(path).rows()
+        assert _outcome(lambda _: rows, path) == _outcome(lambda p: CaptureLog.load(p).rows(), path)
+
+
 def test_parse_error_carries_line_number() -> None:
     with pytest.raises(ParseError) as err:
         parse_record("nope", lineno=7)
@@ -409,15 +425,6 @@ def test_capture_point_keeps_half_open_window() -> None:
     assert [r.timestamp_us for r in window] == [100, 200]
     assert [r.timestamp_us for r in whole] == [99, 100, 200, 300]
     assert point.seen == 4
-
-
-def test_span_us() -> None:
-    log = CaptureLog()
-    assert log.span_us == 0
-    log.append(can_record(ts=100))
-    assert log.span_us == 0
-    log.append(can_record(ts=700))
-    assert log.span_us == 600
 
 
 def test_text_roundtrip_is_byte_identical(tmp_path) -> None:
@@ -573,7 +580,9 @@ def test_log_reads_like_a_list_of_its_records(records, data, tmp_path_factory) -
                                 for r in records]
     assert [CanFrame(r.can_id, r.data, r.timestamp_us) for r in log if r.can_id is not None] == [
         CanFrame(r.can_id, r.data, timestamp_us=r.timestamp_us) for r in records if r.can_id is not None]
-    assert log.span_us == (records[-1].timestamp_us - records[0].timestamp_us if n > 1 else 0)
+    # a diff's tally reads every record, a failed packet's too
+    tally = FrameTally(log)
+    assert (len(tally), tally.span_us) == (n, records[-1].timestamp_us - records[0].timestamp_us if n else 0)
     assert log.to_text() == "".join(serialize_record(r) for r in records)
     path = tmp_path_factory.mktemp("model") / "log.txt"
     log.save(path)

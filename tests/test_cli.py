@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
+from typing import Iterator
 
 import pytest
 from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
 from test_golden import ALL_ATTACK_TYPES
 
-from stave import CaptureLog, CaptureRecord, SimClock, channel_occupancy, cli, run_scenario, validate_scenario
+from stave import (CaptureError, CaptureLog, CaptureRecord, FrameTally, MessageMatch, Mutation, SimClock, capture,
+                   channel_occupancy, cli, diff_captures, plan_replay, run_scenario, validate_scenario)
 from stave.cli import main
 from stave.runner import json_text
 
@@ -357,26 +360,26 @@ def test_replay_plan_roundtrip(tmp_path, capsys) -> None:
     assert doc["entries"][0]["data"] == "00" * 8
 
 
-def test_replay_plan_drops_its_log_and_schedule_before_writing(tmp_path, monkeypatch) -> None:
+def test_replay_plan_drops_its_log_before_writing_its_entries(tmp_path, monkeypatch) -> None:
     cap = tmp_path / "cap.log"
     write_log(cap, [(t, 0x0CFF1028, bytes((t % 250, 125))) for t in range(0, 100_000, 1000)])
     plan_replay, write_json = cli.plan_replay, cli.write_json
-    refs, alive = [], []
+    logs, seen = [], []
 
     def plan_spy(log, *rest):
-        schedule = plan_replay(log, *rest)
-        refs.extend((weakref.ref(log), weakref.ref(schedule)))
-        return schedule
+        logs.append(weakref.ref(log))
+        return plan_replay(log, *rest)
 
-    def write_spy(path, doc):
-        alive.extend(ref() is not None for ref in refs)
-        write_json(path, doc)
+    def write_spy(path, doc, key=None, items=()):
+        # the log is dead, and the entries come one at a time, not in a document
+        seen.append((logs[0]() is None, "entries" in doc, key, isinstance(items, Iterator)))
+        write_json(path, doc, key, items)
 
     monkeypatch.setattr(cli, "plan_replay", plan_spy)
     monkeypatch.setattr(cli, "write_json", write_spy)
     out = tmp_path / "sched.json"
     assert main(["replay-plan", str(cap), "--match-pgn", "0xFF10", "--out", str(out)]) == 0
-    assert alive == [False, False]
+    assert seen == [(True, False, "entries", True)]
     assert len(json.loads(out.read_text(encoding="utf-8"))["entries"]) == 100
 
 
@@ -478,3 +481,137 @@ def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatc
         assert got == want
         codes.append(got[0][0])
     assert codes == [0, 2, 2, 0]
+
+
+# The offline commands fold each file's rows as they parse it: the same
+# reports, the same errors, and memory that does not grow with the logs.
+
+@pytest.fixture(scope="module")
+def air_logs(tmp_path_factory):
+    """The air and vehicle0 logs of an idle and an active 40 s run, 2,114 records each."""
+    out = tmp_path_factory.mktemp("air")
+    active = [{"t_s": round(1.0 + 0.4 * i, 3), "x": 37 * i % 251, "button": i % 2} for i in range(95)]
+    for name, script in (("idle", []), ("active", active)):
+        doc = {"schema": "stave-scenario/1", "seed": 11, "duration_s": 40.0,
+               "joystick_script": [{"t_s": 0.0, "x": 125}, *script], "taps": [{"name": "air", "channels": "all"}],
+               "outputs": {"captures": {"air": f"{name}/air.log", "vehicle0": f"{name}/vehicle0.log"}}}
+        run_scenario(validate_scenario(doc), out)
+    return out
+
+
+def loaded_reports(logs) -> dict:
+    """Each command's report text, as the analyses of CaptureLog.load give it."""
+    pre, post, wired = (CaptureLog.load(logs / name)
+                        for name in ("idle/air.log", "active/air.log", "active/vehicle0.log"))
+    occupancy = str(logs / "active/air.log")
+    return {
+        "diff": json_text(diff_captures(FrameTally(pre), FrameTally(post))),
+        "diff_mixed": json_text(diff_captures(FrameTally(wired), FrameTally(post))),
+        "occupancy": json_text(channel_occupancy(post, occupancy)),
+        "plan": json_text(plan_replay(wired, MessageMatch(pgn=0xFF10),
+                                      Mutation.parse("byte0=reflect(250)")).to_json_dict()),
+        "burst": json_text(plan_replay(post, MessageMatch(can_id=0x0CFF1028), None, "fast").to_json_dict()),
+    }
+
+
+def offline_commands(logs, out) -> dict:
+    """Each command's argv, writing its report to out."""
+    return {
+        "diff": ["diff", str(logs / "idle/air.log"), str(logs / "active/air.log"), "--report", str(out / "diff")],
+        "diff_mixed": ["diff", str(logs / "active/vehicle0.log"), str(logs / "active/air.log"),
+                       "--report", str(out / "diff_mixed")],
+        "occupancy": ["occupancy", str(logs / "active/air.log"), "--report", str(out / "occupancy")],
+        "plan": ["replay-plan", str(logs / "active/vehicle0.log"), "--match-pgn", "0xFF10",
+                 "--mutate", "byte0=reflect(250)", "--out", str(out / "plan")],
+        "burst": ["replay-plan", str(logs / "active/air.log"), "--match-id", "0x0CFF1028", "--timing", "fast",
+                  "--out", str(out / "burst")],
+    }
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_streamed_commands_write_the_analyses_of_the_loaded_logs(air_logs, tmp_path, monkeypatch, capsys, block):
+    want = loaded_reports(air_logs)
+    assert '"flagged": []' not in want["diff"] and '"entries": []' not in want["plan"] + want["burst"]
+    # blocks of a line or two, cut inside lines: every row crosses or ends a block
+    monkeypatch.setattr(capture, "_BLOCK", block)
+    for name, argv in offline_commands(air_logs, tmp_path).items():
+        assert main(argv) == 0, name
+        assert (tmp_path / name).read_text(encoding="utf-8") == want[name], name
+    # and to stdout, without --report or --out
+    for name in ("occupancy", "plan"):
+        assert main(offline_commands(air_logs, tmp_path)[name][:-2]) == 0
+        assert capsys.readouterr().out == want[name]
+
+
+def test_replay_plan_of_no_match_writes_an_empty_entry_list(tmp_path, capsys) -> None:
+    cap = tmp_path / "cap.log"
+    write_log(cap, [(0, 0x100, b"\x01")])
+    for timing in ("preserve", "fast"):
+        assert main(["replay-plan", str(cap), "--match-pgn", "0xFF10", "--timing", timing]) == 0
+        assert capsys.readouterr().out == json_text({"entries": [], "schema": "stave-replay/1", "timing": timing})
+
+
+GOOD_LINE = b"(0.000002) air R:A55A00\n"
+# (a faulty log's bytes): a faulty line early and a byte that is not UTF-8 or a
+# missing final LF blocks later, each of which load reports before the line, and a late faulty line
+FAULTY_LOGS = {
+    "late byte that is not UTF-8": b"garbage\n" + GOOD_LINE * 300 + b"(0.000003) air\xff R:A55A00\n",
+    "missing final LF": b"garbage\n" + GOOD_LINE * 300 + GOOD_LINE[:-1],
+    "late faulty line": GOOD_LINE * 300 + b"(0.000001) air R:A55A00\n" + GOOD_LINE,
+}
+
+
+@pytest.mark.parametrize("fault", FAULTY_LOGS)
+def test_a_faulty_log_stops_each_command_with_the_error_of_load_and_no_report(tmp_path, capsys, fault) -> None:
+    bad, good = tmp_path / "bad.log", tmp_path / "good.log"
+    bad.write_bytes(FAULTY_LOGS[fault])
+    good.write_bytes(GOOD_LINE)
+    with pytest.raises(CaptureError) as err:
+        CaptureLog.load(bad)
+    report = tmp_path / "report.json"
+    for argv in (["diff", str(bad), str(good), "--report", str(report)],
+                 ["diff", str(good), str(bad), "--report", str(report)],
+                 ["occupancy", str(bad), "--report", str(report)],
+                 ["replay-plan", str(bad), "--match-pgn", "0xFF10", "--out", str(report)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {err.value}\n", argv
+        assert not report.exists(), argv
+
+
+def traced(call) -> tuple[int, int]:
+    """(bytes call() leaves held, its peak above the bytes held before), traced in this process."""
+    call()  # a first call sets up what every later one shares
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del kept
+    return held - before, peak - before
+
+
+def test_diff_and_occupancy_peak_below_one_loaded_log(air_logs, tmp_path) -> None:
+    log_held, _ = traced(lambda: CaptureLog.load(air_logs / "active/air.log"))
+    assert log_held > 150_000  # 2,114 air records
+    for name in ("diff", "occupancy"):
+        argv = offline_commands(air_logs, tmp_path)[name]
+        _, peak = traced(lambda: main(argv))
+        assert peak < log_held, name  # reading both logs, or one whole, would hold more
+
+
+def test_replay_plan_peaks_below_its_log_and_schedule_and_a_tenth_of_its_report(air_logs, tmp_path) -> None:
+    path = air_logs / "active/vehicle0.log"
+    match, mutation = MessageMatch(pgn=0xFF10), Mutation.parse("byte0=reflect(250)")
+    log = CaptureLog.load(path)
+    log_held, _ = traced(lambda: CaptureLog.load(path))
+    # planning at its largest: the schedule and the list it is built from
+    _, plan_peak = traced(lambda: plan_replay(log, match, mutation))
+    del log
+    argv = offline_commands(air_logs, tmp_path)["plan"]
+    _, peak = traced(lambda: main(argv))
+    report = (tmp_path / "plan").stat().st_size
+    assert report > 60_000
+    # the parent command held its whole document and text on top: more than the report's size again
+    assert peak < log_held + plan_peak + report / 10

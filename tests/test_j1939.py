@@ -6,6 +6,7 @@ bit arithmetic.
 """
 
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -89,6 +90,14 @@ def test_roundtrip_random_sample() -> None:
 def test_roundtrip_edges() -> None:
     for can_id in (0, 1, (1 << 29) - 1, 0x00F00000, 0x03FFFF00, 0x1CEFFF21):
         assert_matches_oracle(can_id)
+
+
+def test_a_decoded_address_is_the_checked_constructor_s() -> None:
+    # decode_id skips the constructor's checks, as its masks bound every field
+    for can_id in (0, 0x18EF0021, 0x0CF00400, (1 << 29) - 1):
+        addr = decode_id(can_id)
+        checked = J1939Address(**{field.name: getattr(addr, field.name) for field in fields(J1939Address)})
+        assert (addr, hash(addr), repr(addr), vars(addr)) == (checked, hash(checked), repr(checked), vars(checked))
 
 
 def test_decode_rejects_out_of_range() -> None:

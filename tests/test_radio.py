@@ -503,6 +503,25 @@ def test_endpoint_drops_corrupt_packets(decoded) -> None:
     assert decoded == [bytes(wire)]
 
 
+def test_a_valid_raw_packet_is_delivered_on_its_hop_channel_only(decoded) -> None:
+    # raw bytes carry no sender, so the hop check runs on the decoded packet
+    config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
+    clock, bus_a, bus_b, medium = two_segment_medium(config)
+    got: list[CanFrame] = []
+    bus_b.attach("sink", on_frame=got.append)
+    right = hop_channel(config, 7)
+    on_hop, off_hop = (RadioPacket(channel, 7, JOY_FRAME).to_bytes() for channel in (right, (right + 1) % 16))
+    medium.transmit(on_hop)
+    clock.run_until(1_000_000)
+    assert [(frame.can_id, frame.data) for frame in got] == [(JOY_FRAME.can_id, JOY_FRAME.data)]
+    assert (medium.stats.endpoint_delivered, medium.stats.channel_rejected, medium.stats.crc_dropped) == (2, 0, 0)
+    medium.transmit(off_hop)
+    clock.run_until(2_000_000)
+    assert len(got) == 1
+    assert (medium.stats.endpoint_delivered, medium.stats.channel_rejected, medium.stats.crc_dropped) == (2, 2, 0)
+    assert decoded == [on_hop, off_hop]
+
+
 def test_two_byte_packet_reaches_taps_and_is_dropped_by_endpoints() -> None:
     clock, bus_a, bus_b, medium = two_segment_medium(RadioConfig())
     medium.add_tap(Tap(name="air")).keep(tap := CaptureLog())

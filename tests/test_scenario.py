@@ -35,6 +35,28 @@ def test_minimal_document() -> None:
     assert scenario.outputs.summary is None
 
 
+def test_a_null_section_or_list_validates_as_if_absent() -> None:
+    # "bus": null is an absent section and "taps": null an absent list, also where
+    # a tap or attack reads them: a 2 s run on the default bus, and a tap named later
+    doc = {"schema": "stave-scenario/1", "seed": 3, "duration_s": 2.0, "fleet": {"catalog": None},
+           "attacks": [{**REPLAY, "match": {"pgn": "0xFF10"}}], "outputs": {"reports": {"plan": "p.json"}}}
+    def fields(scenario: Scenario) -> dict:
+        # a catalog and a script compare by what they hold
+        return {**vars(scenario), "catalog": list(scenario.catalog), "script": scenario.script.entries}
+
+    want = fields(validate_scenario(doc))
+    for nulls in ({"bus": None}, {"taps": None}, {"radio": None}, {"joystick_script": None},
+                  {"bus": None, "taps": None}):
+        assert fields(validate_scenario({**doc, **nulls})) == want, nulls
+    # and a null is no more an error than an absence next to a real one
+    for bad in ({"duration_s": -1.0}, {"attacks": [{**REPLAY, "capture": "air"}]}):
+        with pytest.raises(ScenarioValidationError) as absent:
+            validate_scenario({**doc, **bad})
+        with pytest.raises(ScenarioValidationError) as null:
+            validate_scenario({**doc, **bad, "bus": None, "taps": None})
+        assert null.value.errors == absent.value.errors
+
+
 def test_with_seed_swaps_only_the_seed() -> None:
     scenario = make_scenario()
     other = scenario.with_seed(99)
