@@ -280,8 +280,16 @@ def plan_replay(
     """
     if timing_mode not in TIMING_MODES:
         raise ConfigurationError(f"timing mode {shown(timing_mode)} must be preserve or fast")
+    entries = tuple(_replay_entries(capture, match, mutation, timing_mode))
+    if not entries:
+        logger.warning("replay plan matched no frames (match=%s)", match)
+    return ReplaySchedule(entries=entries, timing_mode=timing_mode)
+
+
+def _replay_entries(capture: CaptureLog, match: MessageMatch, mutation: Mutation | None,
+                    timing_mode: str) -> Iterator[tuple[int, CanFrame]]:
+    """plan_replay's entries one at a time, so that its tuple is built without a list."""
     selected: dict[int, bool] = {}  # match.matches of each distinct identifier
-    entries = []
     t0 = None
     # the last entry's frame and the captured payload it was built from;
     # an equal frame after it reuses it
@@ -304,10 +312,7 @@ def plan_replay(
             # the log checked can_id and data when it was parsed or built, and
             # a mutation keeps the payload's length
             frame = _valid_frame(can_id, data if mutation is None else mutation.apply(data), 0)
-        entries.append((ts - t0 if timing_mode == TIMING_PRESERVE else 0, frame))
-    if not entries:
-        logger.warning("replay plan matched no frames (match=%s)", match)
-    return ReplaySchedule(entries=tuple(entries), timing_mode=timing_mode)
+        yield ts - t0 if timing_mode == TIMING_PRESERVE else 0, frame
 
 
 class WiredInjector:

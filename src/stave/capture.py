@@ -29,7 +29,9 @@ import math
 import operator
 import re
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -212,15 +214,18 @@ class CaptureLog:
     """An append-only, time-ordered sequence of capture records.
 
     Stored column-wise: timestamps and identifiers in arrays (a radio
-    record's identifier is RADIO_ID), interfaces and payloads in lists. A
+    record's identifier is RADIO_ID), payloads in a list, and interfaces as
+    runs: the first row of each run of equal interfaces in an array, its
+    name in a list, so a log fed by one capture point holds one name. A
     CaptureRecord is built only when one is read.
     """
 
     def __init__(self):
         self._stamps = array("q")
         self._ids = array("i")
-        self._interfaces: list[str] = []
         self._payloads: list[bytes] = []
+        self._run_starts = array("q")
+        self._run_names: list[str] = []
 
     def append(self, record: CaptureRecord) -> None:
         self._append_row(*_row(record))
@@ -231,20 +236,30 @@ class CaptureLog:
         stamps = self._stamps
         if stamps and timestamp_us < stamps[-1]:
             raise MonotonicityError(f"timestamp {timestamp_us} us is before previous {stamps[-1]} us")
+        names = self._run_names
+        if not names or names[-1] != interface:
+            self._run_starts.append(len(stamps))
+            names.append(interface)
         stamps.append(timestamp_us)
         self._ids.append(can_id)
-        self._interfaces.append(interface)
         self._payloads.append(data)
 
     def __len__(self) -> int:
         return len(self._stamps)
 
+    def _interfaces(self) -> Iterator[str]:
+        """Each row's interface, rebuilt from the runs."""
+        starts = self._run_starts
+        lengths = map(operator.sub, chain(islice(starts, 1, None), (len(self._stamps),)), starts)
+        return chain.from_iterable(map(repeat, self._run_names, lengths))
+
     def __iter__(self) -> Iterator[CaptureRecord]:
-        return map(_stored_record, self._stamps, self._interfaces, self._ids, self._payloads)
+        return map(_stored_record, self._stamps, self._interfaces(), self._ids, self._payloads)
 
     def __getitem__(self, index: int) -> CaptureRecord:
-        index = operator.index(index)  # a log takes no slice: TypeError
-        return _stored_record(self._stamps[index], self._interfaces[index],
+        # a log takes no slice (TypeError), and no index past either end (IndexError)
+        index = range(len(self._stamps))[operator.index(index)]
+        return _stored_record(self._stamps[index], self._run_names[bisect_right(self._run_starts, index) - 1],
                               self._ids[index], self._payloads[index])
 
     def rows(self) -> Iterator[tuple[int, int, bytes]]:
@@ -254,7 +269,7 @@ class CaptureLog:
         return zip(self._stamps, self._ids, self._payloads)
 
     def _lines(self) -> Iterator[str]:
-        return map(_format_row, self._stamps, self._interfaces, self._ids, self._payloads)
+        return map(_format_row, self._stamps, self._interfaces(), self._ids, self._payloads)
 
     def to_text(self) -> str:
         return "".join(self._lines())
@@ -268,19 +283,23 @@ class CaptureLog:
 
     @classmethod
     def _of_rows(cls, rows: Iterable[tuple[int, str, int, bytes]]) -> "CaptureLog":
-        """The log of every row _parse_rows yields, appended straight to the columns."""
+        """The log of every row _parse_rows yields, appended straight to the columns;
+        it repeats one interface object along a run, so identity finds each run's start."""
         log = cls()
-        stamps, ids, interfaces, payloads = log._stamps, log._ids, log._interfaces, log._payloads
+        stamps, ids, payloads = log._stamps, log._ids, log._payloads
+        starts, names = log._run_starts, log._run_names
+        last = None
         for stamp, interface, can_id, data in rows:
+            if interface is not last:
+                starts.append(len(stamps))
+                names.append(last := interface)
             stamps.append(stamp)
             ids.append(can_id)
-            interfaces.append(interface)
             payloads.append(data)
         return log
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(self._lines())
+        write_utf8(path, self._lines())
 
     @classmethod
     def load(cls, path: str | Path) -> "CaptureLog":
@@ -336,6 +355,13 @@ def _line_of_byte(fh, offset: int) -> int:
         lineno += block.count(b"\n")
         offset -= len(block)
     return lineno
+
+
+def write_utf8(path: str | Path, pieces: Iterable[str]) -> None:
+    """Write the UTF-8 bytes of the text pieces make up to path, a piece at a
+    time through one binary buffer: neither the text nor its lines are held."""
+    with open(path, "wb") as fh:
+        fh.writelines(map(str.encode, pieces))
 
 
 def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) -> CaptureRecord:

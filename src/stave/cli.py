@@ -20,7 +20,7 @@ from .attack import (REPLAY_SCHEMA, TIMING_MODES, TIMING_PRESERVE, FrameTally, M
                      channel_occupancy, diff_captures, plan_replay)
 from .capture import CaptureFile, CaptureLog
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, shown
-from .runner import json_text, run_scenario, write_json
+from .runner import run_scenario, write_json
 from .scenario import load_scenario
 
 
@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
         except ScenarioValidationError as exc:  # located at the document's seed, which the flag replaces
             raise ScenarioValidationError([f"--{error}" for error in exc.errors]) from None
     bed = run_scenario(scenario, out_dir=args.out)
-    sys.stdout.write(json_text(bed.summary))
+    write_json(None, bed.summary)
     for label, path in sorted(bed.written):
         print(f"wrote {label}: {path}", file=sys.stderr)
     return 0
@@ -120,8 +120,8 @@ def _cmd_replay_plan(args) -> int:
     mutation = None if args.mutate is None else _flag("--mutate", Mutation.parse, args.mutate)
     schedule = plan_replay(log, match, mutation, args.timing)
     del log  # the schedule is written an entry at a time, without the log
-    doc = {"schema": REPLAY_SCHEMA, "timing": schedule.timing_mode}
-    write_json(args.out, doc, "entries", schedule.json_entries())
+    write_json(args.out, {"schema": REPLAY_SCHEMA, "timing": schedule.timing_mode,
+                          "entries": schedule.json_entries()})
     return 0
 
 

@@ -15,11 +15,11 @@ import errno
 import os
 import random
 import sys
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable
+from itertools import chain, repeat
+from typing import Callable, Iterator
 
 from .attack import (
     FrameTally,
@@ -31,7 +31,7 @@ from .attack import (
     schedule_injection,
 )
 from .bus import CanBus
-from .capture import CaptureLog, CapturePoint
+from .capture import CaptureLog, CapturePoint, write_utf8
 from .errors import BaselineError, ConfigurationError
 from .fleet import Fleet
 from .radio import RadioInjector, RadioMedium
@@ -90,6 +90,33 @@ def _render(value, indent: str) -> str:
         body = f",\n{inner}".join([_render(item, inner) for item in value])
         return f"[\n{inner}{body}\n{indent}]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _pieces(value, indent: str, depth: int) -> Iterator[str]:
+    """_render's text of value in pieces: a container yields its punctuation
+    and then each item, as the item's own pieces while depth is above 1 and
+    as its _render text otherwise. In a container's place an iterator is the
+    list of its items, read one at a time."""
+    kind = type(value)
+    if kind is dict:
+        # a key that is not a str fails in sorted or in the string encoder
+        items = ((f"{encode_basestring_ascii(key)}: ", item) for key, item in sorted(value.items()))
+    elif kind is list or kind is tuple or isinstance(value, Iterator):
+        items = zip(repeat(""), value)
+    else:
+        yield _render(value, indent)
+        return
+    opening, closing = "{}" if kind is dict else "[]"
+    inner = indent + "  "
+    separator = f"{opening}\n{inner}"
+    for prefix, item in items:
+        if depth > 1:
+            yield separator + prefix
+            yield from _pieces(item, inner, depth - 1)
+        else:
+            yield separator + prefix + _render(item, inner)
+        separator = f",\n{inner}"
+    yield f"\n{indent}{closing}" if separator[0] == "," else opening + closing
 
 
 def json_text(doc: dict) -> str:
@@ -327,22 +354,16 @@ def _check_output_paths(base: Path, outputs: OutputSpec) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(base / rel))
 
 
-def write_json(path: str | Path | None, doc: dict, key: str | None = None, items: Iterable = ()) -> None:
+def write_json(path: str | Path | None, doc: dict) -> None:
     """Write a report or summary document as its json_text, to stdout when
-    path is None. Given a key, the list at doc's top-level key is items,
-    written an item at a time: neither that list nor the whole text is built."""
-    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if key is None:
-            fh.write(json_text(doc))
-            return
-        opening = f"\n  {encode_basestring_ascii(key)}: ["  # no other line starts with two spaces and a quote
-        head, tail = json_text({**doc, key: []}).split(opening + "]", 1)
-        fh.write(head + opening)
-        separator = "\n    "
-        for item in items:
-            fh.write(separator + _render(item, "    "))
-            separator = ",\n    "
-        fh.write(("]" if separator == "\n    " else "\n  ]") + tail)
+    path is None, never building the whole text: each top-level value, and
+    each item of a top-level container, is rendered and written on its own.
+    A top-level list may be an iterator, so its items need not exist at once."""
+    pieces = chain(_pieces(doc, "", 2), ("\n",))
+    if path is None:
+        sys.stdout.writelines(pieces)
+    else:
+        write_utf8(path, pieces)
 
 
 def write_outputs(bed: Testbed, out_dir: str | Path) -> list[tuple[str, Path]]:

@@ -513,6 +513,78 @@ def test_parse_keeps_every_value_past_the_shared_identifiers() -> None:
     assert [a[2] for a in first] == [b[2] for b in second]
 
 
+def test_save_peaks_a_fixed_few_kilobytes_above_the_log(tmp_path) -> None:
+    # 20,000 records, 0.9 MB of text: a save that held its text, or the
+    # lines it had not yet written, would hold far more
+    log = CaptureLog()
+    for i in range(20_000):
+        log.append(CaptureRecord(i * 100, "vehicle0", (i * 7919).to_bytes(8, "big"), 0x0CFF1028))
+    path = tmp_path / "big.log"
+    log.save(path)  # a first save sets up what every later one shares
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log.save(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 900_000
+    assert peak - before < 16_000
+
+
+def _runs_of(names: list[str]) -> list[CaptureRecord]:
+    """One record per name, in order: CAN and radio records, some at one instant."""
+    return [CaptureRecord(i // 2 * 1000, name, bytes((i % 256, 7)), None if i % 3 == 2 else 0x100 + i % 5)
+            for i, name in enumerate(names)]
+
+
+# an interface that changes at every record, and one that changes every few records
+_INTERFACE_RUNS = {
+    "every_record": _runs_of(["can0", "ca\u0301n1", "can0", "\u8eca\u4e21"] * 5 + ["air"]),
+    "every_few": _runs_of(["vehicle0"] * 4 + ["\xe4ir"] + ["op\xe9rator0"] * 3 + ["vehicle0"] * 7 + ["air"] * 2),
+}
+
+
+@pytest.mark.parametrize("fill", ["append", "from_text"])
+@pytest.mark.parametrize("runs", sorted(_INTERFACE_RUNS))
+def test_a_log_of_interface_runs_reads_like_the_list_of_its_records(runs, fill, tmp_path) -> None:
+    records = _INTERFACE_RUNS[runs]
+    text = "".join(serialize_record(r) for r in records)
+    if fill == "append":
+        log = CaptureLog()
+        for record in records:
+            log.append(record)
+    else:
+        log = CaptureLog.from_text(text)
+    n = len(records)
+    # every index from either end, each run's first and last rows included
+    assert [log[i] for i in range(-n, n)] == records + records
+    for i in (-n - 1, n, n + 10**20):
+        with pytest.raises(IndexError):
+            log[i]
+    for cut in (slice(0, 2), slice(None), slice(-1, None)):
+        with pytest.raises(TypeError):
+            log[cut]
+    assert list(log) == records
+    assert log.to_text() == text
+    path = tmp_path / "runs.log"
+    log.save(path)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert list(CaptureLog.load(path)) == records
+
+
+def test_a_log_holds_each_run_of_one_interface_once() -> None:
+    point = CapturePoint("vehicle0")
+    point.keep(fed := CaptureLog())
+    for ts in range(500):
+        point.observe(ts, 0x100, b"\x00")
+    assert fed._run_names == ["vehicle0"]
+    assert list(CaptureLog.from_text(fed.to_text())._run_starts) == [0]
+    mixed = CaptureLog.from_text("(0.000001) a 00000100#\n" * 3 + "(0.000002) b R:00\n" * 2
+                                 + "(0.000003) a 00000100#\n")
+    assert (list(mixed._run_starts), mixed._run_names) == ([0, 3, 5], ["a", "b", "a"])
+
+
 def test_record_validation() -> None:
     with pytest.raises(CaptureError):
         CaptureRecord(timestamp_us=0, interface="x", data=b"\x00" * 9, can_id=0x1)

@@ -13,7 +13,7 @@ from conftest import MALFORMED_SECTIONS, REPO_ROOT, SCENARIOS_DIR, load_fixture
 from test_golden import ALL_ATTACK_TYPES
 
 from stave import (CaptureError, CaptureLog, CaptureRecord, FrameTally, MessageMatch, Mutation, SimClock, capture,
-                   channel_occupancy, cli, diff_captures, plan_replay, run_scenario, validate_scenario)
+                   channel_occupancy, cli, diff_captures, load_scenario, plan_replay, run_scenario, validate_scenario)
 from stave.cli import main
 from stave.runner import json_text
 
@@ -370,16 +370,16 @@ def test_replay_plan_drops_its_log_before_writing_its_entries(tmp_path, monkeypa
         logs.append(weakref.ref(log))
         return plan_replay(log, *rest)
 
-    def write_spy(path, doc, key=None, items=()):
-        # the log is dead, and the entries come one at a time, not in a document
-        seen.append((logs[0]() is None, "entries" in doc, key, isinstance(items, Iterator)))
-        write_json(path, doc, key, items)
+    def write_spy(path, doc):
+        # the log is dead, and the entries come one at a time, not as a list
+        seen.append((logs[0]() is None, isinstance(doc["entries"], Iterator)))
+        write_json(path, doc)
 
     monkeypatch.setattr(cli, "plan_replay", plan_spy)
     monkeypatch.setattr(cli, "write_json", write_spy)
     out = tmp_path / "sched.json"
     assert main(["replay-plan", str(cap), "--match-pgn", "0xFF10", "--out", str(out)]) == 0
-    assert seen == [(True, False, "entries", True)]
+    assert seen == [(True, True)]
     assert len(json.loads(out.read_text(encoding="utf-8"))["entries"]) == 100
 
 
@@ -481,6 +481,29 @@ def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys, monkeypatc
         assert got == want
         codes.append(got[0][0])
     assert codes == [0, 2, 2, 0]
+
+
+def _files(root) -> dict[str, bytes]:
+    """The bytes of every file under root, by relative path."""
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIOS_DIR.glob("*.json")))
+def test_a_bundled_scenario_writes_the_same_files_under_any_hash_seed(name, tmp_path) -> None:
+    # criterion 7 across processes: each process hashes str with its own
+    # seed unless PYTHONHASHSEED fixes one, so no output may depend on it
+    scenario = SCENARIOS_DIR / name
+    bed = run_scenario(load_scenario(scenario), tmp_path / "in-process")
+    want = _files(tmp_path / "in-process")
+    assert want
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "stave.cli", "run", str(scenario), "--out", str(out)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONHASHSEED": hash_seed},
+        )
+        assert (proc.returncode, proc.stdout) == (0, json_text(bed.summary)), proc.stderr
+        assert _files(out) == want, hash_seed
 
 
 # The offline commands fold each file's rows as they parse it: the same

@@ -3,10 +3,11 @@
 import enum
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from conftest import load_fixture, make_scenario
 from test_golden import ALL_ATTACK_TYPES
@@ -14,7 +15,7 @@ from test_golden import ALL_ATTACK_TYPES
 from stave import (BusStats, CaptureLog, CaptureRecord, VehicleObservables, build_testbed, run_scenario, summarize,
                    validate_scenario)
 from stave.capture import RADIO_ID
-from stave.runner import json_text, write_outputs
+from stave.runner import json_text, write_json, write_outputs
 
 JOY = 0x0CFF1028
 
@@ -91,6 +92,57 @@ def test_json_text_rejects_what_it_does_not_render(doc) -> None:
     # json.dumps would write a non-str key or an int subclass; json_text refuses them
     with pytest.raises(TypeError):
         json_text(doc)
+
+
+_JSON_OBJECTS = st.dictionaries(_JSON_TEXT, _JSON_DOCS, max_size=5)
+
+
+def _lazy(doc: dict) -> dict:
+    """doc with each top-level list or tuple as an iterator over its items."""
+    return {key: iter(value) if type(value) in (list, tuple) else value for key, value in doc.items()}
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_JSON_OBJECTS)
+@example(doc={})
+@example(doc={"a": [], "b": {}, "c": (), "d": [[], {}, ()], "e": {"f": [], "g": {}}})
+@example(doc={"nan": math.nan, "inf": [math.inf, -math.inf], "deep": {"x": (math.nan, -math.inf)}})
+@example(doc={"caf\xe9": "\u8eca\u4e21 \U0001f600", "entries": ({"\xe9": "\u2028"}, ["\x00", "/"])})
+def test_write_json_writes_the_bytes_of_json_text(doc, tmp_path, capsys) -> None:
+    text = json_text(doc)
+    path = tmp_path / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == text.encode("utf-8")
+    # a top-level list may arrive as an iterator, read an item at a time
+    write_json(path, _lazy(doc))
+    assert path.read_bytes() == text.encode("utf-8")
+    capsys.readouterr()
+    write_json(None, doc)
+    write_json(None, _lazy(doc))
+    assert capsys.readouterr().out == text * 2
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_write_json_peaks_a_fixed_few_kilobytes_above_what_is_held(lazy, tmp_path) -> None:
+    # 5,000 entries of a replay report, 0.5 MB of text: a write that built
+    # the text, or held the lines it had not yet written, would hold far more
+    entries = [{"can_id": f"0x{i:08X}", "data": f"{i:016X}", "delay_s": i / 1000} for i in range(5000)]
+    path = tmp_path / "report.json"
+
+    def doc():
+        return {"schema": "stave-replay/1", "timing": "preserve", "entries": iter(entries) if lazy else entries}
+
+    write_json(path, doc())  # a first write sets up what every later one shares
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_json(path, doc())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 450_000
+    assert peak - before < 16_000
 
 
 def test_every_attack_type_in_one_run() -> None:
