@@ -261,9 +261,13 @@ class ReplaySchedule:
                 can_id, data = f"0x{frame.can_id:08X}", frame.data.hex().upper()
             yield {"delay_s": seconds_from_us(delay), "can_id": can_id, "data": data}
 
+    def json_doc(self) -> dict:
+        """The stave-replay/1 document, its entries the iterator json_entries() (see runner.write_json)."""
+        return {"schema": REPLAY_SCHEMA, "timing": self.timing_mode, "entries": self.json_entries()}
+
     def to_json_dict(self) -> dict:
         """The stave-replay/1 document."""
-        return {"schema": REPLAY_SCHEMA, "timing": self.timing_mode, "entries": list(self.json_entries())}
+        return self.json_doc() | {"entries": list(self.json_entries())}
 
 
 def plan_replay(

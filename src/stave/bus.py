@@ -13,7 +13,6 @@ delivery time as its timestamp.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -92,14 +91,14 @@ class CanBus:
         self.clock = clock
         self.name = name
         self.config = config or BusConfig()
-        self._queues: dict[NodeHandle, deque[CanFrame]] = {}  # in node_id order
+        self._queues: dict[NodeHandle, list[CanFrame]] = {}  # in node_id order, each head first
         # on_frame of every node that listens, in attach order
         self._listeners: list[Callable[[CanFrame], None]] = []
         # by sender node_id: the on_frame of every other listener, in attach order
         self._fanout: list[tuple[Callable[[CanFrame], None], ...]] = []
         self._waiting = 0  # frames in all queues together
         self._claimed = False  # an arbitration is queued or a frame is on the wire
-        self._on_wire: tuple[NodeHandle, CanFrame] | None = None  # (sender, frame)
+        self._on_wire: tuple[NodeHandle, CanFrame, int] | None = None  # (sender, frame, frame time)
         self._frame_us = [self.config.frame_time_us(dlc) for dlc in range(MAX_DLC + 1)]  # by dlc
         # counts every delivered frame; keeps the ones a caller asks it to
         self.capture = CapturePoint(name)
@@ -112,7 +111,7 @@ class CanBus:
         if any(handle.name == name for handle in self._queues):
             raise ConfigurationError(f"node name {shown(name)} already attached to {self.name}")
         handle = NodeHandle(node_id=len(self._queues), name=name)
-        self._queues[handle] = deque()
+        self._queues[handle] = []
         # the new node's frames reach every earlier listener; if it listens,
         # every earlier node's frames reach it
         self._fanout.append(tuple(self._listeners))
@@ -138,19 +137,23 @@ class CanBus:
             self.clock.schedule(self.clock.now_us, self._kick)
 
     def _kick(self) -> None:
-        self._on_wire = winner, frame = arbitrate(
-            [(handle, queue[0]) for handle, queue in self._queues.items() if queue]
-        )
-        self._queues[winner].popleft()
+        winner, frame = arbitrate([(handle, queue[0]) for handle, queue in self._queues.items() if queue])
+        del self._queues[winner][0]
         self._waiting -= 1
-        self.clock.schedule(self.clock.now_us + self._frame_us[len(frame.data)], self._complete)
+        frame_us = self._frame_us[len(frame.data)]
+        self._on_wire = winner, frame, frame_us
+        self.clock.schedule(self.clock.now_us + frame_us, self._complete)
 
     def _complete(self) -> None:
-        sender, frame = self._on_wire
+        sender, frame, frame_us = self._on_wire
         now = self.clock.now_us
         self._claimed = False
-        self._busy_us += self._frame_us[len(frame.data)]
-        self.capture.observe(now, frame.can_id, frame.data)
+        self._busy_us += frame_us
+        capture = self.capture
+        if capture.sinks:
+            capture.observe(now, frame.can_id, frame.data)
+        else:
+            capture.seen += 1
         # the frame passed submit's checks and now is never negative
         delivered = _valid_frame(frame.can_id, frame.data, now)
         for callback in self._fanout[sender.node_id]:

@@ -378,11 +378,14 @@ def _stored_record(timestamp_us: int, interface: str, can_id: int, data: bytes) 
 class CapturePoint:
     """A place that observes traffic: a bus segment or a radio tap.
 
-    It counts every record it sees and hands each one to the logs that
-    keep it. ``sinks`` holds (log, start_us, end_us) entries: a log keeps
-    the records with start_us <= timestamp_us < end_us. A new point keeps
-    nothing; a run asks it to keep only what the run reads or writes.
-    A segment observes CAN records and a tap radio records.
+    It counts every record it sees in ``seen`` and hands each one to the
+    logs that keep it. ``sinks`` holds the open (log, start_us, end_us)
+    entries: a log keeps the records with start_us <= timestamp_us < end_us.
+    A point observes in clock order, so the first observation at or after
+    end_us closes a sink and drops it; a caller that finds no open sink may
+    count an observation with ``seen += 1`` instead of calling observe. A
+    new point keeps nothing; a run asks it to keep only what the run reads
+    or writes. A segment observes CAN records and a tap radio records.
     """
 
     def __init__(self, interface: str):
@@ -396,8 +399,13 @@ class CapturePoint:
 
     def observe(self, timestamp_us: int, can_id: int, data: bytes) -> None:
         """Count one valid observation and append it to every sink that keeps
-        it; can_id RADIO_ID: a radio record."""
+        it, dropping the sinks it closes; can_id RADIO_ID: a radio record."""
         self.seen += 1
+        closed = False
         for log, start_us, end_us in self.sinks:
-            if start_us <= timestamp_us < end_us:
+            if timestamp_us >= end_us:
+                closed = True
+            elif timestamp_us >= start_us:
                 log._append_row(timestamp_us, self.interface, can_id, data)
+        if closed:
+            self.sinks = [sink for sink in self.sinks if timestamp_us < sink[2]]

@@ -16,8 +16,8 @@ import argparse
 import functools
 import sys
 
-from .attack import (REPLAY_SCHEMA, TIMING_MODES, TIMING_PRESERVE, FrameTally, MessageMatch, Mutation,
-                     channel_occupancy, diff_captures, plan_replay)
+from .attack import (TIMING_MODES, TIMING_PRESERVE, FrameTally, MessageMatch, Mutation, channel_occupancy,
+                     diff_captures, plan_replay)
 from .capture import CaptureFile, CaptureLog
 from .errors import ConfigurationError, ScenarioValidationError, StaveError, int_text, shown
 from .runner import run_scenario, write_json
@@ -120,8 +120,7 @@ def _cmd_replay_plan(args) -> int:
     mutation = None if args.mutate is None else _flag("--mutate", Mutation.parse, args.mutate)
     schedule = plan_replay(log, match, mutation, args.timing)
     del log  # the schedule is written an entry at a time, without the log
-    write_json(args.out, {"schema": REPLAY_SCHEMA, "timing": schedule.timing_mode,
-                          "entries": schedule.json_entries()})
+    write_json(args.out, schedule.json_doc())
     return 0
 
 

@@ -250,17 +250,18 @@ class _Node:
 
             self.clock.schedule(self.clock.now_us + cycle_us, fire)
 
-    last_payload = None  # the payload of the latest broadcast
+    last_frame = None  # the frame of the latest broadcast
 
     def broadcast(self, data: bytes) -> None:
         """Send the node's message with data, padded with 0xFF to MAX_DLC
         bytes as every fleet frame is."""
         data = data.ljust(MAX_DLC, b"\xff")
-        if data != self.last_payload:  # else send the equal latest one, so logs share it
-            self.last_payload = data
-        # the identifier comes from the validated catalog and the payload is
-        # MAX_DLC bytes, so the frame is valid without re-checking it
-        self.bus.submit(self.handle, _valid_frame(self.can_id, self.last_payload, 0))
+        frame = self.last_frame
+        if frame is None or frame.data != data:  # else resend it, so logs share its payload
+            # the identifier comes from the validated catalog and the payload is
+            # MAX_DLC bytes, so the frame is valid without re-checking it
+            frame = self.last_frame = _valid_frame(self.can_id, data, 0)
+        self.bus.submit(self.handle, frame)
 
 
 class JoystickNode(_Node):
@@ -314,10 +315,10 @@ class SteeringEcu(_Node):
 
     def on_frame(self, frame: CanFrame) -> None:
         pgn = pgn_of(frame.can_id)
-        if pgn == self._joy_pgn and frame.dlc >= 1:
+        if pgn == self._joy_pgn and len(frame.data) >= 1:
             self.last_joy_us = frame.timestamp_us
             self.last_x = frame.data[0]
-        elif pgn == self._pwr_pgn and frame.dlc >= 3:
+        elif pgn == self._pwr_pgn and len(frame.data) >= 3:
             self.steer_enable = bool(frame.data[2] & 0x01)
 
     def tick(self):
@@ -346,7 +347,7 @@ class HydraulicsEcu(_Node):
         self._joy_pgn = fleet.catalog["JOY1"].pgn
 
     def on_frame(self, frame: CanFrame) -> None:
-        if pgn_of(frame.can_id) == self._joy_pgn and frame.dlc >= 2:
+        if pgn_of(frame.can_id) == self._joy_pgn and len(frame.data) >= 2:
             self.pump_raw = frame.data[1]
 
     @property
@@ -382,7 +383,7 @@ class ImplementEcu(_Node):
         self._dsp_pgn = fleet.catalog["DSP1"].pgn
 
     def on_frame(self, frame: CanFrame) -> None:
-        if pgn_of(frame.can_id) == self._dsp_pgn and frame.dlc >= 1:
+        if pgn_of(frame.can_id) == self._dsp_pgn and len(frame.data) >= 1:
             if frame.data[0] != self.led_mask:
                 self.led_mask = frame.data[0]
                 self.tick()

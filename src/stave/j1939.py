@@ -31,13 +31,13 @@ PDU2_THRESHOLD = 240
 MAX_DLC = 8  # the most payload bytes a CAN 2.0B frame carries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanFrame:
     """One CAN data frame with an extended identifier.
 
     ``data`` carries the payload; the dlc is always ``len(data)`` so the
     two can never disagree. ``timestamp_us`` is simulation time in
-    integer microseconds.
+    integer microseconds. A frame is slotted: it has no instance dict.
     """
 
     can_id: int
@@ -62,14 +62,16 @@ class CanFrame:
         return _valid_frame(self.can_id, self.data, timestamp_us)
 
 
+# each field's slot setter, which a frozen instance's __setattr__ does not reach
+_set_id, _set_data, _set_stamp = (CanFrame.__dict__[key].__set__ for key in ("can_id", "data", "timestamp_us"))
+
+
 def _valid_frame(can_id: int, data: bytes, timestamp_us: int) -> CanFrame:
     """A CanFrame from fields already known to be valid, without re-checking them."""
     frame = object.__new__(CanFrame)
-    # not frame.__dict__.update(...): touching __dict__ gives the frame a dict
-    # of its own, which more than doubles its size
-    object.__setattr__(frame, "can_id", can_id)
-    object.__setattr__(frame, "data", data)
-    object.__setattr__(frame, "timestamp_us", timestamp_us)
+    _set_id(frame, can_id)
+    _set_data(frame, data)
+    _set_stamp(frame, timestamp_us)
     return frame
 
 

@@ -126,7 +126,7 @@ def hop_channel(config: RadioConfig, seq: int) -> int:
     return x % config.num_channels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RadioPacket:
     channel: int
     seq: int
@@ -143,12 +143,16 @@ class RadioPacket:
         return SYNC + body + crc16_ccitt_false(body).to_bytes(2, "big")
 
 
+# each field's slot setter, which a frozen instance's __setattr__ does not reach
+_set_channel, _set_seq, _set_frame = (RadioPacket.__dict__[key].__set__ for key in ("channel", "seq", "frame"))
+
+
 def _valid_packet(channel: int, seq: int, frame: CanFrame) -> RadioPacket:
     """A RadioPacket from fields already known to be valid, without re-checking them."""
     packet = object.__new__(RadioPacket)
-    object.__setattr__(packet, "channel", channel)
-    object.__setattr__(packet, "seq", seq)
-    object.__setattr__(packet, "frame", frame)
+    _set_channel(packet, channel)
+    _set_seq(packet, seq)
+    _set_frame(packet, frame)
     return packet
 
 
@@ -256,18 +260,18 @@ class RadioMedium:
         """Put one packet on the air; sender is the radio that built it,
         None for a packet from nowhere, which is inside the shield.
 
-        Taps get a copy now (transmit instant). Every endpoint other than
-        the sender that an independent loss draw lets through hears the
-        packet in one event, after the propagation latency; in faraday mode
-        a sender outside the shield reaches none. Raw bytes are decoded
-        once, in that event.
+        Taps get a copy now (transmit instant), encoded once if any tap that
+        hears it keeps it. Every endpoint other than the sender that an
+        independent loss draw lets through hears the packet in one event,
+        after the propagation latency; in faraday mode a sender outside the
+        shield reaches none. Raw bytes are decoded once, in that event.
         """
         if isinstance(packet, RadioPacket):
-            wire = packet.to_bytes()
+            channel, wire = packet.channel, None
         else:
             wire = packet = bytes(packet)
+            channel = wire[CHANNEL_OFFSET] if len(wire) > CHANNEL_OFFSET else None
         self.stats.packets_sent += 1
-        channel = wire[CHANNEL_OFFSET] if len(wire) > CHANNEL_OFFSET else None
         sender_inside = True if sender is None else sender.inside_faraday
         now = self.clock.now_us
         faraday, loss = self.config.faraday_mode, self.config.loss_probability
@@ -276,7 +280,12 @@ class RadioMedium:
                 continue
             if tap.channels is not None and channel not in tap.channels:
                 continue
-            point.observe(now, RADIO_ID, wire)
+            if point.sinks:
+                if wire is None:
+                    wire = packet.to_bytes()
+                point.observe(now, RADIO_ID, wire)
+            else:
+                point.seen += 1
         if faraday and not sender_inside:
             return
         reached = []

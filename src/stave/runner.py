@@ -145,6 +145,7 @@ class Testbed:
     points: dict[str, CapturePoint]
     # the logs kept whole and each sniff save
     captures: dict[str, CaptureLog] = field(default_factory=dict)
+    # the diff and occupancy reports; a replay save's is its schedule's, rendered when written
     reports: dict[str, dict] = field(default_factory=dict)
     schedules: dict[str, ReplaySchedule] = field(default_factory=dict)
     # one per attack, in list order: builds its summary entry after the run
@@ -268,11 +269,9 @@ def _run_replay(bed: Testbed, spec: ReplaySpec, index: int) -> Callable[[], dict
         except ConfigurationError as exc:  # the mutation does not fit a matched payload
             raise ConfigurationError(f"attacks[{index}].mutate: {exc}") from None
         bed.schedules[spec.save] = schedule
-        bed.reports[spec.save] = schedule.to_json_dict()
 
     bed.clock.schedule(spec.start_us, run_plan)
-    return lambda: {"type": "replay", "save": spec.save,
-                    "entries": len(bed.reports[spec.save]["entries"])}
+    return lambda: {"type": "replay", "save": spec.save, "entries": len(bed.schedules[spec.save].entries)}
 
 
 def _run_inject(bed: Testbed, spec: InjectSpec, index: int) -> Callable[[], dict]:
@@ -389,6 +388,7 @@ def write_outputs(bed: Testbed, out_dir: str | Path) -> list[tuple[str, Path]]:
         written.append((name, path))
     for name, rel in outputs.reports.items():
         path = target(rel)
-        write_json(path, bed.reports[name])
+        schedule = bed.schedules.get(name)
+        write_json(path, bed.reports[name] if schedule is None else schedule.json_doc())
         written.append((name, path))
     return written

@@ -7,8 +7,8 @@ order): ties are FIFO, so a run is reproducible from its inputs alone.
 from __future__ import annotations
 
 import heapq
-from functools import wraps
 from itertools import count
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .errors import SimulationError, TimeReversalError
@@ -35,13 +35,9 @@ class SimClock:
         self._series_seq: int | None = None  # set while schedule_series queues an event
         self._finished = False
 
-    @property
-    def now_us(self) -> int:
-        return self._now_us
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
+    # read-only views whose getters run no Python code
+    now_us = property(attrgetter("_now_us"), doc="The current simulation time in microseconds.")
+    finished = property(attrgetter("_finished"), doc="Whether finish() has ended the simulation.")
 
     def finish(self) -> None:
         """Mark the simulation as ended; further submits are rejected."""
@@ -68,13 +64,13 @@ class SimClock:
 
         def queue_next() -> None:
             for at_us, action in events:
-                # wraps: tools that attribute events by their action's module
-                # (perfbench/tracer.py) see the action's module, not this one
-                @wraps(action)
                 def fire(action=action):
                     action()
                     queue_next()
 
+                # tools that attribute events by their action's module
+                # (perfbench/tracer.py) see the action's module, not this one
+                fire.__module__ = getattr(action, "__module__", fire.__module__)
                 self._series_seq = seq
                 try:
                     self.schedule(at_us, fire)

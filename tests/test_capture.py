@@ -427,6 +427,17 @@ def test_capture_point_keeps_half_open_window() -> None:
     assert point.seen == 4
 
 
+def test_a_window_leaves_the_point_at_its_first_observation_at_or_after_its_end() -> None:
+    point = CapturePoint("air")
+    point.keep(whole := CaptureLog())
+    point.keep(window := CaptureLog(), 100, 300)  # [100, 300)
+    for ts in (50, 100, 200, 299, 300, 300, 400):
+        point.observe(ts, RADIO_ID, b"\xa5")
+        assert [log for log, _, _ in point.sinks] == ([whole, window] if ts < 300 else [whole])
+    assert [r.timestamp_us for r in window] == [100, 200, 299]
+    assert point.seen == len(whole) == 7
+
+
 def test_text_roundtrip_is_byte_identical(tmp_path) -> None:
     log = CaptureLog()
     rng = random.Random(3)

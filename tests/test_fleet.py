@@ -5,6 +5,7 @@ each catalog row. Steering oracle: 0.28 deg per joystick count around
 center 125, clamped to 35 deg, slewed at 20 deg/s.
 """
 
+import itertools
 import json
 import math
 
@@ -344,6 +345,32 @@ def test_every_delivered_frame_passes_the_frame_checks() -> None:
             CanFrame(record.can_id, record.data, record.timestamp_us)  # the checked constructor accepts it
             assert type(record.data) is bytes and len(record.data) == 8
     assert bed.captures["vehicle0"][-1].timestamp_us > 1_900_000
+
+
+def test_a_node_resubmits_one_frame_while_its_payload_repeats(monkeypatch) -> None:
+    submitted: dict[int, list[CanFrame]] = {}  # by identifier, the frames the fleet's own nodes submit
+    submit = CanBus.submit
+
+    def spy(bus, handle, frame):
+        if not handle.name.startswith("bridge_"):
+            submitted.setdefault(frame.can_id, []).append(frame)
+        submit(bus, handle, frame)
+
+    monkeypatch.setattr(CanBus, "submit", spy)
+    bed = build({"duration_s": 2.0, "fleet": {"steer_enable": True},
+                 "joystick_script": [{"t_s": 0.0, "x": 25}, {"t_s": 1.0, "x": 240}]})
+    delivered = []
+    bed.buses["vehicle0"].attach("probe", lambda frame: delivered.append((bed.clock.now_us, frame)))
+    run(bed, 2_000_000)
+    for frames in submitted.values():
+        runs = [list(group) for _, group in itertools.groupby(frames, key=lambda frame: frame.data)]
+        assert len({id(frame) for frame in frames}) == len(runs)  # one object per run of equal payloads
+        assert all(frame is group[0] for group in runs for frame in group)
+    assert len({id(frame) for frame in submitted[EXPECTED_IDS["JOY1"]]}) == 2  # the script's two inputs
+    assert len({id(frame) for frame in submitted[EXPECTED_IDS["STR1"]]}) > 2  # the wheel slews
+    # every delivery is a frame of its own, stamped with the delivery time
+    assert delivered and all(frame.timestamp_us == now > 0 for now, frame in delivered)
+    assert not {id(frame) for _, frame in delivered} & {id(f) for frames in submitted.values() for f in frames}
 
 
 def test_observables_shape() -> None:

@@ -8,6 +8,7 @@ Independent oracles frozen here:
 """
 
 import random
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,8 +35,8 @@ from stave import (
     decapsulate,
     hop_channel,
 )
-from stave.j1939 import MAX_CAN_ID
-from stave.radio import MASK64, packet_frame
+from stave.j1939 import MAX_CAN_ID, _valid_frame
+from stave.radio import MASK64, _valid_packet, packet_frame
 
 
 def crc_oracle(data: bytes) -> int:
@@ -209,6 +210,19 @@ def test_decapsulate_rejects_cleanly_or_reencodes_identically(buf: bytes) -> Non
     except DecapsulationError:
         return
     assert packet.to_bytes() == buf
+
+
+@pytest.mark.parametrize("build, cls, values", [
+    (_valid_frame, CanFrame, (0x0CFF1028, b"\x19\x7d", 524)),
+    (_valid_packet, RadioPacket, (9, 0xFFFF, JOY_FRAME)),
+])
+def test_an_unchecked_build_is_the_checked_constructor_s(build, cls, values) -> None:
+    built, checked = build(*values), cls(*values)
+    assert (type(built), built, hash(built), repr(built)) == (cls, checked, hash(checked), repr(checked))
+    assert not hasattr(built, "__dict__")  # slotted
+    for field in fields(cls):
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, field.name, getattr(checked, field.name))
 
 
 def test_packet_field_validation() -> None:
@@ -425,6 +439,25 @@ def test_single_channel_tap_hears_only_its_channel() -> None:
     assert len(wide) == n
     assert len(narrow) == expected
     assert (late.seen, len(late_log)) == (n, n - n // 2)
+
+
+def test_a_packet_is_encoded_once_and_only_for_a_tap_that_keeps_it(monkeypatch) -> None:
+    bodies: list[bytes] = []
+    monkeypatch.setattr("stave.radio.crc16_ccitt_false", lambda body: bodies.append(body) or crc_oracle(body))
+    config = RadioConfig(num_channels=16, hopping=True, hop_seed=5)
+    medium = RadioMedium(SimClock(), config)
+    idle = medium.add_tap(Tap(name="idle"))
+    injector = RadioInjector(medium, ChannelStrategy("follow_hops"))
+    for _ in range(50):
+        injector.send_frame(JOY_FRAME)
+    assert (idle.seen, bodies) == (50, [])  # counted, never encoded
+    medium.add_tap(Tap(name="air")).keep(air := CaptureLog())
+    medium.add_tap(Tap(name="also")).keep(also := CaptureLog())
+    for _ in range(50):
+        injector.send_frame(JOY_FRAME)
+    assert (idle.seen, len(bodies)) == (100, 50)  # one encoding for both keeping taps
+    want = [RadioPacket(hop_channel(config, seq), seq, JOY_FRAME).to_bytes() for seq in range(50, 100)]
+    assert [r.data for r in air] == [r.data for r in also] == want
 
 
 def test_endpoint_rejects_wrong_channel() -> None:

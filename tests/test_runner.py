@@ -337,6 +337,7 @@ def test_a_run_keeps_only_the_records_it_reads_or_writes(appended) -> None:
     assert counts["aircap"] == len(result.captures["aircap"]) == 100
     assert counts["vehicle0"] == len(result.captures["vehicle0"])
     assert counts["operator0"] == counts["air"] == result.summary["radio"]["packets_sent"] > 0
+    assert result.points["air"].sinks == []  # the 2 s sniff window closed and left the tap
 
     # the sniff kept exactly what a whole air log holds in its window
     doc["outputs"]["captures"]["air"] = "replay/air.log"

@@ -6,6 +6,7 @@ costs 268 us. Arbitration oracle: brute-force minimum over the
 pending identifiers.
 """
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from stave import (
     BusConfig,
     CanBus,
     CanFrame,
+    CaptureLog,
     ConfigurationError,
     NodeHandle,
     SimClock,
@@ -114,6 +116,18 @@ def test_series_breaks_ties_as_if_queued_at_once() -> None:
     clock = SimClock()
     clock.schedule_series((t, lambda: None) for t in range(0, 100_000, 10))
     assert len(clock._queue) == 1
+
+
+def test_a_series_event_reports_its_action_s_module() -> None:
+    # tools that attribute events by module (perfbench/tracer.py) read __module__
+    clock = SimClock()
+    queued = []
+    schedule = clock.schedule
+    clock.schedule = lambda at_us, action: (queued.append(action), schedule(at_us, action))
+    untagged = itertools.count().__next__  # a callable without a __module__
+    clock.schedule_series([(0, lambda: None), (1, CaptureLog().__len__), (2, untagged)])
+    clock.run_until(10)
+    assert [action.__module__ for action in queued] == [__name__, "stave.capture", "stave.sim"]
 
 
 def test_run_until_does_not_go_backwards() -> None:
