@@ -1,11 +1,11 @@
 """Count the calls the simulated frame path makes per delivered frame.
 
-Runs two scenarios in-process under sys.setprofile and counts only the
-run phase (SimClock.run_until), not the build or the outputs:
+Runs three scenarios in-process under sys.setprofile and counts only
+the run phase (SimClock.run_until), not the build or the outputs:
 
 - the demo: scenarios/replay_reverse_steer.json run to 120 s, outputs off;
-- one scenario workload of perfbench/workloads.py at a fixed seed,
-  generated as the benchmark generates it.
+- each scenario workload of perfbench/workloads.py at seed 1, generated
+  as the benchmark generates it.
 
 Python calls are counted by the module of the called function, C calls
 by the module that made them. The counts depend on the interpreter, so
@@ -13,14 +13,13 @@ compare only documents from one Python version. Wall time is not read,
 so a document repeats exactly across runs and hash seeds. Run from the
 root of a checkout:
 
-    python3 ledger/calls.py [--workload replay_attack] [--seed 1]
+    python3 ledger/calls.py
 
 It prints one JSON document to standard output.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import platform
 import sys
@@ -36,6 +35,7 @@ import workloads  # noqa: E402
 
 DEMO = ROOT / "scenarios" / "replay_reverse_steer.json"
 DEMO_SECONDS = 120
+SEED = 1
 SCENARIO_WORKLOADS = ("replay_attack", "dense_hopping")  # the benchmark workloads that run a scenario
 
 
@@ -74,22 +74,17 @@ def demo_scenario():
     return scenario.validate_scenario(doc)
 
 
-def workload_scenario(name: str, seed: int):
+def workload_scenario(name: str):
     workload = workloads.WORKLOADS[name]()
     with tempfile.TemporaryDirectory() as tmp:
-        return workload.setup(seed, Path(tmp)).scenario
+        return workload.setup(SEED, Path(tmp)).scenario
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", choices=SCENARIO_WORKLOADS, default="replay_attack")
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv)
+def main() -> int:
     doc = {
         "python": platform.python_version(),
         "demo": {"scenario": DEMO.name, "duration_s": DEMO_SECONDS, **count_run(demo_scenario())},
-        "workload": {"name": args.workload, "seed": args.seed,
-                     **count_run(workload_scenario(args.workload, args.seed))},
+        "workloads": {name: {"seed": SEED, **count_run(workload_scenario(name))} for name in SCENARIO_WORKLOADS},
     }
     json.dump(doc, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -267,7 +267,7 @@ class ReplaySchedule:
 
     def to_json_dict(self) -> dict:
         """The stave-replay/1 document."""
-        return self.json_doc() | {"entries": list(self.json_entries())}
+        return {"schema": REPLAY_SCHEMA, "timing": self.timing_mode, "entries": list(self.json_entries())}
 
 
 def plan_replay(

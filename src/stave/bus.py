@@ -149,11 +149,7 @@ class CanBus:
         now = self.clock.now_us
         self._claimed = False
         self._busy_us += frame_us
-        capture = self.capture
-        if capture.sinks:
-            capture.observe(now, frame.can_id, frame.data)
-        else:
-            capture.seen += 1
+        self.capture.observe(now, frame.can_id, frame.data)
         # the frame passed submit's checks and now is never negative
         delivered = _valid_frame(frame.can_id, frame.data, now)
         for callback in self._fanout[sender.node_id]:

@@ -381,26 +381,34 @@ class CapturePoint:
     It counts every record it sees in ``seen`` and hands each one to the
     logs that keep it. ``sinks`` holds the open (log, start_us, end_us)
     entries: a log keeps the records with start_us <= timestamp_us < end_us.
-    A point observes in clock order, so the first observation at or after
-    end_us closes a sink and drops it; a caller that finds no open sink may
-    count an observation with ``seen += 1`` instead of calling observe. A
-    new point keeps nothing; a run asks it to keep only what the run reads
-    or writes. A segment observes CAN records and a tap radio records.
+    A point observes in clock order and refuses an observation before the
+    last one, so the first observation at or after end_us closes a sink and
+    drops it. A new point keeps nothing; a run asks it to keep only what the
+    run reads or writes. A segment observes CAN records and a tap radio
+    records.
     """
 
     def __init__(self, interface: str):
         self.interface = interface
         self.seen = 0
+        self._last_us = 0  # the latest observation's timestamp
         self.sinks: list[tuple[CaptureLog, int, float]] = []
 
     def keep(self, log: CaptureLog, start_us: int = 0, end_us: float = math.inf) -> None:
         """Also append the records seen in [start_us, end_us) to log."""
         self.sinks.append((log, start_us, end_us))
 
-    def observe(self, timestamp_us: int, can_id: int, data: bytes) -> None:
+    def observe(self, timestamp_us: int, can_id: int, data: bytes | None) -> None:
         """Count one valid observation and append it to every sink that keeps
-        it, dropping the sinks it closes; can_id RADIO_ID: a radio record."""
+        it, dropping the sinks it closes; can_id RADIO_ID: a radio record.
+        data is read only while a sink is open, and may be None otherwise."""
+        if timestamp_us < self._last_us:
+            raise MonotonicityError(f"{self.interface}: observation at {timestamp_us} us is before "
+                                    f"the previous one at {self._last_us} us")
+        self._last_us = timestamp_us
         self.seen += 1
+        if not self.sinks:
+            return
         closed = False
         for log, start_us, end_us in self.sinks:
             if timestamp_us >= end_us:

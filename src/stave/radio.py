@@ -280,12 +280,9 @@ class RadioMedium:
                 continue
             if tap.channels is not None and channel not in tap.channels:
                 continue
-            if point.sinks:
-                if wire is None:
-                    wire = packet.to_bytes()
-                point.observe(now, RADIO_ID, wire)
-            else:
-                point.seen += 1
+            if wire is None and point.sinks:
+                wire = packet.to_bytes()
+            point.observe(now, RADIO_ID, wire)
         if faraday and not sender_inside:
             return
         reached = []

@@ -438,6 +438,21 @@ def test_a_window_leaves_the_point_at_its_first_observation_at_or_after_its_end(
     assert point.seen == len(whole) == 7
 
 
+@pytest.mark.parametrize("keeping", [True, False])
+def test_a_point_refuses_an_observation_before_its_last(keeping) -> None:
+    point = CapturePoint("air")
+    if keeping:
+        point.keep(window := CaptureLog(), 100, 300)
+    point.observe(300, RADIO_ID, b"\xa5")
+    with pytest.raises(MonotonicityError) as raised:
+        point.observe(200, RADIO_ID, b"\xa5")  # inside the closed window
+    assert str(raised.value) == "air: observation at 200 us is before the previous one at 300 us"
+    point.observe(300, RADIO_ID, b"\xa5")  # an equal timestamp is in order
+    assert (point.seen, point.sinks) == (2, [])
+    if keeping:
+        assert len(window) == 0
+
+
 def test_text_roundtrip_is_byte_identical(tmp_path) -> None:
     log = CaptureLog()
     rng = random.Random(3)
